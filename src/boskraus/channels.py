@@ -107,13 +107,23 @@ class ChannelSpec:
 
 
 def parse_channel(text: str) -> ChannelSpec:
-    """Parse ``FAMILY[:kappa[:a]]``, e.g. ``C1:0.7`` or ``D:0.8:1.5``."""
+    """Parse ``FAMILY[:kappa[:a]]``, e.g. ``C1:0.7`` or ``D:0.8:1.5``.
+
+    Families without a gain take ``FAMILY[:a]`` (``B2:1.5`` is ``B2`` with
+    noise 1.5).  Extra or malformed fields raise ``InvalidParameter``.
+    """
     parts = text.split(":")
     family = parts[0]
     if family not in FAMILIES:
         raise InvalidParameter(f"unknown family {family!r} in {text!r}")
-    kappa = float(parts[1]) if len(parts) > 1 and parts[1] != "" else None
-    noise = float(parts[2]) if len(parts) > 2 else 0.0
+    max_fields = 3 if family in _KAPPA_FAMILIES else 2
+    if len(parts) > max_fields:
+        raise InvalidParameter(f"{text!r} has {len(parts)} fields; family {family} takes at most {max_fields}")
+    try:
+        kappa = float(parts[1]) if len(parts) > 1 and parts[1] != "" else None
+        noise = float(parts[2]) if len(parts) > 2 else 0.0
+    except ValueError:
+        raise InvalidParameter(f"non-numeric field in {text!r}") from None
     if family in _KAPPA_FAMILIES and kappa is None:
         raise UnsupportedFamily(f"family {family} needs a kappa, e.g. {family}:0.7")
     if family not in _KAPPA_FAMILIES and kappa is not None:

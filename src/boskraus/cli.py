@@ -1,7 +1,8 @@
 """Command-line surface: build families, compose channels, run experiments.
 
-Channel arguments parse as ``FAMILY[:kappa[:a]]``.  ``compose OUTER INNER``
-follows the composition-table convention: the right argument acts first.
+Channel arguments parse as ``FAMILY[:kappa[:a]]`` (``FAMILY[:a]`` for a
+family without a gain).  ``compose OUTER INNER`` follows the
+composition-table convention: the right argument acts first.
 Artifacts land in ``--output-dir`` or ``$BK_OUTPUT_DIR`` (default: cwd),
 written atomically, with numeric fields at 12 significant digits.
 

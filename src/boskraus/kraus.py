@@ -21,6 +21,20 @@ Gauss-Hermite nodes, with the square root of the quadrature weight
 absorbed into each operator so that ``sum_i W_i^dag W_i`` approximates the
 completeness integral.
 
+A single-band family (``D``, ``C1``, ``C2``, ``A1``, the identity) is stored
+as a real coefficient table ``c`` of shape ``(ell_max + 1, N)`` plus its band
+orientation:
+
+* ``"anti"`` (D): ``c[l, n]`` sits at ``(l - n, n)``;
+* ``"upper"`` (C1, A1, I): ``c[l, m]`` sits at ``(m, m + l)``;
+* ``"lower"`` (C2): ``c[l, m]`` sits at ``(m + l, m)``.
+
+The table holds the whole band, entries outside the ``N x N`` block
+included.  Each ``W_l^dag W_l`` is diagonal in the Fock basis, so the
+completeness defect is a sum of squares over the table; ``apply`` adds one
+shifted block per band index ``l``; the dense square stack ``ops`` is built
+from the table only when a reader asks for it.
+
 All coefficient evaluation is done in log space (gammaln), never through
 factorial ratios.
 """
@@ -28,7 +42,7 @@ factorial ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, roots_hermite
@@ -52,6 +66,7 @@ from .fock import (
 )
 
 DEFECT_HARD_LIMIT = 1e-4
+SUGGEST_ELL_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -73,22 +88,51 @@ class QuadratureIndex:
     weights: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
 class KrausFamily:
-    """An ordered stack of Kraus operators plus channel metadata."""
+    """An ordered Kraus family plus channel metadata.
 
-    spec: ChannelSpec | None
-    ops: np.ndarray  # (n_ops, dim, dim) complex
-    index: DiscreteIndex | QuadratureIndex
-    completeness_defect: float
-    origin: str = "closed-form"
+    ``KrausFamily(spec, ops, index, completeness_defect, origin)`` holds a
+    dense stack ``ops`` of shape ``(n_ops, dim, dim)``; quadrature, scheme,
+    product, rank-one and JSON-loaded families are built this way.
+
+    Closed-form single-band families (:meth:`banded`) hold the real
+    coefficient table ``coeffs`` of shape ``(ell_max + 1, dim)`` and its
+    ``band`` orientation (see the module docstring) instead.  Their ``ops``
+    is materialized from the table on first read and cached; ``len`` and
+    ``dim`` come from the table and never materialize it.  For dense
+    families ``coeffs`` and ``band`` are None.
+    """
+
+    def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
+                 index: DiscreteIndex | QuadratureIndex, completeness_defect: float,
+                 origin: str = "closed-form"):
+        self.spec = spec
+        self.index = index
+        self.completeness_defect = completeness_defect
+        self.origin = origin
+        self.coeffs: np.ndarray | None = None
+        self.band: str | None = None
+        self._ops = ops
+
+    @classmethod
+    def banded(cls, spec: ChannelSpec, coeffs: np.ndarray, band: str,
+               completeness_defect: float) -> "KrausFamily":
+        family = cls(spec, None, DiscreteIndex(coeffs.shape[0] - 1), completeness_defect)
+        family.coeffs, family.band = coeffs, band
+        return family
+
+    @property
+    def ops(self) -> np.ndarray:
+        if self._ops is None:
+            self._ops = _square_stack(self.coeffs, self.band)
+        return self._ops
 
     @property
     def dim(self) -> int:
-        return self.ops.shape[1]
+        return (self._ops if self.coeffs is None else self.coeffs).shape[1]
 
     def __len__(self) -> int:
-        return self.ops.shape[0]
+        return (self._ops if self.coeffs is None else self.coeffs).shape[0]
 
     def __getitem__(self, ell: int) -> TruncatedOperator:
         return TruncatedOperator(self.ops[ell])
@@ -141,55 +185,75 @@ def _log_binom_sqrt(n, k):
     return 0.5 * (gammaln(np.asarray(n) + 1) - gammaln(np.asarray(k) + 1) - gammaln(np.asarray(n) - np.asarray(k) + 1))
 
 
-def _d_op(kappa: float, ell: int, n_rows: int, n_cols: int) -> np.ndarray:
-    op = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    n = np.arange(max(0, ell - n_rows + 1), min(ell, n_cols - 1) + 1)
-    if n.size == 0:
-        return op
-    logc = (
-        _log_binom_sqrt(ell, n)
-        - 0.5 * (n + 1) * math.log1p(kappa**2)
-        - 0.5 * (ell - n) * math.log1p(kappa**-2)
-    )
-    op[ell - n, n] = np.exp(logc)
-    return op
-
-
-def _c1_op(kappa: float, ell: int, n_rows: int, n_cols: int) -> np.ndarray:
-    op = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    if kappa == 0.0:  # A1 end: B_l = |0><l|
-        if ell < n_cols:
-            op[0, ell] = 1.0
-        return op
+def _band_table(spec: ChannelSpec, ell_max: int, n_cut: int) -> tuple[np.ndarray, str]:
+    """Coefficient table ``(ell_max + 1, n_cut)`` and band orientation of a
+    quantum-limited single-band family; the identity has one row."""
+    fam = spec.family
+    if fam == "I":
+        return np.ones((1, n_cut)), "upper"
+    kappa = 0.0 if fam == "A1" else spec.kappa
+    ell = np.arange(ell_max + 1)[:, None]
+    m = np.arange(n_cut)[None, :]
+    coeffs = np.zeros((ell_max + 1, n_cut))
+    if fam == "D":
+        ell, n = np.broadcast_arrays(ell, m)
+        in_band = n <= ell
+        ell, n = ell[in_band], n[in_band]
+        coeffs[in_band] = np.exp(
+            _log_binom_sqrt(ell, n)
+            - 0.5 * (n + 1) * math.log1p(kappa**2)
+            - 0.5 * (ell - n) * math.log1p(kappa**-2)
+        )
+        return coeffs, "anti"
+    orientation = "lower" if fam == "C2" else "upper"
     if kappa == 1.0:  # identity channel
-        if ell == 0:
-            np.fill_diagonal(op, 1.0)
-        return op
-    m = np.arange(0, min(n_rows, n_cols - ell))
-    if m.size == 0:
-        return op
-    logc = _log_binom_sqrt(m + ell, ell) + 0.5 * ell * math.log(1.0 - kappa**2) + m * math.log(kappa)
-    op[m, m + ell] = np.exp(logc)
-    return op
+        coeffs[0] = 1.0
+    elif kappa == 0.0:  # A1 end: B_l = |0><l|
+        coeffs[:, 0] = 1.0
+    elif fam == "C2":
+        coeffs[:] = np.exp(
+            -math.log(kappa)
+            + _log_binom_sqrt(m + ell, ell)
+            + 0.5 * ell * math.log(1.0 - kappa**-2)
+            - m * math.log(kappa)
+        )
+    else:
+        coeffs[:] = np.exp(_log_binom_sqrt(m + ell, ell) + 0.5 * ell * math.log(1.0 - kappa**2)
+                           + m * math.log(kappa))
+    return coeffs, orientation
 
 
-def _c2_op(kappa: float, ell: int, n_rows: int, n_cols: int) -> np.ndarray:
-    op = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    if kappa == 1.0:
-        if ell == 0:
-            np.fill_diagonal(op, 1.0)
-        return op
-    m = np.arange(0, min(n_cols, n_rows - ell))
-    if m.size == 0:
-        return op
-    logc = (
-        -math.log(kappa)
-        + _log_binom_sqrt(m + ell, ell)
-        + 0.5 * ell * math.log(1.0 - kappa**-2)
-        - m * math.log(kappa)
-    )
-    op[m + ell, m] = np.exp(logc)
-    return op
+def _square_stack(coeffs: np.ndarray, band: str) -> np.ndarray:
+    """Dense ``(ell_max + 1, N, N)`` stack of the table entries that land
+    inside the square block."""
+    n_ops, dim = coeffs.shape
+    ell, j = np.indices(coeffs.shape)
+    rows, cols = {"anti": (ell - j, j), "upper": (j, j + ell), "lower": (j + ell, j)}[band]
+    inside = (rows >= 0) & (rows < dim) & (cols < dim)
+    ops = np.zeros((n_ops, dim, dim), dtype=np.complex128)
+    ops[ell[inside], rows[inside], cols[inside]] = coeffs[inside]
+    return ops
+
+
+def _table_defect(coeffs: np.ndarray, band: str, block: int | None = None) -> float:
+    """``max |(sum_l W_l^dag W_l)[j, j] - 1|`` over the protected block ``j < block``.
+
+    Every ``W_l^dag W_l`` is diagonal, so the operator norm of the defect is
+    its largest diagonal entry.  Column ``j`` collects ``c[l, j]^2`` for the
+    anti and lower bands and ``c[l, j - l]^2`` for the upper band, over the
+    whole band: the range cutoff does not enter.  The default block is half
+    the column space.
+    """
+    n_ops, dim = coeffs.shape
+    b = min(dim // 2 if block is None else block, dim)
+    squares = coeffs[:, :b] ** 2
+    if band == "upper":
+        diag = np.zeros(b)
+        for ell in range(min(n_ops, b)):
+            diag[ell:] += squares[ell, :b - ell]
+    else:
+        diag = squares.sum(axis=0)
+    return float(np.max(np.abs(diag - 1.0), initial=0.0))
 
 
 def raw_completeness_defect(ops: np.ndarray, block: int | None = None) -> float:
@@ -209,21 +273,17 @@ def raw_completeness_defect(ops: np.ndarray, block: int | None = None) -> float:
 def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = None) -> float:
     """Completeness defect of a family on its protected lower block.
 
-    For closed-form discrete families the operators are rebuilt with
-    enough extra rows that no band weight is lost to the range cutoff;
-    for quadrature families the exactly-normalized factor (coherent ket,
-    displacement unitary) is summed analytically.  Falling back to the
-    stored square matrices would conflate range truncation with a genuine
-    index-sum deficit.
+    Single-band families sum their full-band coefficient table, so no
+    band weight is lost to the range cutoff; for quadrature families the
+    exactly-normalized factor (coherent ket, displacement unitary) is
+    summed analytically.  Falling back to the stored square matrices would
+    conflate range truncation with a genuine index-sum deficit.
     """
     if isinstance(family, np.ndarray):
         return raw_completeness_defect(family, block)
+    if family.coeffs is not None:
+        return _table_defect(family.coeffs, family.band, block)
     spec, dim = family.spec, family.dim
-    if isinstance(family.index, DiscreteIndex) and spec is not None and spec.quantum_limited \
-            and spec.family in ("D", "C1", "C2", "A1", "I") and family.origin == "closed-form":
-        ell_max = family.index.ell_max
-        ops = _banded_ops(spec, ell_max, dim + ell_max, dim)
-        return raw_completeness_defect(ops, block)
     if isinstance(family.index, QuadratureIndex) and spec is not None and spec.family == "A2":
         return _position_resolution_defect(family.index.nodes, family.index.weights, dim, block)
     if isinstance(family.index, QuadratureIndex) and spec is not None and spec.family == "B1":
@@ -250,22 +310,13 @@ def _position_resolution_defect(nodes: np.ndarray, weights: np.ndarray, dim: int
     return float(np.linalg.norm((s - np.eye(dim))[:b, :b], ord=2))
 
 
-def _banded_ops(spec: ChannelSpec, ell_max: int, n_rows: int, n_cols: int) -> np.ndarray:
-    fam = spec.family
-    if fam == "I":
-        ops = np.zeros((1, n_rows, n_cols), dtype=np.complex128)
-        np.fill_diagonal(ops[0], 1.0)
-        return ops
-    maker = {"D": _d_op, "C1": _c1_op, "C2": _c2_op, "A1": _c1_op}[fam]
-    kappa = 0.0 if fam == "A1" else spec.kappa
-    return np.stack([maker(kappa, ell, n_rows, n_cols) for ell in range(ell_max + 1)])
-
-
 def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> int:
     """Smallest index cut keeping the completeness tail below ``tol``.
 
     The per-level weights of ``sum_l (W_l^dag W_l)[n, n]`` decay
     geometrically in l; the worst protected level is ``n_protect - 1``.
+    Raises ``DefectTooLarge`` when the tail is still above ``tol`` at
+    ``SUGGEST_ELL_CAP``.
     """
     fam = spec.family
     if fam in ("I", "A1") or (fam == "C1"):
@@ -277,51 +328,53 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
         log_w = -(n + 1) * math.log1p(spec.kappa**2)
         term = math.exp(log_w)  # l = n term, C(n,n)=1
         ell, remaining = n, 1.0 - term
-        while remaining > tol and ell < 100000:
+        while remaining > tol and ell < SUGGEST_ELL_CAP:
             ell += 1
             term *= ratio * ell / (ell - n)
             remaining -= term
-        return ell
-    if fam == "C2":
+    elif fam == "C2":
         if spec.kappa == 1.0:
             return 0
         ratio = 1.0 - spec.kappa**-2
         term = spec.kappa ** (-2.0 * (n + 1))  # l = 0 term at level n
         ell, remaining = 0, 1.0 - term
-        while remaining > tol and ell < 100000:
+        while remaining > tol and ell < SUGGEST_ELL_CAP:
             ell += 1
             term *= ratio * (n + ell) / ell
             remaining -= term
-        return ell
-    raise UnsupportedFamily(
-        f"family {fam} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
+    else:
+        raise UnsupportedFamily(
+            f"family {fam} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
+    if remaining > tol:
+        raise DefectTooLarge(
+            f"{spec} at n_protect={n_protect}: completeness tail {remaining:.3e} > {tol:.1e} "
+            f"at the index cap ell_max={SUGGEST_ELL_CAP}")
+    return ell
 
 
 def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
                    defect_limit: float = DEFECT_HARD_LIMIT) -> KrausFamily:
     """Closed-form Kraus family for ``D``, ``C1``, ``C2``, ``A1`` or the identity.
 
-    The stored operators are square truncations; the recorded defect is
-    the index-sum deficit on the protected domain block, measured before
-    the range cutoff is imposed.
+    The family stores its coefficient table over the whole band; its
+    square operators are the truncation to ``n_cut`` levels.  The recorded
+    defect is the index-sum deficit on the protected domain block,
+    measured before the range cutoff is imposed.
     """
     if not spec.quantum_limited:
         raise UnsupportedFamily(f"{spec}: noisy; use compose/synthesize")
-    fam = spec.family
-    if fam == "I":
-        ops = np.eye(n_cut, dtype=np.complex128)[None, :, :]
-        return KrausFamily(spec, ops, DiscreteIndex(0), 0.0)
-    if fam not in ("D", "C1", "C2", "A1"):
+    if spec.family not in ("D", "C1", "C2", "A1", "I"):
         raise UnsupportedFamily(
-            f"family {fam} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
-    extended = _banded_ops(spec, ell_max, n_cut + ell_max, n_cut)
-    defect = raw_completeness_defect(extended)
+            f"family {spec.family} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
+    if ell_max < 0:
+        raise InvalidParameter(f"ell_max must be nonnegative, got {ell_max}")
+    coeffs, band = _band_table(spec, ell_max, n_cut)
+    defect = _table_defect(coeffs, band)
     if defect > defect_limit:
         raise DefectTooLarge(
             f"{spec} at ell_max={ell_max}, n_cut={n_cut}: defect {defect:.3e} > {defect_limit:.1e}"
         )
-    ops = np.ascontiguousarray(extended[:, :n_cut, :])
-    return KrausFamily(spec, ops, DiscreteIndex(ell_max), defect)
+    return KrausFamily.banded(spec, coeffs, band, defect)
 
 
 def hermite_quadrature(node_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -379,35 +432,42 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
     return KrausFamily(spec, ops, index, defect)
 
 
-def _superoperator(family: KrausFamily):
-    """Cached sparse matrix of ``rho -> sum W rho W^dag`` on row-major vec.
+def _band_apply(coeffs: np.ndarray, band: str, mat: np.ndarray) -> np.ndarray:
+    """``sum_l W_l M W_l^dag`` for a single-band family, one block per ``l``.
 
-    Banded families have ~dim nonzeros per operator, so
-    ``sum_l W_l (x) conj(W_l)`` stays sparse; built lazily once per family.
+    ``W_l`` maps the input levels ``src`` to the output levels ``dst`` with
+    weights ``c``, so its term is ``out[dst, dst] += outer(c, c) * M[src, src]``;
+    the D band reverses the order of the levels.  Only the ``l`` that reach
+    the square block are visited, and every output entry sums its terms in
+    increasing order of the input entry they come from (hence C2 runs ``l``
+    downward).
     """
-    cached = getattr(family, "_superop", None)
-    if cached is None:
-        from scipy import sparse
-
-        cached = None
-        for op in family.ops:
-            m = sparse.csr_matrix(op)
-            term = sparse.kron(m, m.conj(), format="csr")
-            cached = term if cached is None else cached + term
-        object.__setattr__(family, "_superop", cached)
-    return cached
+    n_ops, dim = coeffs.shape
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    if band == "anti":
+        for ell in range(min(n_ops, 2 * dim - 1)):
+            lo, hi = max(0, ell - dim + 1), min(ell, dim - 1) + 1
+            c = coeffs[ell, lo:hi]
+            dst = slice(ell - hi + 1, ell - lo + 1)
+            out[dst, dst] += (np.outer(c, c) * mat[lo:hi, lo:hi])[::-1, ::-1]
+        return out
+    ells = range(min(n_ops, dim))
+    for ell in reversed(ells) if band == "lower" else ells:
+        c = coeffs[ell, :dim - ell]
+        low, high = slice(0, dim - ell), slice(ell, dim)
+        src, dst = (high, low) if band == "upper" else (low, high)
+        out[dst, dst] += np.outer(c, c) * mat[src, src]
+    return out
 
 
 def apply_matrix(family: KrausFamily, mat: np.ndarray) -> np.ndarray:
     """Raw operator-sum action ``sum_l W_l M W_l^dag`` (no renormalization)."""
     if mat.shape[0] != family.dim:
         raise DimMismatch(f"operator dim {mat.shape[0]} != family dim {family.dim}")
-    n_ops, n, _ = family.ops.shape
-    sparsity = np.count_nonzero(family.ops) / family.ops.size
-    if sparsity < 0.125:
-        out = _superoperator(family) @ mat.astype(np.complex128).ravel()
-        return out.reshape(n, n)
+    if family.coeffs is not None:
+        return _band_apply(family.coeffs, family.band, mat)
     # dense stacks: two flattened BLAS products instead of a per-operator loop
+    n_ops, n, _ = family.ops.shape
     tmp = (family.ops.reshape(n_ops * n, n) @ mat).reshape(n_ops, n, n)
     left = np.ascontiguousarray(tmp.transpose(1, 0, 2)).reshape(n, n_ops * n)
     right = family.ops.conj().transpose(0, 2, 1).reshape(n_ops * n, n)
@@ -436,6 +496,14 @@ def dual(family: KrausFamily) -> KrausFamily:
     ``kappa T_l(kappa)^dag = T_l(1/kappa)`` maps D(kappa) to D(1/kappa);
     ``kappa A_l(kappa)^dag = B_l(1/kappa)`` maps C2(kappa) to C1(1/kappa)
     and conversely ``kappa B_l(kappa)^dag = A_l(1/kappa)``.
+
+    The operators are ``kappa W_l^dag`` of the input family itself, never
+    the dual's closed form.  For a coefficient table, C1 and C2 exchange
+    the same table scaled by ``kappa``, and D reads each input row backwards.
+    The one exception is the D entries below the square block (rows
+    ``>= N``): the input table does not hold them, no operator or ``apply``
+    sees them, and only the full-band completeness defect reads them, so
+    they come from the dual's closed form.
     """
     if not isinstance(family.index, DiscreteIndex):
         raise UnsupportedFamily("continuous-index families have no discrete dual here")
@@ -451,9 +519,21 @@ def dual(family: KrausFamily) -> KrausFamily:
         raise InvalidParameter("dual of the kappa=0 attenuator is not defined")
     dual_family = {"D": "D", "C1": "C2", "C2": "C1"}[spec.family]
     new_spec = ChannelSpec(dual_family, 1.0 / kappa)
-    ops = kappa * np.transpose(family.ops.conj(), (0, 2, 1))
-    out = KrausFamily(new_spec, ops, family.index, 0.0, family.origin)
-    return replace(out, completeness_defect=completeness_defect(out))
+    if family.coeffs is None:
+        ops = kappa * np.transpose(family.ops.conj(), (0, 2, 1))
+        out = KrausFamily(new_spec, ops, family.index, 0.0, family.origin)
+        out.completeness_defect = completeness_defect(out)
+        return out
+    if family.band == "anti":
+        # kappa T_l^dag puts kappa c[l, n] at (n, l - n): entry (l, l - n) of the dual table
+        coeffs, band = _band_table(new_spec, family.index.ell_max, family.dim)
+        ell, n = np.indices(coeffs.shape)
+        src = ell - n
+        inside = (src >= 0) & (src < family.dim)
+        coeffs[inside] = kappa * family.coeffs[ell[inside], src[inside]]
+    else:
+        coeffs, band = kappa * family.coeffs, {"upper": "lower", "lower": "upper"}[family.band]
+    return KrausFamily.banded(new_spec, coeffs, band, _table_defect(coeffs, band))
 
 
 def coherent_disc_grid(radius: float, n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
@@ -506,7 +586,7 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
         0.0,
         origin="rank-one",
     )
-    family = replace(family, completeness_defect=completeness_defect(family))
+    family.completeness_defect = completeness_defect(family)
     if probe_check:
         probe = thermal_state(2.0, n_cut, tail_tol=1.0)
         reference = apply(build_discrete(ChannelSpec("D", kappa), suggest_ell_max(ChannelSpec("D", kappa), n_cut), n_cut), probe)

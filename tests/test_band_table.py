@@ -1,0 +1,171 @@
+"""Coefficient-table storage of the single-band families against dense references.
+
+The reference builders below construct each Kraus operator as a dense matrix
+from the closed forms, one operator at a time, with enough rows that no band
+weight falls off the bottom of the block.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from boskraus.channels import ChannelSpec
+from boskraus.fock import thermal_state
+from boskraus.kraus import (
+    KrausFamily,
+    _log_binom_sqrt,
+    apply,
+    apply_matrix,
+    build_discrete,
+    completeness_defect,
+    dual,
+    raw_completeness_defect,
+    suggest_ell_max,
+)
+
+
+def _d_op(kappa, ell, n_rows, n_cols):
+    op = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    n = np.arange(max(0, ell - n_rows + 1), min(ell, n_cols - 1) + 1)
+    if n.size == 0:
+        return op
+    logc = (
+        _log_binom_sqrt(ell, n)
+        - 0.5 * (n + 1) * math.log1p(kappa**2)
+        - 0.5 * (ell - n) * math.log1p(kappa**-2)
+    )
+    op[ell - n, n] = np.exp(logc)
+    return op
+
+
+def _c1_op(kappa, ell, n_rows, n_cols):
+    op = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    if kappa == 0.0:
+        if ell < n_cols:
+            op[0, ell] = 1.0
+        return op
+    if kappa == 1.0:
+        if ell == 0:
+            np.fill_diagonal(op, 1.0)
+        return op
+    m = np.arange(0, min(n_rows, n_cols - ell))
+    if m.size == 0:
+        return op
+    logc = _log_binom_sqrt(m + ell, ell) + 0.5 * ell * math.log(1.0 - kappa**2) + m * math.log(kappa)
+    op[m, m + ell] = np.exp(logc)
+    return op
+
+
+def _c2_op(kappa, ell, n_rows, n_cols):
+    op = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    if kappa == 1.0:
+        if ell == 0:
+            np.fill_diagonal(op, 1.0)
+        return op
+    m = np.arange(0, min(n_cols, n_rows - ell))
+    if m.size == 0:
+        return op
+    logc = (
+        -math.log(kappa)
+        + _log_binom_sqrt(m + ell, ell)
+        + 0.5 * ell * math.log(1.0 - kappa**-2)
+        - m * math.log(kappa)
+    )
+    op[m + ell, m] = np.exp(logc)
+    return op
+
+
+def _banded_ops(spec, ell_max, n_rows, n_cols):
+    """Dense ``(ell_max + 1, n_rows, n_cols)`` reference stack."""
+    if spec.family == "I":
+        ops = np.zeros((1, n_rows, n_cols), dtype=np.complex128)
+        np.fill_diagonal(ops[0], 1.0)
+        return ops
+    maker = {"D": _d_op, "C1": _c1_op, "C2": _c2_op, "A1": _c1_op}[spec.family]
+    kappa = 0.0 if spec.family == "A1" else spec.kappa
+    return np.stack([maker(kappa, ell, n_rows, n_cols) for ell in range(ell_max + 1)])
+
+
+SPECS = [ChannelSpec("D", 0.8), ChannelSpec("D", 1.3), ChannelSpec("C1", 0.7),
+         ChannelSpec("C2", 1.3), ChannelSpec("A1"), ChannelSpec("I"),
+         ChannelSpec("C1", 1.0), ChannelSpec("C2", 1.0)]
+SPEC_IDS = [f"{s.family}({s.kappa})" for s in SPECS]
+
+
+def _ell_max(n_cut, above):
+    """An index cut below the cutoff, or one above even the D band's reach."""
+    return 2 * n_cut + 5 if above else n_cut // 3
+
+
+def _probe(n_cut, seed):
+    rng = np.random.default_rng(seed)
+    half = n_cut // 2
+    g = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
+    mat = np.zeros((n_cut, n_cut), dtype=complex)
+    mat[:half, :half] = g @ g.conj().T
+    mat[half:, :] += 0.01 * rng.normal(size=(n_cut - half, n_cut))  # reach the top rows too
+    return mat
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["ell<N", "ell>N"])
+@pytest.mark.parametrize("n_cut", [16, 48, 96])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_apply_matches_dense_operator_sum(spec, n_cut, above):
+    fam = build_discrete(spec, _ell_max(n_cut, above), n_cut, defect_limit=2.0)
+    mat = _probe(n_cut, n_cut)
+    ref = np.einsum("lij,jk,lmk->im", fam.ops, mat, fam.ops.conj(), optimize=True)
+    got = apply_matrix(fam, mat)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["ell<N", "ell>N"])
+@pytest.mark.parametrize("n_cut", [16, 48])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_table_against_extended_dense_stack(spec, n_cut, above):
+    ell_max = _ell_max(n_cut, above)
+    fam = build_discrete(spec, ell_max, n_cut, defect_limit=2.0)
+    extended = _banded_ops(spec, ell_max, n_cut + ell_max, n_cut)
+    assert np.array_equal(fam.ops, extended[:, :n_cut, :])
+    assert abs(fam.completeness_defect - raw_completeness_defect(extended)) <= 1e-15
+    for block in (1, n_cut // 4, n_cut):
+        assert abs(completeness_defect(fam, block) - raw_completeness_defect(extended, block)) <= 1e-15
+
+
+def test_len_and_dim_leave_ops_unbuilt():
+    spec = ChannelSpec("D", 0.8)
+    fam = build_discrete(spec, suggest_ell_max(spec, 32), 32)
+    assert (len(fam), fam.dim) == (fam.index.ell_max + 1, 32)
+    assert fam._ops is None
+    assert fam.ops.shape == (len(fam), 32, 32)
+    assert fam.ops is fam.ops  # materialized once, then cached
+
+
+@pytest.mark.parametrize("spec", [ChannelSpec("D", 0.8), ChannelSpec("C1", 0.6), ChannelSpec("C2", 1.4)],
+                         ids=["D", "C1", "C2"])
+def test_dual_reads_the_input_coefficients(spec):
+    # a family whose table is not the closed form of any spec: its dual must
+    # still be kappa W^dag of exactly these operators
+    fam = build_discrete(spec, 20, 24, defect_limit=2.0)
+    doubled = KrausFamily.banded(spec, 2.0 * fam.coeffs, fam.band, 0.0)
+    want = spec.kappa * np.transpose(doubled.ops.conj(), (0, 2, 1))
+    assert np.array_equal(dual(doubled).ops, want)
+
+
+def test_large_cutoff_stays_small():
+    # N=256 at the suggested index cut (553) would be a 1.8 GB dense stack
+    spec = ChannelSpec("D", 0.8)
+    n_cut = 256
+    tracemalloc.start()
+    try:
+        fam = build_discrete(spec, suggest_ell_max(spec, n_cut), n_cut)
+        rho = thermal_state(3.0, n_cut)
+        for _ in range(3):
+            rho = apply(fam, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fam._ops is None
+    assert peak < 64e6
+    assert fam.completeness_defect < 1e-10

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from boskraus.channels import ChannelSpec, parse_channel
 from boskraus.cli import main
+from boskraus.errors import InvalidParameter
 
 
 def run(capsys, *argv):
@@ -45,6 +47,26 @@ class TestKrausCommand:
     def test_defect_too_large_exits_2(self, capsys):
         code, out, err = run(capsys, "kraus", "D:0.9", "--ncut", "32", "--ell-max", "3")
         assert code == 2
+
+
+class TestChannelParsing:
+    @pytest.mark.parametrize("text", ["D:0.8:0:junk", "B2:1.5:2", "A1::1", "C1:abc", "C2:1.3:"])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(InvalidParameter):
+            parse_channel(text)
+
+    def test_well_formed(self):
+        assert parse_channel("D:0.8:1.5") == ChannelSpec("D", 0.8, 1.5)
+        assert parse_channel("B2:1.5") == ChannelSpec("B2", noise_a=1.5)
+        assert parse_channel("C1:0.7") == ChannelSpec("C1", 0.7)
+
+    @pytest.mark.parametrize("text", ["D:0.8:0:junk", "B2:1.5:2"])
+    def test_cli_exit_code(self, capsys, text):
+        code, out, err = run(capsys, "kraus", text, "--ncut", "16")
+        assert code == 1
+        assert "fields" in err
+        code, out, err = run(capsys, "compose", text, "C1:0.5")
+        assert code == 1
 
 
 class TestComposeCommand:

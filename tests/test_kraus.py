@@ -127,6 +127,11 @@ class TestCompleteness:
             fam = build_discrete(spec, ell, 32)
             assert fam.completeness_defect < 1e-10
 
+    def test_suggest_ell_max_raises_when_tail_not_converged(self):
+        # D(1e3) keeps almost all weight beyond any cut below the 100000 cap
+        with pytest.raises(DefectTooLarge, match="completeness tail"):
+            suggest_ell_max(ChannelSpec("D", 1e3), 32)
+
     def test_public_defect_matches_stored(self):
         spec = ChannelSpec("C2", 1.4)
         fam = build_discrete(spec, suggest_ell_max(spec, 32), 32)
