@@ -384,7 +384,18 @@ def hermite_quadrature(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     decaying at least like ``exp(-x^2)``; ``w = w_GH * exp(x^2)``.
     """
     x, w = roots_hermite(node_count)
-    return x, w * np.exp(x**2)
+    return x, _times_exp_square(w, x)
+
+
+def _times_exp_square(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w * exp(x^2)``, with 0 at the nodes whose Gauss-Hermite weight
+    underflowed: there ``exp(x^2)`` overflows and the product is not finite.
+    Such nodes (|x| above ~27) carry no weight for an integrand that decays
+    like ``exp(-x^2)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = w * np.exp(x**2)
+    out[~np.isfinite(out)] = 0.0
+    return out
 
 
 def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
@@ -421,13 +432,13 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
         ops = np.empty((node_count, n_cut, n_cut), dtype=np.complex128)
         for i in range(node_count):
             ops[i] = np.sqrt(w[i] / np.sqrt(np.pi)) * displacement_op(q[i] / np.sqrt(2.0), n_cut).mat
-        index = QuadratureIndex(q, w * np.sqrt(a) * np.exp(t**2))
+        index = QuadratureIndex(q, _times_exp_square(w * np.sqrt(a), t))
         # the displacement factor is exactly unitary, so only the Gaussian
         # quadrature itself can fall short of the completeness integral
         defect = float(abs(np.sum(w) / np.sqrt(np.pi) - 1.0))
     else:
         raise UnsupportedFamily(f"family {fam} is not a continuous-index family")
-    if defect > defect_limit:
+    if not np.isfinite(defect) or defect > defect_limit:
         raise DefectTooLarge(f"{spec}: defect {defect:.3e} > {defect_limit:.1e}; raise node_count or n_cut")
     return KrausFamily(spec, ops, index, defect)
 

@@ -205,11 +205,21 @@ def compose_xy(first: XYPair, second: XYPair) -> XYPair:
     return XYPair(x, y)
 
 
-def _as_table_spec(spec: ChannelSpec) -> ChannelSpec:
-    """Map the identity onto C1(1) so it can ride the C1 rows/columns."""
-    if spec.family == "I":
-        return ChannelSpec("C1", 1.0)
-    return spec
+def _table_pair(spec2: ChannelSpec, spec1: ChannelSpec) -> tuple[ChannelSpec, ChannelSpec]:
+    """``(second, first)`` as composition-table rows.
+
+    The identity rides the C1 rows as C1(1) and the erasure A1 as C1(0);
+    raises ``UnsupportedPair`` for noisy channels and for families without
+    a table row.
+    """
+    pair = [ChannelSpec("C1", 1.0) if s.family == "I" else s for s in (spec2, spec1)]
+    if not all(s.quantum_limited for s in pair):
+        raise UnsupportedPair("composition table covers quantum-limited channels only")
+    pair = [ChannelSpec("C1", 0.0) if s.family == "A1" else s for s in pair]
+    allowed = ("D", "C1", "C2", "A2")
+    if any(s.family not in allowed for s in pair):
+        raise UnsupportedPair(f"no table entry for {pair[0].family} after {pair[1].family}")
+    return pair[0], pair[1]
 
 
 def _conjugator_or_erasure(k: float, a: float) -> ChannelSpec:
@@ -249,17 +259,8 @@ def table1_compose(spec2: ChannelSpec, spec1: ChannelSpec) -> ChannelSpec:
 
     with ``k = k1 k2`` throughout.
     """
-    s1, s2 = _as_table_spec(spec1), _as_table_spec(spec2)
-    if not (s1.quantum_limited and s2.quantum_limited):
-        raise UnsupportedPair("composition table covers quantum-limited channels only")
+    s2, s1 = _table_pair(spec2, spec1)
     f1, f2 = s1.family, s2.family
-    if f1 == "A1":
-        s1, f1 = ChannelSpec("C1", 0.0), "C1"
-    if f2 == "A1":
-        s2, f2 = ChannelSpec("C1", 0.0), "C1"
-    allowed = ("D", "C1", "C2", "A2")
-    if f1 not in allowed or f2 not in allowed:
-        raise UnsupportedPair(f"no table entry for {f2} after {f1}")
     k1, k2 = s1.kappa, s2.kappa
 
     def c_branch(k: float, a_low: float, a_high: float) -> ChannelSpec:
@@ -318,17 +319,8 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     """
     if lam <= 0:
         raise InvalidParameter("lambda must be positive")
-    s1, s2 = _as_table_spec(spec1), _as_table_spec(spec2)
-    if not (s1.quantum_limited and s2.quantum_limited):
-        raise UnsupportedPair("composition table covers quantum-limited channels only")
+    s2, s1 = _table_pair(spec2, spec1)
     f1, f2 = s1.family, s2.family
-    if f1 == "A1":
-        s1, f1 = ChannelSpec("C1", 0.0), "C1"
-    if f2 == "A1":
-        s2, f2 = ChannelSpec("C1", 0.0), "C1"
-    allowed = ("D", "C1", "C2", "A2")
-    if f1 not in allowed or f2 not in allowed:
-        raise UnsupportedPair(f"no table entry for {f2} after {f1}")
     y1 = s1.quantum_limited_noise()
     spread = (lam - 1.0 / lam) ** 2
 

@@ -19,9 +19,12 @@ with ``v = (z1, z2, eta1, eta2)``; Kraus operators of the induced
 single-mode channel (vacuum ancilla) are read off as
 ``W_l[m1, n1] = C^(m1 l)_(n1 0)``.
 
-Taylor coefficients are extracted by a linear recurrence on the scaled
-coefficients of ``exp(v^T Q v / 2)`` with the square-root factorials
-folded in as the recursion runs, which stays stable to order ~120.
+Taylor coefficients are extracted by one linear recurrence on the scaled
+coefficients ``t[k] = sqrt(k!) [v^k] exp(v^T Q v / 2)``, with the
+square-root factorials folded in as it runs; it stays stable to order ~120.
+The recurrence fills a whole slab of the first axis at once from the two
+slabs below it, and the first slab is the same problem on the remaining
+axes (the slab scheme of Miatto & Quesada, Quantum 4, 366 (2020)).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .kraus import (
     DiscreteIndex,
     KrausFamily,
     QuadratureIndex,
+    completeness_defect,
     hermite_quadrature,
     raw_completeness_defect,
 )
@@ -158,80 +162,51 @@ def generating_form(mix: MixMatrix, check: bool = True, seed: int = 7) -> Genera
     return form
 
 
-def _scaled_taylor_slice(form: GeneratingForm, n1_max: int, ell_max: int, m1_max: int) -> np.ndarray:
-    """Scaled coefficients ``C^(m1 m2)_(n1 0)`` on the ancilla-vacuum slice.
-
-    Returns ``t[n1, m1, m2] = sqrt(n1! m1! m2!) * taylor(F/prefactor)``
-    (the ``n2 = 0`` slice closes under the recurrence because lowering an
-    index below zero contributes nothing).
-    """
-    for order in (n1_max, ell_max, m1_max):
+def _check_orders(*orders: int) -> None:
+    for order in orders:
+        if order < 0:
+            raise InvalidParameter(f"orders must be nonnegative, got {order}")
         if order > MAX_ORDER:
             raise OrderTooLarge(f"order {order} exceeds the stable limit {MAX_ORDER}")
-    q = form.q
-    # v index order: 0=z1, 1=z2, 2=eta1, 3=eta2; slice axis layout (z1, eta1, eta2)
-    axis_of = {0: 0, 2: 1, 3: 2}
-    t = np.zeros((n1_max + 1, m1_max + 1, ell_max + 1))
-    t[0, 0, 0] = 1.0
-    for total in range(1, n1_max + m1_max + ell_max + 1):
-        for k0 in range(min(total, n1_max) + 1):
-            rem = total - k0
-            for k2 in range(min(rem, m1_max) + 1):
-                k3 = rem - k2
-                if k3 > ell_max:
-                    continue
-                k = (k0, k2, k3)
-                # increment the first nonzero axis: k = m + e_i
-                i_axis = next(ax for ax in range(3) if k[ax] > 0)
-                i = (0, 2, 3)[i_axis]
-                m_idx = list(k)
-                m_idx[i_axis] -= 1
-                acc = 0.0
-                for j in (0, 2, 3):
-                    j_axis = axis_of[j]
-                    if m_idx[j_axis] == 0:
-                        continue
-                    lower = list(m_idx)
-                    lower[j_axis] -= 1
-                    acc += q[i, j] * np.sqrt(m_idx[j_axis]) * t[tuple(lower)]
-                t[tuple(k)] = acc / np.sqrt(k[i_axis])
+
+
+def _taylor_box(q: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Scaled Taylor coefficients ``t[k] = sqrt(k!) [v^k] exp(v^T q v / 2)`` on a box.
+
+    Filled one slab of axis 0 at a time from the recurrence
+
+        sqrt(k0) t[k0] = q00 sqrt(k0-1) t[k0-2] + sum_{j>0} q0j sqrt(m_j) shift_j(t[k0-1])
+
+    where ``shift_j`` lowers index ``j`` by one (zero at ``m_j = 0``).  Slab
+    0 is the same problem on the remaining axes.  Terms are summed in axis
+    order and each is ``(q sqrt(m)) t``, the order a per-cell recurrence
+    that lowers the first nonzero index uses.
+    """
+    if not shape:
+        return np.ones(())
+    t = np.zeros(shape)
+    t[0] = _taylor_box(q[1:, 1:], shape[1:])
+    lowered = []
+    for j in range(1, len(shape)):
+        # slab cells with m_j > 0, the cells one below them along j, q0j sqrt(m_j)
+        pre = (slice(None),) * (j - 1)
+        root = np.sqrt(np.arange(1, shape[j])).reshape((-1,) + (1,) * (len(shape) - 1 - j))
+        lowered.append((pre + (slice(1, None),), pre + (slice(None, -1),), q[0, j] * root))
+    for k0 in range(1, shape[0]):
+        acc = np.zeros(shape[1:]) if k0 == 1 else q[0, 0] * np.sqrt(k0 - 1) * t[k0 - 2]
+        for above, below, coeff in lowered:
+            acc[above] += coeff * t[k0 - 1][below]
+        t[k0] = acc / np.sqrt(k0)
     return t
 
 
 def matrix_element(form: GeneratingForm, m1: int, m2: int, n1: int, n2: int) -> float:
     """Two-mode metaplectic matrix element ``<m1 m2|U|n1 n2>``."""
-    for order in (m1, m2, n1, n2):
-        if order < 0:
-            raise InvalidParameter("orders must be nonnegative")
-        if order > MAX_ORDER:
-            raise OrderTooLarge(f"order {order} exceeds the stable limit {MAX_ORDER}")
+    _check_orders(m1, m2, n1, n2)
     if (n1 + 1) * (n2 + 1) * (m1 + 1) * (m2 + 1) > 20_000_000:
         raise OrderTooLarge("joint orders need an infeasibly large coefficient box")
-    q = form.q
-    size = (n1 + 1, n2 + 1, m1 + 1, m2 + 1)
-    t = np.zeros(size)
-    t[0, 0, 0, 0] = 1.0
-    target = (n1, n2, m1, m2)
-    for total in range(1, sum(target) + 1):
-        for k0 in range(min(total, n1) + 1):
-            for k1 in range(min(total - k0, n2) + 1):
-                for k2 in range(min(total - k0 - k1, m1) + 1):
-                    k3 = total - k0 - k1 - k2
-                    if k3 > m2:
-                        continue
-                    k = (k0, k1, k2, k3)
-                    i = next(ax for ax in range(4) if k[ax] > 0)
-                    m_idx = list(k)
-                    m_idx[i] -= 1
-                    acc = 0.0
-                    for j in range(4):
-                        if m_idx[j] == 0:
-                            continue
-                        lower = list(m_idx)
-                        lower[j] -= 1
-                        acc += q[i, j] * np.sqrt(m_idx[j]) * t[tuple(lower)]
-                    t[k] = acc / np.sqrt(k[i])
-    return float(form.prefactor * t[target])
+    t = _taylor_box(form.q, (n1 + 1, n2 + 1, m1 + 1, m2 + 1))
+    return float(form.prefactor * t[n1, n2, m1, m2])
 
 
 def kraus_from_scheme(mix: MixMatrix, ell_max: int, n_cut: int) -> KrausFamily:
@@ -241,10 +216,13 @@ def kraus_from_scheme(mix: MixMatrix, ell_max: int, n_cut: int) -> KrausFamily:
     generated and discarded) so it reflects the index sum, not range
     truncation.
     """
-    form = generating_form(mix)
     n_rows = min(n_cut + ell_max, MAX_ORDER + 1)
-    t = _scaled_taylor_slice(form, n_cut - 1, ell_max, n_rows - 1)
-    # t axes are (n1, m1, m2); operators are indexed [m2][m1][n1]
+    _check_orders(n_cut - 1, ell_max, n_rows - 1)
+    form = generating_form(mix)
+    # the ancilla-vacuum slice n2 = 0 closes under the recurrence; its axes
+    # are (z1, eta1, eta2) = (n1, m1, m2) and operators are indexed [m2][m1][n1]
+    slice_q = form.q[np.ix_([0, 2, 3], [0, 2, 3])]
+    t = _taylor_box(slice_q, (n_cut, n_rows, ell_max + 1))
     full = form.prefactor * np.transpose(t, (2, 1, 0)).astype(np.complex128)
     defect = raw_completeness_defect(full)
     ops = np.ascontiguousarray(full[:, :n_cut, :])
@@ -256,34 +234,16 @@ def _shape_matches(m: np.ndarray, ref: np.ndarray) -> bool:
 
 
 def _overlap_table(n_cut: int, qs: np.ndarray, shifted_order: int | None = None) -> np.ndarray:
-    """``g[m, n, i] = integral psi_m(x) psi_n(x - q_i) dx`` by exact quadrature.
+    """``g[i, m, n] = integral psi_m(x) psi_n(x - q_i) dx`` by exact quadrature.
 
     Centering at ``q/2`` makes the integrand a polynomial times
     ``exp(-t^2)``, so Gauss-Hermite with enough nodes is exact.
     """
-    nodes = n_cut + 2
-    t, w = roots_hermite(nodes)
+    t, w = hermite_quadrature(n_cut + 2)
     n_hi = n_cut - 1 if shifted_order is None else shifted_order
-    out = np.empty((n_cut, n_hi + 1, qs.size))
-    for i, qv in enumerate(qs):
-        # psi_n(y) = htilde_n(y) exp(-y^2/2); pulling both Gaussians out leaves
-        # exp(-t^2 - q^2/4) against the Hermite weight
-        left = _weightless_psi(n_cut - 1, t + 0.5 * qv)
-        right = _weightless_psi(n_hi, t - 0.5 * qv)
-        gauss = np.exp(-0.25 * qv**2)
-        out[:, :, i] = gauss * np.einsum("mk,nk,k->mn", left, right, w)
-    return out
-
-
-def _weightless_psi(n_max: int, x: np.ndarray) -> np.ndarray:
-    # psi_n without its exp(-x^2/2) factor; same three-term recurrence.
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = np.pi ** (-0.25)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * x * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
-    return out
+    left = hermite_psi_table(n_cut - 1, t[:, None] + 0.5 * qs)
+    right = hermite_psi_table(n_hi, t[:, None] - 0.5 * qs)
+    return np.einsum("k,mki,nki->imn", w, left, right, optimize=True)
 
 
 def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> KrausFamily:
@@ -296,22 +256,17 @@ def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> KrausFamily:
     """
     m = mix.m
     x, w = hermite_quadrature(node_count)
-    ops = np.empty((node_count, n_cut, n_cut), dtype=np.complex128)
     if _shape_matches(m, A2_MIX):
         psi = hermite_psi_table(n_cut - 1, x)
         g = _overlap_table(n_cut, x, shifted_order=0)
-        for i in range(node_count):
-            ops[i] = np.sqrt(w[i]) * np.outer(g[:, 0, i], psi[:, i])
+        ops = np.sqrt(w)[:, None, None] * (g * psi.T[:, None, :])
         spec = ChannelSpec("A2")
     elif _shape_matches(m, B1_MIX):
         psi0 = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
-        g = _overlap_table(n_cut, x)
-        for i in range(node_count):
-            ops[i] = np.sqrt(w[i]) * psi0[i] * g[:, :, i]
+        ops = (np.sqrt(w) * psi0)[:, None, None] * _overlap_table(n_cut, x)
         spec = ChannelSpec("B1", noise_a=1.0)
     else:
         raise UnsupportedShape("only the A2 mixer and the unit shear are supported")
-    family = KrausFamily(spec, ops, QuadratureIndex(x, w), 0.0, origin="scheme")
-    from .kraus import completeness_defect as _family_defect
-
-    return KrausFamily(spec, ops, QuadratureIndex(x, w), _family_defect(family), origin="scheme")
+    family = KrausFamily(spec, ops.astype(np.complex128), QuadratureIndex(x, w), 0.0, origin="scheme")
+    family.completeness_defect = completeness_defect(family)
+    return family

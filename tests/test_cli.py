@@ -48,6 +48,12 @@ class TestKrausCommand:
         code, out, err = run(capsys, "kraus", "D:0.9", "--ncut", "32", "--ell-max", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("nodes", ["400", "600"])
+    def test_many_quadrature_nodes(self, capsys, nodes):
+        code, out, err = run(capsys, "kraus", "A2", "--nodes", nodes, "--ncut", "16")
+        assert code == 0, err
+        assert float(out.split()[1]) < 1e-12
+
 
 class TestChannelParsing:
     @pytest.mark.parametrize("text", ["D:0.8:0:junk", "B2:1.5:2", "A1::1", "C1:abc", "C2:1.3:"])

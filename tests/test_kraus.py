@@ -33,6 +33,7 @@ from boskraus.kraus import (
     coherent_disc_grid,
     completeness_defect,
     dual,
+    hermite_quadrature,
     rank_one_d,
     suggest_ell_max,
 )
@@ -368,6 +369,41 @@ class TestContinuousFamilies:
     def test_node_count_guard(self):
         with pytest.raises(InvalidParameter):
             build_continuous(ChannelSpec("A2"), 16, 32)
+
+    @pytest.mark.parametrize("nodes", [64, 399, 400, 600])
+    def test_quadrature_weights_finite(self, nodes):
+        # from ~400 nodes some Gauss-Hermite weights underflow and exp(x^2)
+        # overflows; those nodes carry weight 0, every finite weight is w exp(x^2)
+        x, w = hermite_quadrature(nodes)
+        t, w_gh = roots_hermite(nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = w_gh * np.exp(t**2)
+        finite = np.isfinite(raw)
+        assert np.array_equal(x, t)
+        assert np.array_equal(w[finite], raw[finite])
+        assert np.all(w[~finite] == 0.0)
+        assert (nodes < 399) == finite.all()
+
+    @pytest.mark.parametrize("nodes", [400, 600])
+    def test_a2_many_nodes(self, nodes):
+        fam = build_continuous(ChannelSpec("A2"), nodes, 16)
+        assert np.all(np.isfinite(fam.index.weights))
+        assert fam.completeness_defect < 1e-12
+        assert completeness_defect(fam) == fam.completeness_defect
+
+    @pytest.mark.parametrize("nodes", [400, 600])
+    def test_b1_many_nodes(self, nodes):
+        fam = build_continuous(ChannelSpec("B1", noise_a=0.5), nodes, 16)
+        assert np.all(np.isfinite(fam.index.weights))
+        assert fam.completeness_defect < 1e-12
+        assert completeness_defect(fam) < 1e-12
+
+    def test_non_finite_defect_rejected(self, monkeypatch):
+        import boskraus.kraus as kraus_module
+
+        monkeypatch.setattr(kraus_module, "_position_resolution_defect", lambda *args: float("nan"))
+        with pytest.raises(DefectTooLarge):
+            build_continuous(ChannelSpec("A2"), 64, 16)
 
 
 class TestSemigroup:

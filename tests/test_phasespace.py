@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import family_for
 
@@ -247,6 +249,14 @@ TABLE2_CASES = [
     (ChannelSpec("D", 1.1), ChannelSpec("A2")),
 ]
 
+# every quantum-limited family the composition tables take, gains included
+TABLE_SPECS = st.one_of(
+    st.floats(0.05, 4.0).map(lambda k: ChannelSpec("D", k)),
+    st.floats(0.0, 1.0).map(lambda k: ChannelSpec("C1", k)),
+    st.floats(1.0, 4.0).map(lambda k: ChannelSpec("C2", k)),
+    st.sampled_from([ChannelSpec("A1"), ChannelSpec("A2"), ChannelSpec("I")]),
+)
+
 A2_SECOND_CASES = [
     (ChannelSpec("A2"), ChannelSpec("C1", 0.7)),
     (ChannelSpec("A2"), ChannelSpec("C2", 1.4)),
@@ -294,6 +304,16 @@ class TestTable2:
             if t1.kappa is not None:
                 assert t2.kappa == pytest.approx(t1.kappa, abs=1e-12)
             assert t2.noise_a == pytest.approx(t1.noise_a, abs=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair=st.tuples(TABLE_SPECS, TABLE_SPECS), theta=st.floats(0.0, np.pi))
+    def test_unit_lambda_is_canonical_table_property(self, pair, theta):
+        s2, s1 = pair
+        t1 = table1_compose(s2, s1)
+        t2 = table2_compose(s2, s1, 1.0, theta)
+        assert t2.family == t1.family
+        assert t2.kappa == t1.kappa
+        assert t2.noise_a == pytest.approx(t1.noise_a, rel=1e-11, abs=1e-11)
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_zero_gain_boundaries(self, lam):

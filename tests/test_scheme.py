@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from boskraus.channels import ChannelSpec
-from boskraus.errors import OrderTooLarge, UnsupportedShape
+from boskraus.errors import InvalidParameter, OrderTooLarge, UnsupportedShape
 from boskraus.fock import displacement_op, fock_state, thermal_state, trace_distance
-from boskraus.kraus import apply, build_continuous, build_discrete
+from boskraus.kraus import apply, build_continuous, build_discrete, raw_completeness_defect
 from boskraus.scheme import (
+    MAX_ORDER,
     MixMatrix,
     generating_form,
     kraus_from_scheme,
@@ -70,6 +71,145 @@ def squeezer_element(k, m1, m2, n1, n2):
             )
     norm = math.sqrt(math.factorial(n1) * math.factorial(n2) * math.factorial(m1) * math.factorial(m2))
     return k**-1 * math.factorial(n1) * math.factorial(m2) * total / norm
+
+
+def reference_taylor_slice(form, n1_max, ell_max, m1_max):
+    """Per-cell recurrence on the ancilla-vacuum slice: the reference the
+    slab kernel must reproduce bit for bit.
+
+    Returns ``t[n1, m1, m2] = sqrt(n1! m1! m2!) * taylor(F/prefactor)``.
+    """
+    for order in (n1_max, ell_max, m1_max):
+        if order > MAX_ORDER:
+            raise OrderTooLarge(f"order {order} exceeds the stable limit {MAX_ORDER}")
+    q = form.q
+    # v index order: 0=z1, 1=z2, 2=eta1, 3=eta2; slice axis layout (z1, eta1, eta2)
+    axis_of = {0: 0, 2: 1, 3: 2}
+    t = np.zeros((n1_max + 1, m1_max + 1, ell_max + 1))
+    t[0, 0, 0] = 1.0
+    for total in range(1, n1_max + m1_max + ell_max + 1):
+        for k0 in range(min(total, n1_max) + 1):
+            rem = total - k0
+            for k2 in range(min(rem, m1_max) + 1):
+                k3 = rem - k2
+                if k3 > ell_max:
+                    continue
+                k = (k0, k2, k3)
+                # increment the first nonzero axis: k = m + e_i
+                i_axis = next(ax for ax in range(3) if k[ax] > 0)
+                i = (0, 2, 3)[i_axis]
+                m_idx = list(k)
+                m_idx[i_axis] -= 1
+                acc = 0.0
+                for j in (0, 2, 3):
+                    j_axis = axis_of[j]
+                    if m_idx[j_axis] == 0:
+                        continue
+                    lower = list(m_idx)
+                    lower[j_axis] -= 1
+                    acc += q[i, j] * np.sqrt(m_idx[j_axis]) * t[tuple(lower)]
+                t[tuple(k)] = acc / np.sqrt(k[i_axis])
+    return t
+
+
+def reference_matrix_element(form, m1, m2, n1, n2):
+    """Per-cell recurrence over the whole 4-D box: the reference for
+    ``matrix_element``."""
+    for order in (m1, m2, n1, n2):
+        if order < 0:
+            raise InvalidParameter("orders must be nonnegative")
+        if order > MAX_ORDER:
+            raise OrderTooLarge(f"order {order} exceeds the stable limit {MAX_ORDER}")
+    if (n1 + 1) * (n2 + 1) * (m1 + 1) * (m2 + 1) > 20_000_000:
+        raise OrderTooLarge("joint orders need an infeasibly large coefficient box")
+    q = form.q
+    size = (n1 + 1, n2 + 1, m1 + 1, m2 + 1)
+    t = np.zeros(size)
+    t[0, 0, 0, 0] = 1.0
+    target = (n1, n2, m1, m2)
+    for total in range(1, sum(target) + 1):
+        for k0 in range(min(total, n1) + 1):
+            for k1 in range(min(total - k0, n2) + 1):
+                for k2 in range(min(total - k0 - k1, m1) + 1):
+                    k3 = total - k0 - k1 - k2
+                    if k3 > m2:
+                        continue
+                    k = (k0, k1, k2, k3)
+                    i = next(ax for ax in range(4) if k[ax] > 0)
+                    m_idx = list(k)
+                    m_idx[i] -= 1
+                    acc = 0.0
+                    for j in range(4):
+                        if m_idx[j] == 0:
+                            continue
+                        lower = list(m_idx)
+                        lower[j] -= 1
+                        acc += q[i, j] * np.sqrt(m_idx[j]) * t[tuple(lower)]
+                    t[k] = acc / np.sqrt(k[i])
+    return float(form.prefactor * t[target])
+
+
+def reference_scheme_kraus(mix, ell_max, n_cut):
+    """``(ops, defect)`` of ``kraus_from_scheme`` built on the reference slice."""
+    form = generating_form(mix)
+    n_rows = min(n_cut + ell_max, MAX_ORDER + 1)
+    t = reference_taylor_slice(form, n_cut - 1, ell_max, n_rows - 1)
+    full = form.prefactor * np.transpose(t, (2, 1, 0)).astype(np.complex128)
+    return np.ascontiguousarray(full[:, :n_cut, :]), raw_completeness_defect(full)
+
+
+# (spec, grid of (m1, m2, n1, n2) extents) from the double-sum tests below
+MATRIX_ELEMENT_GRIDS = [
+    (ChannelSpec("D", 0.5), (5, 5, 5, 3)), (ChannelSpec("D", 0.8), (5, 5, 5, 3)),
+    (ChannelSpec("D", 1.6), (5, 5, 5, 3)),
+    (ChannelSpec("C1", 0.4), (7, 4, 7, 4)), (ChannelSpec("C1", 0.9), (7, 4, 7, 4)),
+    (ChannelSpec("C2", 1.2), (6, 6, 4, 4)), (ChannelSpec("C2", 1.9), (6, 6, 4, 4)),
+]
+
+
+class TestSlabKernel:
+    """The slab recurrence reproduces the per-cell recurrence exactly."""
+
+    @pytest.mark.parametrize("spec", [
+        ChannelSpec("D", 0.8), ChannelSpec("D", 1.3), ChannelSpec("C1", 0.7),
+        ChannelSpec("C2", 1.3), ChannelSpec("I"),
+    ])
+    def test_scheme_kraus_bit_identical(self, spec):
+        mix = mix_matrix(spec)
+        ops, defect = reference_scheme_kraus(mix, 30, 48)
+        sch = kraus_from_scheme(mix, 30, 48)
+        assert np.array_equal(sch.ops, ops)
+        assert sch.completeness_defect == defect
+
+    @pytest.mark.parametrize("spec,grid", MATRIX_ELEMENT_GRIDS)
+    def test_matrix_element_bit_identical(self, spec, grid):
+        form = generating_form(mix_matrix(spec))
+        for orders in np.ndindex(*grid):
+            assert matrix_element(form, *orders) == reference_matrix_element(form, *orders), orders
+
+    @pytest.mark.parametrize("spec", [ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)])
+    @pytest.mark.parametrize("n_cut,ell_max", [(110, 10), (64, 56)])
+    def test_near_max_order_matches_closed_form(self, spec, n_cut, ell_max):
+        # the Taylor box reaches row order 119 and MAX_ORDER = 120
+        sch = kraus_from_scheme(mix_matrix(spec), ell_max, n_cut)
+        ref = build_discrete(spec, ell_max, n_cut, defect_limit=2.0)
+        assert np.max(np.abs(sch.ops - ref.ops)) < 1e-12
+
+    @pytest.mark.parametrize("ell_max,n_cut", [(-1, 16), (3, 0), (-2, -1)])
+    def test_invalid_sizes_rejected(self, ell_max, n_cut):
+        with pytest.raises(InvalidParameter):
+            kraus_from_scheme(mix_matrix(ChannelSpec("C1", 0.5)), ell_max, n_cut)
+
+    def test_orders_above_limit_rejected(self):
+        with pytest.raises(OrderTooLarge):
+            kraus_from_scheme(mix_matrix(ChannelSpec("C1", 0.5)), MAX_ORDER + 1, 16)
+        with pytest.raises(OrderTooLarge):
+            kraus_from_scheme(mix_matrix(ChannelSpec("C1", 0.5)), 4, MAX_ORDER + 2)
+
+    def test_negative_matrix_element_order_rejected(self):
+        form = generating_form(mix_matrix(ChannelSpec("C1", 0.5)))
+        with pytest.raises(InvalidParameter):
+            matrix_element(form, 0, -1, 0, 0)
 
 
 class TestGeneratingForm:
