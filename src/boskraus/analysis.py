@@ -20,14 +20,27 @@ from .errors import (
     InvalidParameter,
     StencilFailure,
     UnsupportedFamily,
+    UnsupportedPair,
 )
-from .fock import DensityMatrix, char_weyl, coherent_amplitudes, q_function, trace_distance
+from .fock import (
+    DensityMatrix,
+    char_weyl,
+    coherent_amplitudes,
+    coherent_state,
+    displacement_op,
+    hermite_psi_table,
+    q_function,
+    trace_distance,
+)
 from .kraus import (
     DiscreteIndex,
     KrausFamily,
     QuadratureIndex,
     apply,
+    build_continuous,
     build_discrete,
+    coherent_disc_grid,
+    completeness_defect,
     suggest_ell_max,
 )
 from .phasespace import table1_compose
@@ -270,10 +283,8 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
     if outer.spec is not None and inner.spec is not None:
         try:
             spec = table1_compose(outer.spec, inner.spec)
-        except Exception:
+        except UnsupportedPair:
             spec = None
-    from .kraus import completeness_defect
-
     return KrausFamily(spec, ops, DiscreteIndex(count * count - 1), completeness_defect(ops), origin="product")
 
 
@@ -306,8 +317,6 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
     by rebuilding the output from that weight; the weight is nonnegative
     everywhere sampled.
     """
-    from .fock import coherent_state
-
     reports = []
     fam = spec.family
     if not probes:
@@ -335,8 +344,6 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
     elif fam == "D":
         k = spec.kappa
         radius = 1.2 * (np.sqrt(1.0 + k**2) * (np.max(np.abs(grid)) + 4.0))
-        from .kraus import coherent_disc_grid
-
         alphas, weights = coherent_disc_grid(radius, 48, 48)
         for probe in probes:
             out = apply(family, probe)
@@ -349,25 +356,15 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
             reports.append(ClassicalityReport(spec, "conjugated-q-weight", dev, ok,
                                               {"min_weight": float(negative)}))
     elif fam == "A2":
-        from .kraus import build_continuous
-
         family = build_continuous(spec, max(2 * n_cut, 64), n_cut)
         for probe in probes:
             diag_weight = [float(np.real(v.conj() @ probe.mat @ v))
-                           for v in _position_vectors(family, n_cut)]
+                           for v in hermite_psi_table(n_cut - 1, family.index.nodes).T]
             dev = -min(0.0, min(diag_weight))
             reports.append(ClassicalityReport(spec, "position-weight-nonnegative", dev, dev < tol))
     else:
         raise UnsupportedFamily(f"no classicality diagnostic for family {fam}")
     return reports
-
-
-def _position_vectors(family: KrausFamily, n_cut: int):
-    from .fock import hermite_psi_table
-
-    nodes = family.index.nodes
-    table = hermite_psi_table(n_cut - 1, nodes)
-    return [table[:, i] for i in range(nodes.size)]
 
 
 def simultaneous_diagonality(family: KrausFamily, tol: float = 1e-12) -> tuple[bool, str]:
@@ -386,8 +383,6 @@ def simultaneous_diagonality(family: KrausFamily, tol: float = 1e-12) -> tuple[b
     spec = family.spec
     if spec is not None and spec.family == "B1" and isinstance(family.index, QuadratureIndex) \
             and spec.noise_a > 0:
-        from .fock import displacement_op
-
         nodes = np.asarray(family.index.nodes, dtype=float)
         beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
         n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(family.dim)) ** 2)) + 8
@@ -408,8 +403,6 @@ def simultaneous_diagonality(family: KrausFamily, tol: float = 1e-12) -> tuple[b
         return True, "fock"
     if isinstance(family.index, QuadratureIndex):
         nodes = family.index.nodes
-        from .fock import hermite_psi_table
-
         table = hermite_psi_table(family.dim - 1, np.asarray(nodes, dtype=float))
         for i in range(len(family)):
             p = prods[i]

@@ -59,3 +59,7 @@ class UnsupportedPair(BoskrausError):
 
 class StencilFailure(BoskrausError):
     """The characteristic function vanishes on a finite-difference stencil."""
+
+
+class AllocationTooLarge(BoskrausError):
+    """A requested array would exceed the allocation limit."""

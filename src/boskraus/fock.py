@@ -217,42 +217,37 @@ def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
         <m|D(xi)|n> = sqrt(n!/m!) xi^(m-n) L_n^(m-n)(|xi|^2) e^(-|xi|^2/2)   (m >= n)
 
     with the ``m < n`` triangle given by ``sqrt(m!/n!)(-conj(xi))^(n-m)
-    L_m^(n-m)(|xi|^2) e^(-|xi|^2/2)``.  Each diagonal of fixed ``m - n`` is
-    filled by a stable upward Laguerre recurrence; no factorial ratios of
-    large arguments are formed.
+    L_m^(n-m)(|xi|^2) e^(-|xi|^2/2)``.  Every entry is read from tables indexed
+    ``[k, delta]`` (smaller label, offset ``|m - n|``).  The Laguerre table
+    depends on ``|xi|^2`` only and serves both triangles; a stable upward
+    recurrence fills it, one vector step per ``k`` across all offsets.  No
+    factorial ratios of large arguments are formed.
     """
     x = abs(xi) ** 2
     if x * n_cut > 1e6:
         raise InvalidParameter(f"displacement argument too large: |xi|^2 = {x:.3e}")
     gauss = np.exp(-0.5 * x)
-    mat = np.zeros((n_cut, n_cut), dtype=np.complex128)
-    for arg, lower in ((xi, True), (-np.conj(xi), False)):
-        # lower=True fills m >= n with m - n = delta; lower=False fills m < n.
-        start = 0 if lower else 1
-        for delta in range(start, n_cut):
-            klen = n_cut - delta
-            # prefactor p_k = sqrt(k!/(k+delta)!) arg^delta, built multiplicatively
-            pref = np.empty(klen, dtype=np.complex128)
-            p0 = 1.0 + 0.0j
-            for j in range(1, delta + 1):
-                p0 *= arg / np.sqrt(j)
-            pref[0] = p0
-            for k in range(1, klen):
-                pref[k] = pref[k - 1] * np.sqrt(k / (k + delta))
-            # L_k^(delta)(x) upward in k
-            lag = np.empty(klen)
-            lag[0] = 1.0
-            if klen > 1:
-                lag[1] = 1.0 + delta - x
-            for k in range(1, klen - 1):
-                lag[k + 1] = ((2 * k + 1 + delta - x) * lag[k] - (k + delta) * lag[k - 1]) / (k + 1)
-            vals = pref * lag * gauss
-            idx = np.arange(klen)
-            if lower:
-                mat[idx + delta, idx] = vals
-            else:
-                mat[idx, idx + delta] = vals
-    return TruncatedOperator(mat)
+    offsets = np.arange(n_cut)
+    lag = np.zeros((n_cut, n_cut))
+    lag[:1] = 1.0
+    lag[1:2, :-1] = 1.0 + offsets[:-1] - x
+    for k in range(1, n_cut - 1):
+        w = n_cut - 1 - k
+        d = offsets[:w]
+        lag[k + 1, :w] = ((2 * k + 1 + d - x) * lag[k, :w] - (k + d) * lag[k - 1, :w]) / (k + 1)
+    # sqrt(k!/(k+delta)!) arg^delta, m >= n then m < n: scalar chain at k = 0, real factor per k
+    pref = np.ones((2, n_cut, n_cut), dtype=np.complex128)
+    arg_upper = -np.conj(xi)
+    p_lower = p_upper = 1.0 + 0.0j
+    for j in range(1, n_cut):
+        p_lower *= xi / np.sqrt(j)
+        p_upper *= arg_upper / np.sqrt(j)
+        pref[:, 0, j] = p_lower, p_upper
+    k = np.arange(1, n_cut)[:, None]
+    pref[:, 1:] = np.sqrt(k / (k + offsets))
+    vals = np.cumprod(pref, axis=1) * lag * gauss
+    m, n = np.indices((n_cut, n_cut))
+    return TruncatedOperator(vals[(m < n).astype(int), np.minimum(m, n), np.abs(m - n)])
 
 
 def char_weyl(rho: DensityMatrix, xi: complex) -> complex:

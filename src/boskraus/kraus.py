@@ -49,6 +49,7 @@ from scipy.special import gammaln, roots_hermite
 
 from .channels import ChannelSpec
 from .errors import (
+    AllocationTooLarge,
     DefectTooLarge,
     DimMismatch,
     GridTooCoarse,
@@ -67,6 +68,7 @@ from .fock import (
 
 DEFECT_HARD_LIMIT = 1e-4
 SUGGEST_ELL_CAP = 100000
+MAX_DENSE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,9 @@ class KrausFamily:
     Closed-form single-band families (:meth:`banded`) hold the real
     coefficient table ``coeffs`` of shape ``(ell_max + 1, dim)`` and its
     ``band`` orientation (see the module docstring) instead.  Their ``ops``
-    is materialized from the table on first read and cached; ``len`` and
-    ``dim`` come from the table and never materialize it.  For dense
-    families ``coeffs`` and ``band`` are None.
+    is materialized from the table on first read and cached (above
+    ``MAX_DENSE_BYTES`` it raises ``AllocationTooLarge``); ``len`` and ``dim``
+    come from the table.  For dense families ``coeffs`` and ``band`` are None.
     """
 
     def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
@@ -227,6 +229,9 @@ def _square_stack(coeffs: np.ndarray, band: str) -> np.ndarray:
     """Dense ``(ell_max + 1, N, N)`` stack of the table entries that land
     inside the square block."""
     n_ops, dim = coeffs.shape
+    n_bytes = n_ops * dim * dim * 16
+    if n_bytes > MAX_DENSE_BYTES:
+        raise AllocationTooLarge(f"dense stack of {n_ops} operators at N={dim} needs {n_bytes:.3e} bytes")
     ell, j = np.indices(coeffs.shape)
     rows, cols = {"anti": (ell - j, j), "upper": (j, j + ell), "lower": (j + ell, j)}[band]
     inside = (rows >= 0) & (rows < dim) & (cols < dim)
@@ -277,7 +282,8 @@ def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = 
     band weight is lost to the range cutoff; for quadrature families the
     exactly-normalized factor (coherent ket, displacement unitary) is
     summed analytically.  Falling back to the stored square matrices would
-    conflate range truncation with a genuine index-sum deficit.
+    conflate range truncation with a genuine index-sum deficit, so a discrete
+    ``kraus_from_scheme`` family returns its build-time defect; other blocks raise.
     """
     if isinstance(family, np.ndarray):
         return raw_completeness_defect(family, block)
@@ -299,6 +305,10 @@ def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = 
         s = np.einsum("li,lk->ik", vecs, vecs.conj())
         b = dim // 2 if block is None else block
         return float(np.linalg.norm((s - np.eye(dim))[:b, :b], ord=2))
+    if family.origin == "scheme" and isinstance(family.index, DiscreteIndex):
+        if block is not None:
+            raise InvalidParameter("the extra rows a scheme family's defect was measured on are gone")
+        return family.completeness_defect
     return raw_completeness_defect(family.ops, block)
 
 

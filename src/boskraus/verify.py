@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analysis, kraus, phasespace
 from .channels import ChannelSpec
-from .fock import coherent_state, random_mixed_state, thermal_state, trace_distance
+from .fock import DensityMatrix, TruncatedOperator, coherent_state, random_mixed_state, thermal_state, trace_distance
 
 
 def _family(spec: ChannelSpec, n_cut: int) -> kraus.KrausFamily:
@@ -61,8 +61,6 @@ def run_all(n_cut: int = 48, seed: int = 0) -> dict:
     rho = random_mixed_state(seed + 2, 4, block)
     rho_big = np.zeros((n_cut, n_cut), dtype=complex)
     rho_big[:block, :block] = rho.mat
-    from .fock import DensityMatrix, TruncatedOperator
-
     rho_pad = DensityMatrix(TruncatedOperator(rho_big), 0.0)
     one = kraus.apply(_family(ChannelSpec("C1", 0.8), n_cut), rho_pad)
     two = kraus.apply(_family(ChannelSpec("C1", 0.9), n_cut), one)

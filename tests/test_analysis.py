@@ -7,6 +7,7 @@ import pytest
 
 from conftest import family_for
 
+from boskraus import analysis
 from boskraus.analysis import (
     classicality_check,
     cumulants,
@@ -29,7 +30,8 @@ from boskraus.fock import (
     thermal_state,
     trace_distance,
 )
-from boskraus.kraus import apply, build_continuous, build_discrete, dual, suggest_ell_max
+from boskraus.kraus import KrausFamily, apply, build_continuous, build_discrete, dual, suggest_ell_max
+from boskraus.phasespace import table1_compose
 
 
 class TestThermalRecursion:
@@ -317,6 +319,20 @@ class TestProductFamilies:
         c1 = build_discrete(ChannelSpec("C1", 0.7), 8, 64, defect_limit=2.0)
         rep = gram_rank(product_family(c1, d, 6), 6)
         assert rep.numerical_rank < 49
+
+    def test_spec_none_only_for_pairs_without_a_table_entry(self, monkeypatch):
+        # a noisy spec (as a JSON-loaded family may carry) has no table entry
+        inner = build_discrete(ChannelSpec("C1", 0.7), 4, 16, defect_limit=2.0)
+        noisy = KrausFamily(ChannelSpec("C1", 0.7, 0.2), inner.ops, inner.index, 0.0)
+        assert product_family(noisy, inner, 3).spec is None
+        assert product_family(inner, inner, 3).spec == table1_compose(inner.spec, inner.spec)
+
+        def broken(spec2, spec1):
+            raise ValueError("defect inside the composition table")
+
+        monkeypatch.setattr(analysis, "table1_compose", broken)
+        with pytest.raises(ValueError, match="composition table"):
+            product_family(inner, inner, 3)
 
     def test_amplified_attenuator_independent(self):
         c2 = build_discrete(ChannelSpec("C2", 1.4), 8, 64, defect_limit=2.0)

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 from boskraus.channels import ChannelSpec
+from boskraus.cli import main
+from boskraus.errors import AllocationTooLarge
 from boskraus.fock import thermal_state
 from boskraus.kraus import (
+    MAX_DENSE_BYTES,
     KrausFamily,
     _log_binom_sqrt,
     apply,
@@ -169,3 +172,23 @@ def test_large_cutoff_stays_small():
     assert fam._ops is None
     assert peak < 64e6
     assert fam.completeness_defect < 1e-10
+
+
+def test_dense_stack_over_the_limit_raises_before_allocating(capsys):
+    # D(0.8) at N=512 and the suggested index cut 1021: a 4 MB table whose
+    # dense stack would be 1022 * 512^2 * 16 bytes = 4.29 GB
+    spec = ChannelSpec("D", 0.8)
+    assert suggest_ell_max(spec, 512) == 1021
+    tracemalloc.start()
+    try:
+        fam = build_discrete(spec, 1021, 512)
+        assert fam.coeffs.nbytes < 5e6
+        assert len(fam) * fam.dim**2 * 16 > MAX_DENSE_BYTES
+        with pytest.raises(AllocationTooLarge):
+            fam.ops
+        assert main(["kraus", "D:0.8", "--ncut", "512"]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert "error:" in capsys.readouterr().err

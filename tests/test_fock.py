@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import genlaguerre, roots_hermite
 
+from boskraus import fock, kraus
+from boskraus.channels import ChannelSpec
 from boskraus.errors import (
     CutoffTooSmall,
     DimMismatch,
@@ -36,6 +40,43 @@ def displacement_expm(xi: complex, dim: int) -> np.ndarray:
     """Independent oracle: matrix exponential of xi a^dag - conj(xi) a."""
     a = np.diag(np.sqrt(np.arange(1, dim)), 1)
     return expm(xi * a.conj().T - np.conj(xi) * a)
+
+
+def reference_displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
+    """Per-entry Laguerre loops, one diagonal at a time: the reference the
+    table form of ``displacement_op`` must reproduce bit for bit."""
+    x = abs(xi) ** 2
+    if x * n_cut > 1e6:
+        raise InvalidParameter(f"displacement argument too large: |xi|^2 = {x:.3e}")
+    gauss = np.exp(-0.5 * x)
+    mat = np.zeros((n_cut, n_cut), dtype=np.complex128)
+    for arg, lower in ((xi, True), (-np.conj(xi), False)):
+        # lower=True fills m >= n with m - n = delta; lower=False fills m < n.
+        start = 0 if lower else 1
+        for delta in range(start, n_cut):
+            klen = n_cut - delta
+            # prefactor p_k = sqrt(k!/(k+delta)!) arg^delta, built multiplicatively
+            pref = np.empty(klen, dtype=np.complex128)
+            p0 = 1.0 + 0.0j
+            for j in range(1, delta + 1):
+                p0 *= arg / np.sqrt(j)
+            pref[0] = p0
+            for k in range(1, klen):
+                pref[k] = pref[k - 1] * np.sqrt(k / (k + delta))
+            # L_k^(delta)(x) upward in k
+            lag = np.empty(klen)
+            lag[0] = 1.0
+            if klen > 1:
+                lag[1] = 1.0 + delta - x
+            for k in range(1, klen - 1):
+                lag[k + 1] = ((2 * k + 1 + delta - x) * lag[k] - (k + delta) * lag[k - 1]) / (k + 1)
+            vals = pref * lag * gauss
+            idx = np.arange(klen)
+            if lower:
+                mat[idx + delta, idx] = vals
+            else:
+                mat[idx, idx + delta] = vals
+    return TruncatedOperator(mat)
 
 
 class TestStates:
@@ -135,6 +176,39 @@ class TestDisplacement:
     def test_overflow_guard(self):
         with pytest.raises(InvalidParameter):
             displacement_op(300.0, 64)
+
+
+class TestDisplacementTable:
+    """The Laguerre-table form reproduces the per-entry loops exactly."""
+
+    @pytest.mark.parametrize("n_cut", [2, 3, 16, 48, 128])
+    @pytest.mark.parametrize("xi", [0.0, 0.4, -0.9 + 0.7j, 1.3j, 0.5 + 0.2j, 3 + 1j])
+    def test_bit_identical_on_grid(self, xi, n_cut):
+        assert np.array_equal(displacement_op(xi, n_cut).mat, reference_displacement_op(xi, n_cut).mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(radius=st.floats(0.0, 4.0), angle=st.floats(0.0, 2 * np.pi), n_cut=st.integers(2, 96))
+    def test_bit_identical_property(self, radius, angle, n_cut):
+        xi = complex(radius * np.cos(angle), radius * np.sin(angle))
+        assert np.array_equal(displacement_op(xi, n_cut).mat, reference_displacement_op(xi, n_cut).mat)
+
+    def test_b1_family_and_char_weyl_bit_identical(self, monkeypatch):
+        spec = ChannelSpec("B1", noise_a=0.5)
+        rho = random_mixed_state(5, 3, 64)
+        points = (0.02, 0.3 - 0.1j, -0.7 + 0.4j, 1.1j)
+        fam = kraus.build_continuous(spec, 64, 64)
+        chis = [char_weyl(rho, xi) for xi in points]
+        monkeypatch.setattr(kraus, "displacement_op", reference_displacement_op)
+        monkeypatch.setattr(fock, "displacement_op", reference_displacement_op)
+        assert np.array_equal(fam.ops, kraus.build_continuous(spec, 64, 64).ops)
+        assert chis == [char_weyl(rho, xi) for xi in points]
+
+    @pytest.mark.parametrize("xi,n_cut", [(300.0, 64), (40j, 1000), (1e3, 2)])
+    def test_same_overflow_guard(self, xi, n_cut):
+        with pytest.raises(InvalidParameter):
+            displacement_op(xi, n_cut)
+        with pytest.raises(InvalidParameter):
+            reference_displacement_op(xi, n_cut)
 
 
 class TestCharacteristicFunctions:

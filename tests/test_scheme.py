@@ -8,7 +8,7 @@ import pytest
 from boskraus.channels import ChannelSpec
 from boskraus.errors import InvalidParameter, OrderTooLarge, UnsupportedShape
 from boskraus.fock import displacement_op, fock_state, thermal_state, trace_distance
-from boskraus.kraus import apply, build_continuous, build_discrete, raw_completeness_defect
+from boskraus.kraus import apply, build_continuous, build_discrete, completeness_defect, raw_completeness_defect
 from boskraus.scheme import (
     MAX_ORDER,
     MixMatrix,
@@ -340,6 +340,15 @@ class TestSchemeKraus:
             assert sch.completeness_defect < 1e-6
         sch = kraus_from_scheme(mix_matrix(ChannelSpec("C1", 0.8)), 15, 16)
         assert sch.completeness_defect < 1e-10
+
+    def test_public_defect_is_the_build_defect(self):
+        # the square ops lose the band weight of the discarded extra rows, so
+        # their own sum W^dag W is off by ~0.08: the build defect is the answer
+        sch = kraus_from_scheme(mix_matrix(ChannelSpec("C2", 1.3)), 92, 48)
+        assert sch.completeness_defect < 1e-13
+        assert completeness_defect(sch) == sch.completeness_defect
+        with pytest.raises(InvalidParameter, match="gone"):
+            completeness_defect(sch, 8)
 
 
 class TestPositionKraus:
