@@ -299,14 +299,6 @@ class ClassicalityReport:
     details: dict = field(default_factory=dict)
 
 
-def _reconstruct_from_weight(weight_at, alphas, weights, n_cut) -> np.ndarray:
-    mat = np.zeros((n_cut, n_cut), dtype=np.complex128)
-    for al, w in zip(alphas, weights):
-        ket = coherent_amplitudes(al, n_cut)
-        mat += (w / np.pi) * weight_at(al) * np.outer(ket, ket.conj())
-    return mat
-
-
 def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.ndarray,
                        tol: float = 1e-6) -> list[ClassicalityReport]:
     """Family-specific phase-space verification on the given probes.
@@ -337,21 +329,20 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
     elif fam == "C2":
         for probe in probes:
             out = apply(family, probe)
-            devs = [abs(q_function(out, al) - q_function(probe, al / spec.kappa) / spec.kappa**2)
-                    for al in grid]
-            dev = float(max(devs))
+            dev = float(np.max(np.abs(q_function(out, grid) - q_function(probe, grid / spec.kappa) / spec.kappa**2)))
             reports.append(ClassicalityReport(spec, "husimi-scaling", dev, dev < tol))
     elif fam == "D":
         k = spec.kappa
         radius = 1.2 * (np.sqrt(1.0 + k**2) * (np.max(np.abs(grid)) + 4.0))
         alphas, weights = coherent_disc_grid(radius, 48, 48)
+        kets = coherent_amplitudes(alphas, n_cut)
         for probe in probes:
             out = apply(family, probe)
-            weight = lambda al: q_function(probe, np.conj(al) / k) / k**2
-            rebuilt = _reconstruct_from_weight(weight, alphas, weights, n_cut)
+            coeffs = (weights / np.pi) * (q_function(probe, np.conj(alphas) / k) / k**2)
+            rebuilt = sum(c * np.outer(ket, ket.conj()) for ket, c in zip(kets, coeffs))
             tr = float(np.trace(rebuilt).real)
             dev = float(np.max(np.abs(rebuilt / tr - out.mat)))
-            negative = min(weight(al) for al in grid)
+            negative = float(np.min(q_function(probe, np.conj(grid) / k) / k**2))
             ok = dev < 10 * tol and negative >= -1e-12
             reports.append(ClassicalityReport(spec, "conjugated-q-weight", dev, ok,
                                               {"min_weight": float(negative)}))
@@ -360,7 +351,7 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
         for probe in probes:
             diag_weight = [float(np.real(v.conj() @ probe.mat @ v))
                            for v in hermite_psi_table(n_cut - 1, family.index.nodes).T]
-            dev = -min(0.0, min(diag_weight))
+            dev = max(0.0, -min(diag_weight))
             reports.append(ClassicalityReport(spec, "position-weight-nonnegative", dev, dev < tol))
     else:
         raise UnsupportedFamily(f"no classicality diagnostic for family {fam}")

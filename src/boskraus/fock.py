@@ -133,13 +133,25 @@ def fock_state(n: int, n_cut: int) -> DensityMatrix:
     return DensityMatrix(TruncatedOperator(mat), 0.0)
 
 
-def coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
-    """Fock amplitudes ``<n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!)``."""
-    v = np.empty(n_cut, dtype=np.complex128)
-    v[0] = 1.0
-    for n in range(1, n_cut):
-        v[n] = v[n - 1] * alpha / np.sqrt(n)
-    return v * np.exp(-0.5 * abs(alpha) ** 2)
+def coherent_amplitudes(alpha: complex | np.ndarray, n_cut: int) -> np.ndarray:
+    """Fock amplitudes ``<n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!)``, shape ``shape(alpha) + (n_cut,)``.
+
+    One step of ``v_n = v_(n-1) alpha / sqrt(n)`` per ``n`` serves all points, in real arithmetic that
+    repeats NumPy's scalar complex multiply and divide operation by operation (its array complex multiply
+    rounds differently): every entry equals the scalar loop bit for bit, signs of zero included.
+    """
+    a = np.asarray(alpha, dtype=np.complex128)
+    ar, ai = a.real[()], a.imag[()]  # NumPy scalars for a scalar alpha
+    parts = np.empty((2, n_cut) + a.shape)
+    parts[0, 0], parts[1, 0] = re, im = 1.0, 0.0
+    for n, scale in enumerate(1.0 / np.sqrt(np.arange(1, n_cut)), 1):
+        pr, pi = re * ar - im * ai, re * ai + im * ar
+        re, im = (pr + pi * 0.0) * scale, (pi - pr * 0.0) * scale  # NumPy's division by (sqrt(n), 0)
+        parts[0, n], parts[1, n] = re, im
+    v = np.empty((n_cut,) + a.shape, dtype=np.complex128)
+    v.real, v.imag = parts
+    gauss = np.exp(-0.5 * np.array([abs(z) ** 2 for z in a.ravel().tolist()]).reshape(a.shape))
+    return np.ascontiguousarray(np.moveaxis(v * gauss, 0, -1))
 
 
 def _poisson_tail(lam: float, n_cut: int) -> float:
@@ -221,8 +233,11 @@ def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
     ``[k, delta]`` (smaller label, offset ``|m - n|``).  The Laguerre table
     depends on ``|xi|^2`` only and serves both triangles; a stable upward
     recurrence fills it, one vector step per ``k`` across all offsets.  No
-    factorial ratios of large arguments are formed.
+    factorial ratios of large arguments are formed.  Above a cutoff of 1020 the
+    unscaled table (``L_k^(delta)(0) = C(k + delta, k)``) overflows: ``OrderTooLarge``.
     """
+    if n_cut > 1020:
+        raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
     x = abs(xi) ** 2
     if x * n_cut > 1e6:
         raise InvalidParameter(f"displacement argument too large: |xi|^2 = {x:.3e}")
@@ -245,9 +260,12 @@ def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
         pref[:, 0, j] = p_lower, p_upper
     k = np.arange(1, n_cut)[:, None]
     pref[:, 1:] = np.sqrt(k / (k + offsets))
-    vals = np.cumprod(pref, axis=1) * lag * gauss
-    m, n = np.indices((n_cut, n_cut))
-    return TruncatedOperator(vals[(m < n).astype(int), np.minimum(m, n), np.abs(m - n)])
+    np.cumprod(pref, axis=1, out=pref)
+    pref *= lag
+    pref *= gauss
+    del lag  # not live during the gather below
+    m, n = np.ogrid[:n_cut, :n_cut]
+    return TruncatedOperator(pref[(m < n).astype(int), np.minimum(m, n), np.abs(m - n)])
 
 
 def char_weyl(rho: DensityMatrix, xi: complex) -> complex:
@@ -268,13 +286,13 @@ def char_ordered(rho: DensityMatrix, xi: complex, order: str) -> complex:
     raise InvalidParameter(f"order must be 'normal' or 'antinormal', got {order!r}")
 
 
-def q_function(rho: DensityMatrix, alpha: complex) -> float:
-    """Husimi function without the 1/pi: ``Q(alpha) = <alpha|rho|alpha>``."""
-    v = coherent_amplitudes(alpha, rho.dim)
-    val = complex(v.conj() @ rho.mat @ v)
-    if val.real < -1e-12:
-        raise InvalidParameter(f"Q function came out negative: {val.real:.3e}")
-    return float(val.real)
+def q_function(rho: DensityMatrix, alpha: complex | np.ndarray) -> float | np.ndarray:
+    """Husimi function without the 1/pi, ``Q(alpha) = <alpha|rho|alpha>``: one ``v^dag rho v`` per point of ``alpha``."""
+    kets = coherent_amplitudes(alpha, rho.dim)
+    vals = np.array([(v.conj() @ rho.mat @ v).real for v in kets.reshape(-1, rho.dim)])
+    if np.min(vals, initial=0.0) < -1e-12:
+        raise InvalidParameter(f"Q function came out negative: {vals.min():.3e}")
+    return float(vals[0]) if kets.ndim == 1 else vals.reshape(kets.shape[:-1])
 
 
 def hermite_psi(n: int, x):
@@ -287,8 +305,6 @@ def hermite_psi(n: int, x):
     """
     if n < 0:
         raise InvalidParameter("order must be nonnegative")
-    if n > 2000:
-        raise OrderTooLarge("oscillator wavefunction order limited to 2000")
     return hermite_psi_table(n, x)[n]
 
 

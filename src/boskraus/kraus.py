@@ -225,13 +225,18 @@ def _band_table(spec: ChannelSpec, ell_max: int, n_cut: int) -> tuple[np.ndarray
     return coeffs, orientation
 
 
+def _check_stack_bytes(n_ops: int, dim: int) -> None:
+    """Raise ``AllocationTooLarge`` for a complex ``(n_ops, dim, dim)`` stack above ``MAX_DENSE_BYTES``."""
+    n_bytes = n_ops * dim * dim * 16
+    if n_bytes > MAX_DENSE_BYTES:
+        raise AllocationTooLarge(f"dense stack of {n_ops} operators at N={dim} needs {n_bytes:.3e} bytes")
+
+
 def _square_stack(coeffs: np.ndarray, band: str) -> np.ndarray:
     """Dense ``(ell_max + 1, N, N)`` stack of the table entries that land
     inside the square block."""
     n_ops, dim = coeffs.shape
-    n_bytes = n_ops * dim * dim * 16
-    if n_bytes > MAX_DENSE_BYTES:
-        raise AllocationTooLarge(f"dense stack of {n_ops} operators at N={dim} needs {n_bytes:.3e} bytes")
+    _check_stack_bytes(n_ops, dim)
     ell, j = np.indices(coeffs.shape)
     rows, cols = {"anti": (ell - j, j), "upper": (j, j + ell), "lower": (j + ell, j)}[band]
     inside = (rows >= 0) & (rows < dim) & (cols < dim)
@@ -268,11 +273,12 @@ def raw_completeness_defect(ops: np.ndarray, block: int | None = None) -> float:
     over the full row range so the range cutoff does not masquerade as an
     index-sum deficiency.  The default block is half the column space.
     """
-    dim = ops.shape[2]
-    b = dim // 2 if block is None else block
-    s = np.einsum("lji,ljk->ik", ops.conj(), ops)
-    s -= np.eye(dim)
-    return float(np.linalg.norm(s[:b, :b], ord=2))
+    return _identity_defect(np.einsum("lji,ljk->ik", ops.conj(), ops), block)
+
+
+def _identity_defect(s: np.ndarray, block: int | None) -> float:
+    b = len(s) // 2 if block is None else block
+    return float(np.linalg.norm((s - np.eye(len(s)))[:b, :b], ord=2))
 
 
 def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = None) -> float:
@@ -297,14 +303,9 @@ def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = 
                                 * np.exp(-family.index.nodes**2 / max(spec.noise_a, 1e-300))) - 1.0)) \
             if spec.noise_a > 0 else 0.0
     if family.origin == "rank-one" and spec is not None and spec.family == "D":
-        bra_scale = 1.0 / np.sqrt(1.0 + spec.kappa**2)
-        vecs = np.stack([
-            coherent_amplitudes(np.conj(al) * bra_scale, dim) * np.sqrt(w / (np.pi * (1.0 + spec.kappa**2)))
-            for al, w in zip(family.index.nodes, family.index.weights)
-        ])
-        s = np.einsum("li,lk->ik", vecs, vecs.conj())
-        b = dim // 2 if block is None else block
-        return float(np.linalg.norm((s - np.eye(dim))[:b, :b], ord=2))
+        vecs = coherent_amplitudes(np.conj(family.index.nodes) * (1.0 / np.sqrt(1.0 + spec.kappa**2)), dim) \
+            * np.sqrt(family.index.weights / (np.pi * (1.0 + spec.kappa**2)))[:, None]
+        return _identity_defect(np.einsum("li,lk->ik", vecs, vecs.conj()), block)
     if family.origin == "scheme" and isinstance(family.index, DiscreteIndex):
         if block is not None:
             raise InvalidParameter("the extra rows a scheme family's defect was measured on are gone")
@@ -315,9 +316,7 @@ def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = 
 def _position_resolution_defect(nodes: np.ndarray, weights: np.ndarray, dim: int,
                                 block: int | None = None) -> float:
     psi = hermite_psi_table(dim - 1, nodes)
-    s = np.einsum("i,ni,mi->nm", weights, psi, psi)
-    b = dim // 2 if block is None else block
-    return float(np.linalg.norm((s - np.eye(dim))[:b, :b], ord=2))
+    return _identity_defect(np.einsum("i,ni,mi->nm", weights, psi, psi), block)
 
 
 def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> int:
@@ -423,12 +422,10 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
     if fam == "A2":
         if not spec.quantum_limited:
             raise UnsupportedFamily("noisy A2: compose the quantum-limited family with added noise")
+        _check_stack_bytes(node_count, n_cut)
         x, w = hermite_quadrature(node_count)
-        psi = hermite_psi_table(n_cut - 1, x)  # (n_cut, nodes)
-        ops = np.empty((node_count, n_cut, n_cut), dtype=np.complex128)
-        for i in range(node_count):
-            ket = coherent_amplitudes(x[i] / np.sqrt(2.0), n_cut)
-            ops[i] = np.sqrt(w[i]) * np.outer(ket, psi[:, i])
+        ops = coherent_amplitudes(x / np.sqrt(2.0), n_cut)[:, :, None] * hermite_psi_table(n_cut - 1, x).T[:, None, :]
+        ops *= np.sqrt(w)[:, None, None]
         index = QuadratureIndex(x, w)
         defect = _position_resolution_defect(x, w, n_cut)
     elif fam == "B1":
@@ -436,6 +433,7 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
         if a == 0.0:
             ops = np.eye(n_cut, dtype=np.complex128)[None, :, :]
             return KrausFamily(spec, ops, QuadratureIndex(np.zeros(1), np.ones(1)), 0.0)
+        _check_stack_bytes(node_count, n_cut)
         # substitute q = sqrt(a) t: (pi a)^(-1/2) integral dq e^(-q^2/a) D(q/sqrt2) rho D^dag
         t, w = roots_hermite(node_count)
         q = np.sqrt(a) * t
@@ -592,21 +590,14 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
     weights = np.asarray(weights, dtype=float)
     if alphas.shape != weights.shape:
         raise InvalidParameter("alphas and weights must have matching shapes")
-    pref = 1.0 / np.sqrt(1.0 + kappa**2)
+    _check_stack_bytes(alphas.size, n_cut)
     ket_scale = 1.0 / np.sqrt(1.0 + kappa**-2)
-    bra_scale = 1.0 / np.sqrt(1.0 + kappa**2)
-    ops = np.empty((alphas.size, n_cut, n_cut), dtype=np.complex128)
-    for i, (al, w) in enumerate(zip(alphas, weights)):
-        ket = coherent_amplitudes(al * ket_scale, n_cut)
-        bra = coherent_amplitudes(np.conj(al) * bra_scale, n_cut)
-        ops[i] = (pref * np.sqrt(w / np.pi)) * np.outer(ket, bra.conj())
-    family = KrausFamily(
-        ChannelSpec("D", kappa),
-        ops,
-        QuadratureIndex(alphas, weights),
-        0.0,
-        origin="rank-one",
-    )
+    bra_scale = 1.0 / np.sqrt(1.0 + kappa**2)  # also the prefactor (1+kappa^2)^(-1/2)
+    kets = coherent_amplitudes(alphas.ravel() * ket_scale, n_cut)
+    bras = coherent_amplitudes(np.conj(alphas.ravel()) * bra_scale, n_cut)
+    ops = kets[:, :, None] * bras.conj()[:, None, :]
+    ops *= (bra_scale * np.sqrt(weights.ravel() / np.pi))[:, None, None]
+    family = KrausFamily(ChannelSpec("D", kappa), ops, QuadratureIndex(alphas, weights), 0.0, origin="rank-one")
     family.completeness_defect = completeness_defect(family)
     if probe_check:
         probe = thermal_state(2.0, n_cut, tail_tol=1.0)

@@ -47,6 +47,7 @@ from .kraus import (
     DiscreteIndex,
     KrausFamily,
     QuadratureIndex,
+    _check_stack_bytes,
     completeness_defect,
     hermite_quadrature,
     raw_completeness_defect,
@@ -255,6 +256,7 @@ def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> KrausFamily:
     overlap evaluated by quadrature (no closed displacement form is used).
     """
     m = mix.m
+    _check_stack_bytes(node_count, n_cut)
     x, w = hermite_quadrature(node_count)
     if _shape_matches(m, A2_MIX):
         psi = hermite_psi_table(n_cut - 1, x)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import family_for
+from test_fock import reference_coherent_amplitudes, reference_q_function
 
 from boskraus import analysis
 from boskraus.analysis import (
@@ -30,7 +31,15 @@ from boskraus.fock import (
     thermal_state,
     trace_distance,
 )
-from boskraus.kraus import KrausFamily, apply, build_continuous, build_discrete, dual, suggest_ell_max
+from boskraus.kraus import (
+    KrausFamily,
+    apply,
+    build_continuous,
+    build_discrete,
+    coherent_disc_grid,
+    dual,
+    suggest_ell_max,
+)
 from boskraus.phasespace import table1_compose
 
 
@@ -362,6 +371,38 @@ class TestClassicality:
         grid = np.zeros(1, dtype=complex)
         reps = classicality_check(ChannelSpec("A2"), [fock_state(1, 64)], grid)
         assert reps[0].passed
+
+    def test_singular_family_reports_positive_zero(self):
+        reps = classicality_check(ChannelSpec("A2"), [fock_state(1, 48)], np.zeros(1, dtype=complex))
+        assert reps[0].max_deviation == 0.0
+        assert math.copysign(1.0, reps[0].max_deviation) == 1.0
+
+    @pytest.mark.parametrize("spec,probe", [
+        (ChannelSpec("C2", 1.5), fock_state(1, 24)),
+        (ChannelSpec("D", 0.8), coherent_state(0.7, 24)),
+        (ChannelSpec("D", 0.8), coherent_state(0.5 + 0.3j, 32)),
+    ])
+    def test_deviations_equal_the_pointwise_reference(self, spec, probe):
+        # the per-point loops these checks ran before the coherent table
+        n_cut = probe.dim
+        grid = np.random.default_rng(3).uniform(-1.2, 1.2, size=(25, 2)) @ np.array([1.0, 1.0j])
+        out = apply(build_discrete(spec, suggest_ell_max(spec, n_cut, 1e-13), n_cut), probe)
+        rep = classicality_check(spec, [probe], grid)[0]
+        if spec.family == "C2":
+            devs = [abs(reference_q_function(out, al) - reference_q_function(probe, al / spec.kappa) / spec.kappa**2)
+                    for al in grid]
+            assert rep.max_deviation == float(max(devs))
+            return
+        k = spec.kappa
+        weight = lambda al: reference_q_function(probe, np.conj(al) / k) / k**2
+        alphas, weights = coherent_disc_grid(1.2 * (np.sqrt(1.0 + k**2) * (np.max(np.abs(grid)) + 4.0)), 48, 48)
+        rebuilt = np.zeros((n_cut, n_cut), dtype=np.complex128)
+        for al, w in zip(alphas, weights):
+            ket = reference_coherent_amplitudes(al, n_cut)
+            rebuilt += (w / np.pi) * weight(al) * np.outer(ket, ket.conj())
+        tr = float(np.trace(rebuilt).real)
+        assert rep.max_deviation == float(np.max(np.abs(rebuilt / tr - out.mat)))
+        assert rep.details["min_weight"] == min(weight(al) for al in grid)
 
 
 class TestPhotonStatistics:

@@ -21,12 +21,16 @@ from boskraus.kraus import (
     _log_binom_sqrt,
     apply,
     apply_matrix,
+    build_continuous,
     build_discrete,
+    coherent_disc_grid,
     completeness_defect,
     dual,
+    rank_one_d,
     raw_completeness_defect,
     suggest_ell_max,
 )
+from boskraus.scheme import mix_matrix, position_kraus
 
 
 def _d_op(kappa, ell, n_rows, n_cols):
@@ -191,4 +195,29 @@ def test_dense_stack_over_the_limit_raises_before_allocating(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_continuous(ChannelSpec("A2"), 2000, 256),
+    lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 2000, 256),
+    lambda: rank_one_d(0.8, *coherent_disc_grid(6.0, 40, 50), 256),
+    lambda: position_kraus(mix_matrix(ChannelSpec("A2")), 2000, 256),
+    lambda: position_kraus(mix_matrix(ChannelSpec("B1", noise_a=1.0)), 2000, 256),
+], ids=["A2", "B1", "rank-one", "position-A2", "position-B1"])
+def test_quadrature_stack_over_the_limit_raises_before_allocating(build):
+    # 2000 nodes at N=256: the stack would be 2000 * 256^2 * 16 bytes = 2.1 GB
+    assert 2000 * 256**2 * 16 > MAX_DENSE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationTooLarge):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_quadrature_stack_over_the_limit_exits_1(capsys):
+    assert main(["kraus", "B1:0.5", "--nodes", "2000", "--ncut", "256"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Core Fock-space operations against independent oracles."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from boskraus.fock import (
     TruncatedOperator,
     char_ordered,
     char_weyl,
+    coherent_amplitudes,
     coherent_state,
     displacement_op,
     fock_state,
@@ -77,6 +80,34 @@ def reference_displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
             else:
                 mat[idx, idx + delta] = vals
     return TruncatedOperator(mat)
+
+
+def reference_coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
+    """The scalar recurrence the table form of ``coherent_amplitudes`` must
+    reproduce bit for bit."""
+    v = np.empty(n_cut, dtype=np.complex128)
+    v[0] = 1.0
+    for n in range(1, n_cut):
+        v[n] = v[n - 1] * alpha / np.sqrt(n)
+    return v * np.exp(-0.5 * abs(alpha) ** 2)
+
+
+def reference_table(alphas: np.ndarray, n_cut: int) -> np.ndarray:
+    return np.array([reference_coherent_amplitudes(al, n_cut) for al in alphas])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit patterns: ``np.array_equal`` plus the signs of zeros."""
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                  np.ascontiguousarray(b).view(np.uint64))
+
+
+def reference_q_function(rho: DensityMatrix, alpha: complex) -> float:
+    v = reference_coherent_amplitudes(alpha, rho.dim)
+    val = complex(v.conj() @ rho.mat @ v)
+    if val.real < -1e-12:
+        raise InvalidParameter(f"Q function came out negative: {val.real:.3e}")
+    return float(val.real)
 
 
 class TestStates:
@@ -209,6 +240,106 @@ class TestDisplacementTable:
             displacement_op(xi, n_cut)
         with pytest.raises(InvalidParameter):
             reference_displacement_op(xi, n_cut)
+
+
+    def test_largest_cutoff_is_finite(self):
+        assert np.array_equal(displacement_op(0.0, 1020).mat, np.eye(1020))
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 1 + 0.5j])
+    def test_cutoff_above_limit_raises_before_overflow(self, xi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OrderTooLarge):
+                displacement_op(xi, 1021)
+
+    def test_peak_memory_per_entry(self):
+        xi, n_cut = 0.5 + 0.2j, 512
+        displacement_op(xi, 8)
+        tracemalloc.start()
+        try:
+            got = displacement_op(xi, n_cut)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * n_cut**2
+        assert np.array_equal(got.mat, reference_displacement_op(xi, n_cut).mat)
+
+
+class TestCoherentTable:
+    """The table form of ``coherent_amplitudes`` reproduces the scalar loop exactly."""
+
+    @pytest.mark.parametrize("n_cut", [2, 3, 16, 48, 128, 256])
+    @pytest.mark.parametrize("alpha", [0, 0.0, 0j, 0.7 - 1.3j, np.complex128(-2.1 + 0.4j), 1.9,
+                                       np.float64(-0.35), 3j, np.complex128(6.0 + 7.5j)])
+    def test_scalar_bit_identical(self, alpha, n_cut):
+        assert same_bits(coherent_amplitudes(alpha, n_cut), reference_coherent_amplitudes(alpha, n_cut))
+
+    @pytest.mark.parametrize("n_cut", [2, 3, 16, 48, 128, 256])
+    def test_array_bit_identical(self, rng, n_cut):
+        for scale in (0.1, 1.0, 3.0, 10.0):
+            pts = scale * (rng.normal(size=40) + 1j * rng.normal(size=40))
+            assert same_bits(coherent_amplitudes(pts, n_cut), reference_table(pts, n_cut))
+            assert same_bits(coherent_amplitudes(pts.real, n_cut), reference_table(pts.real, n_cut))
+            assert same_bits(coherent_amplitudes(1j * pts.imag, n_cut), reference_table(1j * pts.imag, n_cut))
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 2 * np.pi)), min_size=1, max_size=6),
+           n_cut=st.integers(2, 128))
+    def test_bit_identical_property(self, points, n_cut):
+        alphas = np.array([r * np.cos(t) + 1j * r * np.sin(t) for r, t in points])
+        table = coherent_amplitudes(alphas, n_cut)
+        assert same_bits(table, reference_table(alphas, n_cut))
+        assert same_bits(coherent_amplitudes(complex(alphas[0]), n_cut), table[0])
+
+    def test_shapes(self):
+        assert coherent_amplitudes(0.3j, 5).shape == (5,)
+        grid = np.linspace(-1, 1, 6).reshape(2, 3) * (1 + 0.5j)
+        table = coherent_amplitudes(grid, 7)
+        assert table.shape == (2, 3, 7) and table.flags.c_contiguous
+        assert np.array_equal(table[1, 2], reference_coherent_amplitudes(grid[1, 2], 7))
+
+    def test_array_q_function_equals_pointwise(self, rng):
+        rho = random_mixed_state(4, 3, 48)
+        grid = (rng.uniform(-2, 2, size=(5, 7)) + 1j * rng.uniform(-2, 2, size=(5, 7)))
+        vals = q_function(rho, grid)
+        assert vals.shape == (5, 7)
+        assert vals.tolist() == [[reference_q_function(rho, al) for al in row] for row in grid]
+        assert q_function(rho, grid[0, 0]) == reference_q_function(rho, grid[0, 0])
+
+    def test_array_q_function_rejects_a_negative_value(self):
+        # eigenvalue -5e-11 passes the state check, Q(0) = -5e-11 does not
+        rho = DensityMatrix(TruncatedOperator(np.diag([-5e-11, 1.0 + 5e-11, 0.0, 0.0])), 0.0)
+        with pytest.raises(InvalidParameter):
+            q_function(rho, np.array([1.5, 0.0, 2.0j]))
+        with pytest.raises(InvalidParameter):
+            reference_q_function(rho, 0.0)
+
+    def test_a2_family_equals_reference_build(self):
+        x, w = kraus.hermite_quadrature(64)
+        psi = fock.hermite_psi_table(15, x)
+        want = np.stack([np.sqrt(w[i]) * np.outer(reference_coherent_amplitudes(x[i] / np.sqrt(2.0), 16), psi[:, i])
+                         for i in range(64)])
+        assert same_bits(kraus.build_continuous(ChannelSpec("A2"), 64, 16).ops, want)
+
+    def test_rank_one_family_and_defect_equal_reference_build(self):
+        kappa, n_cut = 0.8, 24
+        alphas, weights = kraus.coherent_disc_grid(7.0, 20, 24)
+        fam = kraus.rank_one_d(kappa, alphas, weights, n_cut, probe_check=False)
+        pref = 1.0 / np.sqrt(1.0 + kappa**2)
+        ket_scale = 1.0 / np.sqrt(1.0 + kappa**-2)
+        bra_scale = 1.0 / np.sqrt(1.0 + kappa**2)
+        want = np.stack([
+            (pref * np.sqrt(w / np.pi)) * np.outer(reference_coherent_amplitudes(al * ket_scale, n_cut),
+                                                   reference_coherent_amplitudes(np.conj(al) * bra_scale, n_cut).conj())
+            for al, w in zip(alphas, weights)
+        ])
+        assert same_bits(fam.ops, want)
+        vecs = np.stack([
+            reference_coherent_amplitudes(np.conj(al) * bra_scale, n_cut) * np.sqrt(w / (np.pi * (1.0 + kappa**2)))
+            for al, w in zip(alphas, weights)
+        ])
+        s = np.einsum("li,lk->ik", vecs, vecs.conj())
+        assert fam.completeness_defect == float(np.linalg.norm((s - np.eye(n_cut))[:12, :12], ord=2))
 
 
 class TestCharacteristicFunctions:
