@@ -36,6 +36,7 @@ from .kraus import (
     DiscreteIndex,
     KrausFamily,
     QuadratureIndex,
+    _square_stack,
     apply,
     build_continuous,
     build_discrete,
@@ -215,6 +216,8 @@ class GramReport:
 
 
 def _ordered_ops(family: KrausFamily, count: int) -> np.ndarray:
+    if family.coeffs is not None:  # a banded family builds only the operators asked for
+        return _square_stack(family.coeffs[:count], family.band)
     if isinstance(family.index, DiscreteIndex):
         return family.ops[:count]
     # quadrature families: center-out, so neighboring nodes overlap

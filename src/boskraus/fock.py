@@ -80,7 +80,10 @@ class DensityMatrix:
 
     Invariants checked on construction: Hermiticity to 1e-12 entrywise,
     eigenvalues above -1e-10, and trace within the window allowed by
-    ``tail_mass``.
+    ``tail_mass``.  The eigenvalues of a state that is diagonal in the Fock
+    basis (thermal, Fock, phase-averaged, and their images under the
+    single-band channels) are its sorted diagonal, with no LAPACK call, and
+    its Hermiticity is read off the diagonal.
     """
 
     op: TruncatedOperator
@@ -90,9 +93,11 @@ class DensityMatrix:
         if self.tail_mass < 0:
             raise InvalidParameter("tail_mass must be nonnegative")
         mat = self.op.mat
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+        # a diagonal matrix is Hermitian iff its diagonal is real: the zeros around it pass
+        part = np.diagonal(mat) if bandwidth(mat) == 0 else mat
+        if np.max(np.abs(part - part.conj().T)) > HERMITICITY_TOL:
             raise InvalidParameter("density matrix is not Hermitian to tolerance")
-        evals = np.linalg.eigvalsh(mat)
+        evals = hermitian_eigvals(mat)
         if evals.min() < -EIGENVALUE_TOL:
             raise InvalidParameter(f"density matrix has eigenvalue {evals.min():.3e} < -{EIGENVALUE_TOL}")
         tr = float(np.trace(mat).real)
@@ -117,6 +122,30 @@ class DensityMatrix:
     @staticmethod
     def from_json_dict(data: dict) -> "DensityMatrix":
         return DensityMatrix(TruncatedOperator.from_json_dict(data), float(data.get("tail_mass", 0.0)))
+
+
+def bandwidth(mat: np.ndarray) -> int:
+    """Largest ``|m - n|`` over the nonzero entries ``mat[m, n]``; 0 for a diagonal or zero matrix."""
+    parts = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64) != 0
+    nonzero = parts.view(np.uint16) != 0  # an entry is nonzero iff either of its parts is
+    first = nonzero.argmax(axis=1)  # first and last nonzero column of each row
+    last = len(nonzero) - 1 - nonzero[:, ::-1].argmax(axis=1)
+    rows = np.arange(len(nonzero))
+    return int(np.max(np.where(nonzero.any(axis=1), np.maximum(rows - first, last - rows), 0), initial=0))
+
+
+def hermitian_eigvals(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, as ``np.linalg.eigvalsh`` returns them.
+
+    A diagonal matrix (bandwidth 0) gives its sorted real diagonal without a
+    LAPACK call.  LAPACK's reduction leaves such a matrix as it is, so it
+    returns the same values (signs of zero aside), unless the largest entry
+    lies outside about ``[1e-146, 1e146]``: there it rescales the matrix and
+    rounds, and the sorted diagonal is the exact answer.
+    """
+    if bandwidth(mat) == 0:
+        return np.sort(np.diagonal(mat).real)
+    return np.linalg.eigvalsh(mat)
 
 
 def _check_tail(tail: float, tail_tol: float, what: str) -> None:
@@ -323,10 +352,11 @@ def hermite_psi_table(n_max: int, x) -> np.ndarray:
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """``(1/2) ||rho - sigma||_1`` via Hermitian eigendecomposition."""
+    """``(1/2) ||rho - sigma||_1`` from the eigenvalues of ``rho - sigma``
+    (the sorted diagonal when both states are diagonal, see :func:`hermitian_eigvals`)."""
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dims differ: {rho.dim} vs {sigma.dim}")
-    evals = np.linalg.eigvalsh(rho.mat - sigma.mat)
+    evals = hermitian_eigvals(rho.mat - sigma.mat)
     return float(0.5 * np.sum(np.abs(evals)))
 
 

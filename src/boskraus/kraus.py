@@ -31,9 +31,14 @@ orientation:
 
 The table holds the whole band, entries outside the ``N x N`` block
 included.  Each ``W_l^dag W_l`` is diagonal in the Fock basis, so the
-completeness defect is a sum of squares over the table; ``apply`` adds one
-shifted block per band index ``l``; the dense square stack ``ops`` is built
-from the table only when a reader asks for it.
+completeness defect is a sum of squares over the table.  ``W_l`` keeps the
+offset ``n - m`` of ``|m><n|`` (C1, C2) or flips its sign (D), so the
+offset-``k`` diagonal of the input feeds only the output diagonals at
+``+-k``: ``apply`` visits only the offsets up to the input's bandwidth, one
+vectorized step each, and a state that is diagonal in the Fock basis stays
+diagonal at the cost of one step.  It reads the table through an
+output-indexed view built on first use and cached.  The dense square stack
+``ops`` is built from the table only when a reader asks for it.
 
 All coefficient evaluation is done in log space (gammaln), never through
 factorial ratios.
@@ -59,6 +64,7 @@ from .errors import (
 from .fock import (
     DensityMatrix,
     TruncatedOperator,
+    bandwidth,
     coherent_amplitudes,
     displacement_op,
     hermite_psi_table,
@@ -101,8 +107,9 @@ class KrausFamily:
     coefficient table ``coeffs`` of shape ``(ell_max + 1, dim)`` and its
     ``band`` orientation (see the module docstring) instead.  Their ``ops``
     is materialized from the table on first read and cached (above
-    ``MAX_DENSE_BYTES`` it raises ``AllocationTooLarge``); ``len`` and ``dim``
-    come from the table.  For dense families ``coeffs`` and ``band`` are None.
+    ``MAX_DENSE_BYTES`` it raises ``AllocationTooLarge``), and so is the
+    ``output_table`` that ``apply`` reads; ``len`` and ``dim`` come from the
+    table.  For dense families ``coeffs`` and ``band`` are None.
     """
 
     def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
@@ -115,6 +122,7 @@ class KrausFamily:
         self.coeffs: np.ndarray | None = None
         self.band: str | None = None
         self._ops = ops
+        self._output_table: np.ndarray | None = None
 
     @classmethod
     def banded(cls, spec: ChannelSpec, coeffs: np.ndarray, band: str,
@@ -130,6 +138,13 @@ class KrausFamily:
         return self._ops
 
     @property
+    def output_table(self) -> np.ndarray:
+        """The coefficient table indexed by output level, built on first read and cached."""
+        if self._output_table is None:
+            self._output_table = _output_table(self.coeffs, self.band)
+        return self._output_table
+
+    @property
     def dim(self) -> int:
         return (self._ops if self.coeffs is None else self.coeffs).shape[1]
 
@@ -143,11 +158,10 @@ class KrausFamily:
         if isinstance(self.index, DiscreteIndex):
             index = {"kind": "discrete", "ell_max": self.index.ell_max}
         else:
-            index = {
-                "kind": "quadrature",
-                "nodes": self.index.nodes.tolist(),
-                "weights": self.index.weights.tolist(),
-            }
+            nodes = self.index.nodes
+            index = {"kind": "quadrature", "nodes": nodes.real.tolist(), "weights": self.index.weights.tolist()}
+            if np.iscomplexobj(nodes):  # rank-one families sit on complex nodes
+                index["nodes_im"] = nodes.imag.tolist()
         operators = []
         for op in self.ops:
             rows, cols = np.nonzero(op)
@@ -177,7 +191,11 @@ class KrausFamily:
         if idx["kind"] == "discrete":
             index = DiscreteIndex(int(idx["ell_max"]))
         else:
-            index = QuadratureIndex(np.asarray(idx["nodes"]), np.asarray(idx["weights"]))
+            nodes = np.asarray(idx["nodes"])
+            if "nodes_im" in idx:
+                nodes = nodes.astype(np.complex128)
+                nodes.imag = idx["nodes_im"]
+            index = QuadratureIndex(nodes, np.asarray(idx["weights"]))
         spec = None if data["spec"] is None else ChannelSpec.from_json_dict(data["spec"])
         return KrausFamily(spec, ops, index, float(data["completeness_defect"]), data.get("origin", "closed-form"))
 
@@ -451,40 +469,103 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
     return KrausFamily(spec, ops, index, defect)
 
 
-def _band_apply(coeffs: np.ndarray, band: str, mat: np.ndarray) -> np.ndarray:
-    """``sum_l W_l M W_l^dag`` for a single-band family, one block per ``l``.
+def _output_table(coeffs: np.ndarray, band: str) -> np.ndarray:
+    """The coefficient table ``T`` by output level, restricted to the square block.
 
-    ``W_l`` maps the input levels ``src`` to the output levels ``dst`` with
-    weights ``c``, so its term is ``out[dst, dst] += outer(c, c) * M[src, src]``;
-    the D band reverses the order of the levels.  Only the ``l`` that reach
-    the square block are visited, and every output entry sums its terms in
-    increasing order of the input entry they come from (hence C2 runs ``l``
-    downward).
+    * ``"upper"``: ``T[l, p]``, the weight of ``|p><p + l|`` in ``W_l``: the
+      table's first ``N`` rows themselves;
+    * ``"lower"``: ``T[l, p] = c[l, p - l]``, the weight of ``|p><p - l|``;
+    * ``"anti"``: ``T[n, r] = c[n + r, n]``, the weight of ``|r><n|``, which
+      only ``W_(n + r)`` carries: one square, every operator of the band.
+
+    Entries no operator holds are 0.
     """
     n_ops, dim = coeffs.shape
+    if band == "upper":
+        return coeffs[:dim]
+    if band == "lower":
+        ell, p = np.indices((min(n_ops, dim), dim))
+        row, col = ell, p - ell
+    else:
+        n, r = np.indices((dim, dim))
+        row, col = n + r, n
+    inside = (col >= 0) & (row < n_ops)
+    table = np.zeros(row.shape)
+    table[inside] = coeffs[row[inside], col[inside]]
+    return table
+
+
+def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarray:
+    """Float view ``[i, j, s]`` of a C-contiguous complex square matrix: part ``j``
+    (real, imaginary) of entry ``s`` of its diagonal at offset ``+k`` (``i = 0``)
+    and ``-k`` (``i = 1``, present for ``k > 0``); ``swap`` exchanges the two.
+    Writing to the view writes to the matrix."""
+    dim = square.shape[0]
+    plus, minus = 16 * k, 16 * dim * k  # byte offsets of the first entries
+    first, second = (minus, plus) if swap else (plus, minus)
+    return np.ndarray((2 if k else 1, 2, dim - k), np.float64, square, first, (second - first, 8, 16 * dim + 16))
+
+
+def _band_apply(table: np.ndarray, band: str, mat: np.ndarray) -> np.ndarray:
+    """``sum_l W_l M W_l^dag`` for a single-band family, one step per populated offset of ``M``.
+
+    ``table`` is the family's :func:`_output_table` ``T``.  ``W_l`` keeps the offset
+    of ``|m><n|`` (C1, C2) or flips its sign (D), so the diagonals of ``M`` at
+    offsets ``+-k`` feed only the output diagonals at ``+-k``.  The output
+    entry at levels ``(t, t + k)``, and the one at ``(t + k, t)``, sums
+    ``(c * c') * M[source]`` over ``l``, with one coefficient pair for both.
+    One step per ``k`` up to the bandwidth of ``M`` builds every term of both
+    diagonals, so a diagonal state costs a single step:
+
+    * C1/C2 lay the terms out by ``(l, t)``: coefficients ``T[l, t] * T[l, t + k]``,
+      source index ``t + l`` (C1) or ``t - l`` (C2), read through a sliding
+      window on the zero-padded source diagonals;
+    * D lays them out by ``(s, t)`` with ``s`` the source index and
+      ``l = s + t + k``: coefficients ``T[s + k, t] * T[s, t + k]``, source
+      ``M[s + k, s]`` for output ``(t, t + k)`` and ``M[s, s + k]`` for ``(t + k, t)``.
+
+    Each output entry gets exactly the terms of one dense block update per
+    ``l`` (``outer(c, c) * M[src, src]``) and sums them in the same order, by
+    increasing source index (``l`` upward, C2 downward): ``np.add.reduce`` over
+    an axis that is not the last one adds whole slices in turn.  The sum is
+    added into the zero output, and padded or out-of-band positions give exact
+    zeros, so the result is the block update's to the last bit.  Real and
+    imaginary parts run as separate real products, which round like the
+    complex product of a real coefficient.
+    """
+    dim = table.shape[1]
+    mat = np.ascontiguousarray(mat, dtype=np.complex128)
     out = np.zeros((dim, dim), dtype=np.complex128)
-    if band == "anti":
-        for ell in range(min(n_ops, 2 * dim - 1)):
-            lo, hi = max(0, ell - dim + 1), min(ell, dim - 1) + 1
-            c = coeffs[ell, lo:hi]
-            dst = slice(ell - hi + 1, ell - lo + 1)
-            out[dst, dst] += (np.outer(c, c) * mat[lo:hi, lo:hi])[::-1, ::-1]
-        return out
-    ells = range(min(n_ops, dim))
-    for ell in reversed(ells) if band == "lower" else ells:
-        c = coeffs[ell, :dim - ell]
-        low, high = slice(0, dim - ell), slice(ell, dim)
-        src, dst = (high, low) if band == "upper" else (low, high)
-        out[dst, dst] += np.outer(c, c) * mat[src, src]
+    for k in range(bandwidth(mat) + 1):
+        size = dim - k
+        src = _diagonal_parts(mat, k)
+        if band == "anti":
+            terms = (table[k:, :size] * table[:size, k:]) * src[..., None]
+        else:
+            n = min(len(table), size)
+            rows = table[:n] if band == "upper" else table[n - 1::-1]
+            pad = np.zeros(src.shape[:2] + (n + size - 1,))
+            if band == "upper":
+                pad[..., :size] = src
+            else:
+                pad[..., n - 1:] = src
+            # window[i, j, l, t] = pad[i, j, l + t]
+            window = np.ndarray(src.shape[:2] + (n, size), np.float64, pad, 0, pad.strides + (8,))
+            terms = (rows[:, :size] * rows[:, k:]) * window
+        _diagonal_parts(out, k, swap=band == "anti")[...] += np.add.reduce(terms, axis=2)
     return out
 
 
 def apply_matrix(family: KrausFamily, mat: np.ndarray) -> np.ndarray:
-    """Raw operator-sum action ``sum_l W_l M W_l^dag`` (no renormalization)."""
+    """Raw operator-sum action ``sum_l W_l M W_l^dag`` (no renormalization).
+
+    A single-band family visits only the diagonals of ``M`` up to its
+    bandwidth (:func:`_band_apply`); a dense family takes two BLAS products.
+    """
     if mat.shape[0] != family.dim:
         raise DimMismatch(f"operator dim {mat.shape[0]} != family dim {family.dim}")
     if family.coeffs is not None:
-        return _band_apply(family.coeffs, family.band, mat)
+        return _band_apply(family.output_table, family.band, mat)
     # dense stacks: two flattened BLAS products instead of a per-operator loop
     n_ops, n, _ = family.ops.shape
     tmp = (family.ops.reshape(n_ops * n, n) @ mat).reshape(n_ops, n, n)

@@ -255,6 +255,17 @@ class TestExtremality:
         assert rep.numerical_rank == rep.block == (k + 1) ** 2
         assert rep.singular_values[-1] > 1e-8 * rep.singular_values[0]
 
+    @pytest.mark.parametrize("spec", [ChannelSpec("D", 0.5), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)])
+    def test_banded_family_builds_only_the_operators_it_reads(self, spec):
+        fam = build_discrete(spec, suggest_ell_max(spec, 64, 1e-13), 64)
+        rep = gram_rank(fam, 6)
+        assert fam._ops is None
+        dense = build_discrete(spec, suggest_ell_max(spec, 64, 1e-13), 64)
+        dense.ops  # materialize the whole stack: the reader must see the same entries
+        want = gram_rank(dense, 6)
+        assert np.array_equal(rep.singular_values, want.singular_values)
+        assert rep.numerical_rank == want.numerical_rank == 49
+
     def test_quadrature_family_full_rank(self):
         fam = build_continuous(ChannelSpec("A2"), 96, 64)
         rep = gram_rank(fam, 6)

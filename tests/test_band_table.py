@@ -10,11 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boskraus import kraus
 from boskraus.channels import ChannelSpec
 from boskraus.cli import main
 from boskraus.errors import AllocationTooLarge
-from boskraus.fock import thermal_state
+from boskraus.fock import bandwidth, thermal_state
 from boskraus.kraus import (
     MAX_DENSE_BYTES,
     KrausFamily,
@@ -221,3 +224,91 @@ def test_quadrature_stack_over_the_limit_raises_before_allocating(build):
 def test_quadrature_stack_over_the_limit_exits_1(capsys):
     assert main(["kraus", "B1:0.5", "--nodes", "2000", "--ncut", "256"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def reference_band_apply(coeffs, band, mat):
+    """The block update ``apply_matrix`` used before it visited only the
+    populated diagonals: one dense ``outer(c, c) * M[src, src]`` per ``l``."""
+    n_ops, dim = coeffs.shape
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    if band == "anti":
+        for ell in range(min(n_ops, 2 * dim - 1)):
+            lo, hi = max(0, ell - dim + 1), min(ell, dim - 1) + 1
+            c = coeffs[ell, lo:hi]
+            dst = slice(ell - hi + 1, ell - lo + 1)
+            out[dst, dst] += (np.outer(c, c) * mat[lo:hi, lo:hi])[::-1, ::-1]
+        return out
+    ells = range(min(n_ops, dim))
+    for ell in reversed(ells) if band == "lower" else ells:
+        c = coeffs[ell, :dim - ell]
+        low, high = slice(0, dim - ell), slice(ell, dim)
+        src, dst = (high, low) if band == "upper" else (low, high)
+        out[dst, dst] += np.outer(c, c) * mat[src, src]
+    return out
+
+
+def _banded_matrix(n_cut, width, seed, hermitian):
+    """Random complex matrix with nonzero entries only at ``|m - n| <= width``,
+    some of them exact zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(n_cut, n_cut)) + 1j * rng.normal(size=(n_cut, n_cut))
+    if hermitian:
+        mat = mat + mat.conj().T
+    rows, cols = np.indices(mat.shape)
+    mat[np.abs(rows - cols) > width] = 0.0
+    zeros = rng.random(mat.shape) < 0.1
+    mat[zeros] = -0.0 - 0.0j if seed % 2 else 0.0
+    return mat
+
+
+BIT_SPECS = SPECS[:3] + [ChannelSpec("C2", 1.1)] + SPECS[3:]
+BIT_IDS = [f"{s.family}({s.kappa})" for s in BIT_SPECS]
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["ell<N", "ell>N"])
+@pytest.mark.parametrize("n_cut", [16, 48, 96])
+@pytest.mark.parametrize("spec", BIT_SPECS, ids=BIT_IDS)
+def test_apply_is_the_block_update_bit_for_bit(spec, n_cut, above):
+    fam = build_discrete(spec, _ell_max(n_cut, above), n_cut, defect_limit=2.0)
+    for width in (0, 1, 5, n_cut - 1):
+        for hermitian in (True, False):
+            mat = _banded_matrix(n_cut, width, n_cut + width, hermitian)
+            assert bandwidth(mat) == width
+            got = apply_matrix(fam, mat)
+            assert got.tobytes() == reference_band_apply(fam.coeffs, fam.band, mat).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(BIT_SPECS), n_cut=st.integers(2, 64), ell_frac=st.floats(0.0, 2.2),
+       width_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), hermitian=st.booleans())
+def test_apply_bit_identity_property(spec, n_cut, ell_frac, width_frac, seed, hermitian):
+    fam = build_discrete(spec, int(ell_frac * n_cut), n_cut, defect_limit=1e300)
+    mat = _banded_matrix(n_cut, int(width_frac * (n_cut - 1)), seed, hermitian)
+    assert apply_matrix(fam, mat).tobytes() == reference_band_apply(fam.coeffs, fam.band, mat).tobytes()
+
+
+def test_output_table_is_built_once_on_first_apply():
+    spec = ChannelSpec("D", 0.8)
+    fam = build_discrete(spec, suggest_ell_max(spec, 32), 32)
+    assert fam._output_table is None
+    apply(fam, thermal_state(2.0, 32))
+    table = fam._output_table
+    assert table.shape == (32, 32)  # one square for the D band, whatever ell_max is
+    apply(fam, thermal_state(3.0, 32))
+    assert fam._output_table is table
+    assert fam._ops is None
+
+
+def test_fixedpoint_csv_unchanged_by_the_offset_loop(tmp_path, monkeypatch, capsys):
+    # five steps from a0 = 3 stop short of the fixed point (exit 4) but write the CSV
+    argv = ["experiment", "fixedpoint", "--ncut", "256", "--a0", "3", "--steps", "5", "--output-dir"]
+    codes = [main(argv + [str(tmp_path / "new")])]
+    new_out = capsys.readouterr()
+    monkeypatch.setattr(kraus, "apply_matrix",
+                        lambda family, mat: reference_band_apply(family.coeffs, family.band, mat))
+    codes.append(main(argv + [str(tmp_path / "ref")]))
+    assert codes == [4, 4]
+    assert capsys.readouterr() == new_out
+    csv = [(tmp_path / side / "fixedpoint.csv").read_bytes() for side in ("new", "ref")]
+    assert csv[0] == csv[1]
+    assert csv[0].count(b"\n") == 7  # header and steps 0..5

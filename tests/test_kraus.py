@@ -1,9 +1,12 @@
 """Kraus families: closed forms, application, duality, rank-one forms."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from conftest import family_for, padded_random_state
@@ -15,7 +18,9 @@ from boskraus.errors import (
     InvalidParameter,
     UnsupportedFamily,
 )
+from boskraus.analysis import thermal_estimate, thermal_step
 from boskraus.fock import (
+    bandwidth,
     coherent_amplitudes,
     coherent_state,
     fock_state,
@@ -494,6 +499,67 @@ def test_no_finite_rank_in_attenuator_span(rng):
     # the amplifier span inherits the property through the adjoint pairing
     amp = build_discrete(ChannelSpec("C2", 1.0 / k), ell_max, n_cut, defect_limit=2.0)
     assert np.max(np.abs(dual(amp).ops - fam.ops)) < 1e-13
+
+
+# gain ranges per family; output a0 at most 8.5 keeps the N=128 thermal tail under 1e-13
+INVARIANT_GAINS = {"D": (0.2, 1.5), "C1": (0.05, 0.95), "C2": (1.05, 1.6)}
+A0_OUT_MAX, N_INVARIANT = 8.5, 128
+
+
+class TestDiagonalStates:
+    """Invariants over random gains and thermal inputs whose tails are under tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(INVARIANT_GAINS)), gain=st.floats(0.0, 1.0), a0_frac=st.floats(0.0, 1.0))
+    def test_thermal_input_maps_by_thermal_step(self, family, gain, a0_frac):
+        lo, hi = INVARIANT_GAINS[family]
+        spec = ChannelSpec(family, lo + gain * (hi - lo))
+        # largest input a0 whose image stays at or below A0_OUT_MAX
+        a0_max = min(A0_OUT_MAX, (A0_OUT_MAX - thermal_step(spec, 1.0)) / spec.kappa**2 + 1.0)
+        a0 = 1.0 + a0_frac * (a0_max - 1.0)
+        rho = thermal_state(a0, N_INVARIANT)
+        assert rho.tail_mass < 1e-13
+        fam = build_discrete(spec, suggest_ell_max(spec, N_INVARIANT), N_INVARIANT)
+        raw = apply_matrix(fam, rho.mat)
+        out = apply(fam, rho)
+        assert bandwidth(raw) == bandwidth(out.mat) == 0
+        assert abs(np.trace(out.mat).real - 1.0) < 1e-12
+        assert abs(np.trace(raw).real + out.tail_mass - 1.0) < 1e-12
+        assert abs(thermal_estimate(out) - thermal_step(spec, a0)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["C1", "C2"]), gains=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           a0=st.floats(1.0, 4.0), level=st.integers(0, 8))
+    def test_semigroup(self, family, gains, a0, level):
+        n_cut = 64
+        lo, hi = (0.05, 1.0) if family == "C1" else (1.0, 1.25)
+        k1, k2 = (lo + g * (hi - lo) for g in gains)
+
+        def build(kappa):
+            spec = ChannelSpec(family, kappa)
+            # every band index that reaches the square block: the action inside it is exact
+            return build_discrete(spec, max(suggest_ell_max(spec, n_cut), n_cut - 1), n_cut)
+
+        for rho in (thermal_state(a0, n_cut), fock_state(level, n_cut)):
+            twice = apply(build(k1), apply(build(k2), rho))
+            once = apply(build(k1 * k2), rho)
+            assert np.max(np.abs(twice.mat - once.mat)) < 1e-12
+
+
+def test_json_roundtrip_of_complex_nodes():
+    fam = rank_one_d(0.8, *coherent_disc_grid(6.0, 8, 8), 16, probe_check=False)
+    assert np.iscomplexobj(fam.index.nodes)
+    back = KrausFamily.from_json_dict(json.loads(json.dumps(fam.to_json_dict())))
+    assert back.index.nodes.dtype == np.complex128
+    assert np.array_equal(back.index.nodes, fam.index.nodes)
+    assert np.array_equal(back.index.weights, fam.index.weights)
+    assert np.array_equal(back.ops, fam.ops)
+
+
+def test_json_of_real_nodes_has_no_imaginary_list():
+    data = build_continuous(ChannelSpec("A2"), 48, 16).to_json_dict()
+    assert list(data["index_kind"]) == ["kind", "nodes", "weights"]
+    assert KrausFamily.from_json_dict(data).index.nodes.dtype == np.float64
 
 
 def test_json_roundtrip():
