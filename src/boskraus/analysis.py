@@ -241,6 +241,8 @@ def gram_rank(family: KrausFamily, k: int, threshold: float = 1e-8,
     is the linear-independence question those families raise (a dependent
     product set cannot certify extremality of the composite).
     """
+    if k < 0:
+        raise InvalidParameter(f"the block index k must be nonnegative, got {k}")
     count = k + 1
     if family.origin == "product":
         if count * count > len(family):
@@ -314,8 +316,8 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
     """
     reports = []
     fam = spec.family
-    if not probes:
-        raise InvalidParameter("need at least one probe state")
+    if not probes or np.size(grid) == 0:
+        raise InvalidParameter("need at least one probe state and one grid point")
     n_cut = probes[0].dim
     if fam in ("C1", "C2", "D"):
         ell = suggest_ell_max(spec, n_cut, 1e-13)

@@ -21,6 +21,7 @@ family     gain constraint          quantum-limited noise y0
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, UnsupportedFamily
@@ -45,19 +46,20 @@ class ChannelSpec:
             if self.kappa is None:
                 raise InvalidParameter(f"family {self.family} requires kappa")
             k = float(self.kappa)
-            if self.family == "D" and not k > 0:
-                raise InvalidParameter(f"D requires kappa > 0, got {k}")
+            if self.family == "D" and not 0.0 < k < math.inf:
+                raise InvalidParameter(f"D requires finite kappa > 0, got {k}")
             if self.family == "C1" and not 0.0 <= k <= 1.0:
                 raise InvalidParameter(f"C1 requires 0 <= kappa <= 1, got {k}")
-            if self.family == "C2" and not k >= 1.0:
-                raise InvalidParameter(f"C2 requires kappa >= 1, got {k}")
+            if self.family == "C2" and not 1.0 <= k < math.inf:
+                raise InvalidParameter(f"C2 requires finite kappa >= 1, got {k}")
             object.__setattr__(self, "kappa", k)
         else:
             if self.kappa is not None:
                 raise InvalidParameter(f"family {self.family} takes no kappa")
-        if self.noise_a < 0:
-            raise InvalidParameter(f"noise_a must be nonnegative, got {self.noise_a}")
-        object.__setattr__(self, "noise_a", float(self.noise_a))
+        a = float(self.noise_a)
+        if not 0.0 <= a < math.inf:
+            raise InvalidParameter(f"noise_a must be finite and nonnegative, got {a}")
+        object.__setattr__(self, "noise_a", a)
 
     @property
     def quantum_limited(self) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, kraus, phasespace
 from .channels import ChannelSpec, parse_channel
-from .errors import BoskrausError, DefectTooLarge, UnsupportedFamily, UnsupportedPair
+from .errors import BoskrausError, DefectTooLarge, InvalidParameter, UnsupportedFamily, UnsupportedPair
 from .fock import state_new
 
 SCHEMA_VERSION = 1
@@ -90,9 +90,10 @@ def cmd_kraus(args) -> int:
 def cmd_compose(args) -> int:
     outer = parse_channel(args.outer)
     inner = parse_channel(args.inner)
+    lam = 1.0 if args.lam is None else args.lam
     try:
-        if args.lam is not None and args.lam != 1.0 or args.theta != 0.0:
-            composite = phasespace.table2_compose(outer, inner, args.lam or 1.0, args.theta)
+        if lam != 1.0 or args.theta != 0.0:
+            composite = phasespace.table2_compose(outer, inner, lam, args.theta)
         else:
             composite = phasespace.table1_compose(outer, inner)
     except UnsupportedPair as exc:
@@ -114,6 +115,8 @@ def cmd_compose(args) -> int:
 
 
 def _experiment_fixedpoint(args, out_dir: str) -> int:
+    if not args.a0:
+        raise InvalidParameter("--a0 needs at least one value")
     spec = ChannelSpec(args.family, args.kappa)
     ell = kraus.suggest_ell_max(spec, args.ncut)
     family = kraus.build_discrete(spec, ell, args.ncut)
@@ -169,7 +172,7 @@ def _experiment_extremal(args, out_dir: str) -> int:
 
 def _experiment_scaling(args, out_dir: str) -> int:
     rng = np.random.default_rng(args.seed)
-    grid = rng.uniform(-1.2, 1.2, size=(args.grid, 2)) @ np.array([1.0, 1.0j])
+    grid = rng.uniform(-1.2, 1.2, size=(max(args.grid, 0), 2)) @ np.array([1.0, 1.0j])
     report, bad = {}, None
     probes = {"C2": state_new("fock", args.ncut, n=1), "C1": state_new("coherent", args.ncut, alpha=0.7),
               "D": state_new("coherent", args.ncut, alpha=0.5 + 0.3j)}

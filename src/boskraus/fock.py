@@ -57,9 +57,6 @@ class TruncatedOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.mat.conj().T)
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,

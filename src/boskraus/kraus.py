@@ -23,7 +23,7 @@ completeness integral.
 
 A single-band family (``D``, ``C1``, ``C2``, ``A1``, the identity) is stored
 as a real coefficient table ``c`` of shape ``(ell_max + 1, N)`` plus its band
-orientation:
+orientation, which :func:`_placement` alone turns into positions:
 
 * ``"anti"`` (D): ``c[l, n]`` sits at ``(l - n, n)``;
 * ``"upper"`` (C1, A1, I): ``c[l, m]`` sits at ``(m, m + l)``;
@@ -31,14 +31,16 @@ orientation:
 
 The table holds the whole band, entries outside the ``N x N`` block
 included.  Each ``W_l^dag W_l`` is diagonal in the Fock basis, so the
-completeness defect is a sum of squares over the table.  ``W_l`` keeps the
-offset ``n - m`` of ``|m><n|`` (C1, C2) or flips its sign (D), so the
-offset-``k`` diagonal of the input feeds only the output diagonals at
-``+-k``: ``apply`` visits only the offsets up to the input's bandwidth, one
-vectorized step each, and a state that is diagonal in the Fock basis stays
-diagonal at the cost of one step.  It reads the table through an
-output-indexed view built on first use and cached.  The dense square stack
-``ops`` is built from the table only when a reader asks for it.
+completeness defect is a sum of squares over the table.  At most one
+operator joins a source level ``s`` to an output level ``t``, so ``apply``
+reads one ``(N, N)`` table ``T[s, t]``, the weight of ``|t><s|``, for every
+orientation; it is built on first use and cached.  ``W_l`` keeps the offset
+``n - m`` of ``|m><n|`` (C1, C2) or flips its sign (D), so the offset-``k``
+diagonal of the input feeds only the output diagonals at ``+-k``: ``apply``
+visits only the offsets up to the input's bandwidth, one vectorized step
+each, and a state that is diagonal in the Fock basis stays diagonal at the
+cost of one step.  The dense square stack ``ops`` is built from the table
+only when a reader asks for it.
 
 All coefficient evaluation is done in log space (gammaln), never through
 factorial ratios.
@@ -108,8 +110,9 @@ class KrausFamily:
     ``band`` orientation (see the module docstring) instead.  Their ``ops``
     is materialized from the table on first read and cached (above
     ``MAX_DENSE_BYTES`` it raises ``AllocationTooLarge``), and so is the
-    ``output_table`` that ``apply`` reads; ``len`` and ``dim`` come from the
-    table.  For dense families ``coeffs`` and ``band`` are None.
+    ``(N, N)`` ``output_table`` of (source, output) weights that ``apply``
+    reads; ``len`` and ``dim`` come from the table.  For dense families
+    ``coeffs`` and ``band`` are None.
     """
 
     def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
@@ -139,7 +142,7 @@ class KrausFamily:
 
     @property
     def output_table(self) -> np.ndarray:
-        """The coefficient table indexed by output level, built on first read and cached."""
+        """The table ``T[s, t]`` of :func:`_output_table`, built on first read and cached."""
         if self._output_table is None:
             self._output_table = _output_table(self.coeffs, self.band)
         return self._output_table
@@ -250,13 +253,20 @@ def _check_stack_bytes(n_ops: int, dim: int) -> None:
         raise AllocationTooLarge(f"dense stack of {n_ops} operators at N={dim} needs {n_bytes:.3e} bytes")
 
 
+def _placement(coeffs: np.ndarray, band: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Operator index, row and column of every entry of a coefficient table
+    (see the module docstring), whether or not it lands inside the square block."""
+    ell, j = np.indices(coeffs.shape)
+    rows, cols = {"anti": (ell - j, j), "upper": (j, j + ell), "lower": (j + ell, j)}[band]
+    return ell, rows, cols
+
+
 def _square_stack(coeffs: np.ndarray, band: str) -> np.ndarray:
     """Dense ``(ell_max + 1, N, N)`` stack of the table entries that land
     inside the square block."""
     n_ops, dim = coeffs.shape
     _check_stack_bytes(n_ops, dim)
-    ell, j = np.indices(coeffs.shape)
-    rows, cols = {"anti": (ell - j, j), "upper": (j, j + ell), "lower": (j + ell, j)}[band]
+    ell, rows, cols = _placement(coeffs, band)
     inside = (rows >= 0) & (rows < dim) & (cols < dim)
     ops = np.zeros((n_ops, dim, dim), dtype=np.complex128)
     ops[ell[inside], rows[inside], cols[inside]] = coeffs[inside]
@@ -267,20 +277,16 @@ def _table_defect(coeffs: np.ndarray, band: str, block: int | None = None) -> fl
     """``max |(sum_l W_l^dag W_l)[j, j] - 1|`` over the protected block ``j < block``.
 
     Every ``W_l^dag W_l`` is diagonal, so the operator norm of the defect is
-    its largest diagonal entry.  Column ``j`` collects ``c[l, j]^2`` for the
-    anti and lower bands and ``c[l, j - l]^2`` for the upper band, over the
-    whole band: the range cutoff does not enter.  The default block is half
-    the column space.
+    its largest diagonal entry: the sum of the squares placed in column ``j``
+    over the whole band (the range cutoff does not enter), by increasing
+    ``l``.  The default block is half the column space.
     """
-    n_ops, dim = coeffs.shape
+    dim = coeffs.shape[1]
     b = min(dim // 2 if block is None else block, dim)
-    squares = coeffs[:, :b] ** 2
-    if band == "upper":
-        diag = np.zeros(b)
-        for ell in range(min(n_ops, b)):
-            diag[ell:] += squares[ell, :b - ell]
-    else:
-        diag = squares.sum(axis=0)
+    squares = coeffs[:, :b] ** 2  # no entry of a later column lands in the block
+    _, _, cols = _placement(squares, band)
+    protected = cols < b
+    diag = np.bincount(cols[protected], squares[protected], minlength=b)
     return float(np.max(np.abs(diag - 1.0), initial=0.0))
 
 
@@ -470,28 +476,14 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
 
 
 def _output_table(coeffs: np.ndarray, band: str) -> np.ndarray:
-    """The coefficient table ``T`` by output level, restricted to the square block.
-
-    * ``"upper"``: ``T[l, p]``, the weight of ``|p><p + l|`` in ``W_l``: the
-      table's first ``N`` rows themselves;
-    * ``"lower"``: ``T[l, p] = c[l, p - l]``, the weight of ``|p><p - l|``;
-    * ``"anti"``: ``T[n, r] = c[n + r, n]``, the weight of ``|r><n|``, which
-      only ``W_(n + r)`` carries: one square, every operator of the band.
-
-    Entries no operator holds are 0.
-    """
-    n_ops, dim = coeffs.shape
-    if band == "upper":
-        return coeffs[:dim]
-    if band == "lower":
-        ell, p = np.indices((min(n_ops, dim), dim))
-        row, col = ell, p - ell
-    else:
-        n, r = np.indices((dim, dim))
-        row, col = n + r, n
-    inside = (col >= 0) & (row < n_ops)
-    table = np.zeros(row.shape)
-    table[inside] = coeffs[row[inside], col[inside]]
+    """The ``(N, N)`` table ``T[s, t]``: the weight of ``|t><s|`` in the one
+    operator of the family that joins source level ``s`` to output level ``t``,
+    0 where none does.  It is ``_square_stack(coeffs, band).sum(0).T``."""
+    dim = coeffs.shape[1]
+    _, rows, cols = _placement(coeffs, band)
+    inside = (rows >= 0) & (rows < dim) & (cols < dim)
+    table = np.zeros((dim, dim))
+    table[cols[inside], rows[inside]] = coeffs[inside]
     return table
 
 
@@ -509,50 +501,33 @@ def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarra
 def _band_apply(table: np.ndarray, band: str, mat: np.ndarray) -> np.ndarray:
     """``sum_l W_l M W_l^dag`` for a single-band family, one step per populated offset of ``M``.
 
-    ``table`` is the family's :func:`_output_table` ``T``.  ``W_l`` keeps the offset
-    of ``|m><n|`` (C1, C2) or flips its sign (D), so the diagonals of ``M`` at
-    offsets ``+-k`` feed only the output diagonals at ``+-k``.  The output
-    entry at levels ``(t, t + k)``, and the one at ``(t + k, t)``, sums
-    ``(c * c') * M[source]`` over ``l``, with one coefficient pair for both.
-    One step per ``k`` up to the bandwidth of ``M`` builds every term of both
-    diagonals, so a diagonal state costs a single step:
+    ``table`` is the family's :func:`_output_table` ``T[s, t]``, the weight of
+    ``|t><s|``.  The diagonals of ``M`` at offsets ``+-k`` feed only the output
+    diagonals at ``+-k``, so one step per ``k`` up to the bandwidth of ``M``
+    builds every term of both, laid out by source ``s`` and output ``t`` with
+    one coefficient pair: C1 and C2 keep the offset, so ``T[s, t] * T[s + k, t + k]``
+    takes ``M[s, s + k]`` to ``(t, t + k)`` and ``M[s + k, s]`` to ``(t + k, t)``;
+    D flips it, so ``T[s + k, t] * T[s, t + k]`` takes them to ``(t + k, t)``
+    and ``(t, t + k)``.
 
-    * C1/C2 lay the terms out by ``(l, t)``: coefficients ``T[l, t] * T[l, t + k]``,
-      source index ``t + l`` (C1) or ``t - l`` (C2), read through a sliding
-      window on the zero-padded source diagonals;
-    * D lays them out by ``(s, t)`` with ``s`` the source index and
-      ``l = s + t + k``: coefficients ``T[s + k, t] * T[s, t + k]``, source
-      ``M[s + k, s]`` for output ``(t, t + k)`` and ``M[s, s + k]`` for ``(t + k, t)``.
-
-    Each output entry gets exactly the terms of one dense block update per
-    ``l`` (``outer(c, c) * M[src, src]``) and sums them in the same order, by
-    increasing source index (``l`` upward, C2 downward): ``np.add.reduce`` over
-    an axis that is not the last one adds whole slices in turn.  The sum is
-    added into the zero output, and padded or out-of-band positions give exact
-    zeros, so the result is the block update's to the last bit.  Real and
-    imaginary parts run as separate real products, which round like the
-    complex product of a real coefficient.
+    Each output entry gets exactly the terms ``(c * c') * M[source]`` of one
+    dense block update per ``l`` and sums them in the same order, by
+    increasing source index: ``np.add.reduce`` over an axis that is not the
+    last one adds whole slices in turn.  A pair no operator joins gives an
+    exact zero term for finite ``M``, and the sum is added into the zero
+    output, so these terms change no bit.  Real and imaginary parts run as
+    separate real products, which round like the complex product of a real
+    coefficient.
     """
-    dim = table.shape[1]
+    dim = len(table)
+    flip = band == "anti"
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
     out = np.zeros((dim, dim), dtype=np.complex128)
     for k in range(bandwidth(mat) + 1):
         size = dim - k
-        src = _diagonal_parts(mat, k)
-        if band == "anti":
-            terms = (table[k:, :size] * table[:size, k:]) * src[..., None]
-        else:
-            n = min(len(table), size)
-            rows = table[:n] if band == "upper" else table[n - 1::-1]
-            pad = np.zeros(src.shape[:2] + (n + size - 1,))
-            if band == "upper":
-                pad[..., :size] = src
-            else:
-                pad[..., n - 1:] = src
-            # window[i, j, l, t] = pad[i, j, l + t]
-            window = np.ndarray(src.shape[:2] + (n, size), np.float64, pad, 0, pad.strides + (8,))
-            terms = (rows[:, :size] * rows[:, k:]) * window
-        _diagonal_parts(out, k, swap=band == "anti")[...] += np.add.reduce(terms, axis=2)
+        pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
+        terms = pair * _diagonal_parts(mat, k)[..., None]
+        _diagonal_parts(out, k, swap=flip)[...] += np.add.reduce(terms, axis=2)
     return out
 
 
@@ -627,10 +602,9 @@ def dual(family: KrausFamily) -> KrausFamily:
     if family.band == "anti":
         # kappa T_l^dag puts kappa c[l, n] at (n, l - n): entry (l, l - n) of the dual table
         coeffs, band = _band_table(new_spec, family.index.ell_max, family.dim)
-        ell, n = np.indices(coeffs.shape)
-        src = ell - n
-        inside = (src >= 0) & (src < family.dim)
-        coeffs[inside] = kappa * family.coeffs[ell[inside], src[inside]]
+        ell, rows, _ = _placement(coeffs, band)
+        inside = (rows >= 0) & (rows < family.dim)
+        coeffs[inside] = kappa * family.coeffs[ell[inside], rows[inside]]
     else:
         coeffs, band = kappa * family.coeffs, {"upper": "lower", "lower": "upper"}[family.band]
     return KrausFamily.banded(new_spec, coeffs, band, _table_defect(coeffs, band))

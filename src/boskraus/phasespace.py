@@ -98,10 +98,6 @@ class Symplectic2:
             raise InvalidParameter(f"det S = {np.linalg.det(s)!r} != 1")
         object.__setattr__(self, "s", s)
 
-    def as_channel(self) -> XYPair:
-        """The unitary Gaussian channel it generates (no added noise)."""
-        return XYPair(self.s, np.zeros((2, 2)))
-
 
 def rotation(theta: float) -> Symplectic2:
     c, s = np.cos(theta), np.sin(theta)
@@ -317,8 +313,8 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     projector picks out.  ``lam = 1`` reduces every row to the canonical
     table.
     """
-    if lam <= 0:
-        raise InvalidParameter("lambda must be positive")
+    if not (0.0 < lam < np.inf and np.isfinite(theta)):
+        raise InvalidParameter(f"lambda must be positive and finite and theta finite, got {lam}, {theta}")
     s2, s1 = _table_pair(spec2, spec1)
     f1, f2 = s1.family, s2.family
     y1 = s1.quantum_limited_noise()

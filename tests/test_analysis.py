@@ -266,6 +266,11 @@ class TestExtremality:
         assert np.array_equal(rep.singular_values, want.singular_values)
         assert rep.numerical_rank == want.numerical_rank == 49
 
+    def test_negative_block_raises(self):
+        fam = build_discrete(ChannelSpec("D", 0.5), 8, 16, defect_limit=1.0)
+        with pytest.raises(InvalidParameter):
+            gram_rank(fam, -1)
+
     def test_quadrature_family_full_rank(self):
         fam = build_continuous(ChannelSpec("A2"), 96, 64)
         rep = gram_rank(fam, 6)
@@ -371,6 +376,11 @@ class TestClassicality:
         grid = np.zeros(1, dtype=complex)
         reps = classicality_check(ChannelSpec("C1", 0.7), [coherent_state(0.9 + 0.4j, 64)], grid)
         assert reps[0].passed and reps[0].max_deviation < 1e-8
+
+    @pytest.mark.parametrize("spec", [ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.5)])
+    def test_empty_grid_raises(self, spec):
+        with pytest.raises(InvalidParameter):
+            classicality_check(spec, [coherent_state(0.6, 16)], np.zeros(0, dtype=complex))
 
     def test_conjugator_outputs_classical(self):
         grid = np.array([0.2 + 0.1j, -0.5j, 0.8, -0.3 - 0.3j])

@@ -17,11 +17,12 @@ from boskraus import kraus
 from boskraus.channels import ChannelSpec
 from boskraus.cli import main
 from boskraus.errors import AllocationTooLarge
-from boskraus.fock import bandwidth, thermal_state
+from boskraus.fock import bandwidth, random_mixed_state, thermal_state
 from boskraus.kraus import (
     MAX_DENSE_BYTES,
     KrausFamily,
     _log_binom_sqrt,
+    _square_stack,
     apply,
     apply_matrix,
     build_continuous,
@@ -285,6 +286,45 @@ def test_apply_bit_identity_property(spec, n_cut, ell_frac, width_frac, seed, he
     fam = build_discrete(spec, int(ell_frac * n_cut), n_cut, defect_limit=1e300)
     mat = _banded_matrix(n_cut, int(width_frac * (n_cut - 1)), seed, hermitian)
     assert apply_matrix(fam, mat).tobytes() == reference_band_apply(fam.coeffs, fam.band, mat).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.sampled_from(BIT_SPECS), n_cut=st.integers(1, 48), ell_frac=st.floats(0.0, 2.2))
+def test_apply_table_is_the_summed_square_stack(spec, n_cut, ell_frac):
+    # each (source, output) pair is joined by at most one operator of a band
+    fam = build_discrete(spec, int(ell_frac * n_cut), n_cut, defect_limit=1e300)
+    assert np.array_equal(fam.output_table, _square_stack(fam.coeffs, fam.band).sum(0).T)
+
+
+_KAPPAS = {"D": st.floats(0.3, 3.0), "C1": st.floats(0.1, 0.95), "C2": st.floats(1.05, 3.0)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(_KAPPAS)), n_cut=st.integers(4, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_dual_is_the_adjoint_map(data, family, n_cut, seed):
+    # tr(B f(A)) = kappa^-2 tr(dual(f)(B) A), since dual(f) has the operators kappa W^dag
+    spec = ChannelSpec(family, data.draw(_KAPPAS[family]))
+    fam = build_discrete(spec, data.draw(st.integers(0, 2 * n_cut)), n_cut, defect_limit=1e300)
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(n_cut, n_cut)) + 1j * rng.normal(size=(n_cut, n_cut)) for _ in range(2))
+    lhs = np.trace(b @ apply_matrix(fam, a))
+    rhs = np.trace(apply_matrix(dual(fam), b) @ a) / spec.kappa**2
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+_TP_KAPPAS = {"D": st.floats(0.3, 1.0), "C1": st.floats(0.1, 0.95), "C2": st.floats(1.05, 1.3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(_TP_KAPPAS)), seed=st.integers(0, 2**32 - 1))
+def test_trace_is_preserved_on_off_diagonal_states(data, family, seed):
+    spec = ChannelSpec(family, data.draw(_TP_KAPPAS[family]))
+    n_cut = 48
+    fam = build_discrete(spec, suggest_ell_max(spec, n_cut, 1e-13), n_cut)
+    rho = np.zeros((n_cut, n_cut), dtype=complex)
+    rho[:6, :6] = random_mixed_state(seed, 4, 6).mat  # rank 4 on the lowest 6 levels
+    assert abs(np.trace(apply_matrix(fam, rho)) - 1.0) <= 1e-9
 
 
 def test_output_table_is_built_once_on_first_apply():

@@ -74,6 +74,14 @@ class TestChannelParsing:
         code, out, err = run(capsys, "compose", text, "C1:0.5")
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["D:inf", "C2:inf", "B2:nan", "D:0.8:inf"])
+    def test_non_finite_parameter_exits_1(self, capsys, text):
+        with pytest.raises(InvalidParameter):
+            parse_channel(text)
+        code, out, err = run(capsys, "compose", text, "C1:0.5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestComposeCommand:
     def test_table_entry(self, capsys):
@@ -96,6 +104,14 @@ class TestComposeCommand:
         payload = json.loads(out.split("\n", 1)[1])
         assert payload["composite"]["family"] == "A2"
         assert payload["composite"]["a"] == pytest.approx(np.sqrt(3) - 1, abs=1e-10)
+
+    @pytest.mark.parametrize("extra", [["--lambda", "0"], ["--lambda", "0", "--theta", "0.3"],
+                                       ["--lambda", "nan"], ["--lambda", "inf"], ["--theta", "nan"]],
+                             ids=["lambda=0", "lambda=0,theta=0.3", "lambda=nan", "lambda=inf", "theta=nan"])
+    def test_degenerate_lambda_or_theta_exits_1(self, capsys, extra):
+        code, out, err = run(capsys, "compose", "C2:1.5", "C1:0.4", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: lambda must be positive") and err.count("\n") == 1
 
     def test_unsupported_pair_exits_3(self, capsys):
         code, out, err = run(capsys, "compose", "B1", "C1:0.5")
@@ -135,6 +151,15 @@ class TestExperiments:
         assert code == 0
         data = json.loads((tmp_path / "verify_all.json").read_text())
         assert all(rec["passed"] for rec in data["invariants"].values())
+
+    @pytest.mark.parametrize("argv", [["fixedpoint", "--a0", ","], ["extremal", "--block", "-1"],
+                                      ["scaling", "--grid", "0"], ["scaling", "--grid", "-1"]],
+                             ids=["empty-a0", "negative-block", "empty-grid", "negative-grid"])
+    def test_degenerate_argument_is_one_error_line(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, "experiment", *argv, "--output-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_var_output_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BK_OUTPUT_DIR", str(tmp_path))
