@@ -36,6 +36,7 @@ from .kraus import (
     DiscreteIndex,
     KrausFamily,
     QuadratureIndex,
+    _square_placement,
     _square_stack,
     apply,
     build_continuous,
@@ -195,6 +196,8 @@ def zeno_kappa(mode: str, n_interrupts: int, steps: int, total: float | None = N
     """
     if n_interrupts < 1:
         raise InvalidParameter("need at least one evolution segment")
+    if total is not None and not np.isfinite(total):
+        raise InvalidParameter(f"the total evolution parameter must be finite, got {total}")
     if mode == "attenuator":
         total = 0.5 * np.pi if total is None else total
         return float(np.cos(total / n_interrupts) ** steps)
@@ -231,9 +234,15 @@ def gram_rank(family: KrausFamily, k: int, threshold: float = 1e-8,
 
     A channel is extremal iff these products are linearly independent,
     i.e. the Gram matrix of the first ``(k+1)^2`` products has full rank.
-    ``threshold`` is relative to the largest singular value.  A cutoff
-    sensitivity probe (dropping the top rows of the space) guards against
-    band truncation silently deflating the products.
+    ``threshold`` is relative to the largest singular value.  The products
+    come from one batched ``matmul``: for single-band operators every entry
+    is one product plus exact zeros, so they equal the plain contraction bit
+    for bit.  The Gram matrix itself is the einsum ``"aij,bij->ab"``, whose
+    summation order fixes the singular values.  A cutoff sensitivity probe
+    guards against band truncation silently deflating the products: the part
+    of the Gram matrix carried by the top 8 rows and columns of the space,
+    one BLAS product over those border entries, must stay below ``1e-8``
+    of the largest singular value.
 
     For composite families built by :func:`product_family` the operators
     themselves are already two-factor products indexed by ``(m, n)``, so
@@ -252,18 +261,19 @@ def gram_rank(family: KrausFamily, k: int, threshold: float = 1e-8,
         if count > len(family):
             raise InvalidParameter(f"family has only {len(family)} operators, need {count}")
         ops = _ordered_ops(family, count)
-        prods = np.einsum("mji,njk->mnik", ops.conj(), ops).reshape(count * count, family.dim, family.dim)
+        prods = np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]
+        prods = prods.reshape(count * count, family.dim, family.dim)
     gram = np.einsum("aij,bij->ab", prods.conj(), prods)
     sv = np.linalg.svd(gram, compute_uv=False)
     if tail_check and family.dim > 16 and isinstance(family.index, DiscreteIndex):
-        # banded products decay along their band; if entries still move when
-        # the top of the space is dropped, the cutoff clipped them.
+        # banded products decay along their band; if the entries in the top
+        # rows or columns still carry Gram weight, the cutoff clipped them.
         # (Quadrature families are exempt: truncated position states gain
         # norm with the cutoff without affecting linear independence.)
         shrink = family.dim - 8
-        small = prods[:, :shrink, :shrink]
-        gram_small = np.einsum("aij,bij->ab", small.conj(), small)
-        if np.max(np.abs(gram_small - gram)) > 1e-8 * max(sv[0], 1e-300):
+        border = np.concatenate([prods[:, shrink:].reshape(len(prods), -1),
+                                 prods[:, :shrink, shrink:].reshape(len(prods), -1)], axis=1)
+        if np.max(np.abs(border.conj() @ border.T)) > 1e-8 * max(sv[0], 1e-300):
             raise CutoffTooSmall("Gram entries still change when the top of the cutoff is dropped")
     rank = int(np.sum(sv > threshold * sv[0]))
     return GramReport(count * count, sv, rank, threshold)
@@ -273,7 +283,9 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
     """The ``(k+1)^2`` products (outer_m inner_n) as a Kraus family.
 
     Applying it agrees with applying ``inner`` then ``outer``; its spec is
-    the composition-table entry for the pair.
+    the composition-table entry for the pair.  Only the first ``k + 1``
+    operators of each factor are built; a banded factor keeps its stack
+    unbuilt.
     """
     if outer.dim != inner.dim:
         raise DimMismatch(f"dims differ: {outer.dim} vs {inner.dim}")
@@ -282,7 +294,7 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
     count = k + 1
     if count > len(outer) or count > len(inner):
         raise InvalidParameter("not enough operators for the requested block")
-    ops = np.einsum("mij,njk->mnik", outer.ops[:count], inner.ops[:count])
+    ops = _ordered_ops(outer, count)[:, None] @ _ordered_ops(inner, count)[None]
     ops = ops.reshape(count * count, outer.dim, outer.dim)
     spec = None
     if outer.spec is not None and inner.spec is not None:
@@ -363,6 +375,18 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
     return reports
 
 
+def _band_gram_diagonals(coeffs: np.ndarray, band: str) -> np.ndarray:
+    """Diagonals ``(ell_max + 1, N)`` of the truncated ``W_l^dag W_l`` of a
+    single-band family: ``c^2`` at the column of each entry that lands inside
+    the square block.  Each operator has at most one entry per row and
+    column, so no diagonal entry sums two squares and no off-diagonal one is
+    nonzero."""
+    ell, _, cols, values = _square_placement(coeffs, band)
+    diags = np.zeros(coeffs.shape)
+    diags[ell, cols] = values**2
+    return diags
+
+
 def simultaneous_diagonality(family: KrausFamily, tol: float = 1e-12) -> tuple[bool, str]:
     """Whether all ``W^dag W`` are simultaneously diagonal, and in what basis.
 
@@ -371,28 +395,39 @@ def simultaneous_diagonality(family: KrausFamily, tol: float = 1e-12) -> tuple[b
     identity, ``position`` when each product is the (rank-one) projector
     onto a position wavefunction, and ``none`` otherwise.
 
+    A single-band family reads its diagonals off the squared coefficient
+    table and never builds its stack: its off-diagonals are exactly zero.
+    A dense family forms its products by batched ``matmul``.
     Displacement-built families are re-evaluated with enough extra rows
     for the unitary factor's product to close; the stored square
     truncation would leave spurious off-diagonals near the cutoff.
     """
-    ops = family.ops
-    spec = family.spec
-    if spec is not None and spec.family == "B1" and isinstance(family.index, QuadratureIndex) \
-            and spec.noise_a > 0:
-        nodes = np.asarray(family.index.nodes, dtype=float)
-        beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
-        n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(family.dim)) ** 2)) + 8
-        scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
-        ops = np.stack([
-            displacement_op(q / np.sqrt(2.0), n_ext).mat[:, :family.dim] for q in nodes
-        ])
-        norm = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
-        ops = ops * (scales / np.maximum(norm, 1e-300))[:, None, None]
-    prods = np.einsum("lji,ljk->lik", ops.conj(), ops)
-    scale = max(float(np.max(np.abs(prods))), 1e-300)
-    off = prods - np.einsum("lii,ij->lij", prods, np.eye(family.dim, dtype=complex))
-    if np.max(np.abs(off)) < tol * scale:
-        diags = np.einsum("lii->li", prods).real
+    if family.coeffs is not None:
+        diags = _band_gram_diagonals(family.coeffs, family.band)
+        scale = max(float(np.max(diags)), 1e-300)
+        off = 0.0
+    else:
+        ops = family.ops
+        spec = family.spec
+        if spec is not None and spec.family == "B1" and isinstance(family.index, QuadratureIndex) \
+                and spec.noise_a > 0:
+            nodes = np.asarray(family.index.nodes, dtype=float)
+            beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
+            n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(family.dim)) ** 2)) + 8
+            scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
+            ops = np.stack([
+                displacement_op(q / np.sqrt(2.0), n_ext).mat[:, :family.dim] for q in nodes
+            ])
+            norm = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
+            ops = ops * (scales / np.maximum(norm, 1e-300))[:, None, None]
+        prods = np.swapaxes(ops.conj(), 1, 2) @ ops
+        mags = np.abs(prods)
+        scale = max(float(np.max(mags)), 1e-300)
+        diags = np.diagonal(prods, axis1=1, axis2=2).real
+        level = np.arange(family.dim)
+        mags[:, level, level] = 0.0
+        off = float(np.max(mags))
+    if off < tol * scale:
         spread = np.max(np.abs(diags - diags[:, :1]), initial=0.0)
         if spread < tol * scale:
             return True, "any"

@@ -141,6 +141,8 @@ def _experiment_fixedpoint(args, out_dir: str) -> int:
 
 
 def _experiment_zeno(args, out_dir: str) -> int:
+    if not args.interrupts or min(args.interrupts) < 1:
+        raise InvalidParameter("--interrupts needs at least one positive segment count")
     rows = ["mode,n_interrupts,step,kappa"]
     for n in args.interrupts:
         for step in range(n + 1):

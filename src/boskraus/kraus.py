@@ -261,15 +261,23 @@ def _placement(coeffs: np.ndarray, band: str) -> tuple[np.ndarray, np.ndarray, n
     return ell, rows, cols
 
 
+def _square_placement(coeffs: np.ndarray, band: str) -> tuple[np.ndarray, ...]:
+    """Operator index, row, column and value of the table entries that land
+    inside the square block."""
+    dim = coeffs.shape[1]
+    ell, rows, cols = _placement(coeffs, band)
+    inside = (rows >= 0) & (rows < dim) & (cols < dim)
+    return ell[inside], rows[inside], cols[inside], coeffs[inside]
+
+
 def _square_stack(coeffs: np.ndarray, band: str) -> np.ndarray:
     """Dense ``(ell_max + 1, N, N)`` stack of the table entries that land
     inside the square block."""
     n_ops, dim = coeffs.shape
     _check_stack_bytes(n_ops, dim)
-    ell, rows, cols = _placement(coeffs, band)
-    inside = (rows >= 0) & (rows < dim) & (cols < dim)
+    ell, rows, cols, values = _square_placement(coeffs, band)
     ops = np.zeros((n_ops, dim, dim), dtype=np.complex128)
-    ops[ell[inside], rows[inside], cols[inside]] = coeffs[inside]
+    ops[ell, rows, cols] = values
     return ops
 
 
@@ -314,7 +322,10 @@ def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = 
     summed analytically.  Falling back to the stored square matrices would
     conflate range truncation with a genuine index-sum deficit, so a discrete
     ``kraus_from_scheme`` family returns its build-time defect; other blocks raise.
+    A negative block raises ``InvalidParameter`` for every kind of family.
     """
+    if block is not None and block < 0:
+        raise InvalidParameter(f"the protected block must be nonnegative, got {block}")
     if isinstance(family, np.ndarray):
         return raw_completeness_defect(family, block)
     if family.coeffs is not None:
@@ -480,10 +491,9 @@ def _output_table(coeffs: np.ndarray, band: str) -> np.ndarray:
     operator of the family that joins source level ``s`` to output level ``t``,
     0 where none does.  It is ``_square_stack(coeffs, band).sum(0).T``."""
     dim = coeffs.shape[1]
-    _, rows, cols = _placement(coeffs, band)
-    inside = (rows >= 0) & (rows < dim) & (cols < dim)
+    _, rows, cols, values = _square_placement(coeffs, band)
     table = np.zeros((dim, dim))
-    table[cols[inside], rows[inside]] = coeffs[inside]
+    table[cols, rows] = values
     return table
 
 

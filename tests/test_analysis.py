@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import family_for
 from test_fock import reference_coherent_amplitudes, reference_q_function
 
 from boskraus import analysis
 from boskraus.analysis import (
+    GramReport,
+    _ordered_ops,
     classicality_check,
     cumulants,
     fixed_point,
@@ -22,17 +26,23 @@ from boskraus.analysis import (
     zeno_kappa,
 )
 from boskraus.channels import ChannelSpec
-from boskraus.errors import InvalidParameter, StencilFailure, UnsupportedFamily
+from boskraus.cli import main
+from boskraus.errors import CutoffTooSmall, InvalidParameter, StencilFailure, UnsupportedFamily
 from boskraus.fock import (
     coherent_state,
+    displacement_op,
     fock_state,
+    hermite_psi_table,
     phase_averaged_state,
     random_mixed_state,
     thermal_state,
     trace_distance,
 )
 from boskraus.kraus import (
+    DiscreteIndex,
     KrausFamily,
+    QuadratureIndex,
+    _square_stack,
     apply,
     build_continuous,
     build_discrete,
@@ -193,6 +203,12 @@ class TestZeno:
         assert zeno_kappa("amplifier", 1, 1, total=2.0) == pytest.approx(np.cosh(2.0), abs=1e-12)
         assert zeno_kappa("amplifier", 10, 10, total=2.0) == pytest.approx(np.cosh(0.2) ** 10, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["attenuator", "amplifier"])
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_total_raises(self, mode, total):
+        with pytest.raises(InvalidParameter, match="finite"):
+            zeno_kappa(mode, 2, 1, total)
+
     def test_interruption_slows_both(self):
         atten = [zeno_kappa("attenuator", n, n) for n in (1, 2, 5, 10)]
         assert atten == sorted(atten)  # less attenuation with more interrupts
@@ -244,6 +260,139 @@ def amplifier_block(k, delta, ell, j):
         * (1 - k**-2) ** (ell + delta / 2)
         * k ** (-(2 * j + delta))
     )
+
+
+def reference_gram_rank(family, k, threshold=1e-8, tail_check=True):
+    """``gram_rank`` with its products from the plain contraction and its
+    cutoff probe from a second Gram matrix, as it was before the batched
+    ``matmul`` and the border product."""
+    if k < 0:
+        raise InvalidParameter(f"the block index k must be nonnegative, got {k}")
+    count = k + 1
+    if family.origin == "product":
+        if count * count > len(family):
+            raise InvalidParameter(f"family has only {len(family)} operators, need {count * count}")
+        prods = family.ops[: count * count]
+    else:
+        if count > len(family):
+            raise InvalidParameter(f"family has only {len(family)} operators, need {count}")
+        ops = _ordered_ops(family, count)
+        prods = np.einsum("mji,njk->mnik", ops.conj(), ops).reshape(count * count, family.dim, family.dim)
+    gram = np.einsum("aij,bij->ab", prods.conj(), prods)
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if tail_check and family.dim > 16 and isinstance(family.index, DiscreteIndex):
+        shrink = family.dim - 8
+        small = prods[:, :shrink, :shrink]
+        gram_small = np.einsum("aij,bij->ab", small.conj(), small)
+        if np.max(np.abs(gram_small - gram)) > 1e-8 * max(sv[0], 1e-300):
+            raise CutoffTooSmall("Gram entries still change when the top of the cutoff is dropped")
+    rank = int(np.sum(sv > threshold * sv[0]))
+    return GramReport(count * count, sv, rank, threshold)
+
+
+def reference_simultaneous_diagonality(family, tol=1e-12):
+    """``simultaneous_diagonality`` over the dense stack of every family, with
+    its products from the plain contraction, as it was before banded families
+    read the coefficient table."""
+    ops = family.ops
+    spec = family.spec
+    if spec is not None and spec.family == "B1" and isinstance(family.index, QuadratureIndex) \
+            and spec.noise_a > 0:
+        nodes = np.asarray(family.index.nodes, dtype=float)
+        beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
+        n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(family.dim)) ** 2)) + 8
+        scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
+        ops = np.stack([
+            displacement_op(q / np.sqrt(2.0), n_ext).mat[:, :family.dim] for q in nodes
+        ])
+        norm = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
+        ops = ops * (scales / np.maximum(norm, 1e-300))[:, None, None]
+    prods = np.einsum("lji,ljk->lik", ops.conj(), ops)
+    scale = max(float(np.max(np.abs(prods))), 1e-300)
+    off = prods - np.einsum("lii,ij->lij", prods, np.eye(family.dim, dtype=complex))
+    if np.max(np.abs(off)) < tol * scale:
+        diags = np.einsum("lii->li", prods).real
+        spread = np.max(np.abs(diags - diags[:, :1]), initial=0.0)
+        if spread < tol * scale:
+            return True, "any"
+        return True, "fock"
+    if isinstance(family.index, QuadratureIndex):
+        nodes = family.index.nodes
+        table = hermite_psi_table(family.dim - 1, np.asarray(nodes, dtype=float))
+        for i in range(len(family)):
+            p = prods[i]
+            v = table[:, i].astype(complex)
+            vv = max(float((v.conj() @ v).real), 1e-300)
+            coeff = float(np.real(v.conj() @ p @ v)) / vv**2
+            resid = np.max(np.abs(p - coeff * np.outer(v, v.conj())))
+            if resid > 1e-8 * scale:
+                return False, "none"
+        return True, "position"
+    return False, "none"
+
+
+def reference_product_stack(outer, inner, count):
+    """The product stack of ``product_family`` from the plain contraction over both full stacks."""
+    ops = np.einsum("mij,njk->mnik", outer.ops[:count], inner.ops[:count])
+    return ops.reshape(count * count, outer.dim, outer.dim)
+
+
+EXTREMAL_SPECS = [ChannelSpec("D", 0.5), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)]
+
+
+class TestGramReference:
+    @pytest.mark.parametrize("spec", EXTREMAL_SPECS)
+    @pytest.mark.parametrize("n_cut", [48, 64])
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_singular_values_equal_the_reference(self, spec, n_cut, k):
+        fam = build_discrete(spec, max(suggest_ell_max(spec, n_cut), k), n_cut)
+        rep = gram_rank(fam, k)
+        want = reference_gram_rank(fam, k)
+        assert rep.singular_values.tobytes() == want.singular_values.tobytes()
+        assert (rep.block, rep.numerical_rank) == (want.block, want.numerical_rank)
+        assert fam._ops is None
+
+    @pytest.mark.parametrize("spec,n_cut,raises", [
+        (ChannelSpec("C1", 0.9), 24, True), (ChannelSpec("C1", 0.9), 48, True),
+        (ChannelSpec("C2", 1.3), 24, True), (ChannelSpec("C2", 1.3), 32, True),
+        (ChannelSpec("C2", 1.3), 48, False), (ChannelSpec("C2", 2.0), 24, False),
+        (ChannelSpec("D", 0.9), 24, False),
+    ])
+    def test_cutoff_probe_agrees_with_the_reference(self, spec, n_cut, raises):
+        # the border Gram is what the reference's difference of two Gram matrices measures
+        fam = build_discrete(spec, max(suggest_ell_max(spec, n_cut), 6), n_cut)
+        if raises:
+            for reader in (gram_rank, reference_gram_rank):
+                with pytest.raises(CutoffTooSmall):
+                    reader(fam, 6)
+        else:
+            assert gram_rank(fam, 6).numerical_rank == reference_gram_rank(fam, 6).numerical_rank
+
+    @pytest.mark.parametrize("row,col", [(0, 31), (31, 0), (30, 31), (23, 24)])
+    def test_cutoff_probe_reads_the_top_rows_and_columns(self, row, col):
+        ops = np.zeros((1, 32, 32), dtype=complex)
+        ops[0, 0, 0], ops[0, row, col] = 1.0, 1e-3
+        fam = KrausFamily(None, ops, DiscreteIndex(0), 0.0, origin="product")
+        for reader in (gram_rank, reference_gram_rank):
+            with pytest.raises(CutoffTooSmall):
+                reader(fam, 0)
+        ops[0, row, col] = 0.0
+        ops[0, 23, 23] = 1e-3  # the last level the probe keeps
+        assert gram_rank(fam, 0).numerical_rank == 1
+
+    @pytest.mark.parametrize("outer,inner", [
+        (ChannelSpec("C2", 1.4), ChannelSpec("C1", 0.7)), (ChannelSpec("D", 0.8), ChannelSpec("D", 1.3)),
+        (ChannelSpec("C1", 0.7), ChannelSpec("D", 1.2)), (ChannelSpec("D", 0.6), ChannelSpec("C2", 1.2)),
+        (ChannelSpec("A1"), ChannelSpec("C2", 1.5)), (ChannelSpec("I"), ChannelSpec("D", 0.8)),
+    ])
+    def test_product_family_streams_its_factors(self, outer, inner):
+        first, second = (build_discrete(spec, max(suggest_ell_max(spec, 40), 6), 40) for spec in (outer, inner))
+        count = min(7, len(first))  # the identity has one operator
+        prod = product_family(first, second, count - 1)
+        assert first._ops is None and second._ops is None
+        want = reference_product_stack(first, second, count)
+        assert prod.ops.tobytes() == want.tobytes()
+        assert prod.completeness_defect == analysis.completeness_defect(want)
 
 
 class TestExtremality:
@@ -466,7 +615,67 @@ class TestSimultaneousDiagonality:
         fam = build_continuous(ChannelSpec("B1", noise_a=0.5), 48, 48)
         assert simultaneous_diagonality(fam) == (True, "any")
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(["D", "C1", "C2", "A1", "I"]), n_cut=st.integers(4, 64))
+    def test_table_diagonals_are_the_dense_products(self, data, family, n_cut):
+        kappa = {"D": st.floats(0.3, 3.0), "C1": st.floats(0.1, 0.95), "C2": st.floats(1.05, 3.0)}.get(family)
+        spec = ChannelSpec(family, data.draw(kappa)) if kappa is not None else ChannelSpec(family)
+        fam = build_discrete(spec, data.draw(st.integers(0, 2 * n_cut)), n_cut, defect_limit=1e300)
+        diags = analysis._band_gram_diagonals(fam.coeffs, fam.band)
+        ops = _square_stack(fam.coeffs, fam.band)
+        dense = np.einsum("lji,ljk->lik", ops.conj(), ops)
+        off_diagonal = ~np.eye(n_cut, dtype=bool)
+        assert np.count_nonzero(dense[:, off_diagonal]) == 0
+        assert np.array_equal(np.einsum("lii->li", dense), diags)
+        dense_family = KrausFamily(spec, ops, fam.index, fam.completeness_defect)
+        assert simultaneous_diagonality(fam) == reference_simultaneous_diagonality(dense_family)
+        assert fam._ops is None
+
+    @pytest.mark.parametrize("kind", ["D", "C1", "C2", "A1", "I", "product", "product-conjugators", "A2",
+                                      "B1", "B1-zero-noise", "random"])
+    def test_tag_agrees_with_the_reference(self, kind):
+        n_cut = 32
+        c1 = build_discrete(ChannelSpec("C1", 0.7), 6, n_cut, defect_limit=2.0)
+        c2 = build_discrete(ChannelSpec("C2", 1.4), 6, n_cut, defect_limit=2.0)
+        d = build_discrete(ChannelSpec("D", 0.8), 6, n_cut, defect_limit=2.0)
+        rng = np.random.default_rng(11)
+        random_ops = rng.normal(size=(3, n_cut, n_cut)) + 1j * rng.normal(size=(3, n_cut, n_cut))
+        fam = {
+            "D": lambda: family_for(ChannelSpec("D", 0.8), n_cut),
+            "C1": lambda: family_for(ChannelSpec("C1", 0.6), n_cut),
+            "C2": lambda: family_for(ChannelSpec("C2", 1.5), n_cut),
+            "A1": lambda: build_discrete(ChannelSpec("A1"), n_cut - 1, n_cut),
+            "I": lambda: build_discrete(ChannelSpec("I"), 0, n_cut),
+            "product": lambda: product_family(c2, c1, 4),
+            "product-conjugators": lambda: product_family(d, d, 4),
+            "A2": lambda: build_continuous(ChannelSpec("A2"), 64, n_cut),
+            "B1": lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 48, n_cut),
+            "B1-zero-noise": lambda: build_continuous(ChannelSpec("B1", noise_a=0.0), 48, n_cut),
+            "random": lambda: KrausFamily(None, random_ops, DiscreteIndex(2), 0.0),
+        }[kind]()
+        got = simultaneous_diagonality(fam)
+        assert got == reference_simultaneous_diagonality(fam)
+        assert got[1] == {"A2": "position", "B1": "any", "B1-zero-noise": "any", "I": "any",
+                          "random": "none"}.get(kind, "fock")
+
 
 def test_thermal_estimate_matches_parameter():
     assert thermal_estimate(thermal_state(3.7, 96)) == pytest.approx(3.7, abs=1e-6)
     assert thermal_estimate(fock_state(2, 16)) == pytest.approx(5.0)
+
+
+def test_artifacts_equal_the_reference_readers(capsys, tmp_path, monkeypatch):
+    """``extremal`` and ``verify-all`` write the same bytes with the former readers patched in."""
+    argvs = {"extremal": ["extremal", "--ncut", "64"], "verify-all": ["verify-all", "--ncut", "48"]}
+    artifacts = {"extremal": "extremal.json", "verify-all": "verify_all.json"}
+
+    def run_all(root):
+        for name, argv in argvs.items():
+            assert main(["experiment", *argv, "--output-dir", str(root / name)]) == 0
+        capsys.readouterr()
+        return {name: (root / name / artifacts[name]).read_bytes() for name in argvs}
+
+    current = run_all(tmp_path / "current")
+    monkeypatch.setattr(analysis, "gram_rank", reference_gram_rank)
+    monkeypatch.setattr(analysis, "simultaneous_diagonality", reference_simultaneous_diagonality)
+    assert run_all(tmp_path / "reference") == current

@@ -153,8 +153,13 @@ class TestExperiments:
         assert all(rec["passed"] for rec in data["invariants"].values())
 
     @pytest.mark.parametrize("argv", [["fixedpoint", "--a0", ","], ["extremal", "--block", "-1"],
-                                      ["scaling", "--grid", "0"], ["scaling", "--grid", "-1"]],
-                             ids=["empty-a0", "negative-block", "empty-grid", "negative-grid"])
+                                      ["scaling", "--grid", "0"], ["scaling", "--grid", "-1"],
+                                      ["zeno", "--interrupts", "-2"], ["zeno", "--interrupts", "0"],
+                                      ["zeno", "--interrupts", "2,-1"], ["zeno", "--interrupts", ","],
+                                      ["zeno", "--total", "nan"], ["zeno", "--mode", "amplifier", "--total", "inf"]],
+                             ids=["empty-a0", "negative-block", "empty-grid", "negative-grid",
+                                  "zeno-negative-interrupts", "zeno-zero-interrupts", "zeno-one-negative-interrupt",
+                                  "zeno-empty-interrupts", "zeno-nan-total", "zeno-inf-total"])
     def test_degenerate_argument_is_one_error_line(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, "experiment", *argv, "--output-dir", str(tmp_path))
         assert (code, out) == (1, "")

@@ -143,6 +143,33 @@ class TestCompleteness:
         fam = build_discrete(spec, suggest_ell_max(spec, 32), 32)
         assert completeness_defect(fam) == pytest.approx(fam.completeness_defect, abs=1e-14)
 
+    @pytest.mark.parametrize("kind", ["D", "C1", "C2", "A1", "I", "A2", "B1", "B1-zero-noise", "rank-one",
+                                      "scheme", "product", "json", "stack"])
+    def test_negative_block_raises(self, kind):
+        from boskraus.analysis import product_family
+        from boskraus.scheme import kraus_from_scheme, mix_matrix
+
+        c1 = build_discrete(ChannelSpec("C1", 0.7), 15, 16)
+        family = {
+            "D": lambda: build_discrete(ChannelSpec("D", 0.8), 40, 16),
+            "C1": lambda: c1,
+            "C2": lambda: build_discrete(ChannelSpec("C2", 1.3), 80, 16),
+            "A1": lambda: build_discrete(ChannelSpec("A1"), 15, 16),
+            "I": lambda: build_discrete(ChannelSpec("I"), 0, 16),
+            "A2": lambda: build_continuous(ChannelSpec("A2"), 64, 24),
+            "B1": lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 32, 16),
+            "B1-zero-noise": lambda: build_continuous(ChannelSpec("B1", noise_a=0.0), 32, 16),
+            "rank-one": lambda: rank_one_d(0.8, *coherent_disc_grid(6.0, 12, 16), 16, probe_check=False),
+            "scheme": lambda: kraus_from_scheme(mix_matrix(ChannelSpec("D", 0.8)), 10, 16),
+            "product": lambda: product_family(c1, c1, 3),
+            "json": lambda: KrausFamily.from_json_dict(json.loads(json.dumps(c1.to_json_dict()))),
+            "stack": lambda: c1.ops,
+        }[kind]()
+        with pytest.raises(InvalidParameter, match="nonnegative"):
+            completeness_defect(family, block=-1)
+        if kind != "scheme":  # a scheme family answers only for its build-time block
+            assert completeness_defect(family, block=0) == 0.0
+
 
 class TestApply:
     def test_identity_channel(self):
