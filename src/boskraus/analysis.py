@@ -47,6 +47,10 @@ from .kraus import (
 )
 from .phasespace import table1_compose
 
+GRAM_THRESHOLD = 1e-8  # numerical rank cut, relative to the largest singular value
+DIAGONALITY_TOL = 1e-12  # off-diagonal and spread limit, relative to the largest |W^dag W| entry
+CLASSICALITY_TOL = 1e-6
+
 
 def thermal_estimate(rho: DensityMatrix) -> float:
     """Thermal covariance parameter from the mean photon number, a0 = 2<n>+1."""
@@ -228,13 +232,12 @@ def _ordered_ops(family: KrausFamily, count: int) -> np.ndarray:
     return family.ops[order[:count]]
 
 
-def gram_rank(family: KrausFamily, k: int, threshold: float = 1e-8,
-              tail_check: bool = True) -> GramReport:
+def gram_rank(family: KrausFamily, k: int) -> GramReport:
     """Numerical rank of the Gram matrix of the products ``W_m^dag W_n``.
 
     A channel is extremal iff these products are linearly independent,
-    i.e. the Gram matrix of the first ``(k+1)^2`` products has full rank.
-    ``threshold`` is relative to the largest singular value.  The products
+    i.e. the Gram matrix of the first ``(k+1)^2`` products has full rank:
+    singular values above ``GRAM_THRESHOLD`` of the largest count.  The products
     come from one batched ``matmul``: for single-band operators every entry
     is one product plus exact zeros, so they equal the plain contraction bit
     for bit.  The Gram matrix itself is the einsum ``"aij,bij->ab"``, whose
@@ -265,7 +268,7 @@ def gram_rank(family: KrausFamily, k: int, threshold: float = 1e-8,
         prods = prods.reshape(count * count, family.dim, family.dim)
     gram = np.einsum("aij,bij->ab", prods.conj(), prods)
     sv = np.linalg.svd(gram, compute_uv=False)
-    if tail_check and family.dim > 16 and isinstance(family.index, DiscreteIndex):
+    if family.dim > 16 and isinstance(family.index, DiscreteIndex):
         # banded products decay along their band; if the entries in the top
         # rows or columns still carry Gram weight, the cutoff clipped them.
         # (Quadrature families are exempt: truncated position states gain
@@ -275,8 +278,8 @@ def gram_rank(family: KrausFamily, k: int, threshold: float = 1e-8,
                                  prods[:, :shrink, shrink:].reshape(len(prods), -1)], axis=1)
         if np.max(np.abs(border.conj() @ border.T)) > 1e-8 * max(sv[0], 1e-300):
             raise CutoffTooSmall("Gram entries still change when the top of the cutoff is dropped")
-    rank = int(np.sum(sv > threshold * sv[0]))
-    return GramReport(count * count, sv, rank, threshold)
+    rank = int(np.sum(sv > GRAM_THRESHOLD * sv[0]))
+    return GramReport(count * count, sv, rank, GRAM_THRESHOLD)
 
 
 def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamily:
@@ -316,15 +319,16 @@ class ClassicalityReport:
     details: dict = field(default_factory=dict)
 
 
-def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.ndarray,
-                       tol: float = 1e-6) -> list[ClassicalityReport]:
+def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix],
+                       grid: np.ndarray) -> list[ClassicalityReport]:
     """Family-specific phase-space verification on the given probes.
 
     C1 sends coherent states to attenuated coherent states; C2 scales the
     Husimi function, ``Q'(alpha) = kappa^-2 Q(alpha/kappa)``; D outputs a
     state whose diagonal weight is the conjugate-scaled input Q, checked
     by rebuilding the output from that weight; the weight is nonnegative
-    everywhere sampled.
+    everywhere sampled.  A probe passes below ``CLASSICALITY_TOL`` (ten times
+    that for the D rebuild).
     """
     reports = []
     fam = spec.family
@@ -342,12 +346,12 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
             mean_in = complex(np.trace(probe.mat @ lowering))
             target = coherent_state(spec.kappa * mean_in, n_cut, tail_tol=1.0)
             dev = trace_distance(out, target)
-            reports.append(ClassicalityReport(spec, "coherent-to-coherent", dev, dev < tol))
+            reports.append(ClassicalityReport(spec, "coherent-to-coherent", dev, dev < CLASSICALITY_TOL))
     elif fam == "C2":
         for probe in probes:
             out = apply(family, probe)
             dev = float(np.max(np.abs(q_function(out, grid) - q_function(probe, grid / spec.kappa) / spec.kappa**2)))
-            reports.append(ClassicalityReport(spec, "husimi-scaling", dev, dev < tol))
+            reports.append(ClassicalityReport(spec, "husimi-scaling", dev, dev < CLASSICALITY_TOL))
     elif fam == "D":
         k = spec.kappa
         radius = 1.2 * (np.sqrt(1.0 + k**2) * (np.max(np.abs(grid)) + 4.0))
@@ -360,7 +364,7 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
             tr = float(np.trace(rebuilt).real)
             dev = float(np.max(np.abs(rebuilt / tr - out.mat)))
             negative = float(np.min(q_function(probe, np.conj(grid) / k) / k**2))
-            ok = dev < 10 * tol and negative >= -1e-12
+            ok = dev < 10 * CLASSICALITY_TOL and negative >= -1e-12
             reports.append(ClassicalityReport(spec, "conjugated-q-weight", dev, ok,
                                               {"min_weight": float(negative)}))
     elif fam == "A2":
@@ -369,7 +373,7 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix], grid: np.
             diag_weight = [float(np.real(v.conj() @ probe.mat @ v))
                            for v in hermite_psi_table(n_cut - 1, family.index.nodes).T]
             dev = max(0.0, -min(diag_weight))
-            reports.append(ClassicalityReport(spec, "position-weight-nonnegative", dev, dev < tol))
+            reports.append(ClassicalityReport(spec, "position-weight-nonnegative", dev, dev < CLASSICALITY_TOL))
     else:
         raise UnsupportedFamily(f"no classicality diagnostic for family {fam}")
     return reports
@@ -387,7 +391,7 @@ def _band_gram_diagonals(coeffs: np.ndarray, band: str) -> np.ndarray:
     return diags
 
 
-def simultaneous_diagonality(family: KrausFamily, tol: float = 1e-12) -> tuple[bool, str]:
+def simultaneous_diagonality(family: KrausFamily) -> tuple[bool, str]:
     """Whether all ``W^dag W`` are simultaneously diagonal, and in what basis.
 
     Returns a basis tag: ``fock`` when every product is diagonal in the
@@ -427,9 +431,9 @@ def simultaneous_diagonality(family: KrausFamily, tol: float = 1e-12) -> tuple[b
         level = np.arange(family.dim)
         mags[:, level, level] = 0.0
         off = float(np.max(mags))
-    if off < tol * scale:
+    if off < DIAGONALITY_TOL * scale:
         spread = np.max(np.abs(diags - diags[:, :1]), initial=0.0)
-        if spread < tol * scale:
+        if spread < DIAGONALITY_TOL * scale:
             return True, "any"
         return True, "fock"
     if isinstance(family.index, QuadratureIndex):

@@ -71,8 +71,12 @@ def _fmt(x: float) -> str:
 
 
 def cmd_kraus(args) -> int:
-    spec = parse_channel(args.family_spec) if args.family_spec else ChannelSpec(
-        args.family, args.kappa, args.noise)
+    if args.family_spec is None:
+        spec = ChannelSpec(args.family, args.kappa, 0.0 if args.noise is None else args.noise)
+    elif args.family is None and args.kappa is None and args.noise is None:
+        spec = parse_channel(args.family_spec)
+    else:
+        raise InvalidParameter("give the channel either as a positional spec or by --family/--kappa/--noise")
     try:
         if spec.family in ("A2", "B1"):
             family = kraus.build_continuous(spec, args.nodes, args.ncut)
@@ -235,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kraus.add_argument("family_spec", nargs="?", help="channel as FAMILY[:kappa[:a]]")
     p_kraus.add_argument("--family", help="family tag (alternative to positional spec)")
     p_kraus.add_argument("--kappa", type=float, default=None)
-    p_kraus.add_argument("--noise", type=float, default=0.0)
+    p_kraus.add_argument("--noise", type=float, default=None)
     p_kraus.add_argument("--ncut", type=int, default=32)
     p_kraus.add_argument("--ell-max", type=int, default=None)
     p_kraus.add_argument("--nodes", type=int, default=64)

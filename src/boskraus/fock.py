@@ -208,12 +208,13 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     return DensityMatrix(TruncatedOperator(np.diag(diag.astype(np.complex128))), tail)
 
 
-def phase_averaged_state(lam: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityMatrix:
-    """Phase-averaged coherent state: Poissonian diagonal ``e^-lam lam^n / n!``."""
+def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
+    """Phase-averaged coherent state: Poissonian diagonal ``e^-lam lam^n / n!``,
+    with a tail mass of at most ``DEFAULT_TAIL_TOL``."""
     if lam < 0:
         raise InvalidParameter("Poisson parameter must be nonnegative")
     tail = _poisson_tail(lam, n_cut)
-    _check_tail(tail, tail_tol, f"phase_averaged({lam})")
+    _check_tail(tail, DEFAULT_TAIL_TOL, f"phase_averaged({lam})")
     n = np.arange(n_cut)
     logp = -lam + n * np.log(lam) - gammaln(n + 1) if lam > 0 else np.where(n == 0, 0.0, -np.inf)
     return DensityMatrix(TruncatedOperator(np.diag(np.exp(logp).astype(np.complex128))), tail)
@@ -230,20 +231,16 @@ def random_mixed_state(seed: int, rank: int, n_cut: int) -> DensityMatrix:
     return DensityMatrix(TruncatedOperator(mat), 0.0)
 
 
-def state_new(kind: str, n_cut: int, *, n: int = 0, alpha: complex = 0.0, a0: float = 1.0,
-              lam: float = 0.0, seed: int = 0, rank: int = 1,
-              tail_tol: float = DEFAULT_TAIL_TOL) -> DensityMatrix:
-    """Dispatch constructor used by the CLI; ``kind`` names the state family."""
+def state_new(kind: str, n_cut: int, *, n: int = 0, alpha: complex = 0.0, a0: float = 1.0) -> DensityMatrix:
+    """Dispatch constructor used by the CLI: ``kind`` is ``fock`` (level ``n``),
+    ``coherent`` (amplitude ``alpha``) or ``thermal`` (parameter ``a0``); the
+    last two allow a tail mass up to ``DEFAULT_TAIL_TOL``."""
     if kind == "fock":
         return fock_state(n, n_cut)
     if kind == "coherent":
-        return coherent_state(alpha, n_cut, tail_tol)
+        return coherent_state(alpha, n_cut)
     if kind == "thermal":
-        return thermal_state(a0, n_cut, tail_tol)
-    if kind == "phase_averaged":
-        return phase_averaged_state(lam, n_cut, tail_tol)
-    if kind == "random_mixed":
-        return random_mixed_state(seed, rank, n_cut)
+        return thermal_state(a0, n_cut)
     raise InvalidParameter(f"unknown state kind {kind!r}")
 
 

@@ -77,6 +77,7 @@ from .fock import (
 DEFECT_HARD_LIMIT = 1e-4
 SUGGEST_ELL_CAP = 100000
 MAX_DENSE_BYTES = 1 << 30
+RANK_ONE_PROBE_TOL = 1e-4  # trace distance a rank-one grid may miss the thermal probe by
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,6 @@ class KrausFamily:
     def __len__(self) -> int:
         return (self._ops if self.coeffs is None else self.coeffs).shape[0]
 
-    def __getitem__(self, ell: int) -> TruncatedOperator:
-        return TruncatedOperator(self.ops[ell])
-
     def to_json_dict(self) -> dict:
         if isinstance(self.index, DiscreteIndex):
             index = {"kind": "discrete", "ell_max": self.index.ell_max}
@@ -165,8 +163,13 @@ class KrausFamily:
             index = {"kind": "quadrature", "nodes": nodes.real.tolist(), "weights": self.index.weights.tolist()}
             if np.iscomplexobj(nodes):  # rank-one families sit on complex nodes
                 index["nodes_im"] = nodes.imag.tolist()
+        if self.coeffs is None:
+            square_ops = self.ops
+        else:  # one operator at a time, under the size limit of the stack it stands in for
+            _check_stack_bytes(*self.coeffs.shape)
+            square_ops = _each_square_operator(self.coeffs, self.band)
         operators = []
-        for op in self.ops:
+        for op in square_ops:
             rows, cols = np.nonzero(op)
             operators.append({
                 "rows": rows.tolist(),
@@ -281,6 +284,18 @@ def _square_stack(coeffs: np.ndarray, band: str) -> np.ndarray:
     return ops
 
 
+def _each_square_operator(coeffs: np.ndarray, band: str):
+    """The square operators of a table one at a time, each a fresh ``(N, N)``
+    matrix equal to its slice of :func:`_square_stack`; the stack is never built."""
+    dim = coeffs.shape[1]
+    ell, rows, cols, values = _square_placement(coeffs, band)
+    bounds = np.searchsorted(ell, np.arange(len(coeffs) + 1))  # entries come grouped by operator
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        op = np.zeros((dim, dim), dtype=np.complex128)
+        op[rows[lo:hi], cols[lo:hi]] = values[lo:hi]
+        yield op
+
+
 def _table_defect(coeffs: np.ndarray, band: str, block: int | None = None) -> float:
     """``max |(sum_l W_l^dag W_l)[j, j] - 1|`` over the protected block ``j < block``.
 
@@ -303,9 +318,13 @@ def raw_completeness_defect(ops: np.ndarray, block: int | None = None) -> float:
 
     Accepts rectangular stacks ``(n_ops, n_rows, n_cols)``: the sum runs
     over the full row range so the range cutoff does not masquerade as an
-    index-sum deficiency.  The default block is half the column space.
+    index-sum deficiency.  The default block is half the column space, and
+    only its columns enter: one small product per operator (batched
+    ``matmul``), summed over the operators.
     """
-    return _identity_defect(np.einsum("lji,ljk->ik", ops.conj(), ops), block)
+    cols = ops[:, :, :ops.shape[-1] // 2 if block is None else block]
+    gram = (np.swapaxes(cols.conj(), 1, 2) @ cols).sum(0)
+    return _identity_defect(gram, len(gram))
 
 
 def _identity_defect(s: np.ndarray, block: int | None) -> float:
@@ -442,8 +461,7 @@ def _times_exp_square(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
-                     defect_limit: float = DEFECT_HARD_LIMIT) -> KrausFamily:
+def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFamily:
     """Quadrature-discretized Kraus family for ``A2`` or ``B1(a)``.
 
     A2 operators are ``V_q = |q/sqrt(2)) <q|`` (coherent ket, position
@@ -481,8 +499,8 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int,
         defect = float(abs(np.sum(w) / np.sqrt(np.pi) - 1.0))
     else:
         raise UnsupportedFamily(f"family {fam} is not a continuous-index family")
-    if not np.isfinite(defect) or defect > defect_limit:
-        raise DefectTooLarge(f"{spec}: defect {defect:.3e} > {defect_limit:.1e}; raise node_count or n_cut")
+    if not np.isfinite(defect) or defect > DEFECT_HARD_LIMIT:
+        raise DefectTooLarge(f"{spec}: defect {defect:.3e} > {DEFECT_HARD_LIMIT:.1e}; raise node_count or n_cut")
     return KrausFamily(spec, ops, index, defect)
 
 
@@ -638,7 +656,7 @@ def coherent_disc_grid(radius: float, n_radial: int, n_angular: int) -> tuple[np
 
 
 def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int,
-               probe_check: bool = True, probe_tol: float = 1e-4) -> KrausFamily:
+               probe_check: bool = True) -> KrausFamily:
     """Rank-one (entanglement-breaking) Kraus family for ``D(kappa)``.
 
     Each operator is
@@ -669,7 +687,7 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
         reference = apply(build_discrete(ChannelSpec("D", kappa), suggest_ell_max(ChannelSpec("D", kappa), n_cut), n_cut), probe)
         got = apply(family, probe)
         dev = trace_distance(got, reference)
-        if dev > probe_tol:
+        if dev > RANK_ONE_PROBE_TOL:
             raise GridTooCoarse(f"rank-one grid misses the channel output by {dev:.3e} on the thermal probe")
     return family
 

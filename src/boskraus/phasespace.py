@@ -45,6 +45,8 @@ OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 CP_TOL = 1e-8
+CLASSIFY_TOL = 1e-9  # how close to a boundary gain or a zero invariant classify snaps
+MOMENT_TAIL_LIMIT = 1e-4  # largest tail mass moments_from_density reads moments from
 
 
 def cp_defect(x: np.ndarray, y: np.ndarray) -> float:
@@ -149,14 +151,15 @@ def canonical_xy(spec: ChannelSpec) -> XYPair:
     raise UnsupportedFamily(f"unknown family {fam}")
 
 
-def classify(xy: XYPair, tol: float = 1e-9) -> ChannelSpec:
+def classify(xy: XYPair) -> ChannelSpec:
     """Recover the canonical spec from symplectic invariants.
 
     Family from the rank and determinant sign of X with
     ``kappa = sqrt(|det X|)``; classical noise from the invariant
     ``sqrt(det Y)`` minus the quantum-limited threshold.  The B1 noise
     magnitude is gauge (any positive value is symplectically reachable),
-    so the trace of Y in the presented frame is reported.
+    so the trace of Y in the presented frame is reported.  Boundary cases snap
+    within ``CLASSIFY_TOL``.
     """
     x, y = xy.x, xy.y
     if cp_defect(x, y) < -CP_TOL:
@@ -174,24 +177,24 @@ def classify(xy: XYPair, tol: float = 1e-9) -> ChannelSpec:
                 f"its quantum limit {y0:.6g} (residual {a:.3e})")
         return max(a, 0.0)
 
-    if sing[0] <= tol:  # X = 0
-        return ChannelSpec("A1", noise_a=_noise("A1", 1.0)).normalized(tol)
-    if abs(det_x) <= tol * sing[0] ** 2:  # rank one
-        return ChannelSpec("A2", noise_a=_noise("A2", 1.0)).normalized(tol)
+    if sing[0] <= CLASSIFY_TOL:  # X = 0
+        return ChannelSpec("A1", noise_a=_noise("A1", 1.0)).normalized(CLASSIFY_TOL)
+    if abs(det_x) <= CLASSIFY_TOL * sing[0] ** 2:  # rank one
+        return ChannelSpec("A2", noise_a=_noise("A2", 1.0)).normalized(CLASSIFY_TOL)
     kappa = float(np.sqrt(abs(det_x)))
     if det_x < 0.0:
         return ChannelSpec("D", kappa, _noise("D", 1.0 + kappa**2))
-    if abs(kappa - 1.0) <= tol:
+    if abs(kappa - 1.0) <= CLASSIFY_TOL:
         # B family: distinguish by the rank of Y
         y_evals = np.linalg.eigvalsh(y)
-        if y_evals.max() <= tol:
+        if y_evals.max() <= CLASSIFY_TOL:
             return ChannelSpec("I")
-        if det_y <= tol * y_evals.max() ** 2:
+        if det_y <= CLASSIFY_TOL * y_evals.max() ** 2:
             return ChannelSpec("B1", noise_a=float(np.trace(y)))
         return ChannelSpec("B2", noise_a=sqrt_det_y)
     if kappa < 1.0:
-        return ChannelSpec("C1", kappa, _noise("C1", 1.0 - kappa**2)).normalized(tol)
-    return ChannelSpec("C2", kappa, _noise("C2", kappa**2 - 1.0)).normalized(tol)
+        return ChannelSpec("C1", kappa, _noise("C1", 1.0 - kappa**2)).normalized(CLASSIFY_TOL)
+    return ChannelSpec("C2", kappa, _noise("C2", kappa**2 - 1.0)).normalized(CLASSIFY_TOL)
 
 
 def compose_xy(first: XYPair, second: XYPair) -> XYPair:
@@ -382,9 +385,10 @@ def covariance_map(xy: XYPair, g: GaussianMoments) -> GaussianMoments:
     return GaussianMoments(xy.x.T @ g.mean, xy.x.T @ g.cov @ xy.x + xy.y)
 
 
-def moments_from_density(rho: DensityMatrix, tail_limit: float = 1e-4) -> GaussianMoments:
-    """First and symmetrized second quadrature moments of a truncated state."""
-    if rho.tail_mass >= tail_limit:
+def moments_from_density(rho: DensityMatrix) -> GaussianMoments:
+    """First and symmetrized second quadrature moments of a truncated state
+    whose tail mass is below ``MOMENT_TAIL_LIMIT``."""
+    if rho.tail_mass >= MOMENT_TAIL_LIMIT:
         raise TailTooLarge(f"tail mass {rho.tail_mass:.3e} too large for reliable moments")
     q, p = quadrature_ops(rho.dim)
     mq = float(np.trace(rho.mat @ q).real)

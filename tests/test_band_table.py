@@ -5,6 +5,7 @@ from the closed forms, one operator at a time, with enough rows that no band
 weight falls off the bottom of the block.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -352,3 +353,84 @@ def test_fixedpoint_csv_unchanged_by_the_offset_loop(tmp_path, monkeypatch, caps
     csv = [(tmp_path / side / "fixedpoint.csv").read_bytes() for side in ("new", "ref")]
     assert csv[0] == csv[1]
     assert csv[0].count(b"\n") == 7  # header and steps 0..5
+
+
+def reference_to_json_dict(family):
+    """The JSON writer before it read the table: every operator from the dense stack ``ops``."""
+    if isinstance(family.index, kraus.DiscreteIndex):
+        index = {"kind": "discrete", "ell_max": family.index.ell_max}
+    else:
+        nodes = family.index.nodes
+        index = {"kind": "quadrature", "nodes": nodes.real.tolist(), "weights": family.index.weights.tolist()}
+        if np.iscomplexobj(nodes):  # rank-one families sit on complex nodes
+            index["nodes_im"] = nodes.imag.tolist()
+    operators = []
+    for op in family.ops:
+        rows, cols = np.nonzero(op)
+        operators.append({
+            "rows": rows.tolist(),
+            "cols": cols.tolist(),
+            "re": op[rows, cols].real.tolist(),
+            "im": op[rows, cols].imag.tolist(),
+        })
+    return {
+        "spec": family.spec.to_json_dict() if family.spec is not None else None,
+        "index_kind": index,
+        "dim": family.dim,
+        "completeness_defect": float(family.completeness_defect),
+        "origin": family.origin,
+        "operators": operators,
+    }
+
+
+@pytest.mark.parametrize("spec,ell_max,n_cut", [
+    (ChannelSpec("D", 0.8), None, 32), (ChannelSpec("D", 1.3), 10, 24), (ChannelSpec("C1", 0.7), None, 48),
+    (ChannelSpec("C1", 1e-10), None, 48), (ChannelSpec("C2", 1.3), None, 32), (ChannelSpec("A1"), None, 16),
+    (ChannelSpec("I"), None, 16),
+], ids=["D", "D-short", "C1", "C1-underflow", "C2", "A1", "I"])
+def test_json_of_a_banded_family_reads_its_table(spec, ell_max, n_cut):
+    ell_max = suggest_ell_max(spec, n_cut) if ell_max is None else ell_max
+    fam = build_discrete(spec, ell_max, n_cut, defect_limit=2.0)
+    got = json.dumps(fam.to_json_dict(), sort_keys=True)
+    assert fam._ops is None
+    assert got == json.dumps(reference_to_json_dict(fam), sort_keys=True)
+    if spec == ChannelSpec("C1", 1e-10):  # underflowed coefficients are dropped like any zero
+        assert np.count_nonzero(fam.coeffs == 0.0) > 0
+        assert len(json.loads(got)["operators"][0]["rows"]) < n_cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(_KAPPAS)), n_cut=st.integers(4, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_is_stable_when_the_cutoff_grows_by_16(data, family, n_cut, seed):
+    # the table entries and every term that reaches the first N levels are the same at N + 16
+    spec = ChannelSpec(family, data.draw(_KAPPAS[family]))
+    ell_max = data.draw(st.integers(0, 2 * n_cut))
+    block = data.draw(st.integers(2, n_cut))  # a state needs two levels
+    state = random_mixed_state(seed, min(4, block), block).mat
+    outputs = []
+    for dim in (n_cut, n_cut + 16):
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[:block, :block] = state
+        outputs.append(apply_matrix(build_discrete(spec, ell_max, dim, defect_limit=1e300), mat))
+    assert np.array_equal(outputs[1][:n_cut, :n_cut], outputs[0])
+
+
+def reference_raw_completeness_defect(ops, block=None):
+    """``raw_completeness_defect`` by the plain contraction over the whole stack it used before."""
+    s = np.einsum("lji,ljk->ik", ops.conj(), ops)
+    b = len(s) // 2 if block is None else block
+    return float(np.linalg.norm((s - np.eye(len(s)))[:b, :b], ord=2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _banded_ops(ChannelSpec("C2", 1.3), 40, 64, 24),
+    lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 48, 24).ops,
+    lambda: np.random.default_rng(3).normal(size=(30, 20, 16)) + 0j,
+], ids=["rectangular-band", "displacements", "random"])
+def test_raw_defect_is_the_contraction(build):
+    # the batched products sum in another order: a tolerance a few hundred ulps wide
+    ops = build()
+    for block in (None, 1, ops.shape[-1]):
+        want = reference_raw_completeness_defect(ops, block)
+        assert abs(raw_completeness_defect(ops, block) - want) <= 1e-13 * max(1.0, want)

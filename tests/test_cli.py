@@ -48,6 +48,16 @@ class TestKrausCommand:
         code, out, err = run(capsys, "kraus", "D:0.9", "--ncut", "32", "--ell-max", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [["--family", "D", "--kappa", "0.3"], ["--family", "C1"],
+                                       ["--kappa", "0.3"], ["--noise", "0"]],
+                             ids=["family-and-kappa", "same-family", "kappa", "zero-noise"])
+    def test_spec_with_family_options_is_one_error_line(self, capsys, tmp_path, extra):
+        # the positional spec would otherwise win and the options be dropped unread
+        code, out, err = run(capsys, "kraus", "C1:0.7", *extra, "--out", str(tmp_path / "fam.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("nodes", ["400", "600"])
     def test_many_quadrature_nodes(self, capsys, nodes):
         code, out, err = run(capsys, "kraus", "A2", "--nodes", nodes, "--ncut", "16")
