@@ -9,6 +9,8 @@ classicality diagnostics of each family.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +26,9 @@ from .errors import (
 )
 from .fock import (
     DensityMatrix,
-    char_weyl,
+    _displacement_chunks,
     coherent_amplitudes,
     coherent_state,
-    displacement_op,
     hermite_psi_table,
     q_function,
     trace_distance,
@@ -152,11 +153,15 @@ def _fd_weights(order: int, offsets: np.ndarray) -> np.ndarray:
 def _cumulant_table(rho: DensityMatrix, max_order: int, h: float) -> np.ndarray:
     half = (max_order + 1) // 2 + 1
     offsets = np.arange(-half, half + 1)
+    points = np.array([complex(oi * h, oj * h) for oi in offsets for oj in offsets])
     grid = np.empty((offsets.size, offsets.size), dtype=complex)
-    for i, oi in enumerate(offsets):
-        for j, oj in enumerate(offsets):
-            chi = char_weyl(rho, complex(oi * h, oj * h))
+    rho_t = rho.mat.T
+    for part, stack in _displacement_chunks(points, rho.dim):
+        for flat, d in enumerate(stack, part.start):
+            chi = complex(np.sum(d * rho_t))  # char_weyl, one slice at a time: a batched sum rounds differently
+            i, j = divmod(flat, offsets.size)
             if abs(chi) < 1e-12:
+                oi, oj = offsets[i], offsets[j]
                 raise StencilFailure(f"characteristic function vanishes at stencil point ({oi*h}, {oj*h})")
             grid[i, j] = np.log(chi)
     out = np.full((max_order + 1, max_order + 1), np.nan)
@@ -183,9 +188,18 @@ def cumulants(rho: DensityMatrix, max_order: int, h: float = 2e-2) -> np.ndarray
     step balances the h^4 extrapolation remainder against the eps/h^4
     roundoff floor of fourth derivatives; below 1e-2 the roundoff side
     exceeds 1e-6 on exactly-Gaussian states.
+
+    Each table reads ``chi_W`` on a square grid of ``(2 * ((max_order + 1) // 2) + 3)^2``
+    points (49 for orders 3 and 4), all taken from one stack of displacements; the values are
+    ``char_weyl``'s bit for bit.  ``max_order`` must be an integer in ``0..6`` and ``h``
+    finite and positive (``InvalidParameter``, before any point is evaluated).
     """
+    if isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral) or max_order < 0:
+        raise InvalidParameter(f"cumulant order must be a nonnegative integer, got {max_order!r}")
     if max_order > 6:
         raise InvalidParameter("cumulants supported up to total order 6")
+    if not (math.isfinite(h) and h > 0):
+        raise InvalidParameter(f"stencil step h must be finite and positive, got {h!r}")
     coarse = _cumulant_table(rho, max_order, h)
     fine = _cumulant_table(rho, max_order, 0.5 * h)
     return (4.0 * fine - coarse) / 3.0
@@ -404,7 +418,9 @@ def simultaneous_diagonality(family: KrausFamily) -> tuple[bool, str]:
     A dense family forms its products by batched ``matmul``.
     Displacement-built families are re-evaluated with enough extra rows
     for the unitary factor's product to close; the stored square
-    truncation would leave spurious off-diagonals near the cutoff.
+    truncation would leave spurious off-diagonals near the cutoff.  The
+    taller displacements come from ``fock``'s stack kernel a bounded chunk
+    of nodes at a time, and only their first ``dim`` columns are kept.
     """
     if family.coeffs is not None:
         diags = _band_gram_diagonals(family.coeffs, family.band)
@@ -419,9 +435,9 @@ def simultaneous_diagonality(family: KrausFamily) -> tuple[bool, str]:
             beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
             n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(family.dim)) ** 2)) + 8
             scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
-            ops = np.stack([
-                displacement_op(q / np.sqrt(2.0), n_ext).mat[:, :family.dim] for q in nodes
-            ])
+            ops = np.empty((len(nodes), n_ext, family.dim), dtype=np.complex128)
+            for part, stack in _displacement_chunks(nodes / np.sqrt(2.0), n_ext):
+                ops[part] = stack[:, :, :family.dim]
             norm = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
             ops = ops * (scales / np.maximum(norm, 1e-300))[:, None, None]
         prods = np.swapaxes(ops.conj(), 1, 2) @ ops

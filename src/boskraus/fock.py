@@ -13,10 +13,20 @@ Everything in this package lives on the span of the number states
 States carry an explicit ``tail_mass`` recording the probability that the
 untruncated state assigns beyond the cutoff, so truncation error is never
 silent.
+
+Gaussian Fock amplitudes come from two table kernels, each serving every
+caller with one vectorized step per recurrence index over all points:
+:func:`coherent_amplitudes` (coherent kets) and the displacement stack behind
+:func:`displacement_op`, which also builds the B1 Kraus operators
+(``kraus.build_continuous``), the B1 diagonality check and the cumulant grid
+(``analysis``) a bounded chunk of points at a time.  Both repeat the scalar
+arithmetic they replaced, so every value is the same bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +43,8 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-2
+DISPLACEMENT_CHUNK_BYTES = 8 << 20  # tables of one chunk of a displacement stack
+_DISPLACEMENT_ENTRY_BYTES = 56  # per point and matrix entry: Laguerre 8, prefactors 2 x 16, gathered 16
 
 _PI_QUARTER = np.pi ** (-0.25)
 
@@ -244,6 +256,99 @@ def state_new(kind: str, n_cut: int, *, n: int = 0, alpha: complex = 0.0, a0: fl
     raise InvalidParameter(f"unknown state kind {kind!r}")
 
 
+def _abs_squared(z) -> float:
+    """``abs(z) ** 2`` as the scalar code computes it (``np.abs`` of an array rounds differently),
+    infinite where the square overflows."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _displacement_chunks(xi, n_cut: int):
+    """Check every point of ``xi`` and the cutoff, then return an iterator of ``(part, stack)``.
+
+    ``stack[i]`` is the matrix of ``D(xi.ravel()[part][i])``; consecutive parts cover the points in
+    order.  The tables of one chunk take about ``DISPLACEMENT_CHUNK_BYTES`` (at least one point), so
+    a caller that copies each chunk into its own array holds little more than that array.
+    """
+    if isinstance(n_cut, bool) or not isinstance(n_cut, numbers.Integral) or n_cut < 2:
+        raise InvalidParameter(f"displacement cutoff must be an integer of at least 2, got {n_cut!r}")
+    if n_cut > 1020:
+        raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
+    points = np.asarray(xi)
+    if points.dtype.kind not in "iufc":
+        raise InvalidParameter(f"displacement argument must be a number, got {xi!r}")
+    points = points.ravel()
+    x = np.array([_abs_squared(z) for z in points.tolist()], dtype=float)
+    bad = np.flatnonzero(~(x * n_cut <= 1e6))
+    if bad.size:
+        if np.isnan(x[bad[0]]):
+            raise InvalidParameter(f"displacement argument must be finite, got {points[bad[0]]}")
+        raise InvalidParameter(f"displacement argument too large: |xi|^2 = {x[bad[0]]:.3e}")
+    step = max(1, DISPLACEMENT_CHUNK_BYTES // (_DISPLACEMENT_ENTRY_BYTES * n_cut**2))
+    parts = [slice(s, min(s + step, points.size)) for s in range(0, points.size, step)]
+    return ((part, _displacement_stack(points[part], x[part], n_cut)) for part in parts)
+
+
+def _displacement_chains(xi: np.ndarray, n_cut: int) -> np.ndarray:
+    """``arg^j / sqrt(j!)`` for ``j < n_cut``, ``arg = xi`` and ``arg = -conj(xi)``: shape ``(P, 2, n_cut)``.
+
+    One step per ``j`` for all points, in real arithmetic that repeats the scalar chain
+    ``p *= arg / np.sqrt(j)`` operation by operation.  For a complex point ``xi`` is a Python
+    complex, divided as ``(a + b*0) / c``, and ``-conj(xi)`` a NumPy ``complex128``, multiplied
+    by the reciprocal, ``(a + b*0) * (1/c)``; a real point is divided in both chains.  Each
+    product is Python's and NumPy's scalar complex multiply, ``(pr*qr - pi*qi, pr*qi + pi*qr)``.
+    """
+    c = np.sqrt(np.arange(1, n_cut))
+    if xi.dtype.kind == "c":
+        ar, ai = xi.real, xi.imag
+        ur, ui = -ar, ai
+        step_re = np.stack([(ar + ai * 0.0)[:, None] / c, (ur + ui * 0.0)[:, None] * (1.0 / c)], axis=1)
+        step_im = np.stack([(ai - ar * 0.0)[:, None] / c, (ui - ur * 0.0)[:, None] * (1.0 / c)], axis=1)
+    else:  # an integer 0 negates to +0: negate before the cast
+        step_re = np.stack([xi.astype(float)[:, None] / c, np.negative(xi).astype(float)[:, None] / c], axis=1)
+        step_im = np.zeros_like(step_re)
+    parts = np.empty((2, xi.size, 2, n_cut))
+    parts[0, ..., 0], parts[1, ..., 0] = pr, pi = 1.0, 0.0
+    for j in range(1, n_cut):
+        qr, qi = step_re[..., j - 1], step_im[..., j - 1]
+        pr, pi = pr * qr - pi * qi, pr * qi + pi * qr
+        parts[0, ..., j], parts[1, ..., j] = pr, pi
+    out = np.empty((xi.size, 2, n_cut), dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
+
+
+def _displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.ndarray:
+    """``D(xi[i])`` for every point of the 1-d array ``xi`` (``x[i] = |xi[i]|^2``), shape ``(P, N, N)``.
+
+    The ``[k, delta]`` Laguerre and prefactor tables of :func:`displacement_op`'s closed form, with a
+    leading axis over the points: one Laguerre step per ``k`` and one prefactor chain step per ``j``
+    serve every point, and one gather reads the stack.
+    """
+    offsets = np.arange(n_cut)
+    m, n = np.ogrid[:n_cut, :n_cut]
+    at = (m < n) * n_cut**2 + np.minimum(m, n) * n_cut + np.abs(m - n)  # flat [triangle, k, delta]
+    lag = np.zeros((xi.size, n_cut, n_cut))
+    lag[:, 0] = 1.0
+    lag[:, 1, :-1] = 1.0 + offsets[:-1] - x[:, None]
+    for k in range(1, n_cut - 1):
+        w = n_cut - 1 - k
+        d = offsets[:w]
+        lag[:, k + 1, :w] = ((2 * k + 1 + d - x[:, None]) * lag[:, k, :w] - (k + d) * lag[:, k - 1, :w]) / (k + 1)
+    # sqrt(k!/(k+delta)!) arg^delta, m >= n then m < n: the chain at k = 0, a real factor per k
+    pref = np.empty((xi.size, 2, n_cut, n_cut), dtype=np.complex128)
+    pref[:, :, 0] = _displacement_chains(xi, n_cut)
+    k = np.arange(1, n_cut)[:, None]
+    pref[:, :, 1:] = np.sqrt(k / (k + offsets))
+    np.cumprod(pref, axis=2, out=pref)
+    pref *= lag[:, None]
+    del lag  # not live during the gather below
+    pref *= np.exp(-0.5 * x)[:, None, None, None]
+    return pref.reshape(xi.size, -1)[:, at]
+
+
 def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
     """Matrix of ``D(xi) = exp(xi a^dag - conj(xi) a)`` on the truncated space.
 
@@ -256,43 +361,28 @@ def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
     ``[k, delta]`` (smaller label, offset ``|m - n|``).  The Laguerre table
     depends on ``|xi|^2`` only and serves both triangles; a stable upward
     recurrence fills it, one vector step per ``k`` across all offsets.  No
-    factorial ratios of large arguments are formed.  Above a cutoff of 1020 the
-    unscaled table (``L_k^(delta)(0) = C(k + delta, k)``) overflows: ``OrderTooLarge``.
+    factorial ratios of large arguments are formed.  This is a one-point call
+    of the stack kernel that also builds the B1 family and the cumulant grid,
+    so every one of their operators is this matrix bit for bit.
+
+    The cutoff must be an integer of at least 2 and ``xi`` a finite number with
+    ``|xi|^2 n_cut <= 1e6`` (``InvalidParameter``, before anything is
+    allocated).  Above a cutoff of 1020 the unscaled table
+    (``L_k^(delta)(0) = C(k + delta, k)``) overflows: ``OrderTooLarge``.
     """
-    if n_cut > 1020:
-        raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
-    x = abs(xi) ** 2
-    if x * n_cut > 1e6:
-        raise InvalidParameter(f"displacement argument too large: |xi|^2 = {x:.3e}")
-    gauss = np.exp(-0.5 * x)
-    offsets = np.arange(n_cut)
-    lag = np.zeros((n_cut, n_cut))
-    lag[:1] = 1.0
-    lag[1:2, :-1] = 1.0 + offsets[:-1] - x
-    for k in range(1, n_cut - 1):
-        w = n_cut - 1 - k
-        d = offsets[:w]
-        lag[k + 1, :w] = ((2 * k + 1 + d - x) * lag[k, :w] - (k + d) * lag[k - 1, :w]) / (k + 1)
-    # sqrt(k!/(k+delta)!) arg^delta, m >= n then m < n: scalar chain at k = 0, real factor per k
-    pref = np.ones((2, n_cut, n_cut), dtype=np.complex128)
-    arg_upper = -np.conj(xi)
-    p_lower = p_upper = 1.0 + 0.0j
-    for j in range(1, n_cut):
-        p_lower *= xi / np.sqrt(j)
-        p_upper *= arg_upper / np.sqrt(j)
-        pref[:, 0, j] = p_lower, p_upper
-    k = np.arange(1, n_cut)[:, None]
-    pref[:, 1:] = np.sqrt(k / (k + offsets))
-    np.cumprod(pref, axis=1, out=pref)
-    pref *= lag
-    pref *= gauss
-    del lag  # not live during the gather below
-    m, n = np.ogrid[:n_cut, :n_cut]
-    return TruncatedOperator(pref[(m < n).astype(int), np.minimum(m, n), np.abs(m - n)])
+    if np.ndim(xi) != 0:
+        raise InvalidParameter(f"displacement_op takes one point, got shape {np.shape(xi)}")
+    (_, stack), = _displacement_chunks(xi, n_cut)
+    return TruncatedOperator(stack[0])
 
 
 def char_weyl(rho: DensityMatrix, xi: complex) -> complex:
-    """Weyl-ordered characteristic function ``tr(D(xi) rho)``."""
+    """Weyl-ordered characteristic function ``tr(D(xi) rho)``, as ``sum(D * rho^T)`` over the matrix.
+
+    ``analysis.cumulants`` takes its grid of these values from one stack of
+    displacements, with the same sum over each slice, so its values are this
+    function's bit for bit.
+    """
     d = displacement_op(xi, rho.dim).mat
     return complex(np.sum(d * rho.mat.T))
 

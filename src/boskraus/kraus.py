@@ -49,10 +49,11 @@ factorial ratios.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_hermite
+from scipy.special import eval_hermite, gammaln, roots_hermite
 
 from .channels import ChannelSpec
 from .errors import (
@@ -66,9 +67,10 @@ from .errors import (
 from .fock import (
     DensityMatrix,
     TruncatedOperator,
+    _displacement_chunks,
     bandwidth,
     coherent_amplitudes,
-    displacement_op,
+    displacement_op,  # noqa: F401  a name of this module, kept for code that patches it
     hermite_psi_table,
     thermal_state,
     trace_distance,
@@ -440,13 +442,52 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
     return KrausFamily.banded(spec, coeffs, band, defect)
 
 
+def _node_count(node_count) -> int:
+    """``node_count`` as an int, which ``scipy.special.roots_hermite`` takes: a whole number >= 1."""
+    if isinstance(node_count, bool) or not isinstance(node_count, numbers.Real) \
+            or not float(node_count).is_integer() or node_count < 1:
+        raise InvalidParameter(f"node count must be a whole number of at least 1, got {node_count!r}")
+    return int(node_count)
+
+
+def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.special.roots_hermite(node_count)``: nodes and weights for ``integral e^(-x^2) f(x) dx``.
+
+    Up to 150 nodes scipy solves the Golub-Welsch eigenproblem with
+    ``scipy.linalg.eigvals_banded``, whose first import costs about 65 ms.
+    This repeats its steps with ``np.linalg.eigvalsh`` on the same tridiagonal
+    matrix (the same bits for every count from 1 to 150): one Newton step on
+    the eigenvalues, the log-normalized weight formula, symmetrization and
+    normalization to ``sqrt(pi)``.  Above 150 scipy's asymptotic rule imports
+    no linalg and is called as it is.
+    """
+    n = _node_count(node_count)
+    if n > 150:
+        return roots_hermite(n)
+    b = np.sqrt(np.arange(1, n) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+    y = eval_hermite(n, x)
+    dy = 2.0 * n * eval_hermite(n - 1, x)
+    x -= y / dy
+    # fm and dy span many decades: scale each by its geometric midrange before the product
+    fm = eval_hermite(n - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    return x, w
+
+
 def hermite_quadrature(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and total weights for ``integral dq f(q)``.
 
     Returns ``(x, w)`` with ``sum w_i f(x_i) ~ integral f`` for integrands
     decaying at least like ``exp(-x^2)``; ``w = w_GH * exp(x^2)``.
     """
-    x, w = roots_hermite(node_count)
+    x, w = _gauss_hermite(node_count)
     return x, _times_exp_square(w, x)
 
 
@@ -467,9 +508,12 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
     A2 operators are ``V_q = |q/sqrt(2)) <q|`` (coherent ket, position
     bra); B1 operators are Gaussian-weighted displacements
     ``Z_q = (pi a)^(-1/4) exp(-q^2/(2a)) D(q/sqrt(2))``.  Both are
-    premultiplied by the square root of their quadrature weight.
+    premultiplied by the square root of their quadrature weight.  The B1
+    displacements come from the stack kernel of ``fock``, a bounded chunk of
+    nodes at a time, each operator equal to ``displacement_op`` of its node
+    bit for bit; every node is checked before the stack is allocated.
     """
-    if node_count < 32:
+    if _node_count(node_count) < 32:
         raise InvalidParameter(f"node_count must be at least 32, got {node_count}")
     fam = spec.family
     if fam == "A2":
@@ -488,11 +532,13 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
             return KrausFamily(spec, ops, QuadratureIndex(np.zeros(1), np.ones(1)), 0.0)
         _check_stack_bytes(node_count, n_cut)
         # substitute q = sqrt(a) t: (pi a)^(-1/2) integral dq e^(-q^2/a) D(q/sqrt2) rho D^dag
-        t, w = roots_hermite(node_count)
+        t, w = _gauss_hermite(node_count)
         q = np.sqrt(a) * t
+        chunks = _displacement_chunks(q / np.sqrt(2.0), n_cut)
+        scale = np.sqrt(w / np.sqrt(np.pi))
         ops = np.empty((node_count, n_cut, n_cut), dtype=np.complex128)
-        for i in range(node_count):
-            ops[i] = np.sqrt(w[i] / np.sqrt(np.pi)) * displacement_op(q[i] / np.sqrt(2.0), n_cut).mat
+        for part, stack in chunks:
+            np.multiply(scale[part, None, None], stack, out=ops[part])
         index = QuadratureIndex(q, _times_exp_square(w * np.sqrt(a), t))
         # the displacement factor is exactly unitary, so only the Gaussian
         # quadrature itself can fall short of the completeness integral

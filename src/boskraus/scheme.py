@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .channels import ChannelSpec
 from .errors import (
@@ -48,6 +47,7 @@ from .kraus import (
     KrausFamily,
     QuadratureIndex,
     _check_stack_bytes,
+    _gauss_hermite,
     completeness_defect,
     hermite_quadrature,
     raw_completeness_defect,
@@ -111,7 +111,7 @@ def mix_matrix(spec: ChannelSpec) -> MixMatrix:
 def _quadrature_check(form: GeneratingForm, m: np.ndarray) -> None:
     # Direct 2D Gauss-Hermite evaluation of the defining integral at five seeded random v.
     rng = np.random.default_rng(7)
-    x, w = roots_hermite(60)
+    x, w = _gauss_hermite(60)
     x1, x2 = np.meshgrid(x, x, indexing="ij")
     ww = np.outer(w, w)
     for _ in range(5):
