@@ -246,20 +246,67 @@ def _ordered_ops(family: KrausFamily, count: int) -> np.ndarray:
     return family.ops[order[:count]]
 
 
+def _band_gram(coeffs: np.ndarray, band: str, count: int) -> tuple[np.ndarray, float]:
+    """Gram matrix of the products ``W_m^dag W_n`` (``m, n < count``) of a single-band
+    family, and the largest entry of its part carried by the top 8 rows and columns.
+
+    At each output level ``t`` both factors have at most one entry, at the columns
+    ``c_m(t)`` and ``c_n(t)``, so the product has the one entry ``w_m(t) w_n(t)`` at
+    ``(c_m(t), c_n(t))``: it lies on the diagonal at offset ``c_n - c_m``, kept whole
+    as a length-``N`` row indexed by the row of each entry.  Products on different
+    diagonals are orthogonal, so the Gram matrix is block-diagonal by offset.  Each
+    block is one einsum over whole diagonals in increasing row order, which adds the
+    nonzero terms of the dense ``"aij,bij->ab"`` contraction in its order: every entry
+    is the dense one bit for bit.  ``np.dot`` or ``matmul`` would block the sums and
+    round differently.
+    """
+    dim = coeffs.shape[1]
+    ell, rows, cols, values = _square_placement(coeffs[:count], band)
+    col = np.full((count, dim), -1)
+    val = np.zeros((count, dim))
+    col[ell, rows], val[ell, rows] = cols, values
+    m, n, t = np.nonzero((col[:, None] >= 0) & (col[None] >= 0))
+    pair = m * count + n
+    diags = np.zeros((count * count, dim), dtype=np.complex128)
+    diags[pair, col[m, t]] = val[m, t] * val[n, t]
+    offsets = np.zeros(count * count, dtype=int)  # a pair with no entry may sit on any diagonal
+    offsets[pair] = col[n, t] - col[m, t]
+    gram = np.zeros((count * count, count * count), dtype=np.complex128)
+    level = np.arange(dim)
+    border = 0.0
+    for d in np.unique(offsets):
+        pick = np.flatnonzero(offsets == d)
+        block = diags[pick]
+        gram[np.ix_(pick, pick)] = np.einsum("ai,bi->ab", block.conj(), block)
+        top = block[:, (level >= dim - 8) | (level + d >= dim - 8)]
+        border = max(border, float(np.max(np.abs(top.conj() @ top.T), initial=0.0)))
+    return gram, border
+
+
 def gram_rank(family: KrausFamily, k: int) -> GramReport:
     """Numerical rank of the Gram matrix of the products ``W_m^dag W_n``.
 
     A channel is extremal iff these products are linearly independent,
     i.e. the Gram matrix of the first ``(k+1)^2`` products has full rank:
-    singular values above ``GRAM_THRESHOLD`` of the largest count.  The products
-    come from one batched ``matmul``: for single-band operators every entry
-    is one product plus exact zeros, so they equal the plain contraction bit
-    for bit.  The Gram matrix itself is the einsum ``"aij,bij->ab"``, whose
-    summation order fixes the singular values.  A cutoff sensitivity probe
-    guards against band truncation silently deflating the products: the part
-    of the Gram matrix carried by the top 8 rows and columns of the space,
-    one BLAS product over those border entries, must stay below ``1e-8``
-    of the largest singular value.
+    singular values above ``GRAM_THRESHOLD`` of the largest count.
+
+    A single-band family reads each product off two rows of its coefficient
+    table as one diagonal and fills the Gram matrix one band offset at a time
+    (:func:`_band_gram`); it builds no operator.  The result equals the dense
+    einsum ``"aij,bij->ab"`` over the product stack bit for bit, and the
+    singular values with it.  Dense families (quadrature, scheme, product and
+    JSON-loaded ones) form that stack by batched ``matmul`` and contract it, and
+    so does a single-band family at ``k = 0``: einsum sums a one-entry output in
+    buffer-sized chunks of the flat ``N x N`` product, which a diagonal cannot repeat.
+
+    A cutoff sensitivity probe guards against band truncation silently
+    deflating the products: the part of the Gram matrix carried by the
+    entries in the top 8 rows or columns of the space must stay below
+    ``1e-8`` of the largest singular value.  A single-band family sums it
+    per offset from the same diagonals; a dense one takes one BLAS product
+    over those border entries.  Quadrature families are exempt: truncated
+    position states gain norm with the cutoff without affecting linear
+    independence.
 
     For composite families built by :func:`product_family` the operators
     themselves are already two-factor products indexed by ``(m, n)``, so
@@ -270,30 +317,33 @@ def gram_rank(family: KrausFamily, k: int) -> GramReport:
     if k < 0:
         raise InvalidParameter(f"the block index k must be nonnegative, got {k}")
     count = k + 1
-    if family.origin == "product":
-        if count * count > len(family):
-            raise InvalidParameter(f"family has only {len(family)} operators, need {count * count}")
-        prods = family.ops[: count * count]
+    block = count * count
+    need = block if family.origin == "product" else count
+    if need > len(family):
+        raise InvalidParameter(f"family has only {len(family)} operators, need {need}")
+    probe = family.dim > 16 and isinstance(family.index, DiscreteIndex)
+    if family.coeffs is not None and count > 1:
+        gram, border = _band_gram(family.coeffs, family.band, count)
     else:
-        if count > len(family):
-            raise InvalidParameter(f"family has only {len(family)} operators, need {count}")
-        ops = _ordered_ops(family, count)
-        prods = np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]
-        prods = prods.reshape(count * count, family.dim, family.dim)
-    gram = np.einsum("aij,bij->ab", prods.conj(), prods)
+        if family.origin == "product":
+            prods = family.ops[:block]
+        else:
+            ops = _ordered_ops(family, count)
+            prods = (np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]).reshape(block, family.dim, family.dim)
+        gram = np.einsum("aij,bij->ab", prods.conj(), prods)
+        border = 0.0
+        if probe:
+            shrink = family.dim - 8
+            top = np.concatenate([prods[:, shrink:].reshape(block, -1),
+                                  prods[:, :shrink, shrink:].reshape(block, -1)], axis=1)
+            border = float(np.max(np.abs(top.conj() @ top.T)))
     sv = np.linalg.svd(gram, compute_uv=False)
-    if family.dim > 16 and isinstance(family.index, DiscreteIndex):
+    if probe and border > 1e-8 * max(sv[0], 1e-300):
         # banded products decay along their band; if the entries in the top
-        # rows or columns still carry Gram weight, the cutoff clipped them.
-        # (Quadrature families are exempt: truncated position states gain
-        # norm with the cutoff without affecting linear independence.)
-        shrink = family.dim - 8
-        border = np.concatenate([prods[:, shrink:].reshape(len(prods), -1),
-                                 prods[:, :shrink, shrink:].reshape(len(prods), -1)], axis=1)
-        if np.max(np.abs(border.conj() @ border.T)) > 1e-8 * max(sv[0], 1e-300):
-            raise CutoffTooSmall("Gram entries still change when the top of the cutoff is dropped")
+        # rows or columns still carry Gram weight, the cutoff clipped them
+        raise CutoffTooSmall("Gram entries still change when the top of the cutoff is dropped")
     rank = int(np.sum(sv > GRAM_THRESHOLD * sv[0]))
-    return GramReport(count * count, sv, rank, GRAM_THRESHOLD)
+    return GramReport(block, sv, rank, GRAM_THRESHOLD)
 
 
 def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamily:

@@ -265,6 +265,15 @@ def _abs_squared(z) -> float:
         return math.inf
 
 
+def _check_displacement_cutoff(n_cut) -> None:
+    """A displacement cutoff is an integer of at least 2 (``InvalidParameter``); above 1020 the
+    Laguerre table of :func:`displacement_op` overflows (``OrderTooLarge``)."""
+    if isinstance(n_cut, bool) or not isinstance(n_cut, numbers.Integral) or n_cut < 2:
+        raise InvalidParameter(f"displacement cutoff must be an integer of at least 2, got {n_cut!r}")
+    if n_cut > 1020:
+        raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
+
+
 def _displacement_chunks(xi, n_cut: int):
     """Check every point of ``xi`` and the cutoff, then return an iterator of ``(part, stack)``.
 
@@ -272,10 +281,7 @@ def _displacement_chunks(xi, n_cut: int):
     order.  The tables of one chunk take about ``DISPLACEMENT_CHUNK_BYTES`` (at least one point), so
     a caller that copies each chunk into its own array holds little more than that array.
     """
-    if isinstance(n_cut, bool) or not isinstance(n_cut, numbers.Integral) or n_cut < 2:
-        raise InvalidParameter(f"displacement cutoff must be an integer of at least 2, got {n_cut!r}")
-    if n_cut > 1020:
-        raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
+    _check_displacement_cutoff(n_cut)
     points = np.asarray(xi)
     if points.dtype.kind not in "iufc":
         raise InvalidParameter(f"displacement argument must be a number, got {xi!r}")

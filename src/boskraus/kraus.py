@@ -67,6 +67,7 @@ from .errors import (
 from .fock import (
     DensityMatrix,
     TruncatedOperator,
+    _check_displacement_cutoff,
     _displacement_chunks,
     bandwidth,
     coherent_amplitudes,
@@ -511,10 +512,13 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
     premultiplied by the square root of their quadrature weight.  The B1
     displacements come from the stack kernel of ``fock``, a bounded chunk of
     nodes at a time, each operator equal to ``displacement_op`` of its node
-    bit for bit; every node is checked before the stack is allocated.
+    bit for bit; every node is checked before the stack is allocated.  Both
+    families take the displacement cutoff check: ``n_cut`` must be an integer
+    in ``2..1020`` (``InvalidParameter`` below, ``OrderTooLarge`` above).
     """
     if _node_count(node_count) < 32:
         raise InvalidParameter(f"node_count must be at least 32, got {node_count}")
+    _check_displacement_cutoff(n_cut)
     fam = spec.family
     if fam == "A2":
         if not spec.quantum_limited:

@@ -26,6 +26,7 @@ follows "first acts first": if channel 1 is applied before channel 2,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,20 @@ CLASSIFY_TOL = 1e-9  # how close to a boundary gain or a zero invariant classify
 MOMENT_TAIL_LIMIT = 1e-4  # largest tail mass moments_from_density reads moments from
 
 
+def _min_eigenvalue(y: np.ndarray, g: float) -> float:
+    """Smaller eigenvalue of the Hermitian ``Y + i g Omega`` for a real 2x2 ``Y``,
+    read from its lower triangle as ``eigvalsh`` reads it:
+    ``(y00 + y11)/2 - hypot((y00 - y11)/2, y10, g)``."""
+    return float((y[0, 0] + y[1, 1]) / 2 - math.hypot((y[0, 0] - y[1, 1]) / 2, y[1, 0], g))
+
+
 def cp_defect(x: np.ndarray, y: np.ndarray) -> float:
-    """Most negative eigenvalue of ``Y + i(Omega - X^T Omega X)`` (0 if CP)."""
-    m = y.astype(complex) + 1j * (OMEGA - x.T @ OMEGA @ x)
-    return float(min(0.0, np.linalg.eigvalsh(m).min()))
+    """Most negative eigenvalue of ``Y + i(Omega - X^T Omega X)`` (0 if CP).
+
+    For a 2x2 ``X``, ``X^T Omega X = det(X) Omega``, so the matrix is
+    ``Y + i(1 - det X) Omega`` and its eigenvalues have a closed form.
+    """
+    return min(0.0, _min_eigenvalue(y, 1.0 - (x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +80,7 @@ class XYPair:
             raise InvalidParameter("X and Y must be 2x2 real matrices")
         if np.max(np.abs(y - y.T)) > 1e-10:
             raise InvalidParameter("Y must be symmetric")
-        if np.linalg.eigvalsh(y).min() < -1e-12:
+        if _min_eigenvalue(y, 0.0) < -1e-12:
             raise InvalidParameter("Y must be positive semidefinite")
         defect = cp_defect(x, y)
         if defect < -CP_TOL:
@@ -124,8 +135,8 @@ class GaussianMoments:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (2, 2) or np.max(np.abs(cov - cov.T)) > 1e-8:
             raise InvalidParameter("covariance must be a symmetric 2x2 matrix")
-        umin = np.linalg.eigvalsh(cov.astype(complex) + 1j * OMEGA).min()
-        if umin < -1e-6:
+        umin = _min_eigenvalue(cov, 1.0)
+        if not umin >= -1e-6:  # a NaN covariance fails too
             raise InvalidParameter(f"covariance violates the uncertainty bound by {umin:.3e}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
@@ -224,7 +235,7 @@ def _table_pair(spec2: ChannelSpec, spec1: ChannelSpec) -> tuple[ChannelSpec, Ch
 def _conjugator_or_erasure(k: float, a: float) -> ChannelSpec:
     # a conjugator-tagged composite with vanishing gain is the erasure
     # family (X = 0), which is where its zero-kappa limit lives
-    if k <= 1e-12:
+    if k <= CLASSIFY_TOL:
         return ChannelSpec("A1", noise_a=a)
     return ChannelSpec("D", k, a)
 
@@ -256,7 +267,8 @@ def table1_compose(spec2: ChannelSpec, spec1: ChannelSpec) -> ChannelSpec:
     A2          A2          A2(sqrt(2) - 1)
     ==========  ==========  =================================================
 
-    with ``k = k1 k2`` throughout.
+    with ``k = k1 k2`` throughout.  A gain within ``CLASSIFY_TOL`` of 0 (the
+    erasure ``A1``) or of 1 snaps as :func:`classify` snaps it.
     """
     s2, s1 = _table_pair(spec2, spec1)
     f1, f2 = s1.family, s2.family
@@ -264,8 +276,8 @@ def table1_compose(spec2: ChannelSpec, spec1: ChannelSpec) -> ChannelSpec:
 
     def c_branch(k: float, a_low: float, a_high: float) -> ChannelSpec:
         if k <= 1.0:
-            return ChannelSpec("C1", k, a_low).normalized()
-        return ChannelSpec("C2", k, a_high).normalized()
+            return ChannelSpec("C1", k, a_low).normalized(CLASSIFY_TOL)
+        return ChannelSpec("C2", k, a_high).normalized(CLASSIFY_TOL)
 
     if f2 == "A2":
         if f1 == "D":
@@ -276,13 +288,13 @@ def table1_compose(spec2: ChannelSpec, spec1: ChannelSpec) -> ChannelSpec:
             noise = k1 - 1.0
         else:
             noise = np.sqrt(2.0) - 1.0
-        if f1 == "C1" and k1 <= 1e-12:
+        if f1 == "C1" and k1 <= CLASSIFY_TOL:
             # the erased input never reaches the projector: X vanishes
             return ChannelSpec("A1", noise_a=float(noise))
         return ChannelSpec("A2", noise_a=float(noise))
     if f1 == "A2":
         noise = {"D": 2.0 * k2**2, "C1": 0.0, "C2": 2.0 * (k2**2 - 1.0)}[f2]
-        if f2 == "C1" and k2 <= 1e-12:
+        if f2 == "C1" and k2 <= CLASSIFY_TOL:
             return ChannelSpec("A1", noise_a=float(noise))
         return ChannelSpec("A2", noise_a=float(noise))
     k = k1 * k2
@@ -296,14 +308,14 @@ def table1_compose(spec2: ChannelSpec, spec1: ChannelSpec) -> ChannelSpec:
         if f1 == "D":
             return _conjugator_or_erasure(k, 0.0)
         if f1 == "C1":
-            return ChannelSpec("C1", k, 0.0).normalized()
+            return ChannelSpec("C1", k, 0.0).normalized(CLASSIFY_TOL)
         return c_branch(k, 2.0 * k2**2 * (k1**2 - 1.0), 2.0 * (1.0 - k2**2))
     # f2 == "C2"
     if f1 == "D":
         return ChannelSpec("D", k, 2.0 * (k2**2 - 1.0))
     if f1 == "C1":
         return c_branch(k, 2.0 * (k2**2 - 1.0), 2.0 * k2**2 * (1.0 - k1**2))
-    return ChannelSpec("C2", k, 0.0).normalized()
+    return ChannelSpec("C2", k, 0.0).normalized(CLASSIFY_TOL)
 
 
 def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: float = 0.0) -> ChannelSpec:
@@ -326,7 +338,7 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     if f2 == "A2":
         p11 = lam * np.cos(theta) ** 2 + np.sin(theta) ** 2 / lam
         noise = float(np.sqrt(1.0 + y1 * p11) - 1.0)
-        if f1 == "C1" and s1.kappa <= 1e-12:
+        if f1 == "C1" and s1.kappa <= CLASSIFY_TOL:
             return ChannelSpec("A1", noise_a=noise)
         return ChannelSpec("A2", noise_a=noise)
 
@@ -335,7 +347,7 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     c, d = k2**2 * y1, y2
     sqrt_det_y = float(np.sqrt((c + d) ** 2 + c * d * spread))
     if f1 == "A2":
-        if f2 == "C1" and k2 <= 1e-12:
+        if f2 == "C1" and k2 <= CLASSIFY_TOL:
             return ChannelSpec("A1", noise_a=sqrt_det_y - 1.0)
         return ChannelSpec("A2", noise_a=sqrt_det_y - 1.0)
     k = s1.kappa * k2
@@ -343,11 +355,11 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
         if f2 == "D" and f1 == "D":
             y0 = abs(1.0 - k**2)
             fam = "C1" if k <= 1.0 else "C2"
-            return ChannelSpec(fam, k, max(sqrt_det_y - y0, 0.0)).normalized()
+            return ChannelSpec(fam, k, max(sqrt_det_y - y0, 0.0)).normalized(CLASSIFY_TOL)
         return _conjugator_or_erasure(k, max(sqrt_det_y - (1.0 + k**2), 0.0))
     y0 = abs(1.0 - k**2)
     fam = "C1" if k <= 1.0 else "C2"
-    return ChannelSpec(fam, k, max(sqrt_det_y - y0, 0.0)).normalized()
+    return ChannelSpec(fam, k, max(sqrt_det_y - y0, 0.0)).normalized(CLASSIFY_TOL)
 
 
 def synthesize_noisy(target: ChannelSpec) -> tuple[ChannelSpec, ChannelSpec]:

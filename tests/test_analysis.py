@@ -1,6 +1,7 @@
 """Fixed points, cumulants, Zeno curves, extremality and classicality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,36 @@ class TestGramReference:
         ops[0, row, col] = 0.0
         ops[0, 23, 23] = 1e-3  # the last level the probe keeps
         assert gram_rank(fam, 0).numerical_rank == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["D", "C1", "C2"]), kappa=st.floats(0.05, 0.95), n_cut=st.integers(17, 128),
+           k=st.integers(0, 8))
+    def test_band_gram_equals_the_reference(self, family, kappa, n_cut, k):
+        # D and C1 take the gain as drawn; C2 its reciprocal, in (1.05, 20)
+        spec = ChannelSpec(family, 1.0 / kappa if family == "C2" else kappa)
+        fam = build_discrete(spec, k, n_cut, defect_limit=1.0)
+        outcomes = []
+        for reader in (gram_rank, reference_gram_rank):
+            try:
+                rep = reader(fam, k)
+                outcomes.append((rep.singular_values.tobytes(), rep.block, rep.numerical_rank))
+            except CutoffTooSmall:
+                outcomes.append(CutoffTooSmall)
+        assert outcomes[0] == outcomes[1]
+        assert fam._ops is None
+
+    def test_band_gram_builds_no_product_stack(self):
+        spec = ChannelSpec("D", 0.5)
+        fam = build_discrete(spec, suggest_ell_max(spec, 512), 512)
+        tracemalloc.start()
+        try:
+            rep = gram_rank(fam, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.numerical_rank == 49
+        assert peak < 16e6  # the dense (49, 512, 512) product stack alone is 205 MB
+        assert fam._ops is None
 
     @pytest.mark.parametrize("outer,inner", [
         (ChannelSpec("C2", 1.4), ChannelSpec("C1", 0.7)), (ChannelSpec("D", 0.8), ChannelSpec("D", 1.3)),

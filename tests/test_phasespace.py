@@ -23,10 +23,12 @@ from boskraus.phasespace import (
     GaussianMoments,
     Symplectic2,
     XYPair,
+    _min_eigenvalue,
     canonical_xy,
     classify,
     compose_xy,
     covariance_map,
+    cp_defect,
     moments_from_density,
     rotation,
     squeeze,
@@ -85,6 +87,22 @@ class TestCanonicalForms:
     def test_cp_violation_rejected(self):
         with pytest.raises(NotCompletelyPositive):
             XYPair(2.0 * np.eye(2), 0.1 * np.eye(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           y=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
+    def test_closed_form_gates_equal_eigvalsh(self, x, y):
+        x, y = np.reshape(x, (2, 2)), np.reshape(y, (2, 2))
+        scale = 1.0 + np.max(np.abs(y)) + np.max(np.abs(x)) ** 2
+        m = y.astype(complex) + 1j * (OMEGA - x.T @ OMEGA @ x)
+        assert cp_defect(x, y) == pytest.approx(min(0.0, np.linalg.eigvalsh(m).min()), abs=1e-14 * scale)
+        for g in (0.0, 1.0):  # the PSD check of Y and the uncertainty check of a covariance
+            want = np.linalg.eigvalsh(y.astype(complex) + 1j * g * OMEGA).min()
+            assert _min_eigenvalue(y, g) == pytest.approx(want, abs=1e-14 * scale)
+
+    def test_nan_covariance_rejected(self):
+        with pytest.raises(InvalidParameter):
+            GaussianMoments(np.zeros(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestClassify:
