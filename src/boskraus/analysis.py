@@ -36,9 +36,6 @@ from .fock import (
 from .kraus import (
     DiscreteIndex,
     KrausFamily,
-    QuadratureIndex,
-    _square_placement,
-    _square_stack,
     apply,
     build_continuous,
     build_discrete,
@@ -46,6 +43,7 @@ from .kraus import (
     completeness_defect,
     suggest_ell_max,
 )
+from .kraus import _band_gram_diagonals, _square_stack  # noqa: F401  names of this module, kept for code that reads them
 from .phasespace import table1_compose
 
 GRAM_THRESHOLD = 1e-8  # numerical rank cut, relative to the largest singular value
@@ -237,50 +235,7 @@ class GramReport:
 
 
 def _ordered_ops(family: KrausFamily, count: int) -> np.ndarray:
-    if family.coeffs is not None:  # a banded family builds only the operators asked for
-        return _square_stack(family.coeffs[:count], family.band)
-    if isinstance(family.index, DiscreteIndex):
-        return family.ops[:count]
-    # quadrature families: center-out, so neighboring nodes overlap
-    order = np.argsort(np.abs(np.asarray(family.index.nodes, dtype=float)))
-    return family.ops[order[:count]]
-
-
-def _band_gram(coeffs: np.ndarray, band: str, count: int) -> tuple[np.ndarray, float]:
-    """Gram matrix of the products ``W_m^dag W_n`` (``m, n < count``) of a single-band
-    family, and the largest entry of its part carried by the top 8 rows and columns.
-
-    At each output level ``t`` both factors have at most one entry, at the columns
-    ``c_m(t)`` and ``c_n(t)``, so the product has the one entry ``w_m(t) w_n(t)`` at
-    ``(c_m(t), c_n(t))``: it lies on the diagonal at offset ``c_n - c_m``, kept whole
-    as a length-``N`` row indexed by the row of each entry.  Products on different
-    diagonals are orthogonal, so the Gram matrix is block-diagonal by offset.  Each
-    block is one einsum over whole diagonals in increasing row order, which adds the
-    nonzero terms of the dense ``"aij,bij->ab"`` contraction in its order: every entry
-    is the dense one bit for bit.  ``np.dot`` or ``matmul`` would block the sums and
-    round differently.
-    """
-    dim = coeffs.shape[1]
-    ell, rows, cols, values = _square_placement(coeffs[:count], band)
-    col = np.full((count, dim), -1)
-    val = np.zeros((count, dim))
-    col[ell, rows], val[ell, rows] = cols, values
-    m, n, t = np.nonzero((col[:, None] >= 0) & (col[None] >= 0))
-    pair = m * count + n
-    diags = np.zeros((count * count, dim), dtype=np.complex128)
-    diags[pair, col[m, t]] = val[m, t] * val[n, t]
-    offsets = np.zeros(count * count, dtype=int)  # a pair with no entry may sit on any diagonal
-    offsets[pair] = col[n, t] - col[m, t]
-    gram = np.zeros((count * count, count * count), dtype=np.complex128)
-    level = np.arange(dim)
-    border = 0.0
-    for d in np.unique(offsets):
-        pick = np.flatnonzero(offsets == d)
-        block = diags[pick]
-        gram[np.ix_(pick, pick)] = np.einsum("ai,bi->ab", block.conj(), block)
-        top = block[:, (level >= dim - 8) | (level + d >= dim - 8)]
-        border = max(border, float(np.max(np.abs(top.conj() @ top.T), initial=0.0)))
-    return gram, border
+    return family.operators(count)
 
 
 def gram_rank(family: KrausFamily, k: int) -> GramReport:
@@ -290,60 +245,30 @@ def gram_rank(family: KrausFamily, k: int) -> GramReport:
     i.e. the Gram matrix of the first ``(k+1)^2`` products has full rank:
     singular values above ``GRAM_THRESHOLD`` of the largest count.
 
-    A single-band family reads each product off two rows of its coefficient
-    table as one diagonal and fills the Gram matrix one band offset at a time
-    (:func:`_band_gram`); it builds no operator.  The result equals the dense
-    einsum ``"aij,bij->ab"`` over the product stack bit for bit, and the
-    singular values with it.  Dense families (quadrature, scheme, product and
-    JSON-loaded ones) form that stack by batched ``matmul`` and contract it, and
-    so does a single-band family at ``k = 0``: einsum sums a one-entry output in
-    buffer-sized chunks of the flat ``N x N`` product, which a diagonal cannot repeat.
+    The family supplies the Gram matrix (:meth:`KrausFamily.product_gram`); a
+    single-band one reads it off its table, bit for bit the dense einsum.  For
+    a :func:`product_family` the operators are already two-factor products
+    indexed by ``(m, n)``, so the Gram is taken over its first ``(k+1)^2``
+    operators: a dependent product set cannot certify extremality of the
+    composite.
 
-    A cutoff sensitivity probe guards against band truncation silently
-    deflating the products: the part of the Gram matrix carried by the
-    entries in the top 8 rows or columns of the space must stay below
-    ``1e-8`` of the largest singular value.  A single-band family sums it
-    per offset from the same diagonals; a dense one takes one BLAS product
-    over those border entries.  Quadrature families are exempt: truncated
-    position states gain norm with the cutoff without affecting linear
-    independence.
-
-    For composite families built by :func:`product_family` the operators
-    themselves are already two-factor products indexed by ``(m, n)``, so
-    the Gram is taken over the first ``(k+1)^2`` operators directly: that
-    is the linear-independence question those families raise (a dependent
-    product set cannot certify extremality of the composite).
+    A cutoff probe guards against band truncation silently deflating the
+    products: above 16 levels, the Gram part carried by the entries in the
+    top 8 rows or columns must stay below ``1e-8`` of the largest singular
+    value.  Quadrature families are exempt: truncated position states gain
+    norm with the cutoff without affecting linear independence.
     """
     if k < 0:
         raise InvalidParameter(f"the block index k must be nonnegative, got {k}")
     count = k + 1
-    block = count * count
-    need = block if family.origin == "product" else count
-    if need > len(family):
-        raise InvalidParameter(f"family has only {len(family)} operators, need {need}")
-    probe = family.dim > 16 and isinstance(family.index, DiscreteIndex)
-    if family.coeffs is not None and count > 1:
-        gram, border = _band_gram(family.coeffs, family.band, count)
-    else:
-        if family.origin == "product":
-            prods = family.ops[:block]
-        else:
-            ops = _ordered_ops(family, count)
-            prods = (np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]).reshape(block, family.dim, family.dim)
-        gram = np.einsum("aij,bij->ab", prods.conj(), prods)
-        border = 0.0
-        if probe:
-            shrink = family.dim - 8
-            top = np.concatenate([prods[:, shrink:].reshape(block, -1),
-                                  prods[:, :shrink, shrink:].reshape(block, -1)], axis=1)
-            border = float(np.max(np.abs(top.conj() @ top.T)))
+    gram, border = family.product_gram(count)
     sv = np.linalg.svd(gram, compute_uv=False)
-    if probe and border > 1e-8 * max(sv[0], 1e-300):
+    if family.dim > 16 and border > 1e-8 * max(sv[0], 1e-300):
         # banded products decay along their band; if the entries in the top
         # rows or columns still carry Gram weight, the cutoff clipped them
         raise CutoffTooSmall("Gram entries still change when the top of the cutoff is dropped")
     rank = int(np.sum(sv > GRAM_THRESHOLD * sv[0]))
-    return GramReport(block, sv, rank, GRAM_THRESHOLD)
+    return GramReport(count * count, sv, rank, GRAM_THRESHOLD)
 
 
 def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamily:
@@ -356,12 +281,12 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
     """
     if outer.dim != inner.dim:
         raise DimMismatch(f"dims differ: {outer.dim} vs {inner.dim}")
-    if not (isinstance(outer.index, DiscreteIndex) and isinstance(inner.index, DiscreteIndex)):
+    if not (outer.discrete and inner.discrete):
         raise UnsupportedFamily("product families need two discrete-index factors")
     count = k + 1
     if count > len(outer) or count > len(inner):
         raise InvalidParameter("not enough operators for the requested block")
-    ops = _ordered_ops(outer, count)[:, None] @ _ordered_ops(inner, count)[None]
+    ops = outer.operators(count)[:, None] @ inner.operators(count)[None]
     ops = ops.reshape(count * count, outer.dim, outer.dim)
     spec = None
     if outer.spec is not None and inner.spec is not None:
@@ -443,18 +368,6 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix],
     return reports
 
 
-def _band_gram_diagonals(coeffs: np.ndarray, band: str) -> np.ndarray:
-    """Diagonals ``(ell_max + 1, N)`` of the truncated ``W_l^dag W_l`` of a
-    single-band family: ``c^2`` at the column of each entry that lands inside
-    the square block.  Each operator has at most one entry per row and
-    column, so no diagonal entry sums two squares and no off-diagonal one is
-    nonzero."""
-    ell, _, cols, values = _square_placement(coeffs, band)
-    diags = np.zeros(coeffs.shape)
-    diags[ell, cols] = values**2
-    return diags
-
-
 def simultaneous_diagonality(family: KrausFamily) -> tuple[bool, str]:
     """Whether all ``W^dag W`` are simultaneously diagonal, and in what basis.
 
@@ -463,55 +376,15 @@ def simultaneous_diagonality(family: KrausFamily) -> tuple[bool, str]:
     identity, ``position`` when each product is the (rank-one) projector
     onto a position wavefunction, and ``none`` otherwise.
 
-    A single-band family reads its diagonals off the squared coefficient
-    table and never builds its stack: its off-diagonals are exactly zero.
-    A dense family forms its products by batched ``matmul``.
-    Displacement-built families are re-evaluated with enough extra rows
-    for the unitary factor's product to close; the stored square
-    truncation would leave spurious off-diagonals near the cutoff.  The
-    taller displacements come from ``fock``'s stack kernel a bounded chunk
-    of nodes at a time, and only their first ``dim`` columns are kept.
+    The family supplies the products (:meth:`KrausFamily.self_products`); a
+    single-band family reads their diagonals off its table.
     """
-    if family.coeffs is not None:
-        diags = _band_gram_diagonals(family.coeffs, family.band)
-        scale = max(float(np.max(diags)), 1e-300)
-        off = 0.0
-    else:
-        ops = family.ops
-        spec = family.spec
-        if spec is not None and spec.family == "B1" and isinstance(family.index, QuadratureIndex) \
-                and spec.noise_a > 0:
-            nodes = np.asarray(family.index.nodes, dtype=float)
-            beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
-            n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(family.dim)) ** 2)) + 8
-            scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
-            ops = np.empty((len(nodes), n_ext, family.dim), dtype=np.complex128)
-            for part, stack in _displacement_chunks(nodes / np.sqrt(2.0), n_ext):
-                ops[part] = stack[:, :, :family.dim]
-            norm = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
-            ops = ops * (scales / np.maximum(norm, 1e-300))[:, None, None]
-        prods = np.swapaxes(ops.conj(), 1, 2) @ ops
-        mags = np.abs(prods)
-        scale = max(float(np.max(mags)), 1e-300)
-        diags = np.diagonal(prods, axis1=1, axis2=2).real
-        level = np.arange(family.dim)
-        mags[:, level, level] = 0.0
-        off = float(np.max(mags))
+    prods, diags, off, scale = family.self_products()
     if off < DIAGONALITY_TOL * scale:
         spread = np.max(np.abs(diags - diags[:, :1]), initial=0.0)
         if spread < DIAGONALITY_TOL * scale:
             return True, "any"
         return True, "fock"
-    if isinstance(family.index, QuadratureIndex):
-        nodes = family.index.nodes
-        table = hermite_psi_table(family.dim - 1, np.asarray(nodes, dtype=float))
-        for i in range(len(family)):
-            p = prods[i]
-            v = table[:, i].astype(complex)
-            vv = max(float((v.conj() @ v).real), 1e-300)
-            coeff = float(np.real(v.conj() @ p @ v)) / vv**2
-            resid = np.max(np.abs(p - coeff * np.outer(v, v.conj())))
-            if resid > 1e-8 * scale:
-                return False, "none"
+    if family.position_basis(prods, scale):
         return True, "position"
     return False, "none"

@@ -77,12 +77,15 @@ def cmd_kraus(args) -> int:
         spec = parse_channel(args.family_spec)
     else:
         raise InvalidParameter("give the channel either as a positional spec or by --family/--kappa/--noise")
+    build, size = kraus.builder(spec)
+    other = "nodes" if size == "ell_max" else "ell_max"
+    if getattr(args, other) is not None:
+        raise InvalidParameter(f"family {spec.family} takes no --{other.replace('_', '-')}")
     try:
-        if spec.family in ("A2", "B1"):
-            family = kraus.build_continuous(spec, args.nodes, args.ncut)
-        else:
-            ell = args.ell_max if args.ell_max is not None else kraus.suggest_ell_max(spec, args.ncut)
-            family = kraus.build_discrete(spec, ell, args.ncut)
+        count = getattr(args, size)
+        if count is None:
+            count = 64 if size == "nodes" else kraus.suggest_ell_max(spec, args.ncut)
+        family = build(spec, count, args.ncut)
     except (UnsupportedFamily, DefectTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kraus.add_argument("--noise", type=float, default=None)
     p_kraus.add_argument("--ncut", type=int, default=32)
     p_kraus.add_argument("--ell-max", type=int, default=None)
-    p_kraus.add_argument("--nodes", type=int, default=64)
+    p_kraus.add_argument("--nodes", type=int, default=None, help="quadrature nodes of A2 and B1 (default 64)")
     p_kraus.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_kraus.set_defaults(func=cmd_kraus)
 

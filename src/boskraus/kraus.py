@@ -21,26 +21,24 @@ Gauss-Hermite nodes, with the square root of the quadrature weight
 absorbed into each operator so that ``sum_i W_i^dag W_i`` approximates the
 completeness integral.
 
-A single-band family (``D``, ``C1``, ``C2``, ``A1``, the identity) is stored
-as a real coefficient table ``c`` of shape ``(ell_max + 1, N)`` plus its band
-orientation, which :func:`_placement` alone turns into positions:
+A family is stored in one of two kinds, fixed by its class when it is built;
+readers call its methods (see :class:`KrausFamily`) and never test the storage.
 
-* ``"anti"`` (D): ``c[l, n]`` sits at ``(l - n, n)``;
-* ``"upper"`` (C1, A1, I): ``c[l, m]`` sits at ``(m, m + l)``;
-* ``"lower"`` (C2): ``c[l, m]`` sits at ``(m + l, m)``.
-
-The table holds the whole band, entries outside the ``N x N`` block
-included.  Each ``W_l^dag W_l`` is diagonal in the Fock basis, so the
-completeness defect is a sum of squares over the table.  At most one
-operator joins a source level ``s`` to an output level ``t``, so ``apply``
-reads one ``(N, N)`` table ``T[s, t]``, the weight of ``|t><s|``, for every
-orientation; it is built on first use and cached.  ``W_l`` keeps the offset
-``n - m`` of ``|m><n|`` (C1, C2) or flips its sign (D), so the offset-``k``
-diagonal of the input feeds only the output diagonals at ``+-k``: ``apply``
-visits only the offsets up to the input's bandwidth, one vectorized step
-each, and a state that is diagonal in the Fock basis stays diagonal at the
-cost of one step.  The dense square stack ``ops`` is built from the table
-only when a reader asks for it.
+* :class:`BandedFamily` (``D``, ``C1``, ``C2``, ``A1``, ``I``) holds a real table
+  ``c`` of shape ``(ell_max + 1, N)`` over the whole band, and its orientation,
+  which :func:`_placement` alone turns into positions: ``"anti"`` (D) puts
+  ``c[l, n]`` at ``(l - n, n)``, ``"upper"`` (C1, A1, I) ``c[l, m]`` at
+  ``(m, m + l)``, ``"lower"`` (C2) at ``(m + l, m)``.  Every reader reads the
+  table (each ``W_l^dag W_l`` is diagonal, so the defect is a sum of squares);
+  the dense stack ``ops`` is built only when a caller asks for it.
+* :class:`KrausFamily` holds a dense stack: quadrature, scheme, product,
+  rank-one and JSON-loaded families.  Its constructor picks the rules that
+  depend on how the stack was built from ``(spec, index, origin)``: the defect
+  of an exactly normalized factor summed analytically (A2, B1, rank-one D) or
+  the build-time defect of a discrete scheme family; a product family's Gram
+  matrix over its own operators; and for a continuous index center-out order,
+  no cutoff probe, the position-basis test, no dual and, for B1, taller
+  displacements for the ``W_l^dag W_l`` products.
 
 All coefficient evaluation is done in log space (gammaln), never through
 factorial ratios.
@@ -102,77 +100,170 @@ class QuadratureIndex:
     weights: np.ndarray
 
 
+ORIGINS = ("closed-form", "product", "rank-one", "scheme")
+
+
 class KrausFamily:
-    """An ordered Kraus family plus channel metadata.
+    """An ordered Kraus family held as a dense stack ``ops`` of shape ``(n_ops, dim, dim)``,
+    plus channel metadata.
 
-    ``KrausFamily(spec, ops, index, completeness_defect, origin)`` holds a
-    dense stack ``ops`` of shape ``(n_ops, dim, dim)``; quadrature, scheme,
-    product, rank-one and JSON-loaded families are built this way.
-
-    Closed-form single-band families (:meth:`banded`) hold the real
-    coefficient table ``coeffs`` of shape ``(ell_max + 1, dim)`` and its
-    ``band`` orientation (see the module docstring) instead.  Their ``ops``
-    is materialized from the table on first read and cached (above
-    ``MAX_DENSE_BYTES`` it raises ``AllocationTooLarge``), and so is the
-    ``(N, N)`` ``output_table`` of (source, output) weights that ``apply``
-    reads; ``len`` and ``dim`` come from the table.  For dense families
-    ``coeffs`` and ``band`` are None.
+    Every storage kind answers the same readers: :meth:`act`, :meth:`defect`,
+    :meth:`operators`, :meth:`product_gram`, :meth:`self_products` with
+    :meth:`position_basis`, :meth:`dual` and :meth:`to_json_dict`.  This class
+    reads its stack, under the rules its constructor picks from ``(spec,
+    index, origin)``; :class:`BandedFamily` (from :meth:`banded`) reads its
+    coefficient table.  See the module docstring for both.
     """
 
     def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
                  index: DiscreteIndex | QuadratureIndex, completeness_defect: float,
                  origin: str = "closed-form"):
+        _require(origin in ORIGINS, f"unknown family origin {origin!r}; expected one of {ORIGINS}")
         self.spec = spec
         self.index = index
         self.completeness_defect = completeness_defect
         self.origin = origin
-        self.coeffs: np.ndarray | None = None
-        self.band: str | None = None
         self._ops = ops
-        self._output_table: np.ndarray | None = None
+        self.discrete = isinstance(index, DiscreteIndex)
+        family = None if spec is None else spec.family
+        if not self.discrete and family in ("A2", "B1"):
+            self._defect_rule = _position_defect if family == "A2" else _gaussian_defect
+        elif origin == "rank-one" and family == "D":
+            self._defect_rule = _coherent_defect
+        elif origin == "scheme" and self.discrete:
+            self._defect_rule = _stored_defect
+        else:
+            self._defect_rule = _stack_defect
+        self._own_products = origin == "product"  # the operators are already products W_m W_n
+        self._taller = not self.discrete and family == "B1" and spec.noise_a > 0
 
     @classmethod
     def banded(cls, spec: ChannelSpec, coeffs: np.ndarray, band: str,
-               completeness_defect: float) -> "KrausFamily":
-        family = cls(spec, None, DiscreteIndex(coeffs.shape[0] - 1), completeness_defect)
-        family.coeffs, family.band = coeffs, band
-        return family
+               completeness_defect: float) -> "BandedFamily":
+        return BandedFamily(spec, coeffs, band, completeness_defect)
 
     @property
     def ops(self) -> np.ndarray:
-        if self._ops is None:
-            self._ops = _square_stack(self.coeffs, self.band)
         return self._ops
 
     @property
-    def output_table(self) -> np.ndarray:
-        """The table ``T[s, t]`` of :func:`_output_table`, built on first read and cached."""
-        if self._output_table is None:
-            self._output_table = _output_table(self.coeffs, self.band)
-        return self._output_table
-
-    @property
     def dim(self) -> int:
-        return (self._ops if self.coeffs is None else self.coeffs).shape[1]
+        return self._ops.shape[1]
 
     def __len__(self) -> int:
-        return (self._ops if self.coeffs is None else self.coeffs).shape[0]
+        return len(self._ops)
+
+    def act(self, mat: np.ndarray) -> np.ndarray:
+        """``sum_l W_l M W_l^dag``: two flattened BLAS products instead of a per-operator loop."""
+        n_ops, n, _ = self.ops.shape
+        tmp = (self.ops.reshape(n_ops * n, n) @ mat).reshape(n_ops, n, n)
+        left = np.ascontiguousarray(tmp.transpose(1, 0, 2)).reshape(n, n_ops * n)
+        right = self.ops.conj().transpose(0, 2, 1).reshape(n_ops * n, n)
+        return left @ right
+
+    def defect(self, block: int | None) -> float:
+        """Completeness defect on the protected block ``j < block`` (half the space for None)."""
+        return self._defect_rule(self, block)
+
+    def operators(self, count: int) -> np.ndarray:
+        """The first ``count`` operators; quadrature nodes go center-out, so neighbors overlap."""
+        if self.discrete:
+            return self.ops[:count]
+        order = np.argsort(np.abs(np.asarray(self.index.nodes, dtype=float)))
+        return self.ops[order[:count]]
+
+    def product_gram(self, count: int) -> tuple[np.ndarray, float]:
+        """Gram matrix ``"aij,bij->ab"`` of the products ``W_m^dag W_n`` (``m, n < count``, by
+        batched ``matmul``) and the largest entry of its part carried by the top 8 rows and
+        columns (0 for a continuous index)."""
+        need = count * count if self._own_products else count
+        if need > len(self):
+            raise InvalidParameter(f"family has only {len(self)} operators, need {need}")
+        if self._own_products:
+            prods = self.ops[:need]
+        else:
+            ops = self.operators(count)
+            prods = (np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]).reshape(count * count, self.dim, self.dim)
+        gram = np.einsum("aij,bij->ab", prods.conj(), prods)
+        border = 0.0
+        if self.discrete:
+            shrink = self.dim - 8
+            top = np.concatenate([prods[:, shrink:].reshape(len(prods), -1),
+                                  prods[:, :shrink, shrink:].reshape(len(prods), -1)], axis=1)
+            border = float(np.max(np.abs(top.conj() @ top.T)))
+        return gram, border
+
+    def self_products(self) -> tuple[np.ndarray | None, np.ndarray, float, float]:
+        """Every ``W_l^dag W_l``: their stack (None where it is not built), their
+        diagonals, the largest off-diagonal magnitude and the largest magnitude.
+        A B1 stack is re-evaluated with extra rows, so that the unitary factor's
+        product closes, and its first ``dim`` columns kept."""
+        ops = self.ops
+        if self._taller:
+            nodes = np.asarray(self.index.nodes, dtype=float)
+            beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
+            n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(self.dim)) ** 2)) + 8
+            scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
+            ops = np.empty((len(nodes), n_ext, self.dim), dtype=np.complex128)
+            for part, stack in _displacement_chunks(nodes / np.sqrt(2.0), n_ext):
+                ops[part] = stack[:, :, :self.dim]
+            norm = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
+            ops = ops * (scales / np.maximum(norm, 1e-300))[:, None, None]
+        prods = np.swapaxes(ops.conj(), 1, 2) @ ops
+        mags = np.abs(prods)
+        scale = max(float(np.max(mags)), 1e-300)
+        diags = np.diagonal(prods, axis1=1, axis2=2).real
+        level = np.arange(self.dim)
+        mags[:, level, level] = 0.0
+        return prods, diags, float(np.max(mags)), scale
+
+    def position_basis(self, prods: np.ndarray | None, scale: float) -> bool:
+        """Whether each of the ``prods`` of :meth:`self_products` is, to ``1e-8 scale``, a
+        multiple of the projector onto the position wavefunction at its node."""
+        if self.discrete:
+            return False
+        table = hermite_psi_table(self.dim - 1, np.asarray(self.index.nodes, dtype=float))
+        for p, v in zip(prods, table.T.astype(complex)):
+            vv = max(float((v.conj() @ v).real), 1e-300)
+            coeff = float(np.real(v.conj() @ p @ v)) / vv**2
+            resid = np.max(np.abs(p - coeff * np.outer(v, v.conj())))
+            if resid > 1e-8 * scale:
+                return False
+        return True
+
+    def dual(self) -> "KrausFamily":
+        if not self.discrete:
+            raise UnsupportedFamily("continuous-index families have no discrete dual here")
+        spec = self.spec
+        if spec is None:
+            raise UnsupportedFamily("cannot form the dual of an unlabeled family")
+        if spec.family == "I":
+            return self
+        if spec.family not in ("D", "C1", "C2") or not spec.quantum_limited:
+            raise UnsupportedFamily(f"no dual rule for {spec}")
+        if spec.kappa == 0.0:
+            raise InvalidParameter("dual of the kappa=0 attenuator is not defined")
+        return self._dual(ChannelSpec({"D": "D", "C1": "C2", "C2": "C1"}[spec.family], 1.0 / spec.kappa))
+
+    def _dual(self, new_spec: ChannelSpec) -> "KrausFamily":
+        ops = self.spec.kappa * np.transpose(self.ops.conj(), (0, 2, 1))
+        out = KrausFamily(new_spec, ops, self.index, 0.0, self.origin)
+        out.completeness_defect = completeness_defect(out)
+        return out
+
+    def _square_operators(self):
+        return self.ops
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.index, DiscreteIndex):
+        if self.discrete:
             index = {"kind": "discrete", "ell_max": self.index.ell_max}
         else:
             nodes = self.index.nodes
             index = {"kind": "quadrature", "nodes": nodes.real.tolist(), "weights": self.index.weights.tolist()}
             if np.iscomplexobj(nodes):  # rank-one families sit on complex nodes
                 index["nodes_im"] = nodes.imag.tolist()
-        if self.coeffs is None:
-            square_ops = self.ops
-        else:  # one operator at a time, under the size limit of the stack it stands in for
-            _check_stack_bytes(*self.coeffs.shape)
-            square_ops = _each_square_operator(self.coeffs, self.band)
         operators = []
-        for op in square_ops:
+        for op in self._square_operators():
             rows, cols = np.nonzero(op)
             operators.append({
                 "rows": rows.tolist(),
@@ -191,22 +282,191 @@ class KrausFamily:
 
     @staticmethod
     def from_json_dict(data: dict) -> "KrausFamily":
-        dim = int(data["dim"])
-        ops = np.zeros((len(data["operators"]), dim, dim), dtype=np.complex128)
-        for k, rec in enumerate(data["operators"]):
-            vals = np.asarray(rec["re"], dtype=float) + 1j * np.asarray(rec["im"], dtype=float)
-            ops[k][np.asarray(rec["rows"], dtype=int), np.asarray(rec["cols"], dtype=int)] = vals
-        idx = data["index_kind"]
+        """The dense family of a :meth:`to_json_dict` record; malformed input raises ``InvalidParameter``."""
+        dim, records, idx = data["dim"], data["operators"], data["index_kind"]
+        _require(_is_count(dim) and dim >= 1, f"dim must be an integer of at least 1, got {dim!r}")
+        _check_stack_bytes(len(records), dim)
+        ops = np.zeros((len(records), dim, dim), dtype=np.complex128)
+        for k, rec in enumerate(records):
+            rows, cols, re, im = (np.asarray(rec[key], dtype=float) for key in ("rows", "cols", "re", "im"))
+            _require(rows.ndim == 1 and rows.shape == cols.shape == re.shape == im.shape,
+                     f"operator {k}: rows, cols, re and im differ in length")
+            _require(np.all(np.isin(rows, np.arange(dim)) & np.isin(cols, np.arange(dim))),
+                     f"operator {k}: rows and columns must be levels in 0..{dim - 1}")
+            _require(np.all(np.isfinite([re, im])), f"operator {k} has a non-finite entry")
+            ops[k][rows.astype(int), cols.astype(int)] = re + 1j * im
         if idx["kind"] == "discrete":
-            index = DiscreteIndex(int(idx["ell_max"]))
+            ell_max = idx["ell_max"]
+            _require(_is_count(ell_max) and ell_max + 1 == len(ops),
+                     f"discrete index ell_max={ell_max!r} does not count {len(ops)} operators")
+            index = DiscreteIndex(int(ell_max))
         else:
-            nodes = np.asarray(idx["nodes"])
+            _require(idx["kind"] == "quadrature", f"unknown index kind {idx['kind']!r}")
+            nodes, weights = np.asarray(idx["nodes"], dtype=float), np.asarray(idx["weights"], dtype=float)
+            imag = np.asarray(idx.get("nodes_im", nodes * 0.0), dtype=float)
+            _require(nodes.shape == imag.shape == weights.shape == (len(ops),),
+                     f"{nodes.size} nodes, {weights.size} weights and {len(ops)} operators differ")
+            _require(np.all(np.isfinite([nodes, imag, weights])), "quadrature nodes and weights must be finite")
             if "nodes_im" in idx:
                 nodes = nodes.astype(np.complex128)
-                nodes.imag = idx["nodes_im"]
-            index = QuadratureIndex(nodes, np.asarray(idx["weights"]))
+                nodes.imag = imag
+            index = QuadratureIndex(nodes, weights)
+        defect = float(data["completeness_defect"])
+        _require(math.isfinite(defect), f"completeness defect must be finite, got {defect}")
         spec = None if data["spec"] is None else ChannelSpec.from_json_dict(data["spec"])
-        return KrausFamily(spec, ops, index, float(data["completeness_defect"]), data.get("origin", "closed-form"))
+        return KrausFamily(spec, ops, index, defect, data.get("origin", "closed-form"))
+
+
+class BandedFamily(KrausFamily):
+    """A single-band family held as its table ``coeffs`` of shape ``(ell_max + 1, dim)`` and its
+    ``band`` orientation.  ``ops`` (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge``) and the
+    ``output_table`` that :meth:`act` reads are built on first read and cached."""
+
+    def __init__(self, spec: ChannelSpec, coeffs: np.ndarray, band: str, completeness_defect: float):
+        super().__init__(spec, None, DiscreteIndex(coeffs.shape[0] - 1), completeness_defect)
+        self.coeffs = coeffs
+        self.band = band
+        self._output_table: np.ndarray | None = None
+
+    @property
+    def ops(self) -> np.ndarray:
+        if self._ops is None:
+            self._ops = _square_stack(self.coeffs, self.band)
+        return self._ops
+
+    @property
+    def output_table(self) -> np.ndarray:
+        """The ``(N, N)`` table ``T[s, t]``: the weight of ``|t><s|`` in the one
+        operator of the family that joins source level ``s`` to output level ``t``,
+        0 where none does.  It is ``_square_stack(coeffs, band).sum(0).T``,
+        built on first read and cached."""
+        if self._output_table is None:
+            _, rows, cols, values = _square_placement(self.coeffs, self.band)
+            self._output_table = np.zeros((self.dim, self.dim))
+            self._output_table[cols, rows] = values
+        return self._output_table
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def act(self, mat: np.ndarray) -> np.ndarray:
+        """``sum_l W_l M W_l^dag``, one step per populated offset of ``M``.
+
+        ``table`` is :attr:`output_table` ``T[s, t]``, the weight of ``|t><s|``.
+        The diagonals of ``M`` at offsets ``+-k`` feed only the output
+        diagonals at ``+-k``, so one step per ``k`` up to the bandwidth of ``M``
+        builds every term of both, laid out by source ``s`` and output ``t`` with
+        one coefficient pair: C1 and C2 keep the offset, so ``T[s, t] * T[s + k, t + k]``
+        takes ``M[s, s + k]`` to ``(t, t + k)`` and ``M[s + k, s]`` to ``(t + k, t)``;
+        D flips it, so ``T[s + k, t] * T[s, t + k]`` takes them to ``(t + k, t)``
+        and ``(t, t + k)``.
+
+        Each output entry gets exactly the terms ``(c * c') * M[source]`` of one
+        dense block update per ``l`` and sums them in the same order, by
+        increasing source index: ``np.add.reduce`` over an axis that is not the
+        last one adds whole slices in turn.  A pair no operator joins gives an
+        exact zero term for finite ``M``, and the sum is added into the zero
+        output, so these terms change no bit.  Real and imaginary parts run as
+        separate real products, which round like the complex product of a real
+        coefficient.
+        """
+        table, dim, flip = self.output_table, self.dim, self.band == "anti"
+        mat = np.ascontiguousarray(mat, dtype=np.complex128)
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        for k in range(bandwidth(mat) + 1):
+            size = dim - k
+            pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
+            terms = pair * _diagonal_parts(mat, k)[..., None]
+            _diagonal_parts(out, k, swap=flip)[...] += np.add.reduce(terms, axis=2)
+        return out
+
+    def defect(self, block: int | None) -> float:
+        return _table_defect(self.coeffs, self.band, block)
+
+    def operators(self, count: int) -> np.ndarray:
+        return _square_stack(self.coeffs[:count], self.band)
+
+    def product_gram(self, count: int) -> tuple[np.ndarray, float]:
+        """The Gram matrix and border part of :meth:`KrausFamily.product_gram`, off the table.
+
+        At each output level ``t`` both factors have at most one entry, at the columns
+        ``c_m(t)`` and ``c_n(t)``, so the product has the one entry ``w_m(t) w_n(t)`` at
+        ``(c_m(t), c_n(t))``: it lies on the diagonal at offset ``c_n - c_m``, kept whole
+        as a length-``N`` row indexed by the row of each entry.  Products on different
+        diagonals are orthogonal, so the Gram matrix is block-diagonal by offset.  Each
+        block is one einsum over whole diagonals in increasing row order, which adds the
+        nonzero terms of the dense ``"aij,bij->ab"`` contraction in its order: every entry
+        is the dense one bit for bit.  ``np.dot`` or ``matmul`` would block the sums and
+        round differently.  At ``count = 1`` the dense path runs: einsum sums a one-entry
+        output in buffer-sized chunks of the flat product, which a diagonal cannot repeat.
+        """
+        if count == 1 or count > len(self):  # the dense path also reports a short family
+            return super().product_gram(count)
+        dim = self.dim
+        ell, rows, cols, values = _square_placement(self.coeffs[:count], self.band)
+        col = np.full((count, dim), -1)
+        val = np.zeros((count, dim))
+        col[ell, rows], val[ell, rows] = cols, values
+        m, n, t = np.nonzero((col[:, None] >= 0) & (col[None] >= 0))
+        pair = m * count + n
+        diags = np.zeros((count * count, dim), dtype=np.complex128)
+        diags[pair, col[m, t]] = val[m, t] * val[n, t]
+        offsets = np.zeros(count * count, dtype=int)  # a pair with no entry may sit on any diagonal
+        offsets[pair] = col[n, t] - col[m, t]
+        gram = np.zeros((count * count, count * count), dtype=np.complex128)
+        level = np.arange(dim)
+        border = 0.0
+        for d in np.unique(offsets):
+            pick = np.flatnonzero(offsets == d)
+            block = diags[pick]
+            gram[np.ix_(pick, pick)] = np.einsum("ai,bi->ab", block.conj(), block)
+            top = block[:, (level >= dim - 8) | (level + d >= dim - 8)]
+            border = max(border, float(np.max(np.abs(top.conj() @ top.T), initial=0.0)))
+        return gram, border
+
+    def self_products(self) -> tuple[None, np.ndarray, float, float]:
+        """The diagonals off the squared table; the off-diagonals are exactly zero."""
+        diags = _band_gram_diagonals(self.coeffs, self.band)
+        return None, diags, 0.0, max(float(np.max(diags)), 1e-300)
+
+    def _dual(self, new_spec: ChannelSpec) -> "BandedFamily":
+        """C1 and C2 exchange the table scaled by ``kappa``; D reads each row backwards, and
+        its entries below the square block, which only the defect reads, are the dual's own."""
+        kappa = self.spec.kappa
+        if self.band == "anti":
+            # kappa T_l^dag puts kappa c[l, n] at (n, l - n): entry (l, l - n) of the dual table
+            coeffs, band = _band_table(new_spec, self.index.ell_max, self.dim)
+            ell, rows, _ = _placement(coeffs, band)
+            inside = (rows >= 0) & (rows < self.dim)
+            coeffs[inside] = kappa * self.coeffs[ell[inside], rows[inside]]
+        else:
+            coeffs, band = kappa * self.coeffs, {"upper": "lower", "lower": "upper"}[self.band]
+        return KrausFamily.banded(new_spec, coeffs, band, _table_defect(coeffs, band))
+
+    def _square_operators(self):
+        """The square operators one at a time, each a fresh ``(N, N)`` matrix equal to its
+        slice of ``ops``, under the size limit of the stack, which is never built."""
+        _check_stack_bytes(*self.coeffs.shape)
+        dim = self.dim
+        ell, rows, cols, values = _square_placement(self.coeffs, self.band)
+        bounds = np.searchsorted(ell, np.arange(len(self) + 1))  # entries come grouped by operator
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            op = np.zeros((dim, dim), dtype=np.complex128)
+            op[rows[lo:hi], cols[lo:hi]] = values[lo:hi]
+            yield op
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidParameter(message)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _log_binom_sqrt(n, k):
@@ -287,18 +547,6 @@ def _square_stack(coeffs: np.ndarray, band: str) -> np.ndarray:
     return ops
 
 
-def _each_square_operator(coeffs: np.ndarray, band: str):
-    """The square operators of a table one at a time, each a fresh ``(N, N)``
-    matrix equal to its slice of :func:`_square_stack`; the stack is never built."""
-    dim = coeffs.shape[1]
-    ell, rows, cols, values = _square_placement(coeffs, band)
-    bounds = np.searchsorted(ell, np.arange(len(coeffs) + 1))  # entries come grouped by operator
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        op = np.zeros((dim, dim), dtype=np.complex128)
-        op[rows[lo:hi], cols[lo:hi]] = values[lo:hi]
-        yield op
-
-
 def _table_defect(coeffs: np.ndarray, band: str, block: int | None = None) -> float:
     """``max |(sum_l W_l^dag W_l)[j, j] - 1|`` over the protected block ``j < block``.
 
@@ -336,38 +584,42 @@ def _identity_defect(s: np.ndarray, block: int | None) -> float:
 
 
 def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = None) -> float:
-    """Completeness defect of a family on its protected lower block.
-
-    Single-band families sum their full-band coefficient table, so no
-    band weight is lost to the range cutoff; for quadrature families the
-    exactly-normalized factor (coherent ket, displacement unitary) is
-    summed analytically.  Falling back to the stored square matrices would
-    conflate range truncation with a genuine index-sum deficit, so a discrete
-    ``kraus_from_scheme`` family returns its build-time defect; other blocks raise.
-    A negative block raises ``InvalidParameter`` for every kind of family.
-    """
+    """Completeness defect of a family (:meth:`KrausFamily.defect`) or of a bare stack on its
+    protected lower block; a negative block raises ``InvalidParameter``."""
     if block is not None and block < 0:
         raise InvalidParameter(f"the protected block must be nonnegative, got {block}")
     if isinstance(family, np.ndarray):
         return raw_completeness_defect(family, block)
-    if family.coeffs is not None:
-        return _table_defect(family.coeffs, family.band, block)
-    spec, dim = family.spec, family.dim
-    if isinstance(family.index, QuadratureIndex) and spec is not None and spec.family == "A2":
-        return _position_resolution_defect(family.index.nodes, family.index.weights, dim, block)
-    if isinstance(family.index, QuadratureIndex) and spec is not None and spec.family == "B1":
-        return float(abs(np.sum(family.index.weights / np.sqrt(np.pi * max(spec.noise_a, 1e-300))
-                                * np.exp(-family.index.nodes**2 / max(spec.noise_a, 1e-300))) - 1.0)) \
-            if spec.noise_a > 0 else 0.0
-    if family.origin == "rank-one" and spec is not None and spec.family == "D":
-        vecs = coherent_amplitudes(np.conj(family.index.nodes) * (1.0 / np.sqrt(1.0 + spec.kappa**2)), dim) \
-            * np.sqrt(family.index.weights / (np.pi * (1.0 + spec.kappa**2)))[:, None]
-        return _identity_defect(np.einsum("li,lk->ik", vecs, vecs.conj()), block)
-    if family.origin == "scheme" and isinstance(family.index, DiscreteIndex):
-        if block is not None:
-            raise InvalidParameter("the extra rows a scheme family's defect was measured on are gone")
-        return family.completeness_defect
+    return family.defect(block)
+
+
+def _stack_defect(family: KrausFamily, block: int | None) -> float:
     return raw_completeness_defect(family.ops, block)
+
+
+def _position_defect(family: KrausFamily, block: int | None) -> float:
+    return _position_resolution_defect(family.index.nodes, family.index.weights, family.dim, block)
+
+
+def _gaussian_defect(family: KrausFamily, block: int | None) -> float:
+    a = family.spec.noise_a
+    if a == 0:
+        return 0.0
+    nodes, weights = family.index.nodes, family.index.weights
+    return float(abs(np.sum(weights / np.sqrt(np.pi * max(a, 1e-300)) * np.exp(-nodes**2 / max(a, 1e-300))) - 1.0))
+
+
+def _coherent_defect(family: KrausFamily, block: int | None) -> float:
+    kappa, index = family.spec.kappa, family.index
+    vecs = coherent_amplitudes(np.conj(index.nodes) * (1.0 / np.sqrt(1.0 + kappa**2)), family.dim) \
+        * np.sqrt(index.weights / (np.pi * (1.0 + kappa**2)))[:, None]
+    return _identity_defect(np.einsum("li,lk->ik", vecs, vecs.conj()), block)
+
+
+def _stored_defect(family: KrausFamily, block: int | None) -> float:
+    if block is not None:
+        raise InvalidParameter("the extra rows a scheme family's defect was measured on are gone")
+    return family.completeness_defect
 
 
 def _position_resolution_defect(nodes: np.ndarray, weights: np.ndarray, dim: int,
@@ -554,15 +806,24 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
     return KrausFamily(spec, ops, index, defect)
 
 
-def _output_table(coeffs: np.ndarray, band: str) -> np.ndarray:
-    """The ``(N, N)`` table ``T[s, t]``: the weight of ``|t><s|`` in the one
-    operator of the family that joins source level ``s`` to output level ``t``,
-    0 where none does.  It is ``_square_stack(coeffs, band).sum(0).T``."""
-    dim = coeffs.shape[1]
-    _, rows, cols, values = _square_placement(coeffs, band)
-    table = np.zeros((dim, dim))
-    table[cols, rows] = values
-    return table
+def builder(spec: ChannelSpec) -> tuple:
+    """The builder of ``spec``'s family and the size it takes: a node count for
+    A2 and B1, an index cut for every other tag (``build_discrete`` says how to
+    reach B2 and the noisy specs).  The builder is looked up when this is
+    called, so code that patches one reaches every caller."""
+    return (build_continuous, "nodes") if spec.family in ("A2", "B1") else (build_discrete, "ell_max")
+
+
+def _band_gram_diagonals(coeffs: np.ndarray, band: str) -> np.ndarray:
+    """Diagonals ``(ell_max + 1, N)`` of the truncated ``W_l^dag W_l`` of a
+    single-band family: ``c^2`` at the column of each entry that lands inside
+    the square block.  Each operator has at most one entry per row and
+    column, so no diagonal entry sums two squares and no off-diagonal one is
+    nonzero."""
+    ell, _, cols, values = _square_placement(coeffs, band)
+    diags = np.zeros(coeffs.shape)
+    diags[ell, cols] = values**2
+    return diags
 
 
 def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarray:
@@ -576,55 +837,11 @@ def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarra
     return np.ndarray((2 if k else 1, 2, dim - k), np.float64, square, first, (second - first, 8, 16 * dim + 16))
 
 
-def _band_apply(table: np.ndarray, band: str, mat: np.ndarray) -> np.ndarray:
-    """``sum_l W_l M W_l^dag`` for a single-band family, one step per populated offset of ``M``.
-
-    ``table`` is the family's :func:`_output_table` ``T[s, t]``, the weight of
-    ``|t><s|``.  The diagonals of ``M`` at offsets ``+-k`` feed only the output
-    diagonals at ``+-k``, so one step per ``k`` up to the bandwidth of ``M``
-    builds every term of both, laid out by source ``s`` and output ``t`` with
-    one coefficient pair: C1 and C2 keep the offset, so ``T[s, t] * T[s + k, t + k]``
-    takes ``M[s, s + k]`` to ``(t, t + k)`` and ``M[s + k, s]`` to ``(t + k, t)``;
-    D flips it, so ``T[s + k, t] * T[s, t + k]`` takes them to ``(t + k, t)``
-    and ``(t, t + k)``.
-
-    Each output entry gets exactly the terms ``(c * c') * M[source]`` of one
-    dense block update per ``l`` and sums them in the same order, by
-    increasing source index: ``np.add.reduce`` over an axis that is not the
-    last one adds whole slices in turn.  A pair no operator joins gives an
-    exact zero term for finite ``M``, and the sum is added into the zero
-    output, so these terms change no bit.  Real and imaginary parts run as
-    separate real products, which round like the complex product of a real
-    coefficient.
-    """
-    dim = len(table)
-    flip = band == "anti"
-    mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(bandwidth(mat) + 1):
-        size = dim - k
-        pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
-        terms = pair * _diagonal_parts(mat, k)[..., None]
-        _diagonal_parts(out, k, swap=flip)[...] += np.add.reduce(terms, axis=2)
-    return out
-
-
 def apply_matrix(family: KrausFamily, mat: np.ndarray) -> np.ndarray:
-    """Raw operator-sum action ``sum_l W_l M W_l^dag`` (no renormalization).
-
-    A single-band family visits only the diagonals of ``M`` up to its
-    bandwidth (:func:`_band_apply`); a dense family takes two BLAS products.
-    """
+    """Raw operator-sum action ``sum_l W_l M W_l^dag`` (no renormalization), by :meth:`KrausFamily.act`."""
     if mat.shape[0] != family.dim:
         raise DimMismatch(f"operator dim {mat.shape[0]} != family dim {family.dim}")
-    if family.coeffs is not None:
-        return _band_apply(family.output_table, family.band, mat)
-    # dense stacks: two flattened BLAS products instead of a per-operator loop
-    n_ops, n, _ = family.ops.shape
-    tmp = (family.ops.reshape(n_ops * n, n) @ mat).reshape(n_ops, n, n)
-    left = np.ascontiguousarray(tmp.transpose(1, 0, 2)).reshape(n, n_ops * n)
-    right = family.ops.conj().transpose(0, 2, 1).reshape(n_ops * n, n)
-    return left @ right
+    return family.act(mat)
 
 
 def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
@@ -644,48 +861,16 @@ def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
 
 
 def dual(family: KrausFamily) -> KrausFamily:
-    """Adjoint Kraus set rescaled into the dual trace-preserving channel.
+    """Adjoint Kraus set rescaled into the dual trace-preserving channel (:meth:`KrausFamily.dual`).
 
     ``kappa T_l(kappa)^dag = T_l(1/kappa)`` maps D(kappa) to D(1/kappa);
     ``kappa A_l(kappa)^dag = B_l(1/kappa)`` maps C2(kappa) to C1(1/kappa)
     and conversely ``kappa B_l(kappa)^dag = A_l(1/kappa)``.
 
     The operators are ``kappa W_l^dag`` of the input family itself, never
-    the dual's closed form.  For a coefficient table, C1 and C2 exchange
-    the same table scaled by ``kappa``, and D reads each input row backwards.
-    The one exception is the D entries below the square block (rows
-    ``>= N``): the input table does not hold them, no operator or ``apply``
-    sees them, and only the full-band completeness defect reads them, so
-    they come from the dual's closed form.
+    the dual's closed form.  The identity is its own dual.
     """
-    if not isinstance(family.index, DiscreteIndex):
-        raise UnsupportedFamily("continuous-index families have no discrete dual here")
-    spec = family.spec
-    if spec is None:
-        raise UnsupportedFamily("cannot form the dual of an unlabeled family")
-    if spec.family == "I":
-        return family
-    if spec.family not in ("D", "C1", "C2") or not spec.quantum_limited:
-        raise UnsupportedFamily(f"no dual rule for {spec}")
-    kappa = spec.kappa
-    if kappa == 0.0:
-        raise InvalidParameter("dual of the kappa=0 attenuator is not defined")
-    dual_family = {"D": "D", "C1": "C2", "C2": "C1"}[spec.family]
-    new_spec = ChannelSpec(dual_family, 1.0 / kappa)
-    if family.coeffs is None:
-        ops = kappa * np.transpose(family.ops.conj(), (0, 2, 1))
-        out = KrausFamily(new_spec, ops, family.index, 0.0, family.origin)
-        out.completeness_defect = completeness_defect(out)
-        return out
-    if family.band == "anti":
-        # kappa T_l^dag puts kappa c[l, n] at (n, l - n): entry (l, l - n) of the dual table
-        coeffs, band = _band_table(new_spec, family.index.ell_max, family.dim)
-        ell, rows, _ = _placement(coeffs, band)
-        inside = (rows >= 0) & (rows < family.dim)
-        coeffs[inside] = kappa * family.coeffs[ell[inside], rows[inside]]
-    else:
-        coeffs, band = kappa * family.coeffs, {"upper": "lower", "lower": "upper"}[family.band]
-    return KrausFamily.banded(new_spec, coeffs, band, _table_defect(coeffs, band))
+    return family.dual()
 
 
 def coherent_disc_grid(radius: float, n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:

@@ -78,6 +78,8 @@ class XYPair:
         y = np.asarray(self.y, dtype=float)
         if x.shape != (2, 2) or y.shape != (2, 2):
             raise InvalidParameter("X and Y must be 2x2 real matrices")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise InvalidParameter("X and Y must be finite")
         if np.max(np.abs(y - y.T)) > 1e-10:
             raise InvalidParameter("Y must be symmetric")
         if _min_eigenvalue(y, 0.0) < -1e-12:

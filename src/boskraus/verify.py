@@ -15,9 +15,8 @@ from .fock import DensityMatrix, TruncatedOperator, coherent_state, random_mixed
 
 
 def _family(spec: ChannelSpec, n_cut: int) -> kraus.KrausFamily:
-    if spec.family in ("A2", "B1"):
-        return kraus.build_continuous(spec, 2 * n_cut, n_cut)
-    return kraus.build_discrete(spec, kraus.suggest_ell_max(spec, n_cut, 1e-13), n_cut)
+    build, size = kraus.builder(spec)
+    return build(spec, 2 * n_cut if size == "nodes" else kraus.suggest_ell_max(spec, n_cut, 1e-13), n_cut)
 
 
 def run_all(n_cut: int = 48, seed: int = 0) -> dict:

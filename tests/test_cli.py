@@ -58,6 +58,20 @@ class TestKrausCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["A2", "--ell-max", "5"], ["B1:0.5", "--ell-max", "5"],
+                                      ["D:0.8", "--nodes", "7"], ["C1:0.7", "--nodes", "64"]],
+                             ids=["A2-ell-max", "B1-ell-max", "D-nodes", "C1-nodes"])
+    def test_size_flag_the_family_does_not_take_is_one_error_line(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, "kraus", *argv, "--out", str(tmp_path / "fam.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: family ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_continuous_family_defaults_to_64_nodes(self, capsys):
+        code, out, err = run(capsys, "kraus", "A2", "--ncut", "16")
+        assert code == 0, err
+        assert len(json.loads(out.split("\n", 1)[1])["operators"]) == 64
+
     @pytest.mark.parametrize("nodes", ["400", "600"])
     def test_many_quadrature_nodes(self, capsys, nodes):
         code, out, err = run(capsys, "kraus", "A2", "--nodes", nodes, "--ncut", "16")

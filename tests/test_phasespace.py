@@ -104,6 +104,15 @@ class TestCanonicalForms:
         with pytest.raises(InvalidParameter):
             GaussianMoments(np.zeros(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("x,y", [
+        (np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]), ([[np.nan, 0.0], [0.0, 1.0]], np.eye(2)),
+        (np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]), ([[1.0, -np.inf], [0.0, 1.0]], np.eye(2)),
+    ], ids=["nan-y", "nan-x", "inf-y", "inf-x"])
+    def test_non_finite_pair_rejected(self, x, y):
+        # NaN compares False in the symmetry, PSD and CP gates, so it must be caught before them
+        with pytest.raises(InvalidParameter, match="finite"):
+            XYPair(x, y)
+
 
 class TestClassify:
     @pytest.mark.parametrize("spec", QL_SPECS + [
