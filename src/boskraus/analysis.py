@@ -241,22 +241,18 @@ def _ordered_ops(family: KrausFamily, count: int) -> np.ndarray:
 def gram_rank(family: KrausFamily, k: int) -> GramReport:
     """Numerical rank of the Gram matrix of the products ``W_m^dag W_n``.
 
-    A channel is extremal iff these products are linearly independent,
-    i.e. the Gram matrix of the first ``(k+1)^2`` products has full rank:
-    singular values above ``GRAM_THRESHOLD`` of the largest count.
+    A channel is extremal iff these products are linearly independent, i.e. the
+    Gram matrix of the first ``(k+1)^2`` products (:meth:`KrausFamily.product_gram`)
+    has full rank: singular values above ``GRAM_THRESHOLD`` of the largest.  A
+    :func:`product_family` holds two-factor products already, so its Gram matrix is
+    taken over its first ``(k+1)^2`` operators: a dependent product set cannot
+    certify extremality of the composite.
 
-    The family supplies the Gram matrix (:meth:`KrausFamily.product_gram`); a
-    single-band one reads it off its table, bit for bit the dense einsum.  For
-    a :func:`product_family` the operators are already two-factor products
-    indexed by ``(m, n)``, so the Gram is taken over its first ``(k+1)^2``
-    operators: a dependent product set cannot certify extremality of the
-    composite.
-
-    A cutoff probe guards against band truncation silently deflating the
-    products: above 16 levels, the Gram part carried by the entries in the
-    top 8 rows or columns must stay below ``1e-8`` of the largest singular
-    value.  Quadrature families are exempt: truncated position states gain
-    norm with the cutoff without affecting linear independence.
+    A cutoff probe guards against band truncation silently deflating the products:
+    above 16 levels, the Gram part carried by the entries in the top 8 rows or
+    columns must stay below ``1e-8`` of the largest singular value.  Quadrature
+    families are exempt: truncated position states gain norm with the cutoff
+    without affecting linear independence.
     """
     if k < 0:
         raise InvalidParameter(f"the block index k must be nonnegative, got {k}")
@@ -374,17 +370,8 @@ def simultaneous_diagonality(family: KrausFamily) -> tuple[bool, str]:
     Returns a basis tag: ``fock`` when every product is diagonal in the
     number basis, ``any`` when every product is a multiple of the
     identity, ``position`` when each product is the (rank-one) projector
-    onto a position wavefunction, and ``none`` otherwise.
-
-    The family supplies the products (:meth:`KrausFamily.self_products`); a
-    single-band family reads their diagonals off its table.
+    onto a position wavefunction, and ``none`` otherwise.  The family
+    decides (:meth:`KrausFamily.diagonal_basis`); a B1 family re-evaluates
+    its displacements with this module's stack kernel.
     """
-    prods, diags, off, scale = family.self_products()
-    if off < DIAGONALITY_TOL * scale:
-        spread = np.max(np.abs(diags - diags[:, :1]), initial=0.0)
-        if spread < DIAGONALITY_TOL * scale:
-            return True, "any"
-        return True, "fock"
-    if family.position_basis(prods, scale):
-        return True, "position"
-    return False, "none"
+    return family.diagonal_basis(_displacement_chunks, DIAGONALITY_TOL)

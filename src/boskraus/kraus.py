@@ -23,22 +23,15 @@ completeness integral.
 
 A family is stored in one of two kinds, fixed by its class when it is built;
 readers call its methods (see :class:`KrausFamily`) and never test the storage.
-
-* :class:`BandedFamily` (``D``, ``C1``, ``C2``, ``A1``, ``I``) holds a real table
-  ``c`` of shape ``(ell_max + 1, N)`` over the whole band, and its orientation,
-  which :func:`_placement` alone turns into positions: ``"anti"`` (D) puts
-  ``c[l, n]`` at ``(l - n, n)``, ``"upper"`` (C1, A1, I) ``c[l, m]`` at
-  ``(m, m + l)``, ``"lower"`` (C2) at ``(m + l, m)``.  Every reader reads the
-  table (each ``W_l^dag W_l`` is diagonal, so the defect is a sum of squares);
-  the dense stack ``ops`` is built only when a caller asks for it.
-* :class:`KrausFamily` holds a dense stack: quadrature, scheme, product,
-  rank-one and JSON-loaded families.  Its constructor picks the rules that
-  depend on how the stack was built from ``(spec, index, origin)``: the defect
-  of an exactly normalized factor summed analytically (A2, B1, rank-one D) or
-  the build-time defect of a discrete scheme family; a product family's Gram
-  matrix over its own operators; and for a continuous index center-out order,
-  no cutoff probe, the position-basis test, no dual and, for B1, taller
-  displacements for the ``W_l^dag W_l`` products.
+:class:`BandedFamily` (``D``, ``C1``, ``C2``, ``A1``, ``I``) holds a real table
+``c`` of shape ``(ell_max + 1, N)`` over the whole band and its orientation,
+which :func:`_placement` alone turns into positions: ``"anti"`` (D) puts
+``c[l, n]`` at ``(l - n, n)``, ``"upper"`` (C1, A1, I) ``c[l, m]`` at
+``(m, m + l)``, ``"lower"`` (C2) at ``(m + l, m)``; its readers read the table
+and build the dense stack only when a caller asks for ``ops``.
+:class:`KrausFamily` holds a dense stack (quadrature, scheme, product, rank-one
+and JSON-loaded families) and reads it under rules its constructor picks from
+how the stack was built.
 
 All coefficient evaluation is done in log space (gammaln), never through
 factorial ratios.
@@ -104,16 +97,11 @@ ORIGINS = ("closed-form", "product", "rank-one", "scheme")
 
 
 class KrausFamily:
-    """An ordered Kraus family held as a dense stack ``ops`` of shape ``(n_ops, dim, dim)``,
-    plus channel metadata.
-
-    Every storage kind answers the same readers: :meth:`act`, :meth:`defect`,
-    :meth:`operators`, :meth:`product_gram`, :meth:`self_products` with
-    :meth:`position_basis`, :meth:`dual` and :meth:`to_json_dict`.  This class
-    reads its stack, under the rules its constructor picks from ``(spec,
-    index, origin)``; :class:`BandedFamily` (from :meth:`banded`) reads its
-    coefficient table.  See the module docstring for both.
-    """
+    """An ordered Kraus family held as a dense stack ``ops`` of shape ``(n_ops, dim, dim)``, plus
+    channel metadata.  Readers call :meth:`act`, :meth:`defect`, :meth:`operators`,
+    :meth:`product_gram`, :meth:`diagonal_basis`, :meth:`dual` and :meth:`to_json_dict`, which
+    read the stack under the rules the constructor picks from ``(spec, index, origin)``.
+    :meth:`banded` gives a :class:`BandedFamily`, whose readers read its table instead."""
 
     def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
                  index: DiscreteIndex | QuadratureIndex, completeness_defect: float,
@@ -126,14 +114,20 @@ class KrausFamily:
         self._ops = ops
         self.discrete = isinstance(index, DiscreteIndex)
         family = None if spec is None else spec.family
-        if not self.discrete and family in ("A2", "B1"):
-            self._defect_rule = _position_defect if family == "A2" else _gaussian_defect
+        # a defect rule takes the family as an argument, so that no family refers to itself
+        if not self.discrete and family == "A2":
+            self._defect_rule = lambda fam, block: _position_resolution_defect(
+                index.nodes, index.weights, fam.dim, block)
+        elif not self.discrete and family == "B1":  # the displacement factor is exactly unitary
+            a = max(spec.noise_a, 1e-300)
+            self._defect_rule = lambda fam, block: float(abs(np.sum(
+                index.weights / np.sqrt(np.pi * a) * np.exp(-index.nodes**2 / a)) - 1.0)) if spec.noise_a > 0 else 0.0
         elif origin == "rank-one" and family == "D":
             self._defect_rule = _coherent_defect
         elif origin == "scheme" and self.discrete:
             self._defect_rule = _stored_defect
         else:
-            self._defect_rule = _stack_defect
+            self._defect_rule = lambda fam, block: raw_completeness_defect(fam.ops, block)
         self._own_products = origin == "product"  # the operators are already products W_m W_n
         self._taller = not self.discrete and family == "B1" and spec.noise_a > 0
 
@@ -169,8 +163,7 @@ class KrausFamily:
         """The first ``count`` operators; quadrature nodes go center-out, so neighbors overlap."""
         if self.discrete:
             return self.ops[:count]
-        order = np.argsort(np.abs(np.asarray(self.index.nodes, dtype=float)))
-        return self.ops[order[:count]]
+        return self.ops[np.argsort(np.abs(np.asarray(self.index.nodes, dtype=float)))[:count]]
 
     def product_gram(self, count: int) -> tuple[np.ndarray, float]:
         """Gram matrix ``"aij,bij->ab"`` of the products ``W_m^dag W_n`` (``m, n < count``, by
@@ -185,19 +178,16 @@ class KrausFamily:
             ops = self.operators(count)
             prods = (np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]).reshape(count * count, self.dim, self.dim)
         gram = np.einsum("aij,bij->ab", prods.conj(), prods)
-        border = 0.0
-        if self.discrete:
-            shrink = self.dim - 8
-            top = np.concatenate([prods[:, shrink:].reshape(len(prods), -1),
-                                  prods[:, :shrink, shrink:].reshape(len(prods), -1)], axis=1)
-            border = float(np.max(np.abs(top.conj() @ top.T)))
-        return gram, border
+        if not self.discrete:
+            return gram, 0.0
+        top = np.concatenate([prods[:, -8:].reshape(len(prods), -1), prods[:, :-8, -8:].reshape(len(prods), -1)], axis=1)
+        return gram, float(np.max(np.abs(top.conj() @ top.T)))
 
-    def self_products(self) -> tuple[np.ndarray | None, np.ndarray, float, float]:
-        """Every ``W_l^dag W_l``: their stack (None where it is not built), their
-        diagonals, the largest off-diagonal magnitude and the largest magnitude.
-        A B1 stack is re-evaluated with extra rows, so that the unitary factor's
-        product closes, and its first ``dim`` columns kept."""
+    def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
+        """The verdict of ``analysis.simultaneous_diagonality``, each test to ``tol`` of the largest
+        ``|W_l^dag W_l|`` entry.  A B1 stack is re-evaluated with extra rows by the displacement
+        kernel ``chunks``, so that the unitary factor's product closes, and its first ``dim``
+        columns kept."""
         ops = self.ops
         if self._taller:
             nodes = np.asarray(self.index.nodes, dtype=float)
@@ -205,33 +195,32 @@ class KrausFamily:
             n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(self.dim)) ** 2)) + 8
             scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
             ops = np.empty((len(nodes), n_ext, self.dim), dtype=np.complex128)
-            for part, stack in _displacement_chunks(nodes / np.sqrt(2.0), n_ext):
+            for part, stack in chunks(nodes / np.sqrt(2.0), n_ext):
                 ops[part] = stack[:, :, :self.dim]
             norm = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
             ops = ops * (scales / np.maximum(norm, 1e-300))[:, None, None]
         prods = np.swapaxes(ops.conj(), 1, 2) @ ops
         mags = np.abs(prods)
         scale = max(float(np.max(mags)), 1e-300)
-        diags = np.diagonal(prods, axis1=1, axis2=2).real
         level = np.arange(self.dim)
         mags[:, level, level] = 0.0
-        return prods, diags, float(np.max(mags)), scale
-
-    def position_basis(self, prods: np.ndarray | None, scale: float) -> bool:
-        """Whether each of the ``prods`` of :meth:`self_products` is, to ``1e-8 scale``, a
-        multiple of the projector onto the position wavefunction at its node."""
+        if np.max(mags) < tol * scale:
+            return _fock_or_any(np.diagonal(prods, axis1=1, axis2=2).real, tol * scale)
         if self.discrete:
-            return False
+            return False, "none"
+        # each product a multiple of the projector onto the position wavefunction at its node
         table = hermite_psi_table(self.dim - 1, np.asarray(self.index.nodes, dtype=float))
         for p, v in zip(prods, table.T.astype(complex)):
-            vv = max(float((v.conj() @ v).real), 1e-300)
-            coeff = float(np.real(v.conj() @ p @ v)) / vv**2
-            resid = np.max(np.abs(p - coeff * np.outer(v, v.conj())))
-            if resid > 1e-8 * scale:
-                return False
-        return True
+            coeff = float(np.real(v.conj() @ p @ v)) / max(float((v.conj() @ v).real), 1e-300)**2
+            if np.max(np.abs(p - coeff * np.outer(v, v.conj()))) > 1e-8 * scale:
+                return False, "none"
+        return True, "position"
 
     def dual(self) -> "KrausFamily":
+        """The dual trace-preserving family: the adjoints ``kappa W_l^dag`` of this family's own
+        operators, never the dual's closed form.  ``kappa T_l(kappa)^dag = T_l(1/kappa)`` takes
+        D(kappa) to D(1/kappa), ``kappa A_l(kappa)^dag = B_l(1/kappa)`` C2(kappa) to C1(1/kappa)
+        and ``kappa B_l(kappa)^dag = A_l(1/kappa)`` back; the identity is its own dual."""
         if not self.discrete:
             raise UnsupportedFamily("continuous-index families have no discrete dual here")
         spec = self.spec
@@ -247,7 +236,7 @@ class KrausFamily:
 
     def _dual(self, new_spec: ChannelSpec) -> "KrausFamily":
         ops = self.spec.kappa * np.transpose(self.ops.conj(), (0, 2, 1))
-        out = KrausFamily(new_spec, ops, self.index, 0.0, self.origin)
+        out = KrausFamily(new_spec, ops, self.index, 0.0, self.origin)  # built by the rules of this stack
         out.completeness_defect = completeness_defect(out)
         return out
 
@@ -265,12 +254,8 @@ class KrausFamily:
         operators = []
         for op in self._square_operators():
             rows, cols = np.nonzero(op)
-            operators.append({
-                "rows": rows.tolist(),
-                "cols": cols.tolist(),
-                "re": op[rows, cols].real.tolist(),
-                "im": op[rows, cols].imag.tolist(),
-            })
+            operators.append({"rows": rows.tolist(), "cols": cols.tolist(),
+                              "re": op[rows, cols].real.tolist(), "im": op[rows, cols].imag.tolist()})
         return {
             "spec": self.spec.to_json_dict() if self.spec is not None else None,
             "index_kind": index,
@@ -336,10 +321,8 @@ class BandedFamily(KrausFamily):
 
     @property
     def output_table(self) -> np.ndarray:
-        """The ``(N, N)`` table ``T[s, t]``: the weight of ``|t><s|`` in the one
-        operator of the family that joins source level ``s`` to output level ``t``,
-        0 where none does.  It is ``_square_stack(coeffs, band).sum(0).T``,
-        built on first read and cached."""
+        """``T[s, t]``, the weight of ``|t><s|`` in the one operator joining source level ``s``
+        to output level ``t`` (0 where none does): ``_square_stack(coeffs, band).sum(0).T``."""
         if self._output_table is None:
             _, rows, cols, values = _square_placement(self.coeffs, self.band)
             self._output_table = np.zeros((self.dim, self.dim))
@@ -354,25 +337,16 @@ class BandedFamily(KrausFamily):
         return len(self.coeffs)
 
     def act(self, mat: np.ndarray) -> np.ndarray:
-        """``sum_l W_l M W_l^dag``, one step per populated offset of ``M``.
+        """``sum_l W_l M W_l^dag``, one step per populated offset ``k`` of ``M``.
 
-        ``table`` is :attr:`output_table` ``T[s, t]``, the weight of ``|t><s|``.
-        The diagonals of ``M`` at offsets ``+-k`` feed only the output
-        diagonals at ``+-k``, so one step per ``k`` up to the bandwidth of ``M``
-        builds every term of both, laid out by source ``s`` and output ``t`` with
-        one coefficient pair: C1 and C2 keep the offset, so ``T[s, t] * T[s + k, t + k]``
-        takes ``M[s, s + k]`` to ``(t, t + k)`` and ``M[s + k, s]`` to ``(t + k, t)``;
-        D flips it, so ``T[s + k, t] * T[s, t + k]`` takes them to ``(t + k, t)``
-        and ``(t, t + k)``.
-
-        Each output entry gets exactly the terms ``(c * c') * M[source]`` of one
-        dense block update per ``l`` and sums them in the same order, by
-        increasing source index: ``np.add.reduce`` over an axis that is not the
-        last one adds whole slices in turn.  A pair no operator joins gives an
-        exact zero term for finite ``M``, and the sum is added into the zero
-        output, so these terms change no bit.  Real and imaginary parts run as
-        separate real products, which round like the complex product of a real
-        coefficient.
+        The diagonals of ``M`` at ``+-k`` feed only the output diagonals at ``+-k``, with one
+        pair of :attr:`output_table` weights per source ``s`` and output ``t``: C1 and C2 keep
+        the offset (``T[s, t] * T[s + k, t + k]`` takes ``M[s, s + k]`` to ``(t, t + k)``), D
+        flips it (``T[s + k, t] * T[s, t + k]`` takes it to ``(t + k, t)``).  Each output entry
+        sums the terms of one dense block update per ``l`` in its order, by increasing source
+        (``np.add.reduce`` over a leading axis adds whole slices in turn); the zero terms of
+        pairs no operator joins change no bit, and the real and imaginary parts round like the
+        complex product of a real coefficient.
         """
         table, dim, flip = self.output_table, self.dim, self.band == "anti"
         mat = np.ascontiguousarray(mat, dtype=np.complex128)
@@ -391,17 +365,13 @@ class BandedFamily(KrausFamily):
         return _square_stack(self.coeffs[:count], self.band)
 
     def product_gram(self, count: int) -> tuple[np.ndarray, float]:
-        """The Gram matrix and border part of :meth:`KrausFamily.product_gram`, off the table.
+        """:meth:`KrausFamily.product_gram` off the table, bit for bit.
 
-        At each output level ``t`` both factors have at most one entry, at the columns
-        ``c_m(t)`` and ``c_n(t)``, so the product has the one entry ``w_m(t) w_n(t)`` at
-        ``(c_m(t), c_n(t))``: it lies on the diagonal at offset ``c_n - c_m``, kept whole
-        as a length-``N`` row indexed by the row of each entry.  Products on different
-        diagonals are orthogonal, so the Gram matrix is block-diagonal by offset.  Each
-        block is one einsum over whole diagonals in increasing row order, which adds the
-        nonzero terms of the dense ``"aij,bij->ab"`` contraction in its order: every entry
-        is the dense one bit for bit.  ``np.dot`` or ``matmul`` would block the sums and
-        round differently.  At ``count = 1`` the dense path runs: einsum sums a one-entry
+        Each product ``W_m^dag W_n`` has at most one entry per output level ``t``, at
+        ``(c_m(t), c_n(t))``, so it is one diagonal (offset ``c_n - c_m``), and products on
+        different diagonals are orthogonal.  Each block of the Gram matrix is one einsum over
+        whole diagonals in increasing row order, the order of the dense contraction (``matmul``
+        would block the sums).  At ``count = 1`` the dense path runs: einsum sums a one-entry
         output in buffer-sized chunks of the flat product, which a diagonal cannot repeat.
         """
         if count == 1 or count > len(self):  # the dense path also reports a short family
@@ -428,10 +398,10 @@ class BandedFamily(KrausFamily):
             border = max(border, float(np.max(np.abs(top.conj() @ top.T), initial=0.0)))
         return gram, border
 
-    def self_products(self) -> tuple[None, np.ndarray, float, float]:
-        """The diagonals off the squared table; the off-diagonals are exactly zero."""
+    def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
+        """Every ``W_l^dag W_l`` is diagonal; its diagonal is read off the squared table."""
         diags = _band_gram_diagonals(self.coeffs, self.band)
-        return None, diags, 0.0, max(float(np.max(diags)), 1e-300)
+        return _fock_or_any(diags, tol * max(float(np.max(diags)), 1e-300))
 
     def _dual(self, new_spec: ChannelSpec) -> "BandedFamily":
         """C1 and C2 exchange the table scaled by ``kappa``; D reads each row backwards, and
@@ -448,8 +418,7 @@ class BandedFamily(KrausFamily):
         return KrausFamily.banded(new_spec, coeffs, band, _table_defect(coeffs, band))
 
     def _square_operators(self):
-        """The square operators one at a time, each a fresh ``(N, N)`` matrix equal to its
-        slice of ``ops``, under the size limit of the stack, which is never built."""
+        """The square operators one at a time, under the size limit of the unbuilt stack."""
         _check_stack_bytes(*self.coeffs.shape)
         dim = self.dim
         ell, rows, cols, values = _square_placement(self.coeffs, self.band)
@@ -591,22 +560,6 @@ def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = 
     if isinstance(family, np.ndarray):
         return raw_completeness_defect(family, block)
     return family.defect(block)
-
-
-def _stack_defect(family: KrausFamily, block: int | None) -> float:
-    return raw_completeness_defect(family.ops, block)
-
-
-def _position_defect(family: KrausFamily, block: int | None) -> float:
-    return _position_resolution_defect(family.index.nodes, family.index.weights, family.dim, block)
-
-
-def _gaussian_defect(family: KrausFamily, block: int | None) -> float:
-    a = family.spec.noise_a
-    if a == 0:
-        return 0.0
-    nodes, weights = family.index.nodes, family.index.weights
-    return float(abs(np.sum(weights / np.sqrt(np.pi * max(a, 1e-300)) * np.exp(-nodes**2 / max(a, 1e-300))) - 1.0))
 
 
 def _coherent_defect(family: KrausFamily, block: int | None) -> float:
@@ -807,10 +760,8 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
 
 
 def builder(spec: ChannelSpec) -> tuple:
-    """The builder of ``spec``'s family and the size it takes: a node count for
-    A2 and B1, an index cut for every other tag (``build_discrete`` says how to
-    reach B2 and the noisy specs).  The builder is looked up when this is
-    called, so code that patches one reaches every caller."""
+    """The builder of ``spec``'s family, looked up at call time, and the size it takes: a node
+    count for A2 and B1, an index cut for every other tag (``build_discrete`` rejects the rest)."""
     return (build_continuous, "nodes") if spec.family in ("A2", "B1") else (build_discrete, "ell_max")
 
 
@@ -824,6 +775,11 @@ def _band_gram_diagonals(coeffs: np.ndarray, band: str) -> np.ndarray:
     diags = np.zeros(coeffs.shape)
     diags[ell, cols] = values**2
     return diags
+
+
+def _fock_or_any(diags: np.ndarray, limit: float) -> tuple[bool, str]:
+    """The basis tag of products diagonal in the Fock basis: ``any`` when each diagonal is flat to ``limit``."""
+    return True, "any" if np.max(np.abs(diags - diags[:, :1]), initial=0.0) < limit else "fock"
 
 
 def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarray:
@@ -861,15 +817,7 @@ def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
 
 
 def dual(family: KrausFamily) -> KrausFamily:
-    """Adjoint Kraus set rescaled into the dual trace-preserving channel (:meth:`KrausFamily.dual`).
-
-    ``kappa T_l(kappa)^dag = T_l(1/kappa)`` maps D(kappa) to D(1/kappa);
-    ``kappa A_l(kappa)^dag = B_l(1/kappa)`` maps C2(kappa) to C1(1/kappa)
-    and conversely ``kappa B_l(kappa)^dag = A_l(1/kappa)``.
-
-    The operators are ``kappa W_l^dag`` of the input family itself, never
-    the dual's closed form.  The identity is its own dual.
-    """
+    """The dual trace-preserving family, :meth:`KrausFamily.dual`."""
     return family.dual()
 
 
