@@ -12,7 +12,13 @@ Everything in this package lives on the span of the number states
 
 States carry an explicit ``tail_mass`` recording the probability that the
 untruncated state assigns beyond the cutoff, so truncation error is never
-silent.
+silent.  A state also records its ``bandwidth``, scanned once on
+construction.  A diagonal state (thermal, Fock, phase-averaged, and their
+images under the single-band channels) is checked and compared on its
+diagonal: its eigenvalues are its sorted diagonal, :func:`trace_distance` of
+two of them sorts the difference of their diagonals, and ``kraus.apply``
+builds a banded family's image of one through the private
+``DensityMatrix._diagonal``, which runs every check on the diagonal alone.
 
 Gaussian Fock amplitudes come from two table kernels, each serving every
 caller with one vectorized step per recurrence index over all points:
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -57,13 +63,17 @@ class TruncatedOperator:
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.mat, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidParameter(f"operator must be square, got shape {mat.shape}")
-        if mat.shape[0] < 2:
-            raise InvalidParameter("cutoff dimension must be at least 2")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidParameter("operator entries must be finite")
+        _check_square(mat, mat)
         object.__setattr__(self, "mat", mat)
+
+    @classmethod
+    def _diagonal(cls, mat: np.ndarray) -> "TruncatedOperator":
+        """The operator of ``mat``, a C-contiguous complex square matrix whose off-diagonal entries
+        are ``np.zeros`` that nothing wrote, with its entries checked on the diagonal alone."""
+        _check_square(mat, np.diagonal(mat))
+        op = object.__new__(cls)
+        object.__setattr__(op, "mat", mat)
+        return op
 
     @property
     def dim(self) -> int:
@@ -83,30 +93,49 @@ class TruncatedOperator:
         return TruncatedOperator(mat.reshape(dim, dim))
 
 
+def _check_square(mat: np.ndarray, entries: np.ndarray) -> None:
+    """Raise ``InvalidParameter`` unless ``mat`` is square with at least 2 levels and ``entries``
+    (the matrix, or the only entries that can be nonzero) are finite."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise InvalidParameter(f"operator must be square, got shape {mat.shape}")
+    if mat.shape[0] < 2:
+        raise InvalidParameter("cutoff dimension must be at least 2")
+    if not np.all(np.isfinite(entries)):
+        raise InvalidParameter("operator entries must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A truncated density operator with its recorded out-of-cutoff mass.
 
     Invariants checked on construction: Hermiticity to 1e-12 entrywise,
     eigenvalues above -1e-10, and trace within the window allowed by
-    ``tail_mass``.  The eigenvalues of a state that is diagonal in the Fock
-    basis (thermal, Fock, phase-averaged, and their images under the
-    single-band channels) are its sorted diagonal, with no LAPACK call, and
-    its Hermiticity is read off the diagonal.
+    ``tail_mass``.  The construction scans the matrix once for its
+    :func:`bandwidth` and records it as ``bandwidth``, which the checks,
+    ``kraus.apply`` and :func:`trace_distance` read; the matrix is not
+    expected to change afterwards.  The eigenvalues of a state that is
+    diagonal in the Fock basis (thermal, Fock, phase-averaged, and their
+    images under the single-band channels) are its sorted diagonal, with no
+    LAPACK call, and its Hermiticity is read off the diagonal.  A banded
+    family's image of a diagonal state is built by :meth:`_diagonal`, which
+    runs every check on the diagonal alone.
     """
 
     op: TruncatedOperator
     tail_mass: float = 0.0
+    bandwidth: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tail_mass < 0:
             raise InvalidParameter("tail_mass must be nonnegative")
         mat = self.op.mat
+        if not hasattr(self, "bandwidth"):  # recorded beforehand by the diagonal path
+            object.__setattr__(self, "bandwidth", bandwidth(mat))
         # a diagonal matrix is Hermitian iff its diagonal is real: the zeros around it pass
-        part = np.diagonal(mat) if bandwidth(mat) == 0 else mat
+        part = np.diagonal(mat) if self.bandwidth == 0 else mat
         if np.max(np.abs(part - part.conj().T)) > HERMITICITY_TOL:
             raise InvalidParameter("density matrix is not Hermitian to tolerance")
-        evals = hermitian_eigvals(mat)
+        evals = _eigvals(mat, self.bandwidth)
         if evals.min() < -EIGENVALUE_TOL:
             raise InvalidParameter(f"density matrix has eigenvalue {evals.min():.3e} < -{EIGENVALUE_TOL}")
         tr = float(np.trace(mat).real)
@@ -114,6 +143,24 @@ class DensityMatrix:
             raise InvalidParameter(
                 f"trace {tr:.12g} outside [{1.0 - self.tail_mass - TRACE_TOL:.12g}, {1.0 + TRACE_TOL:.12g}]"
             )
+
+    @classmethod
+    def _diagonal(cls, mat: np.ndarray, tail_mass: float) -> "DensityMatrix":
+        """The state of ``mat``, a C-contiguous complex square matrix whose off-diagonal entries
+        are ``np.zeros`` that nothing wrote, checked on its diagonal alone.
+
+        Zeros are finite, and a matrix that is zero off its diagonal is Hermitian iff its diagonal
+        is real, has its diagonal for eigenvalues and its diagonal's sum for trace.  So each check
+        of the constructor (finite entries, ``tail_mass`` sign, Hermiticity, eigenvalue floor,
+        trace window), run on the diagonal with the same tolerance and message, gives the verdict
+        it gives on the whole matrix, which is never scanned.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "op", TruncatedOperator._diagonal(mat))
+        object.__setattr__(rho, "tail_mass", tail_mass)
+        object.__setattr__(rho, "bandwidth", 0)
+        rho.__post_init__()
+        return rho
 
     @property
     def mat(self) -> np.ndarray:
@@ -152,7 +199,12 @@ def hermitian_eigvals(mat: np.ndarray) -> np.ndarray:
     lies outside about ``[1e-146, 1e146]``: there it rescales the matrix and
     rounds, and the sorted diagonal is the exact answer.
     """
-    if bandwidth(mat) == 0:
+    return _eigvals(mat, bandwidth(mat))
+
+
+def _eigvals(mat: np.ndarray, band: int) -> np.ndarray:
+    """:func:`hermitian_eigvals` of a matrix whose :func:`bandwidth` is ``band``."""
+    if band == 0:
         return np.sort(np.diagonal(mat).real)
     return np.linalg.eigvalsh(mat)
 
@@ -406,9 +458,12 @@ def char_ordered(rho: DensityMatrix, xi: complex, order: str) -> complex:
 
 
 def q_function(rho: DensityMatrix, alpha: complex | np.ndarray) -> float | np.ndarray:
-    """Husimi function without the 1/pi, ``Q(alpha) = <alpha|rho|alpha>``: one ``v^dag rho v`` per point of ``alpha``."""
+    """Husimi function without the 1/pi, ``Q(alpha) = <alpha|rho|alpha>``: ``v^dag rho v`` for every
+    point of ``alpha`` by two stacked matmuls, which make the vector-matrix and dot calls of the
+    per-point product ``v.conj() @ rho.mat @ v``, so each value is its value bit for bit."""
     kets = coherent_amplitudes(alpha, rho.dim)
-    vals = np.array([(v.conj() @ rho.mat @ v).real for v in kets.reshape(-1, rho.dim)])
+    flat = kets.reshape(-1, rho.dim)
+    vals = ((flat.conj()[:, None, :] @ rho.mat) @ flat[:, :, None]).real.reshape(-1)
     if np.min(vals, initial=0.0) < -1e-12:
         raise InvalidParameter(f"Q function came out negative: {vals.min():.3e}")
     return float(vals[0]) if kets.ndim == 1 else vals.reshape(kets.shape[:-1])
@@ -442,11 +497,18 @@ def hermite_psi_table(n_max: int, x) -> np.ndarray:
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """``(1/2) ||rho - sigma||_1`` from the eigenvalues of ``rho - sigma``
-    (the sorted diagonal when both states are diagonal, see :func:`hermitian_eigvals`)."""
+    """``(1/2) ||rho - sigma||_1`` from the eigenvalues of ``rho - sigma`` (:func:`hermitian_eigvals`).
+
+    When both states are diagonal (their recorded ``bandwidth`` is 0) the eigenvalues are the
+    sorted ``diag(rho) - diag(sigma)``, which is the diagonal of the difference, and the
+    ``N x N`` difference is never formed.
+    """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dims differ: {rho.dim} vs {sigma.dim}")
-    evals = hermitian_eigvals(rho.mat - sigma.mat)
+    if rho.bandwidth == sigma.bandwidth == 0:
+        evals = np.sort((np.diagonal(rho.mat) - np.diagonal(sigma.mat)).real)
+    else:
+        evals = hermitian_eigvals(rho.mat - sigma.mat)
     return float(0.5 * np.sum(np.abs(evals)))
 
 

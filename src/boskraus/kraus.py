@@ -94,6 +94,7 @@ class QuadratureIndex:
 
 
 ORIGINS = ("closed-form", "product", "rank-one", "scheme")
+BANDED_FAMILIES = ("D", "C1", "C2", "A1", "I")
 
 
 class KrausFamily:
@@ -101,7 +102,11 @@ class KrausFamily:
     channel metadata.  Readers call :meth:`act`, :meth:`defect`, :meth:`operators`,
     :meth:`product_gram`, :meth:`diagonal_basis`, :meth:`dual` and :meth:`to_json_dict`, which
     read the stack under the rules the constructor picks from ``(spec, index, origin)``.
-    :meth:`banded` gives a :class:`BandedFamily`, whose readers read its table instead."""
+    :meth:`banded` gives a :class:`BandedFamily`, whose readers read its table instead.
+    ``keeps_diagonal`` says whether :meth:`act` maps a diagonal matrix into a fresh ``np.zeros``
+    matrix and writes only its diagonal, which ``apply`` relies on."""
+
+    keeps_diagonal = False
 
     def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
                  index: DiscreteIndex | QuadratureIndex, completeness_defect: float,
@@ -124,7 +129,8 @@ class KrausFamily:
                 index.weights / np.sqrt(np.pi * a) * np.exp(-index.nodes**2 / a)) - 1.0)) if spec.noise_a > 0 else 0.0
         elif origin == "rank-one" and family == "D":
             self._defect_rule = _coherent_defect
-        elif origin == "scheme" and self.discrete:
+        elif self.discrete and (origin == "scheme" or origin == "closed-form" and family in BANDED_FAMILIES
+                                and spec.quantum_limited):  # a banded family's dense record, as from JSON
             self._defect_rule = _stored_defect
         else:
             self._defect_rule = lambda fam, block: raw_completeness_defect(fam.ops, block)
@@ -147,8 +153,10 @@ class KrausFamily:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def act(self, mat: np.ndarray) -> np.ndarray:
-        """``sum_l W_l M W_l^dag``: two flattened BLAS products instead of a per-operator loop."""
+    def act(self, mat: np.ndarray, band: int | None = None) -> np.ndarray:
+        """``sum_l W_l M W_l^dag``: two flattened BLAS products instead of a per-operator loop.
+        ``band``, the :func:`~boskraus.fock.bandwidth` of ``mat`` where the caller knows it, is
+        read by the banded kind only."""
         n_ops, n, _ = self.ops.shape
         tmp = (self.ops.reshape(n_ops * n, n) @ mat).reshape(n_ops, n, n)
         left = np.ascontiguousarray(tmp.transpose(1, 0, 2)).reshape(n, n_ops * n)
@@ -163,7 +171,7 @@ class KrausFamily:
         """The first ``count`` operators; quadrature nodes go center-out, so neighbors overlap."""
         if self.discrete:
             return self.ops[:count]
-        return self.ops[np.argsort(np.abs(np.asarray(self.index.nodes, dtype=float)))[:count]]
+        return self.ops[np.argsort(np.abs(np.real(self.index.nodes)))[:count]]
 
     def product_gram(self, count: int) -> tuple[np.ndarray, float]:
         """Gram matrix ``"aij,bij->ab"`` of the products ``W_m^dag W_n`` (``m, n < count``, by
@@ -190,7 +198,7 @@ class KrausFamily:
         columns kept."""
         ops = self.ops
         if self._taller:
-            nodes = np.asarray(self.index.nodes, dtype=float)
+            nodes = np.real(self.index.nodes)
             beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
             n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(self.dim)) ** 2)) + 8
             scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
@@ -209,7 +217,7 @@ class KrausFamily:
         if self.discrete:
             return False, "none"
         # each product a multiple of the projector onto the position wavefunction at its node
-        table = hermite_psi_table(self.dim - 1, np.asarray(self.index.nodes, dtype=float))
+        table = hermite_psi_table(self.dim - 1, np.real(self.index.nodes))
         for p, v in zip(prods, table.T.astype(complex)):
             coeff = float(np.real(v.conj() @ p @ v)) / max(float((v.conj() @ v).real), 1e-300)**2
             if np.max(np.abs(p - coeff * np.outer(v, v.conj()))) > 1e-8 * scale:
@@ -236,9 +244,8 @@ class KrausFamily:
 
     def _dual(self, new_spec: ChannelSpec) -> "KrausFamily":
         ops = self.spec.kappa * np.transpose(self.ops.conj(), (0, 2, 1))
-        out = KrausFamily(new_spec, ops, self.index, 0.0, self.origin)  # built by the rules of this stack
-        out.completeness_defect = completeness_defect(out)
-        return out
+        # built by the rules of this stack, with the defect of the dual stack itself
+        return KrausFamily(new_spec, ops, self.index, raw_completeness_defect(ops), self.origin)
 
     def _square_operators(self):
         return self.ops
@@ -307,6 +314,8 @@ class BandedFamily(KrausFamily):
     ``band`` orientation.  ``ops`` (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge``) and the
     ``output_table`` that :meth:`act` reads are built on first read and cached."""
 
+    keeps_diagonal = True
+
     def __init__(self, spec: ChannelSpec, coeffs: np.ndarray, band: str, completeness_defect: float):
         super().__init__(spec, None, DiscreteIndex(coeffs.shape[0] - 1), completeness_defect)
         self.coeffs = coeffs
@@ -336,8 +345,9 @@ class BandedFamily(KrausFamily):
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def act(self, mat: np.ndarray) -> np.ndarray:
-        """``sum_l W_l M W_l^dag``, one step per populated offset ``k`` of ``M``.
+    def act(self, mat: np.ndarray, band: int | None = None) -> np.ndarray:
+        """``sum_l W_l M W_l^dag``, one step per populated offset ``k`` of ``M`` (up to ``band``,
+        :func:`~boskraus.fock.bandwidth` of ``M``, scanned here when the caller passes None).
 
         The diagonals of ``M`` at ``+-k`` feed only the output diagonals at ``+-k``, with one
         pair of :attr:`output_table` weights per source ``s`` and output ``t``: C1 and C2 keep
@@ -346,12 +356,13 @@ class BandedFamily(KrausFamily):
         sums the terms of one dense block update per ``l`` in its order, by increasing source
         (``np.add.reduce`` over a leading axis adds whole slices in turn); the zero terms of
         pairs no operator joins change no bit, and the real and imaginary parts round like the
-        complex product of a real coefficient.
+        complex product of a real coefficient.  A diagonal ``M`` writes only the diagonal of the
+        zeros allocated here.
         """
         table, dim, flip = self.output_table, self.dim, self.band == "anti"
         mat = np.ascontiguousarray(mat, dtype=np.complex128)
         out = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(bandwidth(mat) + 1):
+        for k in range((bandwidth(mat) if band is None else band) + 1):
             size = dim - k
             pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
             terms = pair * _diagonal_parts(mat, k)[..., None]
@@ -570,9 +581,15 @@ def _coherent_defect(family: KrausFamily, block: int | None) -> float:
 
 
 def _stored_defect(family: KrausFamily, block: int | None) -> float:
-    if block is not None:
-        raise InvalidParameter("the extra rows a scheme family's defect was measured on are gone")
-    return family.completeness_defect
+    """The defect stored at build time, for a stack that has lost the rows past the cutoff it was
+    measured with (a scheme family, a banded family's dense record): it answers the default block
+    it was measured on, and an empty block has none."""
+    if block is None or block == family.dim // 2:
+        return family.completeness_defect
+    if block == 0:
+        return 0.0
+    raise InvalidParameter(f"the rows past the cutoff this family's defect was measured with are gone; "
+                           f"only the block {family.dim // 2} is known")
 
 
 def _position_resolution_defect(nodes: np.ndarray, weights: np.ndarray, dim: int,
@@ -634,7 +651,7 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
     """
     if not spec.quantum_limited:
         raise UnsupportedFamily(f"{spec}: noisy; use compose/synthesize")
-    if spec.family not in ("D", "C1", "C2", "A1", "I"):
+    if spec.family not in BANDED_FAMILIES:
         raise UnsupportedFamily(
             f"family {spec.family} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
     if ell_max < 0:
@@ -795,9 +812,13 @@ def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarra
 
 def apply_matrix(family: KrausFamily, mat: np.ndarray) -> np.ndarray:
     """Raw operator-sum action ``sum_l W_l M W_l^dag`` (no renormalization), by :meth:`KrausFamily.act`."""
+    return _act(family, mat, None)
+
+
+def _act(family: KrausFamily, mat: np.ndarray, band: int | None) -> np.ndarray:
     if mat.shape[0] != family.dim:
         raise DimMismatch(f"operator dim {mat.shape[0]} != family dim {family.dim}")
-    return family.act(mat)
+    return family.act(mat, band)
 
 
 def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
@@ -805,15 +826,27 @@ def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
 
     The in-cutoff trace after the operator sum falls short of 1 by the
     input tail plus whatever the channel pushed past the cutoff; the
-    output is rescaled to unit trace and that shortfall is recorded.
+    output is symmetrized, rescaled to unit trace and that shortfall is
+    recorded.  The operator sum reads the state's recorded bandwidth.
+
+    A diagonal state under a family that ``keeps_diagonal`` (the banded
+    ones) costs one step on the Fock diagonal: the operator sum writes only
+    the diagonal of its zeros, the symmetrization and rescaling run on that
+    diagonal in place, and :meth:`DensityMatrix._diagonal` checks the state
+    there.  These are the dense path's operations on the same entries, and
+    the dense path leaves the zeros as they are, so every bit is the same.
+    Every other input takes the dense path over the whole matrix.
     """
-    out = apply_matrix(family, rho.mat)
-    out = 0.5 * (out + out.conj().T)
+    out = _act(family, rho.mat, rho.bandwidth)
+    diagonal = rho.bandwidth == 0 and family.keeps_diagonal
+    part = out.reshape(-1)[::len(out) + 1] if diagonal else out  # the diagonal as a writable view
+    part[...] = 0.5 * (part + part.conj().T)
     tr = float(np.trace(out).real)
     if tr <= 1e-12:
         raise InvalidParameter("channel output has vanishing trace inside the cutoff")
+    part[...] = part / tr
     leak = max(0.0, 1.0 - tr)
-    return DensityMatrix(TruncatedOperator(out / tr), leak)
+    return DensityMatrix._diagonal(out, leak) if diagonal else DensityMatrix(TruncatedOperator(out), leak)
 
 
 def dual(family: KrausFamily) -> KrausFamily:
