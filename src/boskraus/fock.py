@@ -57,20 +57,30 @@ _PI_QUARTER = np.pi ** (-0.25)
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """A complex matrix on the span of ``|0>, ..., |dim - 1>``."""
+    """A complex matrix on the span of ``|0>, ..., |dim - 1>``.
+
+    The recorded ``mat`` is read-only and no other array writes it: an array
+    the caller passes in, or a view of one, is copied first.  So what is
+    recorded about it (a state's ``bandwidth`` and checks) stays true.
+    """
 
     mat: np.ndarray
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.mat, dtype=np.complex128)
         _check_square(mat, mat)
+        if mat.flags.writeable or mat.base is not None:
+            mat = mat.copy() if mat is self.mat or mat.base is not None else mat
+            mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
     @classmethod
     def _diagonal(cls, mat: np.ndarray) -> "TruncatedOperator":
         """The operator of ``mat``, a C-contiguous complex square matrix whose off-diagonal entries
-        are ``np.zeros`` that nothing wrote, with its entries checked on the diagonal alone."""
+        are ``np.zeros`` that nothing wrote, with its entries checked on the diagonal alone; ``mat``
+        becomes read-only."""
         _check_square(mat, np.diagonal(mat))
+        mat.flags.writeable = False
         op = object.__new__(cls)
         object.__setattr__(op, "mat", mat)
         return op
@@ -112,8 +122,8 @@ class DensityMatrix:
     eigenvalues above -1e-10, and trace within the window allowed by
     ``tail_mass``.  The construction scans the matrix once for its
     :func:`bandwidth` and records it as ``bandwidth``, which the checks,
-    ``kraus.apply`` and :func:`trace_distance` read; the matrix is not
-    expected to change afterwards.  The eigenvalues of a state that is
+    ``kraus.apply`` and :func:`trace_distance` read; the matrix is
+    read-only (:class:`TruncatedOperator`).  The eigenvalues of a state that is
     diagonal in the Fock basis (thermal, Fock, phase-averaged, and their
     images under the single-band channels) are its sorted diagonal, with no
     LAPACK call, and its Hermiticity is read off the diagonal.  A banded
@@ -181,8 +191,16 @@ class DensityMatrix:
 
 
 def bandwidth(mat: np.ndarray) -> int:
-    """Largest ``|m - n|`` over the nonzero entries ``mat[m, n]``; 0 for a diagonal or zero matrix."""
-    parts = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64) != 0
+    """Largest ``|m - n|`` over the nonzero entries ``mat[m, n]``; 0 for a diagonal or zero matrix.
+
+    A matrix whose off-diagonal words are all zero bits is diagonal, which one count of the
+    nonzero words tells; any other matrix is scanned row by row (``-0.0`` is zero there).
+    """
+    square = np.ascontiguousarray(mat, dtype=np.complex128)
+    words = square.view(np.uint64).reshape(*square.shape, 2)
+    if np.count_nonzero(words) == np.count_nonzero(np.diagonal(words)):
+        return 0
+    parts = square.view(np.float64) != 0
     nonzero = parts.view(np.uint16) != 0  # an entry is nonzero iff either of its parts is
     first = nonzero.argmax(axis=1)  # first and last nonzero column of each row
     last = len(nonzero) - 1 - nonzero[:, ::-1].argmax(axis=1)

@@ -129,8 +129,7 @@ class KrausFamily:
                 index.weights / np.sqrt(np.pi * a) * np.exp(-index.nodes**2 / a)) - 1.0)) if spec.noise_a > 0 else 0.0
         elif origin == "rank-one" and family == "D":
             self._defect_rule = _coherent_defect
-        elif self.discrete and (origin == "scheme" or origin == "closed-form" and family in BANDED_FAMILIES
-                                and spec.quantum_limited):  # a banded family's dense record, as from JSON
+        elif origin == "scheme" and self.discrete:
             self._defect_rule = _stored_defect
         else:
             self._defect_rule = lambda fam, block: raw_completeness_defect(fam.ops, block)
@@ -153,10 +152,8 @@ class KrausFamily:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def act(self, mat: np.ndarray, band: int | None = None) -> np.ndarray:
-        """``sum_l W_l M W_l^dag``: two flattened BLAS products instead of a per-operator loop.
-        ``band``, the :func:`~boskraus.fock.bandwidth` of ``mat`` where the caller knows it, is
-        read by the banded kind only."""
+    def act(self, mat: np.ndarray) -> np.ndarray:
+        """``sum_l W_l M W_l^dag``: two flattened BLAS products instead of a per-operator loop."""
         n_ops, n, _ = self.ops.shape
         tmp = (self.ops.reshape(n_ops * n, n) @ mat).reshape(n_ops, n, n)
         left = np.ascontiguousarray(tmp.transpose(1, 0, 2)).reshape(n, n_ops * n)
@@ -306,7 +303,11 @@ class KrausFamily:
         defect = float(data["completeness_defect"])
         _require(math.isfinite(defect), f"completeness defect must be finite, got {defect}")
         spec = None if data["spec"] is None else ChannelSpec.from_json_dict(data["spec"])
-        return KrausFamily(spec, ops, index, defect, data.get("origin", "closed-form"))
+        family = KrausFamily(spec, ops, index, defect, data.get("origin", "closed-form"))
+        if family.origin == "closed-form" and family.discrete and spec is not None \
+                and spec.family in BANDED_FAMILIES and spec.quantum_limited:
+            family._defect_rule = _stored_defect  # a banded family's record keeps no rows past the cutoff
+        return family
 
 
 class BandedFamily(KrausFamily):
@@ -345,9 +346,8 @@ class BandedFamily(KrausFamily):
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def act(self, mat: np.ndarray, band: int | None = None) -> np.ndarray:
-        """``sum_l W_l M W_l^dag``, one step per populated offset ``k`` of ``M`` (up to ``band``,
-        :func:`~boskraus.fock.bandwidth` of ``M``, scanned here when the caller passes None).
+    def act(self, mat: np.ndarray) -> np.ndarray:
+        """``sum_l W_l M W_l^dag``, one step per populated offset ``k`` of ``M``.
 
         The diagonals of ``M`` at ``+-k`` feed only the output diagonals at ``+-k``, with one
         pair of :attr:`output_table` weights per source ``s`` and output ``t``: C1 and C2 keep
@@ -362,7 +362,7 @@ class BandedFamily(KrausFamily):
         table, dim, flip = self.output_table, self.dim, self.band == "anti"
         mat = np.ascontiguousarray(mat, dtype=np.complex128)
         out = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range((bandwidth(mat) if band is None else band) + 1):
+        for k in range(bandwidth(mat) + 1):
             size = dim - k
             pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
             terms = pair * _diagonal_parts(mat, k)[..., None]
@@ -812,13 +812,9 @@ def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarra
 
 def apply_matrix(family: KrausFamily, mat: np.ndarray) -> np.ndarray:
     """Raw operator-sum action ``sum_l W_l M W_l^dag`` (no renormalization), by :meth:`KrausFamily.act`."""
-    return _act(family, mat, None)
-
-
-def _act(family: KrausFamily, mat: np.ndarray, band: int | None) -> np.ndarray:
     if mat.shape[0] != family.dim:
         raise DimMismatch(f"operator dim {mat.shape[0]} != family dim {family.dim}")
-    return family.act(mat, band)
+    return family.act(mat)
 
 
 def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
@@ -827,7 +823,7 @@ def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
     The in-cutoff trace after the operator sum falls short of 1 by the
     input tail plus whatever the channel pushed past the cutoff; the
     output is symmetrized, rescaled to unit trace and that shortfall is
-    recorded.  The operator sum reads the state's recorded bandwidth.
+    recorded.
 
     A diagonal state under a family that ``keeps_diagonal`` (the banded
     ones) costs one step on the Fock diagonal: the operator sum writes only
@@ -837,7 +833,7 @@ def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
     the dense path leaves the zeros as they are, so every bit is the same.
     Every other input takes the dense path over the whole matrix.
     """
-    out = _act(family, rho.mat, rho.bandwidth)
+    out = apply_matrix(family, rho.mat)
     diagonal = rho.bandwidth == 0 and family.keeps_diagonal
     part = out.reshape(-1)[::len(out) + 1] if diagonal else out  # the diagonal as a writable view
     part[...] = 0.5 * (part + part.conj().T)

@@ -108,7 +108,7 @@ def test_non_diagonal_state_keeps_the_dense_path():
     assert got.mat.tobytes() == want.mat.tobytes() and got.tail_mass == want.tail_mass
 
 
-def test_iterate_scans_one_full_matrix(monkeypatch):
+def test_iterate_scans_each_input_once(monkeypatch):
     calls = []
 
     def counting(mat):
@@ -121,8 +121,29 @@ def test_iterate_scans_one_full_matrix(monkeypatch):
     spec = ChannelSpec("D", 0.8)
     family = build_discrete(spec, suggest_ell_max(spec, 48), 48)
     traj = iterate(family, thermal_state(3.0, 48), 40)
-    assert len(calls) <= 1
+    assert len(calls) <= 1 + 40  # the thermal state, then the operator sum's input each step
     assert all(state.bandwidth == 0 for state in traj.states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_bandwidth_matches_the_nonzero_entries(dim, width, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rows, cols = np.indices(mat.shape)
+    mat[np.abs(rows - cols) > width] = 0.0
+    mat[rng.random(mat.shape) < 0.3] = rng.choice([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)])
+    mat.real[rng.random(mat.shape) < 0.1] = 0.0  # entries with one nonzero part
+    mat.imag[rng.random(mat.shape) < 0.1] = -0.0
+    nonzero = np.nonzero(mat)
+    assert fock.bandwidth(mat) == int(np.max(np.abs(nonzero[0] - nonzero[1]), initial=0))
+
+
+@pytest.mark.parametrize("entry, width", [(1e-300j, 3), (1e-300, 3), (complex(-0.0, -0.0), 0), (-0.0j, 0)])
+def test_bandwidth_reads_either_part_of_an_entry(entry, width):
+    mat = np.diag(np.arange(1.0, 7.0)).astype(np.complex128)
+    mat[4, 1] = entry
+    assert fock.bandwidth(mat) == width
 
 
 def test_states_record_their_bandwidth():
@@ -132,6 +153,30 @@ def test_states_record_their_bandwidth():
     mat = rho.mat.copy()
     mat[2, 5] = mat[5, 2] = 1e-4
     assert DensityMatrix(TruncatedOperator(mat), rho.tail_mass).bandwidth == 3
+
+
+def test_a_state_keeps_its_matrix_from_the_caller():
+    thermal = thermal_state(2.0, 8)
+    mat = thermal.mat.copy()
+    rho = DensityMatrix(TruncatedOperator(mat), thermal.tail_mass)
+    mat[1, 2] = mat[2, 1] = 0.1  # the caller's array, not the state's
+    assert rho.bandwidth == fock.bandwidth(rho.mat) == 0
+    with pytest.raises(ValueError):
+        rho.mat[0, 1] = 0.1
+    base = np.eye(4, dtype=np.complex128) / 4
+    view = base.view()
+    view.flags.writeable = False
+    op = TruncatedOperator(view)
+    base[0, 3] = 1.0
+    assert op.mat[0, 3] == 0.0
+    assert TruncatedOperator(rho.mat).mat is rho.mat  # a recorded matrix is shared, not copied
+
+
+def test_a_banded_image_is_read_only():
+    out = apply(build_discrete(ChannelSpec("D", 0.8), 60, 24), thermal_state(2.0, 24))
+    assert out.bandwidth == 0
+    with pytest.raises(ValueError):
+        out.mat[0, 0] = 0.5
 
 
 def _diagonal_matrix(values) -> np.ndarray:
@@ -226,6 +271,8 @@ def test_dual_of_a_loaded_family_measures_its_own_stack():
     loaded = KrausFamily.from_json_dict(json.loads(json.dumps(built.to_json_dict())))
     dual = loaded.dual()
     assert dual.completeness_defect == kraus.raw_completeness_defect(dual.ops)
+    for block in (3, 5, 12):  # blocks other than 0 and dim // 2 too
+        assert completeness_defect(dual, block) == kraus.raw_completeness_defect(dual.ops, block)
 
 
 def test_complex_nodes_are_ordered_without_a_cast():
