@@ -20,7 +20,6 @@ from .errors import (
     CutoffTooSmall,
     DimMismatch,
     InvalidParameter,
-    StencilFailure,
     UnsupportedFamily,
     UnsupportedPair,
 )
@@ -43,7 +42,6 @@ from .kraus import (
     completeness_defect,
     suggest_ell_max,
 )
-from .kraus import _band_gram_diagonals, _square_stack  # noqa: F401  names of this module, kept for code that reads them
 from .phasespace import table1_compose
 
 GRAM_THRESHOLD = 1e-8  # numerical rank cut, relative to the largest singular value
@@ -89,8 +87,8 @@ def thermal_step(spec: ChannelSpec, a0: float) -> float:
     D: a0 -> kappa^2 a0 + 1 + kappa^2;  C1: kappa^2 a0 + 1 - kappa^2;
     C2: kappa^2 a0 + kappa^2 - 1.
     """
-    if a0 < 1.0:
-        raise InvalidParameter("thermal parameter must be >= 1")
+    if not 1.0 <= a0 < math.inf:
+        raise InvalidParameter(f"thermal parameter must be finite and >= 1, got {a0}")
     if spec.family == "D":
         return spec.kappa**2 * a0 + 1.0 + spec.kappa**2
     if spec.family == "C1":
@@ -124,83 +122,60 @@ def fixed_point(spec: ChannelSpec) -> float | None:
     raise UnsupportedFamily(f"no fixed-point rule for family {fam}")
 
 
-def _fd_weights(order: int, offsets: np.ndarray) -> np.ndarray:
-    """Fornberg finite-difference weights for the given derivative order."""
-    n = offsets.size
-    if order >= n:
-        raise InvalidParameter("stencil too small for requested order")
-    w = np.zeros((n, order + 1))
-    w[0, 0] = 1.0
-    c1, c4 = 1.0, offsets[0]
-    for i in range(1, n):
-        c2, c5, c4 = 1.0, c4, offsets[i]
-        for j in range(i):
-            c3 = offsets[i] - offsets[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(min(i, order), 0, -1):
-                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
-            for k in range(min(i, order), 0, -1):
-                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
-        c1 = c2
-    return w[:, order]
+def _quadrature_moments(rho: DensityMatrix, max_order: int) -> np.ndarray:
+    """Weyl-symmetric moments ``mu[m1, m2]`` of ``Y1 = -sqrt(2) p``, ``Y2 = sqrt(2) q``; NaN above ``max_order``.
+
+    ``tr(rho A^n)`` with ``A = cos t Y1 + sin t Y2 = c a + conj(c) a^dag``, ``c = sin t + i cos t``,
+    is ``sum_k C(n, k) cos^k t sin^(n-k) t mu[k, n - k]``: its values at ``n + 1`` angles give the
+    moments of order ``n`` by one binomial solve.  ``A`` is tridiagonal, so each power is two
+    shifted-slice products on the columns of ``rho``, padded by ``max_order`` levels that hold
+    every ``A^n rho`` exactly.  The moments are divided by ``tr rho``.
+    """
+    root = np.sqrt(np.arange(1.0, rho.dim + max_order))[:, None]  # <m|a|m+1>
+    mu = np.full((max_order + 1, max_order + 1), np.nan)
+    for order in range(max_order + 1):
+        theta = np.pi * np.arange(order + 1) / (order + 1)
+        c = (np.sin(theta) + 1j * np.cos(theta))[:, None, None]
+        power = np.zeros((order + 1, root.size + 1, rho.dim), dtype=complex)
+        power[:, :rho.dim] = rho.mat
+        for _ in range(order):
+            nxt = np.zeros_like(power)
+            nxt[:, :-1] = c * root * power[:, 1:]
+            nxt[:, 1:] += c.conj() * root * power[:, :-1]
+            power = nxt
+        k = np.arange(order + 1)
+        binom = np.array([math.comb(order, j) for j in k])
+        system = binom * np.cos(theta)[:, None] ** k * np.sin(theta)[:, None] ** (order - k)
+        mu[k, order - k] = np.linalg.solve(system, np.einsum("aii->a", power[:, :rho.dim]).real)
+    return mu / mu[0, 0]
 
 
-def _cumulant_table(rho: DensityMatrix, max_order: int, h: float) -> np.ndarray:
-    half = (max_order + 1) // 2 + 1
-    offsets = np.arange(-half, half + 1)
-    points = np.array([complex(oi * h, oj * h) for oi in offsets for oj in offsets])
-    grid = np.empty((offsets.size, offsets.size), dtype=complex)
-    rho_t = rho.mat.T
-    for part, stack in _displacement_chunks(points, rho.dim):
-        for flat, d in enumerate(stack, part.start):
-            chi = complex(np.sum(d * rho_t))  # char_weyl, one slice at a time: a batched sum rounds differently
-            i, j = divmod(flat, offsets.size)
-            if abs(chi) < 1e-12:
-                oi, oj = offsets[i], offsets[j]
-                raise StencilFailure(f"characteristic function vanishes at stencil point ({oi*h}, {oj*h})")
-            grid[i, j] = np.log(chi)
-    out = np.full((max_order + 1, max_order + 1), np.nan)
-    for m1 in range(max_order + 1):
-        for m2 in range(max_order + 1 - m1):
-            if m1 == m2 == 0:
-                out[0, 0] = 0.0
-                continue
-            w1 = _fd_weights(m1, offsets * h)
-            w2 = _fd_weights(m2, offsets * h)
-            val = np.einsum("i,j,ij->", w1, w2, grid)
-            out[m1, m2] = ((-1j) ** (m1 + m2) * val).real
-    return out
-
-
-def cumulants(rho: DensityMatrix, max_order: int, h: float = 2e-2) -> np.ndarray:
-    """Phase-space cumulants gamma[m1, m2] of log chi_W, Richardson-refined.
+def cumulants(rho: DensityMatrix, max_order: int) -> np.ndarray:
+    """Phase-space cumulants gamma[m1, m2] of log chi_W, exact from quadrature moments.
 
     Defined as d^m1/d(i xi1)^m1 d^m2/d(i xi2)^m2 log chi_W at xi = 0 with
     xi = xi1 + i xi2.  In these units a thermal state has
     gamma[2,0] = gamma[0,2] = a0 and all higher cumulants zero; entries
-    with m1 + m2 > max_order are NaN.  Orders above 4 are reported but
-    dominated by roundoff; treat them as low-confidence.  The default
-    step balances the h^4 extrapolation remainder against the eps/h^4
-    roundoff floor of fourth derivatives; below 1e-2 the roundoff side
-    exceeds 1e-6 on exactly-Gaussian states.
+    with m1 + m2 > max_order are NaN and gamma[0,0] is 0.
 
-    Each table reads ``chi_W`` on a square grid of ``(2 * ((max_order + 1) // 2) + 3)^2``
-    points (49 for orders 3 and 4), all taken from one stack of displacements; the values are
-    ``char_weyl``'s bit for bit.  ``max_order`` must be an integer in ``0..6`` and ``h``
-    finite and positive (``InvalidParameter``, before any point is evaluated).
+    As ``D(xi) = exp(i (xi1 Y1 + xi2 Y2))``, ``chi_W`` generates the moments of :func:`_quadrature_moments`
+    (nothing is truncated); the bivariate moment-cumulant recursion turns them into ``gamma``, exact up to
+    roundoff at every order.  ``max_order`` must be an integer in ``0..6`` (``InvalidParameter``, before any work).
     """
     if isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral) or max_order < 0:
         raise InvalidParameter(f"cumulant order must be a nonnegative integer, got {max_order!r}")
     if max_order > 6:
         raise InvalidParameter("cumulants supported up to total order 6")
-    if not (math.isfinite(h) and h > 0):
-        raise InvalidParameter(f"stencil step h must be finite and positive, got {h!r}")
-    coarse = _cumulant_table(rho, max_order, h)
-    fine = _cumulant_table(rho, max_order, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    mu = _quadrature_moments(rho, max_order)
+    out = np.full_like(mu, np.nan)
+    for m in np.ndindex(mu.shape):  # every m - j with 0 < j <= m comes earlier
+        if sum(m) <= max_order:
+            a = 0 if m[0] else 1  # d_a chi = chi d_a log chi along an axis with m[a] >= 1
+            out[m] = mu[m] - sum(math.comb(m[a] - 1, j[a]) * math.comb(m[1 - a], j[1 - a])
+                                 * mu[j] * out[m[0] - j[0], m[1] - j[1]]
+                                 for j in np.ndindex(m[0] + 1, m[1] + 1) if any(j) and j[a] < m[a])
+    out[0, 0] = 0.0
+    return out
 
 
 def zeno_kappa(mode: str, n_interrupts: int, steps: int, total: float | None = None) -> float:
@@ -232,10 +207,6 @@ class GramReport:
     singular_values: np.ndarray
     numerical_rank: int
     threshold: float
-
-
-def _ordered_ops(family: KrausFamily, count: int) -> np.ndarray:
-    return family.operators(count)
 
 
 def gram_rank(family: KrausFamily, k: int) -> GramReport:

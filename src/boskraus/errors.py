@@ -57,9 +57,5 @@ class UnsupportedPair(BoskrausError):
     """A channel pair has no closed-form composition rule."""
 
 
-class StencilFailure(BoskrausError):
-    """The characteristic function vanishes on a finite-difference stencil."""
-
-
 class AllocationTooLarge(BoskrausError):
     """A requested array would exceed the allocation limit."""

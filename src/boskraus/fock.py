@@ -24,9 +24,9 @@ Gaussian Fock amplitudes come from two table kernels, each serving every
 caller with one vectorized step per recurrence index over all points:
 :func:`coherent_amplitudes` (coherent kets) and the displacement stack behind
 :func:`displacement_op`, which also builds the B1 Kraus operators
-(``kraus.build_continuous``), the B1 diagonality check and the cumulant grid
-(``analysis``) a bounded chunk of points at a time.  Both repeat the scalar
-arithmetic they replaced, so every value is the same bit for bit.
+(``kraus.build_continuous``) and the B1 diagonality check (``analysis``) a
+bounded chunk of points at a time.  Both repeat the scalar arithmetic they
+replaced, so every value is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -438,8 +438,8 @@ def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
     depends on ``|xi|^2`` only and serves both triangles; a stable upward
     recurrence fills it, one vector step per ``k`` across all offsets.  No
     factorial ratios of large arguments are formed.  This is a one-point call
-    of the stack kernel that also builds the B1 family and the cumulant grid,
-    so every one of their operators is this matrix bit for bit.
+    of the stack kernel that also builds the B1 family and its diagonality
+    check, so every one of their operators is this matrix bit for bit.
 
     The cutoff must be an integer of at least 2 and ``xi`` a finite number with
     ``|xi|^2 n_cut <= 1e6`` (``InvalidParameter``, before anything is
@@ -455,9 +455,8 @@ def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
 def char_weyl(rho: DensityMatrix, xi: complex) -> complex:
     """Weyl-ordered characteristic function ``tr(D(xi) rho)``, as ``sum(D * rho^T)`` over the matrix.
 
-    ``analysis.cumulants`` takes its grid of these values from one stack of
-    displacements, with the same sum over each slice, so its values are this
-    function's bit for bit.
+    ``analysis.cumulants`` gives the derivatives of its logarithm at 0 exactly, from quadrature
+    moments, without evaluating it.
     """
     d = displacement_op(xi, rho.dim).mat
     return complex(np.sum(d * rho.mat.T))

@@ -62,7 +62,6 @@ from .fock import (
     _displacement_chunks,
     bandwidth,
     coherent_amplitudes,
-    displacement_op,  # noqa: F401  a name of this module, kept for code that patches it
     hermite_psi_table,
     thermal_state,
     trace_distance,
@@ -604,11 +603,12 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
     The per-level weights of ``sum_l (W_l^dag W_l)[n, n]`` decay
     geometrically in l; the worst protected level is ``n_protect - 1``.
     Raises ``DefectTooLarge`` when the tail is still above ``tol`` at
-    ``SUGGEST_ELL_CAP``.
+    ``SUGGEST_ELL_CAP``; ``InvalidParameter`` unless ``n_protect`` is an integer of at least 1.
     """
+    _require(_is_count(n_protect) and n_protect > 0, f"n_protect must be an integer of at least 1, got {n_protect!r}")
     fam = spec.family
     if fam in ("I", "A1") or (fam == "C1"):
-        return max(n_protect - 1, 0) if fam != "I" else 0
+        return n_protect - 1 if fam != "I" else 0
     n = n_protect - 1
     if fam == "D":
         ratio = 1.0 / (1.0 + spec.kappa**-2)
@@ -647,13 +647,16 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
     The family stores its coefficient table over the whole band; its
     square operators are the truncation to ``n_cut`` levels.  The recorded
     defect is the index-sum deficit on the protected domain block,
-    measured before the range cutoff is imposed.
+    measured before the range cutoff is imposed.  ``InvalidParameter``
+    unless ``ell_max >= 0`` and ``n_cut >= 2`` are integers.
     """
     if not spec.quantum_limited:
         raise UnsupportedFamily(f"{spec}: noisy; use compose/synthesize")
     if spec.family not in BANDED_FAMILIES:
         raise UnsupportedFamily(
             f"family {spec.family} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
+    _require(_is_count(ell_max) and _is_count(n_cut) and n_cut > 1,
+             f"ell_max and n_cut must be integers, n_cut at least 2, got {ell_max!r}, {n_cut!r}")
     if ell_max < 0:
         raise InvalidParameter(f"ell_max must be nonnegative, got {ell_max}")
     coeffs, band = _band_table(spec, ell_max, n_cut)

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import family_for
+from conftest import family_for, padded_random_state
 from test_fock import reference_coherent_amplitudes, reference_q_function
 
 from boskraus import analysis
 from boskraus.analysis import (
     GramReport,
-    _ordered_ops,
     classicality_check,
     cumulants,
     fixed_point,
@@ -28,7 +27,7 @@ from boskraus.analysis import (
 )
 from boskraus.channels import ChannelSpec
 from boskraus.cli import main
-from boskraus.errors import CutoffTooSmall, InvalidParameter, StencilFailure, UnsupportedFamily
+from boskraus.errors import CutoffTooSmall, InvalidParameter, UnsupportedFamily
 from boskraus.fock import (
     coherent_state,
     displacement_op,
@@ -43,6 +42,7 @@ from boskraus.kraus import (
     DiscreteIndex,
     KrausFamily,
     QuadratureIndex,
+    _band_gram_diagonals,
     _square_stack,
     apply,
     build_continuous,
@@ -79,6 +79,12 @@ class TestThermalRecursion:
             thermal_step(ChannelSpec("D", 0.8), 0.5)
         with pytest.raises(UnsupportedFamily):
             thermal_step(ChannelSpec("A2"), 2.0)
+
+    @pytest.mark.parametrize("a0", [math.nan, math.inf])
+    def test_non_finite_thermal_parameter(self, a0):
+        for spec in (ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)):
+            with pytest.raises(InvalidParameter, match="finite"):
+                thermal_step(spec, a0)
 
 
 class TestIterate:
@@ -188,10 +194,41 @@ class TestCumulants:
             want = k ** (m1 + m2) * gi[m1, m2]
             assert go[m1, m2] == pytest.approx(want, rel=1e-3)
 
-    def test_stencil_failure(self):
-        # the Fock-one characteristic function vanishes on the unit circle
-        with pytest.raises(StencilFailure):
-            cumulants(fock_state(1, 32), 2, h=0.5)
+    def test_fock_one_exact_to_order_six(self):
+        # the r^6 term of log chi is -r^6/3
+        want = {**FOCK1_CUMULANTS, (6, 0): 240.0, (0, 6): 240.0, (4, 2): 48.0, (2, 4): 48.0}
+        g = cumulants(fock_state(1, 32), 6)
+        for m1 in range(7):
+            for m2 in range(7 - m1):
+                assert abs(g[m1, m2] - want.get((m1, m2), 0.0)) <= 1e-9, (m1, m2)
+
+    def test_top_level_state_is_not_truncated(self):
+        # |15> on 16 levels has the cumulants of |15> on 32: the padding holds every power
+        small, big = cumulants(fock_state(15, 16), 6), cumulants(fock_state(15, 32), 6)
+        assert np.array_equal(np.isnan(small), np.isnan(big))
+        assert np.nanmax(np.abs(small - big)) <= 1e-12 * np.nanmax(np.abs(big))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(["C1", "C2", "D"]), seed=st.integers(0, 2**32 - 1),
+           block=st.integers(2, 8))
+    def test_gain_law_exact_at_orders_three_and_four(self, data, family, seed, block):
+        kappa = data.draw({"C1": st.floats(0.1, 0.95), "C2": st.floats(1.05, 1.3), "D": st.floats(0.3, 1.0)}[family])
+        n_cut = 64
+        rho = padded_random_state(seed, block, n_cut, rank=block)
+        gi = cumulants(rho, 4)
+        go = cumulants(apply(family_for(ChannelSpec(family, kappa), n_cut), rho), 4)
+        for m1 in range(5):
+            for m2 in range(max(3 - m1, 0), 5 - m1):
+                sign = (-1) ** m1 if family == "D" else 1
+                assert abs(go[m1, m2] - sign * kappa ** (m1 + m2) * gi[m1, m2]) <= 1e-8, (m1, m2)
+
+    def test_conjugator_fixed_point_is_gaussian(self):
+        # five D(0.8) steps scale every fourth-order cumulant by 0.8^(4 * 5)
+        rho = fock_state(1, 64)
+        gi = cumulants(rho, 4)
+        go = cumulants(iterate(family_for(ChannelSpec("D", 0.8), 64), rho, 5).states[-1], 4)
+        for m in [(4, 0), (2, 2), (0, 4)]:
+            assert abs(go[m] - 0.8**20 * gi[m]) <= 1e-7, m
 
 
 class TestZeno:
@@ -277,7 +314,7 @@ def reference_gram_rank(family, k, threshold=1e-8, tail_check=True):
     else:
         if count > len(family):
             raise InvalidParameter(f"family has only {len(family)} operators, need {count}")
-        ops = _ordered_ops(family, count)
+        ops = family.operators(count)
         prods = np.einsum("mji,njk->mnik", ops.conj(), ops).reshape(count * count, family.dim, family.dim)
     gram = np.einsum("aij,bij->ab", prods.conj(), prods)
     sv = np.linalg.svd(gram, compute_uv=False)
@@ -652,7 +689,7 @@ class TestSimultaneousDiagonality:
         kappa = {"D": st.floats(0.3, 3.0), "C1": st.floats(0.1, 0.95), "C2": st.floats(1.05, 3.0)}.get(family)
         spec = ChannelSpec(family, data.draw(kappa)) if kappa is not None else ChannelSpec(family)
         fam = build_discrete(spec, data.draw(st.integers(0, 2 * n_cut)), n_cut, defect_limit=1e300)
-        diags = analysis._band_gram_diagonals(fam.coeffs, fam.band)
+        diags = _band_gram_diagonals(fam.coeffs, fam.band)
         ops = _square_stack(fam.coeffs, fam.band)
         dense = np.einsum("lji,ljk->lik", ops.conj(), ops)
         off_diagonal = ~np.eye(n_cut, dtype=bool)

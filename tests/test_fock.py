@@ -229,7 +229,6 @@ class TestDisplacementTable:
         points = (0.02, 0.3 - 0.1j, -0.7 + 0.4j, 1.1j)
         fam = kraus.build_continuous(spec, 64, 64)
         chis = [char_weyl(rho, xi) for xi in points]
-        monkeypatch.setattr(kraus, "displacement_op", reference_displacement_op)
         monkeypatch.setattr(fock, "displacement_op", reference_displacement_op)
         assert np.array_equal(fam.ops, kraus.build_continuous(spec, 64, 64).ops)
         assert chis == [char_weyl(rho, xi) for xi in points]

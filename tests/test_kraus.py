@@ -110,6 +110,18 @@ class TestDiscreteBuilders:
         with pytest.raises(UnsupportedFamily):
             build_discrete(ChannelSpec("B2", noise_a=0.0), 8, 16)
 
+    @pytest.mark.parametrize("ell_max,n_cut", [(4, 0), (4, 1), (4, 2.5), (2.5, 16), (4, True), ("4", 16)])
+    @pytest.mark.parametrize("family", ["D", "C1", "C2", "A1", "I"])
+    def test_sizes_are_checked(self, family, ell_max, n_cut):
+        spec = ChannelSpec(family, {"D": 0.8, "C1": 0.7, "C2": 1.3}.get(family))
+        with pytest.raises(InvalidParameter, match="integers"):
+            build_discrete(spec, ell_max, n_cut)
+
+    def test_negative_ell_max_message(self):
+        with pytest.raises(InvalidParameter) as exc:
+            build_discrete(ChannelSpec("D", 0.8), -1, 16)
+        assert str(exc.value) == "ell_max must be nonnegative, got -1"
+
 
 class TestCompleteness:
     def test_identity_family(self):
@@ -132,6 +144,13 @@ class TestCompleteness:
             ell = suggest_ell_max(spec, 32, 1e-12)
             fam = build_discrete(spec, ell, 32)
             assert fam.completeness_defect < 1e-10
+
+    @pytest.mark.parametrize("n_protect", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("family", ["D", "C1", "C2", "A1", "I"])
+    def test_suggest_ell_max_needs_a_protected_level(self, family, n_protect):
+        spec = ChannelSpec(family, {"D": 0.8, "C1": 0.7, "C2": 1.3}.get(family))
+        with pytest.raises(InvalidParameter, match="n_protect"):
+            suggest_ell_max(spec, n_protect)
 
     def test_suggest_ell_max_raises_when_tail_not_converged(self):
         # D(1e3) keeps almost all weight beyond any cut below the 100000 cap
