@@ -22,12 +22,13 @@ from .analysis import (
     thermal_step,
     zeno_kappa,
 )
-from .channels import ChannelSpec, parse_channel
+from .channels import ChannelSpec, closed_form_action, parse_channel
 from .fock import (
     DensityMatrix,
     TruncatedOperator,
     char_ordered,
     char_weyl,
+    coherent_disc_grid,
     coherent_state,
     displacement_op,
     fock_state,
@@ -46,8 +47,6 @@ from .kraus import (
     apply,
     build_continuous,
     build_discrete,
-    closed_form_action,
-    coherent_disc_grid,
     completeness_defect,
     dual,
     rank_one_d,

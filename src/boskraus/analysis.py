@@ -26,7 +26,9 @@ from .errors import (
 from .fock import (
     DensityMatrix,
     _displacement_chunks,
+    _ket_sum,
     coherent_amplitudes,
+    coherent_disc_grid,
     coherent_state,
     hermite_psi_table,
     q_function,
@@ -38,7 +40,6 @@ from .kraus import (
     apply,
     build_continuous,
     build_discrete,
-    coherent_disc_grid,
     completeness_defect,
     suggest_ell_max,
 )
@@ -282,9 +283,12 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix],
     C1 sends coherent states to attenuated coherent states; C2 scales the
     Husimi function, ``Q'(alpha) = kappa^-2 Q(alpha/kappa)``; D outputs a
     state whose diagonal weight is the conjugate-scaled input Q, checked
-    by rebuilding the output from that weight; the weight is nonnegative
-    everywhere sampled.  A probe passes below ``CLASSICALITY_TOL`` (ten times
-    that for the D rebuild).
+    by rebuilding the output from that weight (one weighted sum of coherent
+    projectors on a 48x48 disc grid, :func:`fock._ket_sum`); the weight is
+    nonnegative everywhere sampled.  A2 outputs the position-diagonal weight
+    ``<q|rho|q>`` at its quadrature nodes, checked nonnegative, each value by
+    the stacked matmuls of :func:`fock.q_function`.  A probe passes below
+    ``CLASSICALITY_TOL`` (ten times that for the D rebuild).
     """
     reports = []
     fam = spec.family
@@ -316,7 +320,7 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix],
         for probe in probes:
             out = apply(family, probe)
             coeffs = (weights / np.pi) * (q_function(probe, np.conj(alphas) / k) / k**2)
-            rebuilt = sum(c * np.outer(ket, ket.conj()) for ket, c in zip(kets, coeffs))
+            rebuilt = _ket_sum(kets, coeffs)
             tr = float(np.trace(rebuilt).real)
             dev = float(np.max(np.abs(rebuilt / tr - out.mat)))
             negative = float(np.min(q_function(probe, np.conj(grid) / k) / k**2))
@@ -324,11 +328,10 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix],
             reports.append(ClassicalityReport(spec, "conjugated-q-weight", dev, ok,
                                               {"min_weight": float(negative)}))
     elif fam == "A2":
-        family = build_continuous(spec, max(2 * n_cut, 64), n_cut)
+        table = hermite_psi_table(n_cut - 1, build_continuous(spec, max(2 * n_cut, 64), n_cut).index.nodes).T
         for probe in probes:
-            diag_weight = [float(np.real(v.conj() @ probe.mat @ v))
-                           for v in hermite_psi_table(n_cut - 1, family.index.nodes).T]
-            dev = max(0.0, -min(diag_weight))
+            diag_weight = ((table.conj()[:, None, :] @ probe.mat) @ table[:, :, None]).real
+            dev = max(0.0, -float(np.min(diag_weight)))
             reports.append(ClassicalityReport(spec, "position-weight-nonnegative", dev, dev < CLASSICALITY_TOL))
     else:
         raise UnsupportedFamily(f"no classicality diagnostic for family {fam}")

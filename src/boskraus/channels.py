@@ -16,7 +16,9 @@ family     gain constraint          quantum-limited noise y0
 =========  =======================  ===========================
 
 ``noise_a`` is the classical noise injected on top of the quantum limit;
-``noise_a == 0`` marks a quantum-limited channel.
+``noise_a == 0`` marks a quantum-limited channel.  :func:`closed_form_action`
+gives the image of a number-state dyad ``|m><n|`` under a quantum-limited
+``D``, ``C1``, ``C2`` or ``A1``, summed from the band formulas of ``kraus``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import gammaln
+
 from .errors import InvalidParameter, UnsupportedFamily
+from .fock import TruncatedOperator
 
 FAMILIES = ("D", "C1", "C2", "A1", "A2", "B1", "B2", "I")
 
@@ -132,3 +138,79 @@ def parse_channel(text: str) -> ChannelSpec:
         # allow B2:1.5 style shorthand meaning noise, not kappa
         noise, kappa = kappa, None
     return ChannelSpec(family, kappa, noise)
+
+
+def _log_binom_sqrt(n, k):
+    """0.5 * log C(n, k), vectorized."""
+    return 0.5 * (gammaln(np.asarray(n) + 1) - gammaln(np.asarray(k) + 1) - gammaln(np.asarray(n) - np.asarray(k) + 1))
+
+
+def closed_form_action(spec: ChannelSpec, m: int, n: int, n_cut: int) -> TruncatedOperator:
+    """Image of ``|m><n|`` under the channel, from the summed band formulas.
+
+    D(kappa) with ``n = m + delta``::
+
+        |m+d><m|  ->  (1+k^2)^(-1-m-d/2) (1+k^-2)^(-d/2)
+                      sum_j (j+m+d)! (1+k^-2)^(-j)
+                            / sqrt((m+d)! m! j! (j+d)!)   |j><j+d|
+
+    C1(kappa)::
+
+        |m><n| -> sum_l sqrt(C(m,l) C(n,l)) (1-k^2)^l k^(m+n-2l) |m-l><n-l|
+
+    C2(kappa)::
+
+        |m><n| -> k^(-2-m-n) sum_l sqrt(C(m+l,l) C(n+l,l)) (1-k^-2)^l
+                  |m+l><n+l|
+    """
+    if not (0 <= m < n_cut and 0 <= n < n_cut):
+        raise InvalidParameter("Fock labels must sit inside the cutoff")
+    if not spec.quantum_limited:
+        raise UnsupportedFamily(f"{spec}: closed forms cover quantum-limited members only")
+    out = np.zeros((n_cut, n_cut), dtype=np.complex128)
+    fam = spec.family
+    k = spec.kappa
+    if fam == "D":
+        # phase conjugation swaps the band orientation: |lo+d><lo| -> sum_j c_j |j><j+d|
+        lo, delta = min(m, n), abs(m - n)
+        j = np.arange(n_cut - delta)
+        logc = (
+            -(1.0 + lo + 0.5 * delta) * math.log1p(k**2)
+            - 0.5 * delta * math.log1p(k**-2)
+            - 0.5 * (gammaln(lo + delta + 1) + gammaln(lo + 1))
+            + gammaln(j + lo + delta + 1)
+            - j * math.log1p(k**-2)
+            - 0.5 * (gammaln(j + 1) + gammaln(j + delta + 1))
+        )
+        if m >= n:
+            out[j, j + delta] = np.exp(logc)
+        else:
+            out[j + delta, j] = np.exp(logc)
+        return TruncatedOperator(out)
+    if fam in ("C1", "A1"):
+        kk = 0.0 if fam == "A1" else k
+        if kk == 0.0:
+            if m == n:
+                out[0, 0] = 1.0
+            return TruncatedOperator(out)
+        if kk == 1.0:
+            out[m, n] = 1.0
+            return TruncatedOperator(out)
+        for ell in range(min(m, n) + 1):
+            out[m - ell, n - ell] = math.exp(
+                _log_binom_sqrt(m, ell) + _log_binom_sqrt(n, ell)
+                + ell * math.log(1.0 - kk**2) + (m + n - 2 * ell) * math.log(kk)
+            )
+        return TruncatedOperator(out)
+    if fam == "C2":
+        if k == 1.0:
+            out[m, n] = 1.0
+            return TruncatedOperator(out)
+        for ell in range(n_cut - max(m, n)):
+            out[m + ell, n + ell] = math.exp(
+                -(2.0 + m + n) * math.log(k)
+                + _log_binom_sqrt(m + ell, ell) + _log_binom_sqrt(n + ell, ell)
+                + ell * math.log(1.0 - k**-2)
+            )
+        return TruncatedOperator(out)
+    raise UnsupportedFamily(f"no closed-form Fock action for family {fam}")

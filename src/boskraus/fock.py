@@ -26,7 +26,11 @@ caller with one vectorized step per recurrence index over all points:
 :func:`displacement_op`, which also builds the B1 Kraus operators
 (``kraus.build_continuous``) and the B1 diagonality check (``analysis``) a
 bounded chunk of points at a time.  Both repeat the scalar arithmetic they
-replaced, so every value is the same bit for bit.
+replaced, so every value is the same bit for bit.  ``_ket_sum`` weighs a
+table of kets into ``sum_p w_p |k_p><k_p|`` by one GEMM: the action of a
+rank-one Kraus family and the D classicality rebuild.  The quadrature rules
+of the continuous-index families (Gauss-Hermite nodes, the polar disc grid)
+live here too, beside the oscillator wavefunctions.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import eval_hermite, gammainc, gammaln, roots_hermite
 
 from .errors import (
     CutoffTooSmall,
@@ -260,6 +264,11 @@ def coherent_amplitudes(alpha: complex | np.ndarray, n_cut: int) -> np.ndarray:
     v.real, v.imag = parts
     gauss = np.exp(-0.5 * np.array([abs(z) ** 2 for z in a.ravel().tolist()]).reshape(a.shape))
     return np.ascontiguousarray(np.moveaxis(v * gauss, 0, -1))
+
+
+def _ket_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_p weights[p] |k_p><k_p|`` over the rows ``k_p`` of ``kets``: one GEMM ``(K^T diag(w)) conj(K)``."""
+    return (kets.T * weights) @ kets.conj()
 
 
 def _poisson_tail(lam: float, n_cut: int) -> float:
@@ -511,6 +520,83 @@ def hermite_psi_table(n_max: int, x) -> np.ndarray:
     for n in range(1, n_max):
         out[n + 1] = np.sqrt(2.0 / (n + 1)) * xs * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
     return out
+
+
+def _node_count(node_count) -> int:
+    """``node_count`` as an int, which ``scipy.special.roots_hermite`` takes: a whole number >= 1."""
+    if isinstance(node_count, bool) or not isinstance(node_count, numbers.Real) \
+            or not float(node_count).is_integer() or node_count < 1:
+        raise InvalidParameter(f"node count must be a whole number of at least 1, got {node_count!r}")
+    return int(node_count)
+
+
+def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.special.roots_hermite(node_count)``: nodes and weights for ``integral e^(-x^2) f(x) dx``.
+
+    Up to 150 nodes scipy solves the Golub-Welsch eigenproblem with
+    ``scipy.linalg.eigvals_banded``, whose first import costs about 65 ms.
+    This repeats its steps with ``np.linalg.eigvalsh`` on the same tridiagonal
+    matrix (the same bits for every count from 1 to 150): one Newton step on
+    the eigenvalues, the log-normalized weight formula, symmetrization and
+    normalization to ``sqrt(pi)``.  Above 150 scipy's asymptotic rule imports
+    no linalg and is called as it is.
+    """
+    n = _node_count(node_count)
+    if n > 150:
+        return roots_hermite(n)
+    b = np.sqrt(np.arange(1, n) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+    y = eval_hermite(n, x)
+    dy = 2.0 * n * eval_hermite(n - 1, x)
+    x -= y / dy
+    # fm and dy span many decades: scale each by its geometric midrange before the product
+    fm = eval_hermite(n - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    return x, w
+
+
+def hermite_quadrature(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and total weights for ``integral dq f(q)``.
+
+    Returns ``(x, w)`` with ``sum w_i f(x_i) ~ integral f`` for integrands
+    decaying at least like ``exp(-x^2)``; ``w = w_GH * exp(x^2)``.
+    """
+    x, w = _gauss_hermite(node_count)
+    return x, _times_exp_square(w, x)
+
+
+def _times_exp_square(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w * exp(x^2)``, with 0 at the nodes whose Gauss-Hermite weight
+    underflowed: there ``exp(x^2)`` overflows and the product is not finite.
+    Such nodes (|x| above ~27) carry no weight for an integrand that decays
+    like ``exp(-x^2)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = w * np.exp(x**2)
+    out[~np.isfinite(out)] = 0.0
+    return out
+
+
+def coherent_disc_grid(radius: float, n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Polar quadrature for ``integral_disc f(alpha) d^2 alpha``.
+
+    Gauss-Legendre in the radius, uniform (trapezoidal, exact for
+    trigonometric polynomials) in the angle.  Returns complex nodes and
+    positive weights.
+    """
+    r, wr = np.polynomial.legendre.leggauss(n_radial)
+    r = 0.5 * radius * (r + 1.0)
+    wr = 0.5 * radius * wr * r  # includes the r dr Jacobian
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    wt = 2.0 * np.pi / n_angular
+    alphas = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    weights = (wr[:, None] * wt * np.ones(n_angular)[None, :]).ravel()
+    return alphas, weights
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

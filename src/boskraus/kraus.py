@@ -17,11 +17,11 @@ The discrete families are single-band matrices in the Fock basis:
 
 ``A1`` is ``C1(0)``.  The singular family ``A2`` and the single-quadrature
 noise family ``B1(a)`` carry a continuous index and are discretized on
-Gauss-Hermite nodes, with the square root of the quadrature weight
-absorbed into each operator so that ``sum_i W_i^dag W_i`` approximates the
-completeness integral.
+Gauss-Hermite nodes (the rules live in ``fock``), with the square root of the
+quadrature weight absorbed into each operator so that ``sum_i W_i^dag W_i``
+approximates the completeness integral.
 
-A family is stored in one of two kinds, fixed by its class when it is built;
+A family is stored in one of three kinds, fixed by its class when it is built;
 readers call its methods (see :class:`KrausFamily`) and never test the storage.
 :class:`BandedFamily` (``D``, ``C1``, ``C2``, ``A1``, ``I``) holds a real table
 ``c`` of shape ``(ell_max + 1, N)`` over the whole band and its orientation,
@@ -29,8 +29,13 @@ which :func:`_placement` alone turns into positions: ``"anti"`` (D) puts
 ``c[l, n]`` at ``(l - n, n)``, ``"upper"`` (C1, A1, I) ``c[l, m]`` at
 ``(m, m + l)``, ``"lower"`` (C2) at ``(m + l, m)``; its readers read the table
 and build the dense stack only when a caller asks for ``ops``.
-:class:`KrausFamily` holds a dense stack (quadrature, scheme, product, rank-one
-and JSON-loaded families) and reads it under rules its constructor picks from
+:class:`RankOneFamily` holds the entanglement-breaking families whose operators
+are rank one, ``W_p = s_p |k_p><conj(r_p)|`` (``A2``: the coherent ket of
+``q_p / sqrt(2)`` and the position bra at ``q_p``; :func:`rank_one_d`), as the
+kets, the bra rows and the scales: it acts by two GEMMs of ``P x N`` factors
+and builds its stack only when a caller asks for ``ops``.
+:class:`KrausFamily` holds a dense stack (``B1``, scheme, product and
+JSON-loaded families) and reads it under rules its constructor picks from
 how the stack was built.
 
 All coefficient evaluation is done in log space (gammaln), never through
@@ -44,9 +49,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite, gammaln, roots_hermite
 
-from .channels import ChannelSpec
+from .channels import ChannelSpec, _log_binom_sqrt, closed_form_action  # noqa: F401 (re-exported)
 from .errors import (
     AllocationTooLarge,
     DefectTooLarge,
@@ -60,9 +64,15 @@ from .fock import (
     TruncatedOperator,
     _check_displacement_cutoff,
     _displacement_chunks,
+    _gauss_hermite,
+    _ket_sum,
+    _node_count,
+    _times_exp_square,
     bandwidth,
     coherent_amplitudes,
+    coherent_disc_grid,  # noqa: F401 (re-exported)
     hermite_psi_table,
+    hermite_quadrature,
     thermal_state,
     trace_distance,
 )
@@ -70,6 +80,7 @@ from .fock import (
 DEFECT_HARD_LIMIT = 1e-4
 SUGGEST_ELL_CAP = 100000
 MAX_DENSE_BYTES = 1 << 30
+JSON_ENTRY_BYTES = 480  # peak bytes per listed entry of a JSON record, its lists, _round12's copy and text (tracemalloc)
 RANK_ONE_PROBE_TOL = 1e-4  # trace distance a rank-one grid may miss the thermal probe by
 
 
@@ -101,7 +112,9 @@ class KrausFamily:
     channel metadata.  Readers call :meth:`act`, :meth:`defect`, :meth:`operators`,
     :meth:`product_gram`, :meth:`diagonal_basis`, :meth:`dual` and :meth:`to_json_dict`, which
     read the stack under the rules the constructor picks from ``(spec, index, origin)``.
-    :meth:`banded` gives a :class:`BandedFamily`, whose readers read its table instead.
+    :meth:`banded` gives a :class:`BandedFamily`, whose readers read its table instead;
+    ``build_continuous`` (A2) and :func:`rank_one_d` give a :class:`RankOneFamily`, whose readers
+    read its kets, bra rows and scales.
     ``keeps_diagonal`` says whether :meth:`act` maps a diagonal matrix into a fresh ``np.zeros``
     matrix and writes only its diagonal, which ``apply`` relies on."""
 
@@ -246,7 +259,17 @@ class KrausFamily:
     def _square_operators(self):
         return self.ops
 
+    def _json_entries(self) -> tuple[int, int]:
+        """The nonzero entries a JSON record lists, and the bytes of the stack held while it is written."""
+        return int(np.count_nonzero(self.ops)), self.ops.nbytes
+
     def to_json_dict(self) -> dict:
+        """The record :meth:`from_json_dict` reads; ``AllocationTooLarge`` before any list when the held
+        stack and ``JSON_ENTRY_BYTES`` per listed entry would pass ``MAX_DENSE_BYTES``."""
+        entries, held = self._json_entries()
+        if held + entries * JSON_ENTRY_BYTES > MAX_DENSE_BYTES:
+            raise AllocationTooLarge(f"the JSON record of {entries} entries needs about "
+                                     f"{held + entries * JSON_ENTRY_BYTES:.3e} bytes")
         if self.discrete:
             index = {"kind": "discrete", "ell_max": self.index.ell_max}
         else:
@@ -427,6 +450,9 @@ class BandedFamily(KrausFamily):
             coeffs, band = kappa * self.coeffs, {"upper": "lower", "lower": "upper"}[self.band]
         return KrausFamily.banded(new_spec, coeffs, band, _table_defect(coeffs, band))
 
+    def _json_entries(self) -> tuple[int, int]:
+        return int(np.count_nonzero(_square_placement(self.coeffs, self.band)[3])), 0
+
     def _square_operators(self):
         """The square operators one at a time, under the size limit of the unbuilt stack."""
         _check_stack_bytes(*self.coeffs.shape)
@@ -439,6 +465,63 @@ class BandedFamily(KrausFamily):
             yield op
 
 
+class RankOneFamily(KrausFamily):
+    """A family of rank-one operators ``W_p = s_p |k_p><conj(r_p)|`` held as the kets ``kets`` ``(P, N)``,
+    the bra rows ``bra_rows`` ``(P, N)`` (``r_p`` is row ``p`` of the matrix of ``<conj(r_p)|``) and the
+    scales ``scales`` ``(P,)``: A2 and :func:`rank_one_d`.  ``ops`` (above ``MAX_DENSE_BYTES``:
+    ``AllocationTooLarge``) is built on first read; the defect rules are those of the dense stack."""
+
+    def __init__(self, spec: ChannelSpec, kets: np.ndarray, bra_rows: np.ndarray, scales: np.ndarray,
+                 index: QuadratureIndex, completeness_defect: float, origin: str = "closed-form"):
+        super().__init__(spec, None, index, completeness_defect, origin)
+        self.kets, self.bra_rows, self.scales = kets, bra_rows, scales
+
+    @property
+    def ops(self) -> np.ndarray:
+        """Each ``k_p r_p^T``, then times ``s_p``: the expressions of the dense stack this storage replaced."""
+        if self._ops is None:
+            _check_stack_bytes(len(self), self.dim)
+            self._ops = self.kets[:, :, None] * self.bra_rows[:, None, :]
+            self._ops *= self.scales[:, None, None]
+        return self._ops
+
+    @property
+    def dim(self) -> int:
+        return self.kets.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.kets)
+
+    def act(self, mat: np.ndarray) -> np.ndarray:
+        """``sum_p q_p |k_p><k_p|`` with ``q_p = s_p^2 r_p M conj(r_p)``: two GEMMs and no stack."""
+        rows = self.bra_rows
+        return _ket_sum(self.kets, np.einsum("pi,pi->p", rows @ mat, rows.conj()) * self.scales**2)
+
+    def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
+        """``W_p^dag W_p = |w_p><w_p|`` with ``w_p = |s_p| |k_p| conj(r_p)``: its largest entry is the
+        largest ``|w_p|^2``, its largest off-diagonal one the product of the two largest ``|w_p|`` entries
+        and its diagonal ``|w_p|^2``.  It is a multiple of the projector onto the position wavefunction
+        ``v_p`` at its node when the part ``e_p`` of ``w_p`` off ``v_p`` keeps ``max|e_p| (2 max|u_p| +
+        max|e_p|)``, a bound on every entry of ``|w_p><w_p| - |u_p><u_p|`` (``u_p`` the part along
+        ``v_p``), within ``1e-8`` of the largest entry."""
+        w = self.bra_rows.conj() * (np.abs(self.scales) * np.linalg.norm(self.kets, axis=1))[:, None]
+        mags = np.sort(np.abs(w), axis=1)
+        scale = max(float(np.max(mags[:, -1])) ** 2, 1e-300)
+        if self.dim == 1 or np.max(mags[:, -1] * mags[:, -2]) < tol * scale:
+            return _fock_or_any(np.abs(w) ** 2, tol * scale)
+        v = hermite_psi_table(self.dim - 1, np.real(self.index.nodes)).T
+        along = v * (np.sum(v * w, axis=1) / np.maximum(np.sum(v * v, axis=1), 1e-300))[:, None]
+        off = np.max(np.abs(w - along), axis=1)
+        if np.max(off * (2.0 * np.max(np.abs(along), axis=1) + off)) > 1e-8 * scale:
+            return False, "none"
+        return True, "position"
+
+    def _json_entries(self) -> tuple[int, int]:
+        """At most ``nnz(k_p) nnz(r_p)`` entries per operator, counted before the stack is built."""
+        per_op = np.count_nonzero(self.kets, axis=1) * np.count_nonzero(self.bra_rows, axis=1)
+        return int(np.sum(per_op * (self.scales != 0))), len(self) * self.dim**2 * 16
+
+
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise InvalidParameter(message)
@@ -446,11 +529,6 @@ def _require(ok: bool, message: str) -> None:
 
 def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _log_binom_sqrt(n, k):
-    """0.5 * log C(n, k), vectorized."""
-    return 0.5 * (gammaln(np.asarray(n) + 1) - gammaln(np.asarray(k) + 1) - gammaln(np.asarray(n) - np.asarray(k) + 1))
 
 
 def _band_table(spec: ChannelSpec, ell_max: int, n_cut: int) -> tuple[np.ndarray, str]:
@@ -668,66 +746,6 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
     return KrausFamily.banded(spec, coeffs, band, defect)
 
 
-def _node_count(node_count) -> int:
-    """``node_count`` as an int, which ``scipy.special.roots_hermite`` takes: a whole number >= 1."""
-    if isinstance(node_count, bool) or not isinstance(node_count, numbers.Real) \
-            or not float(node_count).is_integer() or node_count < 1:
-        raise InvalidParameter(f"node count must be a whole number of at least 1, got {node_count!r}")
-    return int(node_count)
-
-
-def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.special.roots_hermite(node_count)``: nodes and weights for ``integral e^(-x^2) f(x) dx``.
-
-    Up to 150 nodes scipy solves the Golub-Welsch eigenproblem with
-    ``scipy.linalg.eigvals_banded``, whose first import costs about 65 ms.
-    This repeats its steps with ``np.linalg.eigvalsh`` on the same tridiagonal
-    matrix (the same bits for every count from 1 to 150): one Newton step on
-    the eigenvalues, the log-normalized weight formula, symmetrization and
-    normalization to ``sqrt(pi)``.  Above 150 scipy's asymptotic rule imports
-    no linalg and is called as it is.
-    """
-    n = _node_count(node_count)
-    if n > 150:
-        return roots_hermite(n)
-    b = np.sqrt(np.arange(1, n) / 2.0)
-    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
-    y = eval_hermite(n, x)
-    dy = 2.0 * n * eval_hermite(n - 1, x)
-    x -= y / dy
-    # fm and dy span many decades: scale each by its geometric midrange before the product
-    fm = eval_hermite(n - 1, x)
-    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= np.sqrt(np.pi) / w.sum()
-    return x, w
-
-
-def hermite_quadrature(node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and total weights for ``integral dq f(q)``.
-
-    Returns ``(x, w)`` with ``sum w_i f(x_i) ~ integral f`` for integrands
-    decaying at least like ``exp(-x^2)``; ``w = w_GH * exp(x^2)``.
-    """
-    x, w = _gauss_hermite(node_count)
-    return x, _times_exp_square(w, x)
-
-
-def _times_exp_square(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``w * exp(x^2)``, with 0 at the nodes whose Gauss-Hermite weight
-    underflowed: there ``exp(x^2)`` overflows and the product is not finite.
-    Such nodes (|x| above ~27) carry no weight for an integrand that decays
-    like ``exp(-x^2)``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = w * np.exp(x**2)
-    out[~np.isfinite(out)] = 0.0
-    return out
-
-
 def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFamily:
     """Quadrature-discretized Kraus family for ``A2`` or ``B1(a)``.
 
@@ -748,12 +766,10 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
     if fam == "A2":
         if not spec.quantum_limited:
             raise UnsupportedFamily("noisy A2: compose the quantum-limited family with added noise")
-        _check_stack_bytes(node_count, n_cut)
         x, w = hermite_quadrature(node_count)
-        ops = coherent_amplitudes(x / np.sqrt(2.0), n_cut)[:, :, None] * hermite_psi_table(n_cut - 1, x).T[:, None, :]
-        ops *= np.sqrt(w)[:, None, None]
-        index = QuadratureIndex(x, w)
         defect = _position_resolution_defect(x, w, n_cut)
+        family = RankOneFamily(spec, coherent_amplitudes(x / np.sqrt(2.0), n_cut),
+                               hermite_psi_table(n_cut - 1, x).T, np.sqrt(w), QuadratureIndex(x, w), defect)
     elif fam == "B1":
         a = spec.noise_a
         if a == 0.0:
@@ -772,11 +788,12 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
         # the displacement factor is exactly unitary, so only the Gaussian
         # quadrature itself can fall short of the completeness integral
         defect = float(abs(np.sum(w) / np.sqrt(np.pi) - 1.0))
+        family = KrausFamily(spec, ops, index, defect)
     else:
         raise UnsupportedFamily(f"family {fam} is not a continuous-index family")
     if not np.isfinite(defect) or defect > DEFECT_HARD_LIMIT:
         raise DefectTooLarge(f"{spec}: defect {defect:.3e} > {DEFECT_HARD_LIMIT:.1e}; raise node_count or n_cut")
-    return KrausFamily(spec, ops, index, defect)
+    return family
 
 
 def builder(spec: ChannelSpec) -> tuple:
@@ -853,23 +870,6 @@ def dual(family: KrausFamily) -> KrausFamily:
     return family.dual()
 
 
-def coherent_disc_grid(radius: float, n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
-    """Polar quadrature for ``integral_disc f(alpha) d^2 alpha``.
-
-    Gauss-Legendre in the radius, uniform (trapezoidal, exact for
-    trigonometric polynomials) in the angle.  Returns complex nodes and
-    positive weights.
-    """
-    r, wr = np.polynomial.legendre.leggauss(n_radial)
-    r = 0.5 * radius * (r + 1.0)
-    wr = 0.5 * radius * wr * r  # includes the r dr Jacobian
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    wt = 2.0 * np.pi / n_angular
-    alphas = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = (wr[:, None] * wt * np.ones(n_angular)[None, :]).ravel()
-    return alphas, weights
-
-
 def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int,
                probe_check: bool = True) -> KrausFamily:
     """Rank-one (entanglement-breaking) Kraus family for ``D(kappa)``.
@@ -888,14 +888,12 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
     weights = np.asarray(weights, dtype=float)
     if alphas.shape != weights.shape:
         raise InvalidParameter("alphas and weights must have matching shapes")
-    _check_stack_bytes(alphas.size, n_cut)
     ket_scale = 1.0 / np.sqrt(1.0 + kappa**-2)
     bra_scale = 1.0 / np.sqrt(1.0 + kappa**2)  # also the prefactor (1+kappa^2)^(-1/2)
     kets = coherent_amplitudes(alphas.ravel() * ket_scale, n_cut)
     bras = coherent_amplitudes(np.conj(alphas.ravel()) * bra_scale, n_cut)
-    ops = kets[:, :, None] * bras.conj()[:, None, :]
-    ops *= (bra_scale * np.sqrt(weights.ravel() / np.pi))[:, None, None]
-    family = KrausFamily(ChannelSpec("D", kappa), ops, QuadratureIndex(alphas, weights), 0.0, origin="rank-one")
+    family = RankOneFamily(ChannelSpec("D", kappa), kets, bras.conj(), bra_scale * np.sqrt(weights.ravel() / np.pi),
+                           QuadratureIndex(alphas, weights), 0.0, origin="rank-one")
     family.completeness_defect = completeness_defect(family)
     if probe_check:
         probe = thermal_state(2.0, n_cut, tail_tol=1.0)
@@ -905,74 +903,3 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
         if dev > RANK_ONE_PROBE_TOL:
             raise GridTooCoarse(f"rank-one grid misses the channel output by {dev:.3e} on the thermal probe")
     return family
-
-
-def closed_form_action(spec: ChannelSpec, m: int, n: int, n_cut: int) -> TruncatedOperator:
-    """Image of ``|m><n|`` under the channel, from the summed band formulas.
-
-    D(kappa) with ``n = m + delta``::
-
-        |m+d><m|  ->  (1+k^2)^(-1-m-d/2) (1+k^-2)^(-d/2)
-                      sum_j (j+m+d)! (1+k^-2)^(-j)
-                            / sqrt((m+d)! m! j! (j+d)!)   |j><j+d|
-
-    C1(kappa)::
-
-        |m><n| -> sum_l sqrt(C(m,l) C(n,l)) (1-k^2)^l k^(m+n-2l) |m-l><n-l|
-
-    C2(kappa)::
-
-        |m><n| -> k^(-2-m-n) sum_l sqrt(C(m+l,l) C(n+l,l)) (1-k^-2)^l
-                  |m+l><n+l|
-    """
-    if not (0 <= m < n_cut and 0 <= n < n_cut):
-        raise InvalidParameter("Fock labels must sit inside the cutoff")
-    if not spec.quantum_limited:
-        raise UnsupportedFamily(f"{spec}: closed forms cover quantum-limited members only")
-    out = np.zeros((n_cut, n_cut), dtype=np.complex128)
-    fam = spec.family
-    k = spec.kappa
-    if fam == "D":
-        # phase conjugation swaps the band orientation: |lo+d><lo| -> sum_j c_j |j><j+d|
-        lo, delta = min(m, n), abs(m - n)
-        j = np.arange(n_cut - delta)
-        logc = (
-            -(1.0 + lo + 0.5 * delta) * math.log1p(k**2)
-            - 0.5 * delta * math.log1p(k**-2)
-            - 0.5 * (gammaln(lo + delta + 1) + gammaln(lo + 1))
-            + gammaln(j + lo + delta + 1)
-            - j * math.log1p(k**-2)
-            - 0.5 * (gammaln(j + 1) + gammaln(j + delta + 1))
-        )
-        if m >= n:
-            out[j, j + delta] = np.exp(logc)
-        else:
-            out[j + delta, j] = np.exp(logc)
-        return TruncatedOperator(out)
-    if fam in ("C1", "A1"):
-        kk = 0.0 if fam == "A1" else k
-        if kk == 0.0:
-            if m == n:
-                out[0, 0] = 1.0
-            return TruncatedOperator(out)
-        if kk == 1.0:
-            out[m, n] = 1.0
-            return TruncatedOperator(out)
-        for ell in range(min(m, n) + 1):
-            out[m - ell, n - ell] = math.exp(
-                _log_binom_sqrt(m, ell) + _log_binom_sqrt(n, ell)
-                + ell * math.log(1.0 - kk**2) + (m + n - 2 * ell) * math.log(kk)
-            )
-        return TruncatedOperator(out)
-    if fam == "C2":
-        if k == 1.0:
-            out[m, n] = 1.0
-            return TruncatedOperator(out)
-        for ell in range(n_cut - max(m, n)):
-            out[m + ell, n + ell] = math.exp(
-                -(2.0 + m + n) * math.log(k)
-                + _log_binom_sqrt(m + ell, ell) + _log_binom_sqrt(n + ell, ell)
-                + ell * math.log(1.0 - k**-2)
-            )
-        return TruncatedOperator(out)
-    raise UnsupportedFamily(f"no closed-form Fock action for family {fam}")

@@ -634,12 +634,14 @@ class TestClassicality:
         k = spec.kappa
         weight = lambda al: reference_q_function(probe, np.conj(al) / k) / k**2
         alphas, weights = coherent_disc_grid(1.2 * (np.sqrt(1.0 + k**2) * (np.max(np.abs(grid)) + 4.0)), 48, 48)
-        rebuilt = np.zeros((n_cut, n_cut), dtype=np.complex128)
-        for al, w in zip(alphas, weights):
-            ket = reference_coherent_amplitudes(al, n_cut)
-            rebuilt += (w / np.pi) * weight(al) * np.outer(ket, ket.conj())
-        tr = float(np.trace(rebuilt).real)
-        assert rep.max_deviation == float(np.max(np.abs(rebuilt / tr - out.mat)))
+        kets = np.array([reference_coherent_amplitudes(al, n_cut) for al in alphas])
+        coeffs = np.array([(w / np.pi) * weight(al) for al, w in zip(alphas, weights)])
+        rebuilt = (kets.T * coeffs) @ kets.conj()  # the same weighted GEMM, from the per-point references
+        assert rep.max_deviation == float(np.max(np.abs(rebuilt / float(np.trace(rebuilt).real) - out.mat)))
+        looped = np.zeros((n_cut, n_cut), dtype=np.complex128)
+        for ket, c in zip(kets, coeffs):  # the sum in point order; the GEMM orders it otherwise
+            looped += c * np.outer(ket, ket.conj())
+        assert abs(rep.max_deviation - float(np.max(np.abs(looped / float(np.trace(looped).real) - out.mat)))) <= 1e-15
         assert rep.details["min_weight"] == min(weight(al) for al in grid)
 
 

@@ -203,20 +203,49 @@ def test_dense_stack_over_the_limit_raises_before_allocating(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_continuous(ChannelSpec("A2"), 2000, 256),
-    lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 2000, 256),
-    lambda: rank_one_d(0.8, *coherent_disc_grid(6.0, 40, 50), 256),
-    lambda: position_kraus(mix_matrix(ChannelSpec("A2")), 2000, 256),
-    lambda: position_kraus(mix_matrix(ChannelSpec("B1", noise_a=1.0)), 2000, 256),
+@pytest.mark.parametrize("build,limit", [
+    (lambda: build_continuous(ChannelSpec("A2"), 64, 32), 8 << 20),
+    (lambda: build_discrete(ChannelSpec("C1", 0.7), 7, 8), 12 << 10),
+], ids=["A2", "C1"])
+def test_json_record_over_the_limit_raises_before_any_list(build, limit, monkeypatch, tmp_path, capsys):
+    # the stack fits under the limit, but its record, at JSON_ENTRY_BYTES per entry, does not
+    family = build()
+    monkeypatch.setattr(kraus, "MAX_DENSE_BYTES", limit)
+    assert len(family) * family.dim**2 * 16 <= limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationTooLarge, match="JSON record"):
+            family.to_json_dict()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+    spec = "A2" if family.spec.family == "A2" else "C1:0.7"
+    assert main(["kraus", spec, "--ncut", str(family.dim), "--out", str(tmp_path / "k.json")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "k.json").exists()
+
+
+@pytest.mark.parametrize("build,factored", [
+    (lambda: build_continuous(ChannelSpec("A2"), 2000, 256), True),
+    (lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 2000, 256), False),
+    (lambda: rank_one_d(0.8, *coherent_disc_grid(6.0, 40, 50), 256), True),
+    (lambda: position_kraus(mix_matrix(ChannelSpec("A2")), 2000, 256), False),
+    (lambda: position_kraus(mix_matrix(ChannelSpec("B1", noise_a=1.0)), 2000, 256), False),
 ], ids=["A2", "B1", "rank-one", "position-A2", "position-B1"])
-def test_quadrature_stack_over_the_limit_raises_before_allocating(build):
-    # 2000 nodes at N=256: the stack would be 2000 * 256^2 * 16 bytes = 2.1 GB
+def test_quadrature_stack_over_the_limit_raises_before_allocating(build, factored):
+    # 2000 nodes at N=256: the stack would be 2000 * 256^2 * 16 bytes = 2.1 GB.  A rank-one
+    # family builds from its factors and raises only when its stack is read.
     assert 2000 * 256**2 * 16 > MAX_DENSE_BYTES
     tracemalloc.start()
     try:
-        with pytest.raises(AllocationTooLarge):
-            build()
+        if factored:
+            family = build()
+            with pytest.raises(AllocationTooLarge):
+                family.ops
+        else:
+            with pytest.raises(AllocationTooLarge):
+                build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
