@@ -23,14 +23,21 @@ builds a banded family's image of one through the private
 Gaussian Fock amplitudes come from two table kernels, each serving every
 caller with one vectorized step per recurrence index over all points:
 :func:`coherent_amplitudes` (coherent kets) and the displacement stack behind
-:func:`displacement_op`, which also builds the B1 Kraus operators
-(``kraus.build_continuous``) and the B1 diagonality check (``analysis``) a
+:func:`displacement_op`, which also builds the dense stack of the B1 Kraus
+operators when it is read and the B1 diagonality check (``analysis``), a
 bounded chunk of points at a time.  Both repeat the scalar arithmetic they
-replaced, so every value is the same bit for bit.  ``_ket_sum`` weighs a
+replaced, so every value is the same bit for bit.  Its real twin
+:func:`_real_displacement_stack` serves the B1 action: at a real point
+``D(x)`` is real and ``D(x)^T = D(-x)``, so one triangle of real tables gives
+the matrix and its mirror, and the Laguerre recurrence (:func:`_laguerre_table`)
+is shared.  :func:`_displaced_basis` decides the diagonality of displaced
+products from a stream of chunks.  ``_ket_sum`` weighs a
 table of kets into ``sum_p w_p |k_p><k_p|`` by one GEMM: the action of a
 rank-one Kraus family and the D classicality rebuild.  The quadrature rules
 of the continuous-index families (Gauss-Hermite nodes, the polar disc grid)
-live here too, beside the oscillator wavefunctions.
+live here too, beside the oscillator wavefunctions.  :func:`_quadrature_moments`
+gives the exact Weyl-symmetric quadrature moments behind
+``analysis.cumulants`` and ``phasespace.moments_from_density``.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ TRACE_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-2
 DISPLACEMENT_CHUNK_BYTES = 8 << 20  # tables of one chunk of a displacement stack
 _DISPLACEMENT_ENTRY_BYTES = 56  # per point and matrix entry: Laguerre 8, prefactors 2 x 16, gathered 16
+_REAL_ENTRY_BYTES = 24  # the same for a real point: Laguerre 8, prefactors 8, gathered 8
 
 _PI_QUARTER = np.pi ** (-0.25)
 
@@ -353,12 +361,13 @@ def _check_displacement_cutoff(n_cut) -> None:
         raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
 
 
-def _displacement_chunks(xi, n_cut: int):
+def _displacement_chunks(xi, n_cut: int, real: bool = False):
     """Check every point of ``xi`` and the cutoff, then return an iterator of ``(part, stack)``.
 
     ``stack[i]`` is the matrix of ``D(xi.ravel()[part][i])``; consecutive parts cover the points in
     order.  The tables of one chunk take about ``DISPLACEMENT_CHUNK_BYTES`` (at least one point), so
-    a caller that copies each chunk into its own array holds little more than that array.
+    a caller that copies each chunk into its own array holds little more than that array.  With
+    ``real`` the points must be real, and each stack is real (:func:`_real_displacement_stack`).
     """
     _check_displacement_cutoff(n_cut)
     points = np.asarray(xi)
@@ -371,9 +380,11 @@ def _displacement_chunks(xi, n_cut: int):
         if np.isnan(x[bad[0]]):
             raise InvalidParameter(f"displacement argument must be finite, got {points[bad[0]]}")
         raise InvalidParameter(f"displacement argument too large: |xi|^2 = {x[bad[0]]:.3e}")
-    step = max(1, DISPLACEMENT_CHUNK_BYTES // (_DISPLACEMENT_ENTRY_BYTES * n_cut**2))
+    kernel, entry = ((_real_displacement_stack, _REAL_ENTRY_BYTES) if real
+                     else (_displacement_stack, _DISPLACEMENT_ENTRY_BYTES))
+    step = max(1, DISPLACEMENT_CHUNK_BYTES // (entry * n_cut**2))
     parts = [slice(s, min(s + step, points.size)) for s in range(0, points.size, step)]
-    return ((part, _displacement_stack(points[part], x[part], n_cut)) for part in parts)
+    return ((part, kernel(points[part], x[part], n_cut)) for part in parts)
 
 
 def _displacement_chains(xi: np.ndarray, n_cut: int) -> np.ndarray:
@@ -405,6 +416,20 @@ def _displacement_chains(xi: np.ndarray, n_cut: int) -> np.ndarray:
     return out
 
 
+def _laguerre_table(x: np.ndarray, n_cut: int) -> np.ndarray:
+    """``L_k^(delta)(x[i])`` at ``[i, k, delta]`` for ``k + delta < n_cut`` (0 past that), by the stable upward
+    recurrence in ``k``: one vector step per ``k`` over every point and offset."""
+    offsets = np.arange(n_cut)
+    lag = np.zeros((x.size, n_cut, n_cut))
+    lag[:, 0] = 1.0
+    lag[:, 1, :-1] = 1.0 + offsets[:-1] - x[:, None]
+    for k in range(1, n_cut - 1):
+        w = n_cut - 1 - k
+        d = offsets[:w]
+        lag[:, k + 1, :w] = ((2 * k + 1 + d - x[:, None]) * lag[:, k, :w] - (k + d) * lag[:, k - 1, :w]) / (k + 1)
+    return lag
+
+
 def _displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.ndarray:
     """``D(xi[i])`` for every point of the 1-d array ``xi`` (``x[i] = |xi[i]|^2``), shape ``(P, N, N)``.
 
@@ -415,13 +440,7 @@ def _displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.ndarray
     offsets = np.arange(n_cut)
     m, n = np.ogrid[:n_cut, :n_cut]
     at = (m < n) * n_cut**2 + np.minimum(m, n) * n_cut + np.abs(m - n)  # flat [triangle, k, delta]
-    lag = np.zeros((xi.size, n_cut, n_cut))
-    lag[:, 0] = 1.0
-    lag[:, 1, :-1] = 1.0 + offsets[:-1] - x[:, None]
-    for k in range(1, n_cut - 1):
-        w = n_cut - 1 - k
-        d = offsets[:w]
-        lag[:, k + 1, :w] = ((2 * k + 1 + d - x[:, None]) * lag[:, k, :w] - (k + d) * lag[:, k - 1, :w]) / (k + 1)
+    lag = _laguerre_table(x, n_cut)
     # sqrt(k!/(k+delta)!) arg^delta, m >= n then m < n: the chain at k = 0, a real factor per k
     pref = np.empty((xi.size, 2, n_cut, n_cut), dtype=np.complex128)
     pref[:, :, 0] = _displacement_chains(xi, n_cut)
@@ -432,6 +451,62 @@ def _displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.ndarray
     del lag  # not live during the gather below
     pref *= np.exp(-0.5 * x)[:, None, None, None]
     return pref.reshape(xi.size, -1)[:, at]
+
+
+def _real_displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.ndarray:
+    """The real matrices ``D(xi[i])`` of real points ``xi`` (``x[i] = xi[i]^2``), shape ``(P, N, N)``.
+
+    A real point has a real chain and ``-conj(xi) = -xi``, so the ``m < n`` triangle is the ``m > n``
+    one transposed, times ``(-1)^(n - m)``: ``D(xi)^T = D(-xi) = S D(xi) S`` with ``S = diag((-1)^m)``.
+    One real ``[k, delta]`` prefactor table (the chain ``xi^delta / sqrt(delta!)`` and the factors of
+    :func:`_displacement_stack`) and the shared Laguerre table give both triangles: the real parts of
+    that kernel's matrices, up to the signs of zeros, from one real triangle where it fills two complex.
+    """
+    points, levels = xi.size, np.arange(n_cut)
+    pref = np.empty((points, n_cut, n_cut))
+    pref[:, 0, 0] = 1.0
+    pref[:, 0, 1:] = np.cumprod(xi[:, None] / np.sqrt(levels[1:]), axis=1)
+    k = levels[1:, None]
+    pref[:, 1:] = np.sqrt(k / (k + levels))
+    np.cumprod(pref, axis=1, out=pref)
+    pref *= _laguerre_table(x, n_cut)
+    pref *= np.exp(-0.5 * x)[:, None, None]
+    row, col = np.ogrid[:n_cut, :n_cut]
+    out = pref.reshape(points, -1)[:, np.minimum(row, col) * n_cut + np.abs(row - col)]
+    return np.negative(out, out=out, where=(row < col) & ((col - row) % 2 == 1))
+
+
+def _frobenius(ops: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack."""
+    return np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
+
+
+def _displaced_basis(points: np.ndarray, scales: np.ndarray, dim: int, chunks, tol: float,
+                     relative: bool = False) -> tuple[bool, str]:
+    """The verdict of :meth:`kraus.KrausFamily.diagonal_basis` for operators ``D(points[p])`` re-evaluated by
+    ``chunks`` with ``n_ext > dim`` rows, one chunk at a time: their first ``dim`` columns, scaled to the
+    Frobenius norm ``scales[p]`` (times that of the square ``D(points[p])`` when ``relative``), give the
+    products.  A displacement's product is near a multiple of the identity on ``dim >= 2`` levels, never a
+    rank-one position projector, so the tag is ``fock`` or ``any`` when every product is diagonal, and
+    ``none`` otherwise."""
+    n_ext = int(np.ceil(1.2 * (float(np.max(np.abs(points))) + np.sqrt(dim)) ** 2)) + 8
+    top, off, diags = 1e-300, 0.0, []
+    level = np.arange(dim)
+    for part, stack in chunks(points, n_ext):
+        cols = stack[:, :, :dim]
+        target = scales[part] * (_frobenius(stack[:, :dim, :dim]) if relative else 1.0)
+        cols = cols * (target / np.maximum(_frobenius(cols), 1e-300))[:, None, None]
+        mags = np.abs(np.swapaxes(cols.conj(), 1, 2) @ cols)
+        top = max(top, float(np.max(mags)))
+        diags.append(mags[:, level, level])
+        mags[:, level, level] = 0.0
+        off = max(off, float(np.max(mags)))
+    return _fock_or_any(np.concatenate(diags), tol * top) if off < tol * top else (False, "none")
+
+
+def _fock_or_any(diags: np.ndarray, limit: float) -> tuple[bool, str]:
+    """The basis tag of products diagonal in the Fock basis: ``any`` when each diagonal is flat to ``limit``."""
+    return True, "any" if np.max(np.abs(diags - diags[:, :1]), initial=0.0) < limit else "fock"
 
 
 def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
@@ -447,8 +522,9 @@ def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
     depends on ``|xi|^2`` only and serves both triangles; a stable upward
     recurrence fills it, one vector step per ``k`` across all offsets.  No
     factorial ratios of large arguments are formed.  This is a one-point call
-    of the stack kernel that also builds the B1 family and its diagonality
-    check, so every one of their operators is this matrix bit for bit.
+    of the stack kernel that also builds the B1 family's dense stack and its
+    diagonality check, so every one of their operators is this matrix bit for
+    bit; the B1 action runs the real twin, whose values are the same.
 
     The cutoff must be an integer of at least 2 and ``xi`` a finite number with
     ``|xi|^2 n_cut <= 1e6`` (``InvalidParameter``, before anything is
@@ -621,3 +697,31 @@ def quadrature_ops(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     q = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
     return q, p
+
+
+def _quadrature_moments(rho: DensityMatrix, max_order: int) -> np.ndarray:
+    """Weyl-symmetric moments ``mu[m1, m2]`` of ``Y1 = -sqrt(2) p``, ``Y2 = sqrt(2) q``; NaN above ``max_order``.
+
+    ``tr(rho A^n)`` with ``A = cos t Y1 + sin t Y2 = c a + conj(c) a^dag``, ``c = sin t + i cos t``,
+    is ``sum_k C(n, k) cos^k t sin^(n-k) t mu[k, n - k]``: its values at ``n + 1`` angles give the
+    moments of order ``n`` by one binomial solve.  ``A`` is tridiagonal, so each power is two
+    shifted-slice products on the columns of ``rho``, padded by ``max_order`` levels that hold
+    every ``A^n rho`` exactly.  The moments are divided by ``tr rho``.
+    """
+    root = np.sqrt(np.arange(1.0, rho.dim + max_order))[:, None]  # <m|a|m+1>
+    mu = np.full((max_order + 1, max_order + 1), np.nan)
+    for order in range(max_order + 1):
+        theta = np.pi * np.arange(order + 1) / (order + 1)
+        c = (np.sin(theta) + 1j * np.cos(theta))[:, None, None]
+        power = np.zeros((order + 1, root.size + 1, rho.dim), dtype=complex)
+        power[:, :rho.dim] = rho.mat
+        for _ in range(order):
+            nxt = np.zeros_like(power)
+            nxt[:, :-1] = c * root * power[:, 1:]
+            nxt[:, 1:] += c.conj() * root * power[:, :-1]
+            power = nxt
+        k = np.arange(order + 1)
+        binom = np.array([math.comb(order, j) for j in k])
+        system = binom * np.cos(theta)[:, None] ** k * np.sin(theta)[:, None] ** (order - k)
+        mu[k, order - k] = np.linalg.solve(system, np.einsum("aii->a", power[:, :rho.dim]).real)
+    return mu / mu[0, 0]

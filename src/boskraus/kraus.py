@@ -21,7 +21,7 @@ Gauss-Hermite nodes (the rules live in ``fock``), with the square root of the
 quadrature weight absorbed into each operator so that ``sum_i W_i^dag W_i``
 approximates the completeness integral.
 
-A family is stored in one of three kinds, fixed by its class when it is built;
+A family is stored in one of four kinds, fixed by its class when it is built;
 readers call its methods (see :class:`KrausFamily`) and never test the storage.
 :class:`BandedFamily` (``D``, ``C1``, ``C2``, ``A1``, ``I``) holds a real table
 ``c`` of shape ``(ell_max + 1, N)`` over the whole band and its orientation,
@@ -34,7 +34,12 @@ are rank one, ``W_p = s_p |k_p><conj(r_p)|`` (``A2``: the coherent ket of
 ``q_p / sqrt(2)`` and the position bra at ``q_p``; :func:`rank_one_d`), as the
 kets, the bra rows and the scales: it acts by two GEMMs of ``P x N`` factors
 and builds its stack only when a caller asks for ``ops``.
-:class:`KrausFamily` holds a dense stack (``B1``, scheme, product and
+:class:`DisplacementFamily` holds ``B1(a > 0)``, whose nodes are mirror images
+``+-x`` and whose operators are real displacements with ``D(-x) = D(x)^T``, as
+the nonnegative arguments and their scales: it acts by streaming the real
+displacement kernel of ``fock`` over those nodes, two real GEMMs per chunk, and
+builds its stack only when a caller asks for ``ops``.
+:class:`KrausFamily` holds a dense stack (zero-noise ``B1``, scheme, product and
 JSON-loaded families) and reads it under rules its constructor picks from
 how the stack was built.
 
@@ -63,7 +68,10 @@ from .fock import (
     DensityMatrix,
     TruncatedOperator,
     _check_displacement_cutoff,
+    _displaced_basis,
     _displacement_chunks,
+    _fock_or_any,
+    _frobenius,
     _gauss_hermite,
     _ket_sum,
     _node_count,
@@ -114,7 +122,8 @@ class KrausFamily:
     read the stack under the rules the constructor picks from ``(spec, index, origin)``.
     :meth:`banded` gives a :class:`BandedFamily`, whose readers read its table instead;
     ``build_continuous`` (A2) and :func:`rank_one_d` give a :class:`RankOneFamily`, whose readers
-    read its kets, bra rows and scales.
+    read its kets, bra rows and scales, and ``build_continuous`` (B1) a :class:`DisplacementFamily`,
+    whose readers stream its displacements.
     ``keeps_diagonal`` says whether :meth:`act` maps a diagonal matrix into a fresh ``np.zeros``
     matrix and writes only its diagonal, which ``apply`` relies on."""
 
@@ -203,19 +212,10 @@ class KrausFamily:
     def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
         """The verdict of ``analysis.simultaneous_diagonality``, each test to ``tol`` of the largest
         ``|W_l^dag W_l|`` entry.  A B1 stack is re-evaluated with extra rows by the displacement
-        kernel ``chunks``, so that the unitary factor's product closes, and its first ``dim``
-        columns kept."""
+        kernel ``chunks``, so that the unitary factor's product closes (:func:`_displaced_basis`)."""
         ops = self.ops
         if self._taller:
-            nodes = np.real(self.index.nodes)
-            beta_max = float(np.max(np.abs(nodes))) / np.sqrt(2.0)
-            n_ext = int(np.ceil(1.2 * (beta_max + np.sqrt(self.dim)) ** 2)) + 8
-            scales = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
-            ops = np.empty((len(nodes), n_ext, self.dim), dtype=np.complex128)
-            for part, stack in chunks(nodes / np.sqrt(2.0), n_ext):
-                ops[part] = stack[:, :, :self.dim]
-            norm = np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
-            ops = ops * (scales / np.maximum(norm, 1e-300))[:, None, None]
+            return _displaced_basis(np.real(self.index.nodes) / np.sqrt(2.0), _frobenius(ops), self.dim, chunks, tol)
         prods = np.swapaxes(ops.conj(), 1, 2) @ ops
         mags = np.abs(prods)
         scale = max(float(np.max(mags)), 1e-300)
@@ -522,6 +522,70 @@ class RankOneFamily(KrausFamily):
         return int(np.sum(per_op * (self.scales != 0))), len(self) * self.dim**2 * 16
 
 
+class DisplacementFamily(KrausFamily):
+    """B1 with ``a > 0``: the operators ``s_p D(x_p)`` on Gauss-Hermite nodes, which are mirror images
+    ``+-x`` with equal weights to the bit.  It holds the nonnegative arguments ``points`` (ascending,
+    the zero node of an odd count first), their ``point_scales`` and the ``cutoff``; the operator at
+    ``-x`` is ``D(-x) = D(x)^T``.  No operator is held: :meth:`act` and :meth:`diagonal_basis` stream
+    the displacement kernel a bounded chunk at a time, and ``ops`` (above ``MAX_DENSE_BYTES``:
+    ``AllocationTooLarge``) is built on first read; the defect rule is that of the dense stack."""
+
+    def __init__(self, spec: ChannelSpec, points: np.ndarray, point_scales: np.ndarray, cutoff: int,
+                 index: QuadratureIndex, completeness_defect: float):
+        super().__init__(spec, None, index, completeness_defect)
+        self.points, self.point_scales, self.cutoff = points, point_scales, cutoff
+
+    @property
+    def ops(self) -> np.ndarray:
+        """The dense stack in node order: the complex kernel's ``s_p D(x_p)`` at the nonnegative nodes,
+        the stack the dense build computed, and at each mirror node its transpose, which that kernel
+        gives bit for bit (its two triangles swap chains when ``x`` changes sign)."""
+        if self._ops is None:
+            count, half = len(self), len(self.points)
+            _check_stack_bytes(count, self.dim)
+            ops = np.empty((count, self.dim, self.dim), dtype=np.complex128)
+            for part, stack in _displacement_chunks(self.points, self.dim):
+                np.multiply(self.point_scales[part, None, None], stack, out=ops[count - half:][part])
+            ops[:count - half] = np.swapaxes(ops[half:][::-1], 1, 2)
+            self._ops = ops
+        return self._ops
+
+    @property
+    def dim(self) -> int:
+        return self.cutoff
+
+    def __len__(self) -> int:
+        return len(self.index.nodes)
+
+    def act(self, mat: np.ndarray) -> np.ndarray:
+        """``sum_p s_p^2 (D_p M D_p^T + D_p^T M D_p)`` over the nonnegative nodes, in real arithmetic.
+
+        With ``S = diag((-1)^m)``, ``D_p = S D_p^T S``, so both terms are ``R(Y) = sum_p W_p^T Y W_p``
+        (``W_p = s_p D_p``, real): ``R(Y)`` for the mirror term and ``S R(S Y S) S`` for the other, over
+        ``Y`` in the real and (when not zero) imaginary parts of ``M``.  Per chunk of the real kernel,
+        ``R(Y)`` takes a batched GEMM ``Y W_p`` and one ``W^T (Y W)`` over the chunk's flattened stack,
+        so no more than two chunks are held at once.  The zero node of an odd count enters both terms
+        at half weight.
+        """
+        n, sign = self.dim, (-1.0) ** np.arange(self.dim)
+        parts = [np.ascontiguousarray(y) for y in ((mat.real, mat.imag) if np.any(mat.imag) else (mat.real,))]
+        ys = parts + [y * sign * sign[:, None] for y in parts]
+        scales = self.point_scales.copy()
+        scales[:len(self) % 2] *= np.sqrt(0.5)
+        out = np.zeros((len(ys), n, n))
+        for part, stack in _displacement_chunks(self.points, n, real=True):
+            stack *= scales[part, None, None]
+            for term, y in zip(out, ys):
+                term += stack.reshape(-1, n).T @ (y @ stack).reshape(-1, n)
+        out = out[:len(parts)] + out[len(parts):] * sign * sign[:, None]
+        return out[0] + 1j * out[1] if len(out) > 1 else out[0].astype(np.complex128)
+
+    def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
+        """:func:`_displaced_basis` over the nonnegative nodes: the product of a mirror operator is
+        ``S`` times that of its twin times ``S``, with the same diagonal and entry magnitudes."""
+        return _displaced_basis(self.points, self.point_scales, self.dim, chunks, tol, relative=True)
+
+
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise InvalidParameter(message)
@@ -654,7 +718,7 @@ def _coherent_defect(family: KrausFamily, block: int | None) -> float:
     kappa, index = family.spec.kappa, family.index
     vecs = coherent_amplitudes(np.conj(index.nodes) * (1.0 / np.sqrt(1.0 + kappa**2)), family.dim) \
         * np.sqrt(index.weights / (np.pi * (1.0 + kappa**2)))[:, None]
-    return _identity_defect(np.einsum("li,lk->ik", vecs, vecs.conj()), block)
+    return _identity_defect(vecs.T @ vecs.conj(), block)
 
 
 def _stored_defect(family: KrausFamily, block: int | None) -> float:
@@ -752,10 +816,11 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
     A2 operators are ``V_q = |q/sqrt(2)) <q|`` (coherent ket, position
     bra); B1 operators are Gaussian-weighted displacements
     ``Z_q = (pi a)^(-1/4) exp(-q^2/(2a)) D(q/sqrt(2))``.  Both are
-    premultiplied by the square root of their quadrature weight.  The B1
-    displacements come from the stack kernel of ``fock``, a bounded chunk of
-    nodes at a time, each operator equal to ``displacement_op`` of its node
-    bit for bit; every node is checked before the stack is allocated.  Both
+    premultiplied by the square root of their quadrature weight.  B1 with
+    ``a > 0`` is a :class:`DisplacementFamily`: every node is checked here,
+    and its displacements come from the kernels of ``fock`` only when read,
+    a bounded chunk of nodes at a time; each operator of its ``ops`` equals
+    ``displacement_op`` of its node bit for bit.  Both
     families take the displacement cutoff check: ``n_cut`` must be an integer
     in ``2..1020`` (``InvalidParameter`` below, ``OrderTooLarge`` above).
     """
@@ -775,20 +840,17 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
         if a == 0.0:
             ops = np.eye(n_cut, dtype=np.complex128)[None, :, :]
             return KrausFamily(spec, ops, QuadratureIndex(np.zeros(1), np.ones(1)), 0.0)
-        _check_stack_bytes(node_count, n_cut)
         # substitute q = sqrt(a) t: (pi a)^(-1/2) integral dq e^(-q^2/a) D(q/sqrt2) rho D^dag
         t, w = _gauss_hermite(node_count)
         q = np.sqrt(a) * t
-        chunks = _displacement_chunks(q / np.sqrt(2.0), n_cut)
-        scale = np.sqrt(w / np.sqrt(np.pi))
-        ops = np.empty((node_count, n_cut, n_cut), dtype=np.complex128)
-        for part, stack in chunks:
-            np.multiply(scale[part, None, None], stack, out=ops[part])
+        points = q / np.sqrt(2.0)
+        _displacement_chunks(points, n_cut)  # checks every node; computes nothing
+        half = slice(len(t) // 2, None)  # the nonnegative nodes: the rule is symmetric to the bit
         index = QuadratureIndex(q, _times_exp_square(w * np.sqrt(a), t))
         # the displacement factor is exactly unitary, so only the Gaussian
         # quadrature itself can fall short of the completeness integral
         defect = float(abs(np.sum(w) / np.sqrt(np.pi) - 1.0))
-        family = KrausFamily(spec, ops, index, defect)
+        family = DisplacementFamily(spec, points[half], np.sqrt(w[half] / np.sqrt(np.pi)), n_cut, index, defect)
     else:
         raise UnsupportedFamily(f"family {fam} is not a continuous-index family")
     if not np.isfinite(defect) or defect > DEFECT_HARD_LIMIT:
@@ -812,11 +874,6 @@ def _band_gram_diagonals(coeffs: np.ndarray, band: str) -> np.ndarray:
     diags = np.zeros(coeffs.shape)
     diags[ell, cols] = values**2
     return diags
-
-
-def _fock_or_any(diags: np.ndarray, limit: float) -> tuple[bool, str]:
-    """The basis tag of products diagonal in the Fock basis: ``any`` when each diagonal is flat to ``limit``."""
-    return True, "any" if np.max(np.abs(diags - diags[:, :1]), initial=0.0) < limit else "fock"
 
 
 def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarray:

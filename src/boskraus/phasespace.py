@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedFamily,
     UnsupportedPair,
 )
-from .fock import DensityMatrix, quadrature_ops
+from .fock import DensityMatrix, _quadrature_moments
 
 OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -401,14 +401,16 @@ def covariance_map(xy: XYPair, g: GaussianMoments) -> GaussianMoments:
 
 def moments_from_density(rho: DensityMatrix) -> GaussianMoments:
     """First and symmetrized second quadrature moments of a truncated state
-    whose tail mass is below ``MOMENT_TAIL_LIMIT``."""
+    whose tail mass is below ``MOMENT_TAIL_LIMIT``.
+
+    They are the order-2 Weyl-symmetric moments of ``fock._quadrature_moments``
+    (``Y1 = -sqrt(2) p``, ``Y2 = sqrt(2) q``), which pads the state: ``<q^2>``
+    keeps the ``N-1 -> N -> N-1`` term that the truncated ``q @ q`` drops, so
+    ``|N-1>`` on ``N`` levels has covariance ``2N - 1``.
+    """
     if rho.tail_mass >= MOMENT_TAIL_LIMIT:
         raise TailTooLarge(f"tail mass {rho.tail_mass:.3e} too large for reliable moments")
-    q, p = quadrature_ops(rho.dim)
-    mq = float(np.trace(rho.mat @ q).real)
-    mp = float(np.trace(rho.mat @ p).real)
-    qq = float(np.trace(rho.mat @ q @ q).real)
-    pp = float(np.trace(rho.mat @ p @ p).real)
-    qp = float(0.5 * np.trace(rho.mat @ (q @ p + p @ q)).real)
-    cov = 2.0 * np.array([[qq - mq**2, qp - mq * mp], [qp - mq * mp, pp - mp**2]])
-    return GaussianMoments(np.array([mq, mp]), cov)
+    mu = _quadrature_moments(rho, 2)
+    cross = mu[1, 0] * mu[0, 1] - mu[1, 1]
+    cov = np.array([[mu[0, 2] - mu[0, 1] ** 2, cross], [cross, mu[2, 0] - mu[1, 0] ** 2]])
+    return GaussianMoments(np.array([mu[0, 1], -mu[1, 0]]) / np.sqrt(2.0), cov)

@@ -13,6 +13,7 @@ from test_fock import reference_coherent_amplitudes, reference_q_function
 
 from boskraus import analysis
 from boskraus.analysis import (
+    MAX_CUMULANT_ORDER,
     GramReport,
     classicality_check,
     cumulants,
@@ -201,6 +202,26 @@ class TestCumulants:
         for m1 in range(7):
             for m2 in range(7 - m1):
                 assert abs(g[m1, m2] - want.get((m1, m2), 0.0)) <= 1e-9, (m1, m2)
+
+    def test_fock_one_exact_to_the_order_cap(self):
+        # log chi of |1> is -r^2/2 + log(1 - r^2), a function of r^2 = xi1^2 + xi2^2: gamma[2k, 0] is
+        # (-1)^(k+1) (2k)! / k above k = 1 (3 at k = 1), and
+        # gamma[2j, 2k - 2j] = gamma[2k, 0] C(k, j) (2j)! (2k - 2j)! / (2k)!
+        top = MAX_CUMULANT_ORDER
+        assert top == 14
+        g = cumulants(fock_state(1, 32), top)
+        assert [g[n, 0] for n in (8, 10, 12, 14)] == pytest.approx([-10080, 725760, -79833600, 12454041600],
+                                                                   rel=1e-12, abs=0)
+        for m1 in range(top + 1):
+            for m2 in range(top + 1 - m1):
+                order = m1 + m2
+                if order < 2:
+                    continue
+                k = (order + 1) // 2
+                pure = (-1) ** k * math.factorial(2 * k) * (-1.5 if k == 1 else -1.0 / k)
+                want = 0.0 if m1 % 2 or m2 % 2 else pure * math.comb(k, m1 // 2) * math.factorial(m1) \
+                    * math.factorial(m2) / math.factorial(order)
+                assert abs(g[m1, m2] - want) <= 1e-12 * abs(pure), (m1, m2)
 
     def test_top_level_state_is_not_truncated(self):
         # |15> on 16 levels has the cumulants of |15> on 32: the padding holds every power

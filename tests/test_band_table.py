@@ -228,14 +228,14 @@ def test_json_record_over_the_limit_raises_before_any_list(build, limit, monkeyp
 
 @pytest.mark.parametrize("build,factored", [
     (lambda: build_continuous(ChannelSpec("A2"), 2000, 256), True),
-    (lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 2000, 256), False),
+    (lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 2000, 256), True),
     (lambda: rank_one_d(0.8, *coherent_disc_grid(6.0, 40, 50), 256), True),
     (lambda: position_kraus(mix_matrix(ChannelSpec("A2")), 2000, 256), False),
     (lambda: position_kraus(mix_matrix(ChannelSpec("B1", noise_a=1.0)), 2000, 256), False),
 ], ids=["A2", "B1", "rank-one", "position-A2", "position-B1"])
 def test_quadrature_stack_over_the_limit_raises_before_allocating(build, factored):
     # 2000 nodes at N=256: the stack would be 2000 * 256^2 * 16 bytes = 2.1 GB.  A rank-one
-    # family builds from its factors and raises only when its stack is read.
+    # family builds from its factors, and B1 from its nodes, and each raises only when its stack is read.
     assert 2000 * 256**2 * 16 > MAX_DENSE_BYTES
     tracemalloc.start()
     try:

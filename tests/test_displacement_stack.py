@@ -134,8 +134,8 @@ def reference_b1_ops(a, node_count, n_cut):
     return ops
 
 
-def stack_of(points, n_cut):
-    return np.concatenate([stack for _, stack in _displacement_chunks(points, n_cut)])
+def stack_of(points, n_cut, real=False):
+    return np.concatenate([stack for _, stack in _displacement_chunks(points, n_cut, real=real)])
 
 
 class TestStackAgainstOnePoint:
@@ -274,7 +274,8 @@ class TestArgumentChecks:
         with pytest.raises(InvalidParameter):
             hermite_quadrature(nodes)
 
-    @pytest.mark.parametrize("kwargs", [dict(max_order=-1), dict(max_order=2.0), dict(max_order=7)])
+    @pytest.mark.parametrize("kwargs", [dict(max_order=-1), dict(max_order=2.0),
+                                        dict(max_order=analysis.MAX_CUMULANT_ORDER + 1)])
     def test_cumulant_arguments_checked_before_any_point(self, kwargs, monkeypatch):
         def no_moments(*args):
             raise AssertionError("a moment was evaluated")

@@ -455,6 +455,12 @@ class TestMoments:
             g.mean, [np.sqrt(2) * al.real, np.sqrt(2) * al.imag], atol=1e-10)
         np.testing.assert_allclose(g.cov, np.eye(2), atol=1e-9)
 
+    def test_top_level_state_is_not_truncated(self):
+        # <q^2> of |15> keeps the 15 -> 16 -> 15 term: covariance 2 * 15 + 1 on 16 levels as on 32
+        small, big = moments_from_density(fock_state(15, 16)), moments_from_density(fock_state(15, 32))
+        np.testing.assert_allclose(small.cov, 31.0 * np.eye(2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(small.cov, big.cov, rtol=0, atol=1e-12)
+
     def test_tail_guard(self):
         heavy = thermal_state(9.0, 24, tail_tol=1.0)
         with pytest.raises(TailTooLarge):

@@ -1,0 +1,85 @@
+"""B1 as a streamed displacement family: the real-arithmetic action on the nonnegative nodes
+against the dense complex action it replaced, its memory, and the mirror facts it rests on."""
+
+import json
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_displacement_stack import stack_of
+
+from boskraus.analysis import simultaneous_diagonality
+from boskraus.channels import ChannelSpec
+from boskraus.fock import _gauss_hermite, random_mixed_state
+from boskraus.kraus import KrausFamily, apply, apply_matrix, build_continuous
+
+ACT_RTOL = 1e-13  # of the largest output entry: the streamed sum groups its terms in another order
+
+
+def reference_dense_act(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``sum_l W_l M W_l^dag`` by the two flattened complex GEMMs of the dense stack, as B1 acted before."""
+    n_ops, n, _ = ops.shape
+    tmp = (ops.reshape(n_ops * n, n) @ mat).reshape(n_ops, n, n)
+    left = np.ascontiguousarray(tmp.transpose(1, 0, 2)).reshape(n, n_ops * n)
+    right = ops.conj().transpose(0, 2, 1).reshape(n_ops * n, n)
+    return left @ right
+
+
+class TestMirrorFacts:
+    def test_nodes_and_weights_are_mirror_images_to_the_bit(self):
+        for count in [*range(32, 320), 511, 512, 1024, 2001]:
+            x, w = _gauss_hermite(count)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), count
+            if count % 2:  # the zero node is +0.0, the point the dense build computed
+                assert x[count // 2] == 0.0 and not np.signbit(x[count // 2]), count
+
+    def test_mirror_operator_is_the_transpose_bit_for_bit(self, rng):
+        points = np.concatenate([[0.0], np.abs(2.0 * rng.normal(size=9))])
+        for n_cut in (2, 7, 48):
+            plus, minus = stack_of(points, n_cut), stack_of(-points[1:], n_cut)
+            assert minus.tobytes() == np.ascontiguousarray(np.swapaxes(plus[1:], 1, 2)).tobytes()
+
+    def test_real_kernel_is_the_real_part_of_the_complex_kernel(self, rng):
+        points = np.concatenate([[0.0], np.abs(2.0 * rng.normal(size=9))])
+        for n_cut in (2, 3, 16, 97):
+            real, full = stack_of(points, n_cut, real=True), stack_of(points, n_cut)
+            assert real.dtype == np.float64 and np.array_equal(real, full.real) and not np.any(full.imag)
+            parity = (-1.0) ** np.arange(n_cut)
+            assert np.array_equal(np.swapaxes(real, 1, 2), real * parity[:, None] * parity)
+
+
+class TestStreamedAction:
+    @settings(max_examples=80, deadline=None)
+    @given(half=st.integers(16, 48), odd=st.booleans(), n_cut=st.integers(2, 96), a=st.floats(0.05, 3.0),
+           kind=st.sampled_from(["hermitian", "general", "real"]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_dense_complex_action(self, half, odd, n_cut, a, kind, seed):
+        fam = build_continuous(ChannelSpec("B1", noise_a=a), 2 * half + odd, n_cut)
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(n_cut, n_cut)) + 1j * rng.normal(size=(n_cut, n_cut))
+        if kind == "hermitian":
+            mat = mat + mat.conj().T
+        elif kind == "real":
+            mat = mat.real + 0j
+        want = reference_dense_act(fam.ops, mat)
+        assert np.max(np.abs(apply_matrix(fam, mat) - want)) <= ACT_RTOL * np.max(np.abs(want))
+
+    def test_build_and_apply_peak_memory(self):
+        # the dense stack alone was 256 * 128^2 * 16 bytes = 67 MB, and its action about 320 MB
+        spec, rho = ChannelSpec("B1", noise_a=0.5), random_mixed_state(3, 4, 128)
+        apply(build_continuous(spec, 64, 16), random_mixed_state(3, 4, 16))
+        tracemalloc.start()
+        try:
+            out = apply(build_continuous(spec, 256, 128), rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dim == 128
+        assert peak < 32e6
+
+    def test_json_record_gives_the_same_diagonality_verdict(self):
+        fam = build_continuous(ChannelSpec("B1", noise_a=0.5), 41, 12)
+        dense = KrausFamily.from_json_dict(json.loads(json.dumps(fam.to_json_dict())))
+        assert type(dense) is KrausFamily
+        assert simultaneous_diagonality(fam) == simultaneous_diagonality(dense) == (True, "any")
