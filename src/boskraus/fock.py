@@ -22,17 +22,17 @@ builds a banded family's image of one through the private
 
 Gaussian Fock amplitudes come from two table kernels, each serving every
 caller with one vectorized step per recurrence index over all points:
-:func:`coherent_amplitudes` (coherent kets) and the displacement stack behind
-:func:`displacement_op`, which also builds the dense stack of the B1 Kraus
-operators when it is read and the B1 diagonality check (``analysis``), a
-bounded chunk of points at a time.  Both repeat the scalar arithmetic they
-replaced, so every value is the same bit for bit.  Its real twin
-:func:`_real_displacement_stack` serves the B1 action: at a real point
-``D(x)`` is real and ``D(x)^T = D(-x)``, so one triangle of real tables gives
-the matrix and its mirror, and the Laguerre recurrence (:func:`_laguerre_table`)
-is shared.  :func:`_displaced_basis` decides the diagonality of displaced
-products from a stream of chunks.  ``_ket_sum`` weighs a
-table of kets into ``sum_p w_p |k_p><k_p|`` by one GEMM: the action of a
+:func:`coherent_amplitudes` (coherent kets), which repeats the scalar
+arithmetic it replaced bit for bit, and the displacement kernel
+:func:`_real_displacement_stack`.  At a real point ``D(x)`` is real and
+``D(x)^T = D(-x)``, so one triangle of real tables gives the matrix and its
+mirror; a complex point turns the real matrix at its modulus by its phase
+(:func:`_rotated_displacement_stack`).  :func:`_displacement_chunks` runs the
+kernel a bounded chunk of points at a time for :func:`displacement_op`, the
+B1 Kraus family (its action, its operators when read) and the B1
+diagonality check (``analysis``), and :func:`_displaced_basis` decides that
+check from the stream.  ``_ket_sum`` weighs a table of kets into
+``sum_p w_p |k_p><k_p|`` by one GEMM: the action of a
 rank-one Kraus family and the D classicality rebuild.  The quadrature rules
 of the continuous-index families (Gauss-Hermite nodes, the polar disc grid)
 live here too, beside the oscillator wavefunctions.  :func:`_quadrature_moments`
@@ -61,8 +61,7 @@ EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-2
 DISPLACEMENT_CHUNK_BYTES = 8 << 20  # tables of one chunk of a displacement stack
-_DISPLACEMENT_ENTRY_BYTES = 56  # per point and matrix entry: Laguerre 8, prefactors 2 x 16, gathered 16
-_REAL_ENTRY_BYTES = 24  # the same for a real point: Laguerre 8, prefactors 8, gathered 8
+_ENTRY_BYTES = 24  # per point and matrix entry: Laguerre and prefactor tables, or a real matrix and its rotated copy
 
 _PI_QUARTER = np.pi ** (-0.25)
 
@@ -361,13 +360,14 @@ def _check_displacement_cutoff(n_cut) -> None:
         raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
 
 
-def _displacement_chunks(xi, n_cut: int, real: bool = False):
+def _displacement_chunks(xi, n_cut: int):
     """Check every point of ``xi`` and the cutoff, then return an iterator of ``(part, stack)``.
 
     ``stack[i]`` is the matrix of ``D(xi.ravel()[part][i])``; consecutive parts cover the points in
-    order.  The tables of one chunk take about ``DISPLACEMENT_CHUNK_BYTES`` (at least one point), so
-    a caller that copies each chunk into its own array holds little more than that array.  With
-    ``real`` the points must be real, and each stack is real (:func:`_real_displacement_stack`).
+    order.  Real points give real matrices (:func:`_real_displacement_stack`) and complex points
+    complex ones, the real matrix at ``|xi|`` rotated (:func:`_rotated_displacement_stack`).  The
+    arrays of one chunk take about ``DISPLACEMENT_CHUNK_BYTES`` (at least one point), so a caller
+    that copies each chunk into its own array holds little more than that array.
     """
     _check_displacement_cutoff(n_cut)
     points = np.asarray(xi)
@@ -380,87 +380,21 @@ def _displacement_chunks(xi, n_cut: int, real: bool = False):
         if np.isnan(x[bad[0]]):
             raise InvalidParameter(f"displacement argument must be finite, got {points[bad[0]]}")
         raise InvalidParameter(f"displacement argument too large: |xi|^2 = {x[bad[0]]:.3e}")
-    kernel, entry = ((_real_displacement_stack, _REAL_ENTRY_BYTES) if real
-                     else (_displacement_stack, _DISPLACEMENT_ENTRY_BYTES))
-    step = max(1, DISPLACEMENT_CHUNK_BYTES // (entry * n_cut**2))
+    kernel = _rotated_displacement_stack if points.dtype.kind == "c" else _real_displacement_stack
+    step = max(1, DISPLACEMENT_CHUNK_BYTES // (_ENTRY_BYTES * n_cut**2))
     parts = [slice(s, min(s + step, points.size)) for s in range(0, points.size, step)]
     return ((part, kernel(points[part], x[part], n_cut)) for part in parts)
-
-
-def _displacement_chains(xi: np.ndarray, n_cut: int) -> np.ndarray:
-    """``arg^j / sqrt(j!)`` for ``j < n_cut``, ``arg = xi`` and ``arg = -conj(xi)``: shape ``(P, 2, n_cut)``.
-
-    One step per ``j`` for all points, in real arithmetic that repeats the scalar chain
-    ``p *= arg / np.sqrt(j)`` operation by operation.  For a complex point ``xi`` is a Python
-    complex, divided as ``(a + b*0) / c``, and ``-conj(xi)`` a NumPy ``complex128``, multiplied
-    by the reciprocal, ``(a + b*0) * (1/c)``; a real point is divided in both chains.  Each
-    product is Python's and NumPy's scalar complex multiply, ``(pr*qr - pi*qi, pr*qi + pi*qr)``.
-    """
-    c = np.sqrt(np.arange(1, n_cut))
-    if xi.dtype.kind == "c":
-        ar, ai = xi.real, xi.imag
-        ur, ui = -ar, ai
-        step_re = np.stack([(ar + ai * 0.0)[:, None] / c, (ur + ui * 0.0)[:, None] * (1.0 / c)], axis=1)
-        step_im = np.stack([(ai - ar * 0.0)[:, None] / c, (ui - ur * 0.0)[:, None] * (1.0 / c)], axis=1)
-    else:  # an integer 0 negates to +0: negate before the cast
-        step_re = np.stack([xi.astype(float)[:, None] / c, np.negative(xi).astype(float)[:, None] / c], axis=1)
-        step_im = np.zeros_like(step_re)
-    parts = np.empty((2, xi.size, 2, n_cut))
-    parts[0, ..., 0], parts[1, ..., 0] = pr, pi = 1.0, 0.0
-    for j in range(1, n_cut):
-        qr, qi = step_re[..., j - 1], step_im[..., j - 1]
-        pr, pi = pr * qr - pi * qi, pr * qi + pi * qr
-        parts[0, ..., j], parts[1, ..., j] = pr, pi
-    out = np.empty((xi.size, 2, n_cut), dtype=np.complex128)
-    out.real, out.imag = parts
-    return out
-
-
-def _laguerre_table(x: np.ndarray, n_cut: int) -> np.ndarray:
-    """``L_k^(delta)(x[i])`` at ``[i, k, delta]`` for ``k + delta < n_cut`` (0 past that), by the stable upward
-    recurrence in ``k``: one vector step per ``k`` over every point and offset."""
-    offsets = np.arange(n_cut)
-    lag = np.zeros((x.size, n_cut, n_cut))
-    lag[:, 0] = 1.0
-    lag[:, 1, :-1] = 1.0 + offsets[:-1] - x[:, None]
-    for k in range(1, n_cut - 1):
-        w = n_cut - 1 - k
-        d = offsets[:w]
-        lag[:, k + 1, :w] = ((2 * k + 1 + d - x[:, None]) * lag[:, k, :w] - (k + d) * lag[:, k - 1, :w]) / (k + 1)
-    return lag
-
-
-def _displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.ndarray:
-    """``D(xi[i])`` for every point of the 1-d array ``xi`` (``x[i] = |xi[i]|^2``), shape ``(P, N, N)``.
-
-    The ``[k, delta]`` Laguerre and prefactor tables of :func:`displacement_op`'s closed form, with a
-    leading axis over the points: one Laguerre step per ``k`` and one prefactor chain step per ``j``
-    serve every point, and one gather reads the stack.
-    """
-    offsets = np.arange(n_cut)
-    m, n = np.ogrid[:n_cut, :n_cut]
-    at = (m < n) * n_cut**2 + np.minimum(m, n) * n_cut + np.abs(m - n)  # flat [triangle, k, delta]
-    lag = _laguerre_table(x, n_cut)
-    # sqrt(k!/(k+delta)!) arg^delta, m >= n then m < n: the chain at k = 0, a real factor per k
-    pref = np.empty((xi.size, 2, n_cut, n_cut), dtype=np.complex128)
-    pref[:, :, 0] = _displacement_chains(xi, n_cut)
-    k = np.arange(1, n_cut)[:, None]
-    pref[:, :, 1:] = np.sqrt(k / (k + offsets))
-    np.cumprod(pref, axis=2, out=pref)
-    pref *= lag[:, None]
-    del lag  # not live during the gather below
-    pref *= np.exp(-0.5 * x)[:, None, None, None]
-    return pref.reshape(xi.size, -1)[:, at]
 
 
 def _real_displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.ndarray:
     """The real matrices ``D(xi[i])`` of real points ``xi`` (``x[i] = xi[i]^2``), shape ``(P, N, N)``.
 
-    A real point has a real chain and ``-conj(xi) = -xi``, so the ``m < n`` triangle is the ``m > n``
-    one transposed, times ``(-1)^(n - m)``: ``D(xi)^T = D(-xi) = S D(xi) S`` with ``S = diag((-1)^m)``.
-    One real ``[k, delta]`` prefactor table (the chain ``xi^delta / sqrt(delta!)`` and the factors of
-    :func:`_displacement_stack`) and the shared Laguerre table give both triangles: the real parts of
-    that kernel's matrices, up to the signs of zeros, from one real triangle where it fills two complex.
+    :func:`displacement_op`'s closed form read from ``[k, delta]`` tables (smaller label, offset
+    ``|m - n|``) with a leading axis over the points: one Laguerre step per ``k`` and one prefactor
+    step per ``delta`` serve every point.  A real point has a real chain ``xi^delta / sqrt(delta!)``
+    and ``-conj(xi) = -xi``, so the ``m < n`` triangle is the ``m > n`` one transposed, times
+    ``(-1)^(n - m)``: ``D(xi)^T = D(-xi) = S D(xi) S`` with ``S = diag((-1)^m)``, and one real
+    prefactor table gives both triangles.
     """
     points, levels = xi.size, np.arange(n_cut)
     pref = np.empty((points, n_cut, n_cut))
@@ -469,11 +403,42 @@ def _real_displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.nd
     k = levels[1:, None]
     pref[:, 1:] = np.sqrt(k / (k + levels))
     np.cumprod(pref, axis=1, out=pref)
-    pref *= _laguerre_table(x, n_cut)
+    # L_k^(delta)(x) for k + delta < N (0 past that), by the stable upward recurrence in k
+    lag = np.zeros((points, n_cut, n_cut))
+    lag[:, 0] = 1.0
+    lag[:, 1, :-1] = 1.0 + levels[:-1] - x[:, None]
+    for k in range(1, n_cut - 1):
+        w = n_cut - 1 - k
+        d = levels[:w]
+        lag[:, k + 1, :w] = ((2 * k + 1 + d - x[:, None]) * lag[:, k, :w] - (k + d) * lag[:, k - 1, :w]) / (k + 1)
+    pref *= lag
+    del lag  # not live during the gather below
     pref *= np.exp(-0.5 * x)[:, None, None]
     row, col = np.ogrid[:n_cut, :n_cut]
     out = pref.reshape(points, -1)[:, np.minimum(row, col) * n_cut + np.abs(row - col)]
     return np.negative(out, out=out, where=(row < col) & ((col - row) % 2 == 1))
+
+
+def _rotated_displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int) -> np.ndarray:
+    """The complex matrices ``D(xi[i])`` (``x[i] = |xi[i]|^2``), shape ``(P, N, N)``.
+
+    Rotation covariance, ``D(r u) = R D(r) R^dag`` with ``R = diag(u^m)``, ``r = |xi|`` and
+    ``u = xi / r`` (1 at 0), makes entry ``(m, n)`` the real matrix's times ``u^(m - n)``.  Each part
+    of ``xi`` is divided by the real ``r`` (a complex division would overflow at subnormal points),
+    and the powers of ``u`` come from one product chain per point.
+    """
+    r = np.abs(xi)
+    u = np.ones_like(xi)
+    np.divide(xi.real, r, out=u.real, where=r > 0)
+    np.divide(xi.imag, r, out=u.imag, where=r > 0)
+    turns = np.ones((xi.size, 2 * n_cut - 1), dtype=np.complex128)  # u^(m - n) at column n_cut - 1 + m - n
+    np.cumprod(np.broadcast_to(u[:, None], (xi.size, n_cut - 1)), axis=1, out=turns[:, n_cut:])
+    np.conjugate(turns[:, n_cut:][:, ::-1], out=turns[:, :n_cut - 1])
+    real = _real_displacement_stack(r, x, n_cut)
+    row, col = np.ogrid[:n_cut, :n_cut]
+    out = turns[:, (row + n_cut - 1) - col]
+    out *= real
+    return out
 
 
 def _frobenius(ops: np.ndarray) -> np.ndarray:
@@ -521,10 +486,11 @@ def displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
     ``[k, delta]`` (smaller label, offset ``|m - n|``).  The Laguerre table
     depends on ``|xi|^2`` only and serves both triangles; a stable upward
     recurrence fills it, one vector step per ``k`` across all offsets.  No
-    factorial ratios of large arguments are formed.  This is a one-point call
-    of the stack kernel that also builds the B1 family's dense stack and its
-    diagonality check, so every one of their operators is this matrix bit for
-    bit; the B1 action runs the real twin, whose values are the same.
+    factorial ratios of large arguments are formed.  A real ``xi`` gives its
+    real matrix; a complex one the real matrix at ``|xi|`` with entry
+    ``(m, n)`` times ``u^(m - n)``, ``u = xi / |xi|``.  This is a one-point
+    call of the kernel that the B1 family streams for its action, its
+    operators and its diagonality check.
 
     The cutoff must be an integer of at least 2 and ``xi`` a finite number with
     ``|xi|^2 n_cut <= 1e6`` (``InvalidParameter``, before anything is
@@ -689,14 +655,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     else:
         evals = hermitian_eigvals(rho.mat - sigma.mat)
     return float(0.5 * np.sum(np.abs(evals)))
-
-
-def quadrature_ops(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated ``q = (a + a^dag)/sqrt(2)`` and ``p = (a - a^dag)/(i sqrt(2))``."""
-    a = np.diag(np.sqrt(np.arange(1, n_cut)), 1).astype(np.complex128)
-    q = (a + a.conj().T) / np.sqrt(2.0)
-    p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    return q, p
 
 
 def _quadrature_moments(rho: DensityMatrix, max_order: int) -> np.ndarray:

@@ -120,7 +120,7 @@ class KrausFamily:
     channel metadata.  Readers call :meth:`act`, :meth:`defect`, :meth:`operators`,
     :meth:`product_gram`, :meth:`diagonal_basis`, :meth:`dual` and :meth:`to_json_dict`, which
     read the stack under the rules the constructor picks from ``(spec, index, origin)``.
-    :meth:`banded` gives a :class:`BandedFamily`, whose readers read its table instead;
+    ``build_discrete`` gives a :class:`BandedFamily`, whose readers read its table instead;
     ``build_continuous`` (A2) and :func:`rank_one_d` give a :class:`RankOneFamily`, whose readers
     read its kets, bra rows and scales, and ``build_continuous`` (B1) a :class:`DisplacementFamily`,
     whose readers stream its displacements.
@@ -157,11 +157,6 @@ class KrausFamily:
         self._own_products = origin == "product"  # the operators are already products W_m W_n
         self._taller = not self.discrete and family == "B1" and spec.noise_a > 0
 
-    @classmethod
-    def banded(cls, spec: ChannelSpec, coeffs: np.ndarray, band: str,
-               completeness_defect: float) -> "BandedFamily":
-        return BandedFamily(spec, coeffs, band, completeness_defect)
-
     @property
     def ops(self) -> np.ndarray:
         return self._ops
@@ -189,7 +184,11 @@ class KrausFamily:
         """The first ``count`` operators; quadrature nodes go center-out, so neighbors overlap."""
         if self.discrete:
             return self.ops[:count]
-        return self.ops[np.argsort(np.abs(np.real(self.index.nodes)))[:count]]
+        return self._operators_at(np.argsort(np.abs(np.real(self.index.nodes)))[:count])
+
+    def _operators_at(self, nodes: np.ndarray) -> np.ndarray:
+        """The operators at the node indices ``nodes``."""
+        return self.ops[nodes]
 
     def product_gram(self, count: int) -> tuple[np.ndarray, float]:
         """Gram matrix ``"aij,bij->ab"`` of the products ``W_m^dag W_n`` (``m, n < count``, by
@@ -448,7 +447,7 @@ class BandedFamily(KrausFamily):
             coeffs[inside] = kappa * self.coeffs[ell[inside], rows[inside]]
         else:
             coeffs, band = kappa * self.coeffs, {"upper": "lower", "lower": "upper"}[self.band]
-        return KrausFamily.banded(new_spec, coeffs, band, _table_defect(coeffs, band))
+        return BandedFamily(new_spec, coeffs, band, _table_defect(coeffs, band))
 
     def _json_entries(self) -> tuple[int, int]:
         return int(np.count_nonzero(_square_placement(self.coeffs, self.band)[3])), 0
@@ -527,8 +526,9 @@ class DisplacementFamily(KrausFamily):
     ``+-x`` with equal weights to the bit.  It holds the nonnegative arguments ``points`` (ascending,
     the zero node of an odd count first), their ``point_scales`` and the ``cutoff``; the operator at
     ``-x`` is ``D(-x) = D(x)^T``.  No operator is held: :meth:`act` and :meth:`diagonal_basis` stream
-    the displacement kernel a bounded chunk at a time, and ``ops`` (above ``MAX_DENSE_BYTES``:
-    ``AllocationTooLarge``) is built on first read; the defect rule is that of the dense stack."""
+    the displacement kernel a bounded chunk at a time, :meth:`operators` builds only the operators it
+    returns, and ``ops`` (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge``) is built on first read;
+    the defect rule is that of the dense stack."""
 
     def __init__(self, spec: ChannelSpec, points: np.ndarray, point_scales: np.ndarray, cutoff: int,
                  index: QuadratureIndex, completeness_defect: float):
@@ -537,18 +537,21 @@ class DisplacementFamily(KrausFamily):
 
     @property
     def ops(self) -> np.ndarray:
-        """The dense stack in node order: the complex kernel's ``s_p D(x_p)`` at the nonnegative nodes,
-        the stack the dense build computed, and at each mirror node its transpose, which that kernel
-        gives bit for bit (its two triangles swap chains when ``x`` changes sign)."""
+        """The dense stack in node order (:meth:`_operators_at` of every node), built on first read."""
         if self._ops is None:
-            count, half = len(self), len(self.points)
-            _check_stack_bytes(count, self.dim)
-            ops = np.empty((count, self.dim, self.dim), dtype=np.complex128)
-            for part, stack in _displacement_chunks(self.points, self.dim):
-                np.multiply(self.point_scales[part, None, None], stack, out=ops[count - half:][part])
-            ops[:count - half] = np.swapaxes(ops[half:][::-1], 1, 2)
-            self._ops = ops
+            _check_stack_bytes(len(self), self.dim)
+            self._ops = self._operators_at(np.arange(len(self)))
         return self._ops
+
+    def _operators_at(self, nodes: np.ndarray) -> np.ndarray:
+        """``s_p D(x_p)`` at the node indices ``nodes`` alone, one kernel chunk at a time.  Node ``i`` is
+        ``+-points[j]`` with the scale ``point_scales[j]``, ``j = |2 i + 1 - len| // 2`` counting out from
+        the center; the kernel gives ``D(-x)`` as ``D(x)^T`` bit for bit."""
+        scales = self.point_scales[np.abs(2 * nodes + 1 - len(self)) // 2]
+        ops = np.empty((len(nodes), self.dim, self.dim), dtype=np.complex128)
+        for part, stack in _displacement_chunks(self.index.nodes[nodes] / np.sqrt(2.0), self.dim):
+            ops[part] = stack * scales[part, None, None]
+        return ops
 
     @property
     def dim(self) -> int:
@@ -573,7 +576,7 @@ class DisplacementFamily(KrausFamily):
         scales = self.point_scales.copy()
         scales[:len(self) % 2] *= np.sqrt(0.5)
         out = np.zeros((len(ys), n, n))
-        for part, stack in _displacement_chunks(self.points, n, real=True):
+        for part, stack in _displacement_chunks(self.points, n):
             stack *= scales[part, None, None]
             for term, y in zip(out, ys):
                 term += stack.reshape(-1, n).T @ (y @ stack).reshape(-1, n)
@@ -807,7 +810,7 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
         raise DefectTooLarge(
             f"{spec} at ell_max={ell_max}, n_cut={n_cut}: defect {defect:.3e} > {defect_limit:.1e}"
         )
-    return KrausFamily.banded(spec, coeffs, band, defect)
+    return BandedFamily(spec, coeffs, band, defect)
 
 
 def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFamily:
@@ -818,11 +821,12 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
     ``Z_q = (pi a)^(-1/4) exp(-q^2/(2a)) D(q/sqrt(2))``.  Both are
     premultiplied by the square root of their quadrature weight.  B1 with
     ``a > 0`` is a :class:`DisplacementFamily`: every node is checked here,
-    and its displacements come from the kernels of ``fock`` only when read,
-    a bounded chunk of nodes at a time; each operator of its ``ops`` equals
-    ``displacement_op`` of its node bit for bit.  Both
-    families take the displacement cutoff check: ``n_cut`` must be an integer
-    in ``2..1020`` (``InvalidParameter`` below, ``OrderTooLarge`` above).
+    and its displacements come from the real displacement kernel of ``fock``
+    only when needed, a bounded chunk of nodes at a time; each operator it
+    builds is ``displacement_op`` of its node times its scale, bit for bit.
+    Both families take the displacement cutoff check: ``n_cut`` must be an
+    integer in ``2..1020`` (``InvalidParameter`` below, ``OrderTooLarge``
+    above).
     """
     if _node_count(node_count) < 32:
         raise InvalidParameter(f"node_count must be at least 32, got {node_count}")

@@ -21,7 +21,7 @@ from boskraus.errors import AllocationTooLarge
 from boskraus.fock import bandwidth, random_mixed_state, thermal_state
 from boskraus.kraus import (
     MAX_DENSE_BYTES,
-    KrausFamily,
+    BandedFamily,
     _log_binom_sqrt,
     _square_stack,
     apply,
@@ -160,7 +160,7 @@ def test_dual_reads_the_input_coefficients(spec):
     # a family whose table is not the closed form of any spec: its dual must
     # still be kappa W^dag of exactly these operators
     fam = build_discrete(spec, 20, 24, defect_limit=2.0)
-    doubled = KrausFamily.banded(spec, 2.0 * fam.coeffs, fam.band, 0.0)
+    doubled = BandedFamily(spec, 2.0 * fam.coeffs, fam.band, 0.0)
     want = spec.kappa * np.transpose(doubled.ops.conj(), (0, 2, 1))
     assert np.array_equal(dual(doubled).ops, want)
 

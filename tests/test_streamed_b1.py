@@ -1,16 +1,18 @@
 """B1 as a streamed displacement family: the real-arithmetic action on the nonnegative nodes
-against the dense complex action it replaced, its memory, and the mirror facts it rests on."""
+against the dense complex action it replaced, its memory, its operators built alone, and the
+mirror facts it rests on."""
 
 import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_displacement_stack import stack_of
+from test_displacement_stack import reference_table_displacement_op, stack_of
 
-from boskraus.analysis import simultaneous_diagonality
+from boskraus.analysis import gram_rank, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
 from boskraus.fock import _gauss_hermite, random_mixed_state
 from boskraus.kraus import KrausFamily, apply, apply_matrix, build_continuous
@@ -41,11 +43,13 @@ class TestMirrorFacts:
             plus, minus = stack_of(points, n_cut), stack_of(-points[1:], n_cut)
             assert minus.tobytes() == np.ascontiguousarray(np.swapaxes(plus[1:], 1, 2)).tobytes()
 
-    def test_real_kernel_is_the_real_part_of_the_complex_kernel(self, rng):
+    def test_real_kernel_is_the_real_part_of_the_reference(self, rng):
         points = np.concatenate([[0.0], np.abs(2.0 * rng.normal(size=9))])
         for n_cut in (2, 3, 16, 97):
-            real, full = stack_of(points, n_cut, real=True), stack_of(points, n_cut)
-            assert real.dtype == np.float64 and np.array_equal(real, full.real) and not np.any(full.imag)
+            real = stack_of(points, n_cut)
+            want = np.stack([reference_table_displacement_op(x, n_cut).mat for x in points])
+            assert real.dtype == np.float64 and not np.any(want.imag)
+            assert real[1:].tobytes() == want[1:].real.tobytes() and np.array_equal(real[0], want[0].real)
             parity = (-1.0) ** np.arange(n_cut)
             assert np.array_equal(np.swapaxes(real, 1, 2), real * parity[:, None] * parity)
 
@@ -83,3 +87,27 @@ class TestStreamedAction:
         dense = KrausFamily.from_json_dict(json.loads(json.dumps(fam.to_json_dict())))
         assert type(dense) is KrausFamily
         assert simultaneous_diagonality(fam) == simultaneous_diagonality(dense) == (True, "any")
+
+
+class TestOperatorsAlone:
+    @pytest.mark.parametrize("nodes", [40, 41])
+    def test_center_out_operators_are_the_stack_rows(self, nodes):
+        fam = build_continuous(ChannelSpec("B1", noise_a=0.7), nodes, 12)
+        got = [fam.operators(count) for count in (1, 2, 9, nodes)]
+        assert fam._ops is None
+        order = np.argsort(np.abs(fam.index.nodes))
+        assert [ops.tobytes() for ops in got] == [fam.ops[order[:len(ops)]].tobytes() for ops in got]
+
+    def test_gram_rank_builds_one_operator(self):
+        # the whole stack is 256 * 128^2 * 16 bytes = 67 MB; one operator is 0.26 MB
+        spec = ChannelSpec("B1", noise_a=0.5)
+        gram_rank(build_continuous(spec, 64, 16), 0)
+        fam = build_continuous(spec, 256, 128)
+        tracemalloc.start()
+        try:
+            report = gram_rank(fam, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.numerical_rank == 1 and fam._ops is None
+        assert peak < 4e6
