@@ -23,25 +23,30 @@ approximates the completeness integral.
 
 A family is stored in one of four kinds, fixed by its class when it is built;
 readers call its methods (see :class:`KrausFamily`) and never test the storage.
+Each kind makes operators in one place, ``_operators_at(labels)``, and
+:class:`KrausFamily` alone derives from it ``ops`` (the whole stack, cached) and
+``operators(count)`` (the first ``count``, built alone), both after checking the
+size of what they build, and the operators the JSON writer lists, a bounded
+chunk of labels at a time.  No reader but ``ops`` builds the whole stack.
 :class:`BandedFamily` (``D``, ``C1``, ``C2``, ``A1``, ``I``) holds a real table
 ``c`` of shape ``(ell_max + 1, N)`` over the whole band and its orientation,
 which :func:`_placement` alone turns into positions: ``"anti"`` (D) puts
 ``c[l, n]`` at ``(l - n, n)``, ``"upper"`` (C1, A1, I) ``c[l, m]`` at
-``(m, m + l)``, ``"lower"`` (C2) at ``(m + l, m)``; its readers read the table
-and build the dense stack only when a caller asks for ``ops``.
+``(m, m + l)``, ``"lower"`` (C2) at ``(m + l, m)``; its readers read the table,
+and its operators are table rows scattered into the square.
 :class:`RankOneFamily` holds the entanglement-breaking families whose operators
 are rank one, ``W_p = s_p |k_p><conj(r_p)|`` (``A2``: the coherent ket of
 ``q_p / sqrt(2)`` and the position bra at ``q_p``; :func:`rank_one_d`), as the
-kets, the bra rows and the scales: it acts by two GEMMs of ``P x N`` factors
-and builds its stack only when a caller asks for ``ops``.
+kets, the bra rows and the scales: it acts by two GEMMs of ``P x N`` factors,
+and its operators are outer products of factor rows.
 :class:`DisplacementFamily` holds ``B1(a > 0)``, whose nodes are mirror images
 ``+-x`` and whose operators are real displacements with ``D(-x) = D(x)^T``, as
 the nonnegative arguments and their scales: it acts by streaming the real
 displacement kernel of ``fock`` over those nodes, two real GEMMs per chunk, and
-builds its stack only when a caller asks for ``ops``.
+its operators come from that kernel at the nodes asked for.
 :class:`KrausFamily` holds a dense stack (zero-noise ``B1``, scheme, product and
-JSON-loaded families) and reads it under rules its constructor picks from
-how the stack was built.
+JSON-loaded families), whose rows are its operators, and reads it under rules
+its constructor picks from how the stack was built.
 
 All coefficient evaluation is done in log space (gammaln), never through
 factorial ratios.
@@ -88,8 +93,9 @@ from .fock import (
 DEFECT_HARD_LIMIT = 1e-4
 SUGGEST_ELL_CAP = 100000
 MAX_DENSE_BYTES = 1 << 30
-JSON_ENTRY_BYTES = 480  # peak bytes per listed entry of a JSON record, its lists, _round12's copy and text (tracemalloc)
+JSON_ENTRY_BYTES = 512  # peak bytes per listed entry of a JSON record, its lists, _round12's copy and text (tracemalloc)
 RANK_ONE_PROBE_TOL = 1e-4  # trace distance a rank-one grid may miss the thermal probe by
+_JSON_CHUNK_BYTES = 8 << 20  # bytes of the operators the JSON writer builds at once
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,8 @@ class KrausFamily:
     ``build_discrete`` gives a :class:`BandedFamily`, whose readers read its table instead;
     ``build_continuous`` (A2) and :func:`rank_one_d` give a :class:`RankOneFamily`, whose readers
     read its kets, bra rows and scales, and ``build_continuous`` (B1) a :class:`DisplacementFamily`,
-    whose readers stream its displacements.
+    whose readers stream its displacements.  A kind makes operators only in :meth:`_operators_at`;
+    ``ops``, :meth:`operators`, ``len`` and the JSON writer are defined here alone.
     ``keeps_diagonal`` says whether :meth:`act` maps a diagonal matrix into a fresh ``np.zeros``
     matrix and writes only its diagonal, which ``apply`` relies on."""
 
@@ -159,6 +166,11 @@ class KrausFamily:
 
     @property
     def ops(self) -> np.ndarray:
+        """The stack in label order, :meth:`_operators_at` of every label: built on first read (above
+        ``MAX_DENSE_BYTES``: ``AllocationTooLarge`` first) and cached."""
+        if self._ops is None:
+            _check_stack_bytes(len(self), self.dim)
+            self._ops = self._operators_at(np.arange(len(self)))
         return self._ops
 
     @property
@@ -166,7 +178,7 @@ class KrausFamily:
         return self._ops.shape[1]
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return self.index.ell_max + 1 if self.discrete else len(self.index.nodes)
 
     def act(self, mat: np.ndarray) -> np.ndarray:
         """``sum_l W_l M W_l^dag``: two flattened BLAS products instead of a per-operator loop."""
@@ -181,14 +193,15 @@ class KrausFamily:
         return self._defect_rule(self, block)
 
     def operators(self, count: int) -> np.ndarray:
-        """The first ``count`` operators; quadrature nodes go center-out, so neighbors overlap."""
-        if self.discrete:
-            return self.ops[:count]
-        return self._operators_at(np.argsort(np.abs(np.real(self.index.nodes)))[:count])
+        """The first ``count`` operators, built alone (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge``
+        first); quadrature nodes go center-out by ``|node|``, so neighbors overlap."""
+        labels = (np.arange(len(self)) if self.discrete else np.argsort(np.abs(self.index.nodes)))[:count]
+        _check_stack_bytes(len(labels), self.dim)
+        return self._operators_at(labels)
 
-    def _operators_at(self, nodes: np.ndarray) -> np.ndarray:
-        """The operators at the node indices ``nodes``."""
-        return self.ops[nodes]
+    def _operators_at(self, labels: np.ndarray) -> np.ndarray:
+        """The operators at the labels ``labels``: the one place a storage kind makes operators."""
+        return self._ops[labels]
 
     def product_gram(self, count: int) -> tuple[np.ndarray, float]:
         """Gram matrix ``"aij,bij->ab"`` of the products ``W_m^dag W_n`` (``m, n < count``, by
@@ -197,9 +210,12 @@ class KrausFamily:
         need = count * count if self._own_products else count
         if need > len(self):
             raise InvalidParameter(f"family has only {len(self)} operators, need {need}")
+        if count**4 * 16 > MAX_DENSE_BYTES:
+            raise AllocationTooLarge(f"the Gram matrix of {count * count} products needs {count**4 * 16:.3e} bytes")
         if self._own_products:
             prods = self.ops[:need]
         else:
+            _check_stack_bytes(count * count, self.dim)  # the products
             ops = self.operators(count)
             prods = (np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]).reshape(count * count, self.dim, self.dim)
         gram = np.einsum("aij,bij->ab", prods.conj(), prods)
@@ -255,16 +271,15 @@ class KrausFamily:
         # built by the rules of this stack, with the defect of the dual stack itself
         return KrausFamily(new_spec, ops, self.index, raw_completeness_defect(ops), self.origin)
 
-    def _square_operators(self):
-        return self.ops
-
     def _json_entries(self) -> tuple[int, int]:
-        """The nonzero entries a JSON record lists, and the bytes of the stack held while it is written."""
+        """A bound on the nonzero entries a JSON record lists, and the bytes of the stack held while it
+        is written."""
         return int(np.count_nonzero(self.ops)), self.ops.nbytes
 
     def to_json_dict(self) -> dict:
-        """The record :meth:`from_json_dict` reads; ``AllocationTooLarge`` before any list when the held
-        stack and ``JSON_ENTRY_BYTES`` per listed entry would pass ``MAX_DENSE_BYTES``."""
+        """The record :meth:`from_json_dict` reads, its operators built a bounded chunk at a time;
+        ``AllocationTooLarge`` before any list when the held stack and ``JSON_ENTRY_BYTES`` per listed
+        entry would pass ``MAX_DENSE_BYTES``."""
         entries, held = self._json_entries()
         if held + entries * JSON_ENTRY_BYTES > MAX_DENSE_BYTES:
             raise AllocationTooLarge(f"the JSON record of {entries} entries needs about "
@@ -276,11 +291,13 @@ class KrausFamily:
             index = {"kind": "quadrature", "nodes": nodes.real.tolist(), "weights": self.index.weights.tolist()}
             if np.iscomplexobj(nodes):  # rank-one families sit on complex nodes
                 index["nodes_im"] = nodes.imag.tolist()
-        operators = []
-        for op in self._square_operators():
-            rows, cols = np.nonzero(op)
-            operators.append({"rows": rows.tolist(), "cols": cols.tolist(),
-                              "re": op[rows, cols].real.tolist(), "im": op[rows, cols].imag.tolist()})
+        operators, labels = [], np.arange(len(self))
+        step = max(1, _JSON_CHUNK_BYTES // (16 * self.dim**2))
+        for start in range(0, len(self), step):
+            for op in self._operators_at(labels[start:start + step]):
+                rows, cols = np.nonzero(op)
+                operators.append({"rows": rows.tolist(), "cols": cols.tolist(),
+                                  "re": op[rows, cols].real.tolist(), "im": op[rows, cols].imag.tolist()})
         return {
             "spec": self.spec.to_json_dict() if self.spec is not None else None,
             "index_kind": index,
@@ -333,8 +350,8 @@ class KrausFamily:
 
 class BandedFamily(KrausFamily):
     """A single-band family held as its table ``coeffs`` of shape ``(ell_max + 1, dim)`` and its
-    ``band`` orientation.  ``ops`` (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge``) and the
-    ``output_table`` that :meth:`act` reads are built on first read and cached."""
+    ``band`` orientation.  The ``output_table`` that :meth:`act` reads is built on first read and
+    cached."""
 
     keeps_diagonal = True
 
@@ -344,16 +361,17 @@ class BandedFamily(KrausFamily):
         self.band = band
         self._output_table: np.ndarray | None = None
 
-    @property
-    def ops(self) -> np.ndarray:
-        if self._ops is None:
-            self._ops = _square_stack(self.coeffs, self.band)
-        return self._ops
+    def _operators_at(self, labels: np.ndarray) -> np.ndarray:
+        """The table rows ``labels`` scattered into their square operators."""
+        k, rows, cols, values = _square_placement(self.coeffs[labels], self.band, labels)
+        ops = np.zeros((len(labels), self.dim, self.dim), dtype=np.complex128)
+        ops[k, rows, cols] = values
+        return ops
 
     @property
     def output_table(self) -> np.ndarray:
         """``T[s, t]``, the weight of ``|t><s|`` in the one operator joining source level ``s``
-        to output level ``t`` (0 where none does): ``_square_stack(coeffs, band).sum(0).T``."""
+        to output level ``t`` (0 where none does): ``ops.sum(0).T``."""
         if self._output_table is None:
             _, rows, cols, values = _square_placement(self.coeffs, self.band)
             self._output_table = np.zeros((self.dim, self.dim))
@@ -363,9 +381,6 @@ class BandedFamily(KrausFamily):
     @property
     def dim(self) -> int:
         return self.coeffs.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
     def act(self, mat: np.ndarray) -> np.ndarray:
         """``sum_l W_l M W_l^dag``, one step per populated offset ``k`` of ``M``.
@@ -393,9 +408,6 @@ class BandedFamily(KrausFamily):
     def defect(self, block: int | None) -> float:
         return _table_defect(self.coeffs, self.band, block)
 
-    def operators(self, count: int) -> np.ndarray:
-        return _square_stack(self.coeffs[:count], self.band)
-
     def product_gram(self, count: int) -> tuple[np.ndarray, float]:
         """:meth:`KrausFamily.product_gram` off the table, bit for bit.
 
@@ -406,8 +418,8 @@ class BandedFamily(KrausFamily):
         would block the sums).  At ``count = 1`` the dense path runs: einsum sums a one-entry
         output in buffer-sized chunks of the flat product, which a diagonal cannot repeat.
         """
-        if count == 1 or count > len(self):  # the dense path also reports a short family
-            return super().product_gram(count)
+        if count == 1 or count > len(self) or count**4 * 16 > MAX_DENSE_BYTES:
+            return super().product_gram(count)  # which also reports a short family and an oversized Gram matrix
         dim = self.dim
         ell, rows, cols, values = _square_placement(self.coeffs[:count], self.band)
         col = np.full((count, dim), -1)
@@ -452,44 +464,27 @@ class BandedFamily(KrausFamily):
     def _json_entries(self) -> tuple[int, int]:
         return int(np.count_nonzero(_square_placement(self.coeffs, self.band)[3])), 0
 
-    def _square_operators(self):
-        """The square operators one at a time, under the size limit of the unbuilt stack."""
-        _check_stack_bytes(*self.coeffs.shape)
-        dim = self.dim
-        ell, rows, cols, values = _square_placement(self.coeffs, self.band)
-        bounds = np.searchsorted(ell, np.arange(len(self) + 1))  # entries come grouped by operator
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            op = np.zeros((dim, dim), dtype=np.complex128)
-            op[rows[lo:hi], cols[lo:hi]] = values[lo:hi]
-            yield op
-
 
 class RankOneFamily(KrausFamily):
     """A family of rank-one operators ``W_p = s_p |k_p><conj(r_p)|`` held as the kets ``kets`` ``(P, N)``,
     the bra rows ``bra_rows`` ``(P, N)`` (``r_p`` is row ``p`` of the matrix of ``<conj(r_p)|``) and the
-    scales ``scales`` ``(P,)``: A2 and :func:`rank_one_d`.  ``ops`` (above ``MAX_DENSE_BYTES``:
-    ``AllocationTooLarge``) is built on first read; the defect rules are those of the dense stack."""
+    scales ``scales`` ``(P,)``: A2 and :func:`rank_one_d`.  The defect rules are those of the dense
+    stack."""
 
     def __init__(self, spec: ChannelSpec, kets: np.ndarray, bra_rows: np.ndarray, scales: np.ndarray,
                  index: QuadratureIndex, completeness_defect: float, origin: str = "closed-form"):
         super().__init__(spec, None, index, completeness_defect, origin)
         self.kets, self.bra_rows, self.scales = kets, bra_rows, scales
 
-    @property
-    def ops(self) -> np.ndarray:
+    def _operators_at(self, labels: np.ndarray) -> np.ndarray:
         """Each ``k_p r_p^T``, then times ``s_p``: the expressions of the dense stack this storage replaced."""
-        if self._ops is None:
-            _check_stack_bytes(len(self), self.dim)
-            self._ops = self.kets[:, :, None] * self.bra_rows[:, None, :]
-            self._ops *= self.scales[:, None, None]
-        return self._ops
+        ops = self.kets[labels, :, None] * self.bra_rows[labels, None, :]
+        ops *= self.scales[labels, None, None]
+        return ops
 
     @property
     def dim(self) -> int:
         return self.kets.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.kets)
 
     def act(self, mat: np.ndarray) -> np.ndarray:
         """``sum_p q_p |k_p><k_p|`` with ``q_p = s_p^2 r_p M conj(r_p)``: two GEMMs and no stack."""
@@ -518,7 +513,7 @@ class RankOneFamily(KrausFamily):
     def _json_entries(self) -> tuple[int, int]:
         """At most ``nnz(k_p) nnz(r_p)`` entries per operator, counted before the stack is built."""
         per_op = np.count_nonzero(self.kets, axis=1) * np.count_nonzero(self.bra_rows, axis=1)
-        return int(np.sum(per_op * (self.scales != 0))), len(self) * self.dim**2 * 16
+        return int(np.sum(per_op * (self.scales != 0))), 0
 
 
 class DisplacementFamily(KrausFamily):
@@ -526,22 +521,12 @@ class DisplacementFamily(KrausFamily):
     ``+-x`` with equal weights to the bit.  It holds the nonnegative arguments ``points`` (ascending,
     the zero node of an odd count first), their ``point_scales`` and the ``cutoff``; the operator at
     ``-x`` is ``D(-x) = D(x)^T``.  No operator is held: :meth:`act` and :meth:`diagonal_basis` stream
-    the displacement kernel a bounded chunk at a time, :meth:`operators` builds only the operators it
-    returns, and ``ops`` (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge``) is built on first read;
-    the defect rule is that of the dense stack."""
+    the displacement kernel a bounded chunk at a time."""
 
     def __init__(self, spec: ChannelSpec, points: np.ndarray, point_scales: np.ndarray, cutoff: int,
                  index: QuadratureIndex, completeness_defect: float):
         super().__init__(spec, None, index, completeness_defect)
         self.points, self.point_scales, self.cutoff = points, point_scales, cutoff
-
-    @property
-    def ops(self) -> np.ndarray:
-        """The dense stack in node order (:meth:`_operators_at` of every node), built on first read."""
-        if self._ops is None:
-            _check_stack_bytes(len(self), self.dim)
-            self._ops = self._operators_at(np.arange(len(self)))
-        return self._ops
 
     def _operators_at(self, nodes: np.ndarray) -> np.ndarray:
         """``s_p D(x_p)`` at the node indices ``nodes`` alone, one kernel chunk at a time.  Node ``i`` is
@@ -557,8 +542,14 @@ class DisplacementFamily(KrausFamily):
     def dim(self) -> int:
         return self.cutoff
 
-    def __len__(self) -> int:
-        return len(self.index.nodes)
+    def defect(self, block: int | None) -> float:
+        """The build defect on every nonempty block: the displacement factor is unitary, so only the
+        Gaussian quadrature itself falls short of the completeness integral."""
+        return 0.0 if block == 0 else self.completeness_defect
+
+    def _json_entries(self) -> tuple[int, int]:
+        """A displacement fills its square."""
+        return len(self) * self.dim**2, 0
 
     def act(self, mat: np.ndarray) -> np.ndarray:
         """``sum_p s_p^2 (D_p M D_p^T + D_p^T M D_p)`` over the nonnegative nodes, in real arithmetic.
@@ -643,32 +634,23 @@ def _check_stack_bytes(n_ops: int, dim: int) -> None:
         raise AllocationTooLarge(f"dense stack of {n_ops} operators at N={dim} needs {n_bytes:.3e} bytes")
 
 
-def _placement(coeffs: np.ndarray, band: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Operator index, row and column of every entry of a coefficient table
-    (see the module docstring), whether or not it lands inside the square block."""
-    ell, j = np.indices(coeffs.shape)
+def _placement(coeffs: np.ndarray, band: str, labels: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Table row, row and column of every entry of a coefficient table whose rows are the operators
+    ``labels`` (by default row ``l`` is operator ``l``; see the module docstring), whether or not it
+    lands inside the square block."""
+    k, j = np.indices(coeffs.shape)
+    ell = k if labels is None else labels[k]
     rows, cols = {"anti": (ell - j, j), "upper": (j, j + ell), "lower": (j + ell, j)}[band]
-    return ell, rows, cols
+    return k, rows, cols
 
 
-def _square_placement(coeffs: np.ndarray, band: str) -> tuple[np.ndarray, ...]:
-    """Operator index, row, column and value of the table entries that land
+def _square_placement(coeffs: np.ndarray, band: str, labels: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Table row, row, column and value of the table entries that land
     inside the square block."""
     dim = coeffs.shape[1]
-    ell, rows, cols = _placement(coeffs, band)
+    k, rows, cols = _placement(coeffs, band, labels)
     inside = (rows >= 0) & (rows < dim) & (cols < dim)
-    return ell[inside], rows[inside], cols[inside], coeffs[inside]
-
-
-def _square_stack(coeffs: np.ndarray, band: str) -> np.ndarray:
-    """Dense ``(ell_max + 1, N, N)`` stack of the table entries that land
-    inside the square block."""
-    n_ops, dim = coeffs.shape
-    _check_stack_bytes(n_ops, dim)
-    ell, rows, cols, values = _square_placement(coeffs, band)
-    ops = np.zeros((n_ops, dim, dim), dtype=np.complex128)
-    ops[ell, rows, cols] = values
-    return ops
+    return k[inside], rows[inside], cols[inside], coeffs[inside]
 
 
 def _table_defect(coeffs: np.ndarray, band: str, block: int | None = None) -> float:
@@ -941,7 +923,10 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
                    |alpha / sqrt(1+kappa^-2)> <conj(alpha) / sqrt(1+kappa^2)|
 
     carrying ``sqrt(weight / pi)`` so the family sums the coherent-state
-    resolution ``rho' = pi^-1 integral T' rho T'^dag d^2 alpha``.
+    resolution ``rho' = pi^-1 integral T' rho T'^dag d^2 alpha``.  With
+    ``probe_check``, a grid that misses the channel output on a thermal probe
+    raises ``GridTooCoarse``, and then one whose completeness defect passes
+    ``DEFECT_HARD_LIMIT`` raises ``DefectTooLarge``.
     """
     if kappa <= 0:
         raise InvalidParameter("kappa must be positive")
@@ -949,11 +934,12 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
     weights = np.asarray(weights, dtype=float)
     if alphas.shape != weights.shape:
         raise InvalidParameter("alphas and weights must have matching shapes")
+    alphas, weights = alphas.ravel(), weights.ravel()
     ket_scale = 1.0 / np.sqrt(1.0 + kappa**-2)
     bra_scale = 1.0 / np.sqrt(1.0 + kappa**2)  # also the prefactor (1+kappa^2)^(-1/2)
-    kets = coherent_amplitudes(alphas.ravel() * ket_scale, n_cut)
-    bras = coherent_amplitudes(np.conj(alphas.ravel()) * bra_scale, n_cut)
-    family = RankOneFamily(ChannelSpec("D", kappa), kets, bras.conj(), bra_scale * np.sqrt(weights.ravel() / np.pi),
+    kets = coherent_amplitudes(alphas * ket_scale, n_cut)
+    bras = coherent_amplitudes(np.conj(alphas) * bra_scale, n_cut)
+    family = RankOneFamily(ChannelSpec("D", kappa), kets, bras.conj(), bra_scale * np.sqrt(weights / np.pi),
                            QuadratureIndex(alphas, weights), 0.0, origin="rank-one")
     family.completeness_defect = completeness_defect(family)
     if probe_check:
@@ -963,4 +949,6 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
         dev = trace_distance(got, reference)
         if dev > RANK_ONE_PROBE_TOL:
             raise GridTooCoarse(f"rank-one grid misses the channel output by {dev:.3e} on the thermal probe")
+        if not family.completeness_defect <= DEFECT_HARD_LIMIT:
+            raise DefectTooLarge(f"rank-one grid: defect {family.completeness_defect:.3e} > {DEFECT_HARD_LIMIT:.1e}")
     return family

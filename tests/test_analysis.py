@@ -44,7 +44,6 @@ from boskraus.kraus import (
     KrausFamily,
     QuadratureIndex,
     _band_gram_diagonals,
-    _square_stack,
     apply,
     build_continuous,
     build_discrete,
@@ -713,7 +712,7 @@ class TestSimultaneousDiagonality:
         spec = ChannelSpec(family, data.draw(kappa)) if kappa is not None else ChannelSpec(family)
         fam = build_discrete(spec, data.draw(st.integers(0, 2 * n_cut)), n_cut, defect_limit=1e300)
         diags = _band_gram_diagonals(fam.coeffs, fam.band)
-        ops = _square_stack(fam.coeffs, fam.band)
+        ops = fam.operators(len(fam))
         dense = np.einsum("lji,ljk->lik", ops.conj(), ops)
         off_diagonal = ~np.eye(n_cut, dtype=bool)
         assert np.count_nonzero(dense[:, off_diagonal]) == 0

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boskraus import kraus
+from boskraus.analysis import gram_rank
 from boskraus.channels import ChannelSpec
 from boskraus.cli import main
 from boskraus.errors import AllocationTooLarge
@@ -23,7 +24,6 @@ from boskraus.kraus import (
     MAX_DENSE_BYTES,
     BandedFamily,
     _log_binom_sqrt,
-    _square_stack,
     apply,
     apply_matrix,
     build_continuous,
@@ -183,11 +183,13 @@ def test_large_cutoff_stays_small():
     assert fam.completeness_defect < 1e-10
 
 
-def test_dense_stack_over_the_limit_raises_before_allocating(capsys):
+def test_dense_stack_over_the_limit_raises_before_allocating(tmp_path):
     # D(0.8) at N=512 and the suggested index cut 1021: a 4 MB table whose
-    # dense stack would be 1022 * 512^2 * 16 bytes = 4.29 GB
+    # dense stack would be 1022 * 512^2 * 16 bytes = 4.29 GB.  The JSON writer
+    # builds a bounded chunk of operators at a time, so only its record bounds it.
     spec = ChannelSpec("D", 0.8)
     assert suggest_ell_max(spec, 512) == 1021
+    path = tmp_path / "k.json"
     tracemalloc.start()
     try:
         fam = build_discrete(spec, 1021, 512)
@@ -195,12 +197,44 @@ def test_dense_stack_over_the_limit_raises_before_allocating(capsys):
         assert len(fam) * fam.dim**2 * 16 > MAX_DENSE_BYTES
         with pytest.raises(AllocationTooLarge):
             fam.ops
-        assert main(["kraus", "D:0.8", "--ncut", "512"]) == 1
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert main(["kraus", "D:0.8", "--ncut", "512", "--out", str(path)]) == 0
+        _, write_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64e6
-    assert "error:" in capsys.readouterr().err
+    operators = json.loads(path.read_text())["operators"]
+    assert len(operators) == 1022
+    assert write_peak - held < sum(len(op["rows"]) for op in operators) * kraus.JSON_ENTRY_BYTES
+
+
+@pytest.mark.parametrize("build,k", [
+    (lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 64, 256), 40),  # 41^2 products at N=256: 1.76 GB
+    (lambda: build_continuous(ChannelSpec("A2"), 128, 8), 99),  # the Gram matrix of 100^2 products: 1.6 GB
+    (lambda: build_discrete(ChannelSpec("C1", 0.7), 99, 48), 99),  # the same Gram matrix off the table
+], ids=["products", "gram", "banded-gram"])
+def test_oversized_gram_raises_before_allocating(build, k):
+    family = build()
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationTooLarge):
+            gram_rank(family, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_extremal_with_an_oversized_block_exits_1(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        assert main(["experiment", "extremal", "--block", "99", "--output-dir", str(tmp_path)]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert "error: the Gram matrix" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("build,limit", [
@@ -229,7 +263,7 @@ def test_json_record_over_the_limit_raises_before_any_list(build, limit, monkeyp
 @pytest.mark.parametrize("build,factored", [
     (lambda: build_continuous(ChannelSpec("A2"), 2000, 256), True),
     (lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 2000, 256), True),
-    (lambda: rank_one_d(0.8, *coherent_disc_grid(6.0, 40, 50), 256), True),
+    (lambda: rank_one_d(0.8, *coherent_disc_grid(6.0, 40, 50), 256, probe_check=False), True),
     (lambda: position_kraus(mix_matrix(ChannelSpec("A2")), 2000, 256), False),
     (lambda: position_kraus(mix_matrix(ChannelSpec("B1", noise_a=1.0)), 2000, 256), False),
 ], ids=["A2", "B1", "rank-one", "position-A2", "position-B1"])
@@ -324,7 +358,7 @@ def test_apply_table_is_the_summed_square_stack(spec, n_cut, ell_frac):
     # each (source, output) pair is joined by at most one operator of a band; build_discrete
     # rejects a one-level cutoff, which no state can have
     fam = build_discrete(spec, int(ell_frac * n_cut), n_cut, defect_limit=1e300)
-    assert np.array_equal(fam.output_table, _square_stack(fam.coeffs, fam.band).sum(0).T)
+    assert np.array_equal(fam.output_table, fam.operators(len(fam)).sum(0).T)
 
 
 _KAPPAS = {"D": st.floats(0.3, 3.0), "C1": st.floats(0.1, 0.95), "C2": st.floats(1.05, 3.0)}

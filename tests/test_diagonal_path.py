@@ -280,4 +280,4 @@ def test_complex_nodes_are_ordered_without_a_cast():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = family.operators(5)
-    assert np.array_equal(got, family.ops[np.argsort(np.abs(family.index.nodes.real))[:5]])
+    assert np.array_equal(got, family.ops[np.argsort(np.abs(family.index.nodes))[:5]])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boskraus.analysis import product_family
+from boskraus.analysis import product_family, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
 from boskraus.errors import BoskrausError, InvalidParameter
 from boskraus.fock import random_mixed_state
@@ -83,9 +83,9 @@ def dense_action(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def ordered(family: KrausFamily, count: int) -> np.ndarray:
-    """The first ``count`` operators: by label, or center-out in the real part of a quadrature node."""
+    """The first ``count`` operators: by label, or center-out in the modulus of a quadrature node."""
     nodes = getattr(family.index, "nodes", None)
-    order = np.arange(len(family)) if nodes is None else np.argsort(np.abs(np.real(nodes)))
+    order = np.arange(len(family)) if nodes is None else np.argsort(np.abs(nodes))
     return family.ops[order[:count]]
 
 
@@ -94,6 +94,26 @@ def outcome(call):
         return call()
     except BoskrausError as exc:
         return type(exc), str(exc)
+
+
+def test_only_the_base_class_derives_the_stack_and_every_kind_makes_operators():
+    classes = [node for node in ast.parse((PACKAGE / "kraus.py").read_text()).body if isinstance(node, ast.ClassDef)]
+    kinds = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)} for node in classes
+             if node.name == "KrausFamily" or any(getattr(base, "id", None) == "KrausFamily" for base in node.bases)}
+    assert len(kinds) == 4
+    assert {name for name, methods in kinds.items() if methods & {"ops", "operators", "__len__"}} == {"KrausFamily"}
+    assert all("_operators_at" in methods for methods in kinds.values())
+
+
+@pytest.mark.parametrize("kind", ["D", "C1", "C2", "A1", "I", "A2", "B1", "rank-one"])
+def test_no_reader_but_ops_builds_the_stack(kind):
+    family = KINDS[kind]()
+    mat = random_mixed_state(5, 4, N).mat
+    for read in (lambda: apply_matrix(family, mat), lambda: family.defect(None), lambda: family.operators(3),
+                 lambda: family.product_gram(2), lambda: simultaneous_diagonality(family), family.to_json_dict):
+        outcome(read)
+        assert family._ops is None
+    assert family.ops is family.ops
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from test_family_kinds import KINDS, dense_action
 
-from boskraus.analysis import simultaneous_diagonality
+from boskraus.analysis import gram_rank, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
+from boskraus.errors import DefectTooLarge
 from boskraus.fock import coherent_amplitudes, hermite_psi_table, random_mixed_state, thermal_state
 from boskraus.kraus import (
     KrausFamily,
@@ -100,7 +101,7 @@ def test_rank_one_d_at_256_levels_on_a_64x64_grid():
     # the dense stack of 4096 nodes at N=256 would be 4.3 GB, past MAX_DENSE_BYTES
     tracemalloc.start()
     try:
-        family = rank_one_d(0.8, *coherent_disc_grid(6.0, 64, 64), 256)
+        family = rank_one_d(0.8, *coherent_disc_grid(6.0, 64, 64), 256, probe_check=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -108,3 +109,21 @@ def test_rank_one_d_at_256_levels_on_a_64x64_grid():
     assert family._ops is None
     assert peak < 200e6
 
+
+def test_rank_one_d_refuses_a_grid_that_misses_the_completeness():
+    # a disc of radius 6 resolves only the low levels of 256: it passes the thermal probe, at a defect of 1.0
+    with pytest.raises(DefectTooLarge, match="defect 1.000e"):
+        rank_one_d(0.8, *coherent_disc_grid(6.0, 64, 64), 256)
+
+
+def test_a2_gram_rank_builds_one_operator():
+    # the whole stack is 1024 * 512^2 * 16 bytes = 4.3 GB, past MAX_DENSE_BYTES; one operator is 4.2 MB
+    fam = build_continuous(ChannelSpec("A2"), 1024, 512)
+    tracemalloc.start()
+    try:
+        report = gram_rank(fam, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.numerical_rank == 1 and fam._ops is None
+    assert peak < 16e6

@@ -15,7 +15,7 @@ from test_displacement_stack import reference_table_displacement_op, stack_of
 from boskraus.analysis import gram_rank, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
 from boskraus.fock import _gauss_hermite, random_mixed_state
-from boskraus.kraus import KrausFamily, apply, apply_matrix, build_continuous
+from boskraus.kraus import KrausFamily, apply, apply_matrix, build_continuous, completeness_defect
 
 ACT_RTOL = 1e-13  # of the largest output entry: the streamed sum groups its terms in another order
 
@@ -111,3 +111,12 @@ class TestOperatorsAlone:
             tracemalloc.stop()
         assert report.numerical_rank == 1 and fam._ops is None
         assert peak < 4e6
+
+
+@pytest.mark.parametrize("nodes,n_cut", [(64, 64), (41, 12), (256, 128)])
+def test_defect_is_the_build_defect_on_every_nonempty_block(nodes, n_cut):
+    # the displacement factor is unitary: only the Gaussian quadrature falls short, on every block
+    fam = build_continuous(ChannelSpec("B1", noise_a=0.5), nodes, n_cut)
+    for block in (None, 1, n_cut // 3, n_cut):
+        assert completeness_defect(fam, block) == fam.completeness_defect
+    assert completeness_defect(fam, 0) == 0.0
