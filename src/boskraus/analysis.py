@@ -60,28 +60,33 @@ def thermal_estimate(rho: DensityMatrix) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States visited under repeated channel application, with summaries."""
+    """What repeated channel application leaves: the last state ``final``, the thermal estimate of
+    every state visited (the start first), the trace distance of each step, and ``lost_mass``,
+    ``1 - prod_i (1 - tail_mass_i)`` over the steps' outputs, the share of the start the cutoff has
+    dropped along the way.  No other state is kept."""
 
-    states: list[DensityMatrix]
+    final: DensityMatrix
     a0_estimates: list[float]
     step_distances: list[float]
+    lost_mass: float
 
 
 def iterate(family: KrausFamily, rho0: DensityMatrix, steps: int) -> Trajectory:
-    """Apply the channel ``steps`` times, recording per-step diagnostics."""
+    """Apply the channel ``steps`` times, recording per-step diagnostics and holding no more than
+    the state it is on and the next."""
     if steps < 1:
         raise InvalidParameter("steps must be at least 1")
-    states = [rho0]
     a0s = [thermal_estimate(rho0)]
     dists: list[float] = []
+    kept = 1.0
     rho = rho0
     for _ in range(steps):
         nxt = apply(family, rho)
         dists.append(trace_distance(nxt, rho))
         rho = nxt
-        states.append(rho)
         a0s.append(thermal_estimate(rho))
-    return Trajectory(states, a0s, dists)
+        kept *= 1.0 - rho.tail_mass
+    return Trajectory(rho, a0s, dists, 1.0 - kept)
 
 
 def thermal_step(spec: ChannelSpec, a0: float) -> float:

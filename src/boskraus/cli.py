@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, kraus, phasespace
 from .channels import ChannelSpec, parse_channel
 from .errors import BoskrausError, DefectTooLarge, InvalidParameter, UnsupportedFamily, UnsupportedPair
-from .fock import state_new
+from .fock import DEFAULT_TAIL_TOL, state_new
 
 SCHEMA_VERSION = 1
 
@@ -136,6 +136,9 @@ def _experiment_fixedpoint(args, out_dir: str) -> int:
             dist = traj.step_distances[step - 1] if step else 0.0
             rows.append(f"{_fmt(a0)},{step},{_fmt(traj.a0_estimates[step])},{_fmt(dist)}")
         final.append(traj.a0_estimates[-1])
+        if traj.lost_mass > DEFAULT_TAIL_TOL:
+            print(f"truncation: a0 {_fmt(a0)} lost {traj.lost_mass:.3e} of its mass past --ncut {args.ncut} "
+                  f"over {args.steps} steps", file=sys.stderr)
     _atomic_write(os.path.join(out_dir, "fixedpoint.csv"), "\n".join(rows) + "\n")
     target = analysis.fixed_point(spec)
     if target is not None:

@@ -17,8 +17,9 @@ construction.  A diagonal state (thermal, Fock, phase-averaged, and their
 images under the single-band channels) is checked and compared on its
 diagonal: its eigenvalues are its sorted diagonal, :func:`trace_distance` of
 two of them sorts the difference of their diagonals, and ``kraus.apply``
-builds a banded family's image of one through the private
-``DensityMatrix._diagonal``, which runs every check on the diagonal alone.
+steps one under a banded family as a vector of level populations and builds
+the image through the private ``DensityMatrix._diagonal``, which takes that
+vector and runs every check on it alone.
 
 Gaussian Fock amplitudes come from two table kernels, each serving every
 caller with one vectorized step per recurrence index over all points:
@@ -86,11 +87,10 @@ class TruncatedOperator:
         object.__setattr__(self, "mat", mat)
 
     @classmethod
-    def _diagonal(cls, mat: np.ndarray) -> "TruncatedOperator":
-        """The operator of ``mat``, a C-contiguous complex square matrix whose off-diagonal entries
-        are ``np.zeros`` that nothing wrote, with its entries checked on the diagonal alone; ``mat``
-        becomes read-only."""
-        _check_square(mat, np.diagonal(mat))
+    def _diagonal(cls, values: np.ndarray) -> "TruncatedOperator":
+        """The operator ``diag(values)``, its entries checked on ``values`` alone."""
+        mat = np.diag(np.asarray(values, dtype=np.complex128))
+        _check_square(mat, values)
         mat.flags.writeable = False
         op = object.__new__(cls)
         object.__setattr__(op, "mat", mat)
@@ -138,8 +138,8 @@ class DensityMatrix:
     diagonal in the Fock basis (thermal, Fock, phase-averaged, and their
     images under the single-band channels) are its sorted diagonal, with no
     LAPACK call, and its Hermiticity is read off the diagonal.  A banded
-    family's image of a diagonal state is built by :meth:`_diagonal`, which
-    runs every check on the diagonal alone.
+    family's image of a diagonal state is built by :meth:`_diagonal` from its
+    diagonal vector, which every check reads alone.
     """
 
     op: TruncatedOperator
@@ -166,18 +166,17 @@ class DensityMatrix:
             )
 
     @classmethod
-    def _diagonal(cls, mat: np.ndarray, tail_mass: float) -> "DensityMatrix":
-        """The state of ``mat``, a C-contiguous complex square matrix whose off-diagonal entries
-        are ``np.zeros`` that nothing wrote, checked on its diagonal alone.
+    def _diagonal(cls, values: np.ndarray, tail_mass: float) -> "DensityMatrix":
+        """The state ``diag(values)``, checked on its diagonal alone.
 
         Zeros are finite, and a matrix that is zero off its diagonal is Hermitian iff its diagonal
         is real, has its diagonal for eigenvalues and its diagonal's sum for trace.  So each check
-        of the constructor (finite entries, ``tail_mass`` sign, Hermiticity, eigenvalue floor,
-        trace window), run on the diagonal with the same tolerance and message, gives the verdict
-        it gives on the whole matrix, which is never scanned.
+        of the constructor (square with 2 levels, finite entries, ``tail_mass`` sign, Hermiticity,
+        eigenvalue floor, trace window), run on the diagonal with the same tolerance and message,
+        gives the verdict it gives on the whole matrix, which is never scanned.
         """
         rho = object.__new__(cls)
-        object.__setattr__(rho, "op", TruncatedOperator._diagonal(mat))
+        object.__setattr__(rho, "op", TruncatedOperator._diagonal(values))
         object.__setattr__(rho, "tail_mass", tail_mass)
         object.__setattr__(rho, "bandwidth", 0)
         rho.__post_init__()

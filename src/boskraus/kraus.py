@@ -131,8 +131,8 @@ class KrausFamily:
     read its kets, bra rows and scales, and ``build_continuous`` (B1) a :class:`DisplacementFamily`,
     whose readers stream its displacements.  A kind makes operators only in :meth:`_operators_at`;
     ``ops``, :meth:`operators`, ``len`` and the JSON writer are defined here alone.
-    ``keeps_diagonal`` says whether :meth:`act` maps a diagonal matrix into a fresh ``np.zeros``
-    matrix and writes only its diagonal, which ``apply`` relies on."""
+    ``keeps_diagonal`` says whether the family takes ``|s><s|`` to a mix of ``|t><t|``, so that
+    ``apply`` steps a diagonal state as the level populations :meth:`BandedFamily.populations` maps."""
 
     keeps_diagonal = False
 
@@ -151,10 +151,8 @@ class KrausFamily:
         if not self.discrete and family == "A2":
             self._defect_rule = lambda fam, block: _position_resolution_defect(
                 index.nodes, index.weights, fam.dim, block)
-        elif not self.discrete and family == "B1":  # the displacement factor is exactly unitary
-            a = max(spec.noise_a, 1e-300)
-            self._defect_rule = lambda fam, block: float(abs(np.sum(
-                index.weights / np.sqrt(np.pi * a) * np.exp(-index.nodes**2 / a)) - 1.0)) if spec.noise_a > 0 else 0.0
+        elif not self.discrete and family == "B1":
+            self._defect_rule = _build_defect
         elif origin == "rank-one" and family == "D":
             self._defect_rule = _coherent_defect
         elif origin == "scheme" and self.discrete:
@@ -350,8 +348,8 @@ class KrausFamily:
 
 class BandedFamily(KrausFamily):
     """A single-band family held as its table ``coeffs`` of shape ``(ell_max + 1, dim)`` and its
-    ``band`` orientation.  The ``output_table`` that :meth:`act` reads is built on first read and
-    cached."""
+    ``band`` orientation.  The ``output_table`` that :meth:`act` reads and its square, the weights
+    :meth:`populations` reads, are built on first read and cached."""
 
     keeps_diagonal = True
 
@@ -360,6 +358,7 @@ class BandedFamily(KrausFamily):
         self.coeffs = coeffs
         self.band = band
         self._output_table: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
 
     def _operators_at(self, labels: np.ndarray) -> np.ndarray:
         """The table rows ``labels`` scattered into their square operators."""
@@ -388,22 +387,37 @@ class BandedFamily(KrausFamily):
         The diagonals of ``M`` at ``+-k`` feed only the output diagonals at ``+-k``, with one
         pair of :attr:`output_table` weights per source ``s`` and output ``t``: C1 and C2 keep
         the offset (``T[s, t] * T[s + k, t + k]`` takes ``M[s, s + k]`` to ``(t, t + k)``), D
-        flips it (``T[s + k, t] * T[s, t + k]`` takes it to ``(t + k, t)``).  Each output entry
-        sums the terms of one dense block update per ``l`` in its order, by increasing source
-        (``np.add.reduce`` over a leading axis adds whole slices in turn); the zero terms of
-        pairs no operator joins change no bit, and the real and imaginary parts round like the
-        complex product of a real coefficient.  A diagonal ``M`` writes only the diagonal of the
-        zeros allocated here.
+        flips it (``T[s + k, t] * T[s, t + k]`` takes it to ``(t + k, t)``); at ``k = 0`` the
+        pair is the cached ``T * T`` that :meth:`populations` reads.  Each output entry sums the
+        terms of one dense block update per ``l`` in its order, by increasing source
+        (:func:`_offset_step`); the zero terms of pairs no operator joins change no bit, and the
+        real and imaginary parts round like the complex product of a real coefficient.
         """
         table, dim, flip = self.output_table, self.dim, self.band == "anti"
         mat = np.ascontiguousarray(mat, dtype=np.complex128)
         out = np.zeros((dim, dim), dtype=np.complex128)
         for k in range(bandwidth(mat) + 1):
             size = dim - k
-            pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
-            terms = pair * _diagonal_parts(mat, k)[..., None]
-            _diagonal_parts(out, k, swap=flip)[...] += np.add.reduce(terms, axis=2)
+            if k == 0:
+                pair = self._square_weights
+            else:
+                pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
+            _diagonal_parts(out, k, swap=flip)[...] += _offset_step(pair, _diagonal_parts(mat, k))
         return out
+
+    @property
+    def _square_weights(self) -> np.ndarray:
+        """``W = T * T`` (:attr:`output_table`), the weight with which level ``s`` feeds level ``t``:
+        built on first read and cached."""
+        if self._weights is None:
+            table = self.output_table
+            self._weights = table * table
+        return self._weights
+
+    def populations(self, p: np.ndarray) -> np.ndarray:
+        """``p'_t = sum_s W[s, t] p_s``: the diagonal of :meth:`act` of ``diag(p)`` for real level
+        populations ``p``, the offset-0 step of :meth:`act` on the vector alone."""
+        return _offset_step(self._square_weights, p)
 
     def defect(self, block: int | None) -> float:
         return _table_defect(self.coeffs, self.band, block)
@@ -541,11 +555,6 @@ class DisplacementFamily(KrausFamily):
     @property
     def dim(self) -> int:
         return self.cutoff
-
-    def defect(self, block: int | None) -> float:
-        """The build defect on every nonempty block: the displacement factor is unitary, so only the
-        Gaussian quadrature itself falls short of the completeness integral."""
-        return 0.0 if block == 0 else self.completeness_defect
 
     def _json_entries(self) -> tuple[int, int]:
         """A displacement fills its square."""
@@ -706,6 +715,13 @@ def _coherent_defect(family: KrausFamily, block: int | None) -> float:
     return _identity_defect(vecs.T @ vecs.conj(), block)
 
 
+def _build_defect(family: KrausFamily, block: int | None) -> float:
+    """The defect of a B1 family, built or read from its record: the build defect on every nonempty
+    block.  The displacement factor is unitary, so only the Gaussian quadrature itself falls short
+    of the completeness integral."""
+    return 0.0 if block == 0 else family.completeness_defect
+
+
 def _stored_defect(family: KrausFamily, block: int | None) -> float:
     """The defect stored at build time, for a stack that has lost the rows past the cutoff it was
     measured with (a scheme family, a banded family's dense record): it answers the default block
@@ -862,6 +878,12 @@ def _band_gram_diagonals(coeffs: np.ndarray, band: str) -> np.ndarray:
     return diags
 
 
+def _offset_step(pair: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """``sum_s pair[s, t] parts[..., s]``, by increasing source ``s``: ``np.add.reduce`` over a
+    leading axis adds whole slices in turn, the order of one dense block update per ``l``."""
+    return np.add.reduce(pair * parts[..., None], axis=-2)
+
+
 def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarray:
     """Float view ``[i, j, s]`` of a C-contiguous complex square matrix: part ``j``
     (real, imaginary) of entry ``s`` of its diagonal at offset ``+k`` (``i = 0``)
@@ -875,9 +897,13 @@ def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarra
 
 def apply_matrix(family: KrausFamily, mat: np.ndarray) -> np.ndarray:
     """Raw operator-sum action ``sum_l W_l M W_l^dag`` (no renormalization), by :meth:`KrausFamily.act`."""
-    if mat.shape[0] != family.dim:
-        raise DimMismatch(f"operator dim {mat.shape[0]} != family dim {family.dim}")
+    _check_dim(family, mat.shape[0])
     return family.act(mat)
+
+
+def _check_dim(family: KrausFamily, dim: int) -> None:
+    if dim != family.dim:
+        raise DimMismatch(f"operator dim {dim} != family dim {family.dim}")
 
 
 def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
@@ -889,23 +915,31 @@ def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
     recorded.
 
     A diagonal state under a family that ``keeps_diagonal`` (the banded
-    ones) costs one step on the Fock diagonal: the operator sum writes only
-    the diagonal of its zeros, the symmetrization and rescaling run on that
-    diagonal in place, and :meth:`DensityMatrix._diagonal` checks the state
-    there.  These are the dense path's operations on the same entries, and
-    the dense path leaves the zeros as they are, so every bit is the same.
-    Every other input takes the dense path over the whole matrix.
+    ones) is stepped as its level populations: :meth:`BandedFamily.populations`
+    of its real diagonal, traced and rescaled as a vector, and
+    :meth:`DensityMatrix._diagonal` checks the vector and builds the state.
+    The symmetrization leaves a real vector as it is, the trace is summed in
+    the complex order of ``np.trace`` and the rescale is the product by
+    ``1 / tr`` that numpy's complex division by a real performs, so every bit
+    is that of the dense path.  Every other input takes the dense path over
+    the whole matrix.
     """
-    out = apply_matrix(family, rho.mat)
     diagonal = rho.bandwidth == 0 and family.keeps_diagonal
-    part = out.reshape(-1)[::len(out) + 1] if diagonal else out  # the diagonal as a writable view
-    part[...] = 0.5 * (part + part.conj().T)
-    tr = float(np.trace(out).real)
+    if diagonal:
+        _check_dim(family, rho.dim)
+        out = family.populations(np.diagonal(rho.mat).real)
+        tr = float(np.sum(out.astype(np.complex128)).real)
+    else:
+        out = apply_matrix(family, rho.mat)
+        out[...] = 0.5 * (out + out.conj().T)
+        tr = float(np.trace(out).real)
     if tr <= 1e-12:
         raise InvalidParameter("channel output has vanishing trace inside the cutoff")
-    part[...] = part / tr
     leak = max(0.0, 1.0 - tr)
-    return DensityMatrix._diagonal(out, leak) if diagonal else DensityMatrix(TruncatedOperator(out), leak)
+    if diagonal:
+        return DensityMatrix._diagonal(out * (1.0 / tr), leak)
+    out[...] = out / tr
+    return DensityMatrix(TruncatedOperator(out), leak)
 
 
 def dual(family: KrausFamily) -> KrausFamily:

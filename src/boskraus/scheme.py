@@ -48,7 +48,7 @@ from .kraus import (
     QuadratureIndex,
     _check_stack_bytes,
     _gauss_hermite,
-    completeness_defect,
+    _position_resolution_defect,
     hermite_quadrature,
     raw_completeness_defect,
 )
@@ -263,13 +263,12 @@ def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> KrausFamily:
         psi = hermite_psi_table(n_cut - 1, x)
         g = _overlap_table(n_cut, x, shifted_order=0)
         ops = np.sqrt(w)[:, None, None] * (g * psi.T[:, None, :])
-        spec = ChannelSpec("A2")
+        spec, defect = ChannelSpec("A2"), _position_resolution_defect(x, w, n_cut)
     elif _shape_matches(m, B1_MIX):
         psi0 = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
         ops = (np.sqrt(w) * psi0)[:, None, None] * _overlap_table(n_cut, x)
-        spec = ChannelSpec("B1", noise_a=1.0)
+        # the displacement factor is unitary: only the quadrature of the Gaussian weight falls short
+        spec, defect = ChannelSpec("B1", noise_a=1.0), float(abs(np.sum(w / np.sqrt(np.pi) * np.exp(-x**2)) - 1.0))
     else:
         raise UnsupportedShape("only the A2 mixer and the unit shear are supported")
-    family = KrausFamily(spec, ops.astype(np.complex128), QuadratureIndex(x, w), 0.0, origin="scheme")
-    family.completeness_defect = completeness_defect(family)
-    return family
+    return KrausFamily(spec, ops.astype(np.complex128), QuadratureIndex(x, w), defect, origin="scheme")

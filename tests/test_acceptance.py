@@ -324,12 +324,12 @@ def test_criterion_10_zeno_curves():
     rho = thermal_state(3.0, n_cut)
     traj = iterate(seg, rho, n)
     whole = build_discrete(ChannelSpec("C1", zeno_kappa("attenuator", n, n)), n_cut - 1, n_cut)
-    cross = trace_distance(traj.states[-1], apply(whole, rho))
+    cross = trace_distance(traj.final, apply(whole, rho))
     amp_step = float(np.cosh(2.0 / 8))
     seg = family_for(ChannelSpec("C2", amp_step), 64)
     traj = iterate(seg, fock_state(0, 64), 8)
     whole = family_for(ChannelSpec("C2", amp_step**8), 64)
-    cross = max(cross, trace_distance(traj.states[-1], apply(whole, fock_state(0, 64))))
+    cross = max(cross, trace_distance(traj.final, apply(whole, fock_state(0, 64))))
     assert cross < 1e-8
     _report("CRITERION-10",
             f"closed forms {worst:.2e}; endpoint {endpoint:.6f}; iteration gap {cross:.2e}")

@@ -30,6 +30,7 @@ from boskraus.channels import ChannelSpec
 from boskraus.cli import main
 from boskraus.errors import CutoffTooSmall, InvalidParameter, UnsupportedFamily
 from boskraus.fock import (
+    DEFAULT_TAIL_TOL,
     coherent_state,
     displacement_op,
     fock_state,
@@ -111,7 +112,7 @@ class TestIterate:
         fam = build_discrete(ChannelSpec("C1", 0.7), 63, 64)
         traj = iterate(fam, thermal_state(5.0, 64), 60)
         assert traj.a0_estimates[-1] == pytest.approx(1.0, abs=1e-6)
-        assert trace_distance(traj.states[-1], fock_state(0, 64)) < 1e-6
+        assert trace_distance(traj.final, fock_state(0, 64)) < 1e-6
 
     def test_amplifier_monotone_heating(self):
         fam = family_for(ChannelSpec("C2", 1.2), 64)
@@ -126,6 +127,23 @@ class TestIterate:
         traj = iterate(fam, thermal_state(4.0, 48), 15)
         assert traj.step_distances[-1] < traj.step_distances[0]
         assert all(d >= 0 for d in traj.step_distances)
+
+    def test_lost_mass_compounds_the_steps_tails(self):
+        # the amplifier pushes most of the state past N=48 in 12 steps, though no one step's
+        # tail reaches half of it: a0 47.3 against the exact 1084.6
+        spec = ChannelSpec("C2", 1.3)
+        traj = iterate(family_for(spec, 48), thermal_state(1.0, 48), 12)
+        assert traj.lost_mass == pytest.approx(0.915, abs=1e-3)
+        assert traj.final.tail_mass == pytest.approx(0.39, abs=1e-2)
+        exact = 1.0
+        for _ in range(12):
+            exact = thermal_step(spec, exact)
+        assert exact == pytest.approx(1084.6, abs=0.1) and traj.a0_estimates[-1] < 50.0
+
+    def test_lost_mass_of_a_converging_run_stays_small(self):
+        traj = iterate(family_for(ChannelSpec("D", 0.8), 96), thermal_state(10.0, 96), 40)
+        assert 1e-9 < traj.lost_mass < 1e-8
+        assert traj.lost_mass < DEFAULT_TAIL_TOL
 
 
 FOCK1_CUMULANTS = {
@@ -246,7 +264,7 @@ class TestCumulants:
         # five D(0.8) steps scale every fourth-order cumulant by 0.8^(4 * 5)
         rho = fock_state(1, 64)
         gi = cumulants(rho, 4)
-        go = cumulants(iterate(family_for(ChannelSpec("D", 0.8), 64), rho, 5).states[-1], 4)
+        go = cumulants(iterate(family_for(ChannelSpec("D", 0.8), 64), rho, 5).final, 4)
         for m in [(4, 0), (2, 2), (0, 4)]:
             assert abs(go[m] - 0.8**20 * gi[m]) <= 1e-7, m
 
@@ -280,7 +298,7 @@ class TestZeno:
         rho = thermal_state(3.0, n_cut)
         traj = iterate(seg, rho, n)
         direct = apply(build_discrete(ChannelSpec("C1", zeno_kappa("attenuator", n, n)), n_cut - 1, n_cut), rho)
-        assert trace_distance(traj.states[-1], direct) < 1e-8
+        assert trace_distance(traj.final, direct) < 1e-8
 
     def test_amplifier_iteration_cross_check(self):
         n, n_cut = 6, 64
@@ -288,7 +306,7 @@ class TestZeno:
         seg = family_for(ChannelSpec("C2", kappa_step), n_cut)
         traj = iterate(seg, fock_state(0, n_cut), n)
         total = family_for(ChannelSpec("C2", kappa_step**n), n_cut)
-        assert trace_distance(traj.states[-1], apply(total, fock_state(0, n_cut))) < 1e-8
+        assert trace_distance(traj.final, apply(total, fock_state(0, n_cut))) < 1e-8
 
 
 def conjugator_block(k, delta, ell, j):

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boskraus import kraus
+from boskraus import analysis, kraus
 from boskraus.analysis import gram_rank
 from boskraus.channels import ChannelSpec
 from boskraus.cli import main
 from boskraus.errors import AllocationTooLarge
-from boskraus.fock import bandwidth, random_mixed_state, thermal_state
+from boskraus.fock import DensityMatrix, TruncatedOperator, bandwidth, random_mixed_state, thermal_state
 from boskraus.kraus import (
     MAX_DENSE_BYTES,
     BandedFamily,
@@ -397,10 +397,12 @@ def test_output_table_is_built_once_on_first_apply():
     fam = build_discrete(spec, suggest_ell_max(spec, 32), 32)
     assert fam._output_table is None
     apply(fam, thermal_state(2.0, 32))
-    table = fam._output_table
+    table, weights = fam._output_table, fam._weights
     assert table.shape == (32, 32)  # one square for the D band, whatever ell_max is
+    assert np.array_equal(weights, table * table)
     apply(fam, thermal_state(3.0, 32))
-    assert fam._output_table is table
+    apply_matrix(fam, random_mixed_state(1, 3, 32).mat)  # the offset-0 step of act reads the same weights
+    assert fam._output_table is table and fam._weights is weights
     assert fam._ops is None
 
 
@@ -409,9 +411,19 @@ def test_fixedpoint_csv_unchanged_by_the_offset_loop(tmp_path, monkeypatch, caps
     argv = ["experiment", "fixedpoint", "--ncut", "256", "--a0", "3", "--steps", "5", "--output-dir"]
     codes = [main(argv + [str(tmp_path / "new")])]
     new_out = capsys.readouterr()
-    monkeypatch.setattr(kraus, "apply_matrix",
-                        lambda family, mat: reference_band_apply(family.coeffs, family.band, mat))
+    steps = []
+
+    def reference_step(family, rho):
+        """One dense block update per ``l``, then the dense symmetrize, trace and rescale."""
+        steps.append(rho.dim)
+        out = reference_band_apply(family.coeffs, family.band, rho.mat)
+        out = 0.5 * (out + out.conj().T)
+        tr = float(np.trace(out).real)
+        return DensityMatrix(TruncatedOperator(out / tr), max(0.0, 1.0 - tr))
+
+    monkeypatch.setattr(analysis, "apply", reference_step)
     codes.append(main(argv + [str(tmp_path / "ref")]))
+    assert steps == [256] * 5
     assert codes == [4, 4]
     assert capsys.readouterr() == new_out
     csv = [(tmp_path / side / "fixedpoint.csv").read_bytes() for side in ("new", "ref")]

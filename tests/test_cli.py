@@ -153,6 +153,19 @@ class TestExperiments:
         last = rows[-1].split(",")
         assert float(last[2]) == pytest.approx(41 / 9, abs=0.01)
 
+    def test_fixedpoint_reports_truncation_loss(self, capsys, tmp_path):
+        code, out, err = run(capsys, "experiment", "fixedpoint", "--family", "C2", "--kappa", "1.3",
+                             "--a0", "1", "--steps", "12", "--ncut", "48", "--output-dir", str(tmp_path))
+        assert (code, out) == (0, "")
+        assert err == "truncation: a0 1 lost 9.153e-01 of its mass past --ncut 48 over 12 steps\n"
+        assert len((tmp_path / "fixedpoint.csv").read_text().splitlines()) == 14
+
+    def test_fixedpoint_converging_run_reports_no_loss(self, capsys, tmp_path):
+        code, out, err = run(capsys, "experiment", "fixedpoint", "--family", "D", "--kappa", "0.8",
+                             "--a0", "10", "--steps", "40", "--ncut", "96", "--output-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out.startswith("fixed_point target ")
+
     def test_zeno_artifact_endpoint(self, capsys, tmp_path):
         code, out, err = run(capsys, "experiment", "zeno", "--mode", "attenuator",
                              "--interrupts", "2,3,5,10", "--output-dir", str(tmp_path))

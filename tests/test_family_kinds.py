@@ -28,7 +28,7 @@ from boskraus.kraus import (
 from boskraus.scheme import kraus_from_scheme, mix_matrix, position_kraus
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "boskraus"
-STORAGE_ATTRIBUTES = {"coeffs", "band", "origin", "_ops", "_output_table", "kets", "bra_rows", "scales",
+STORAGE_ATTRIBUTES = {"coeffs", "band", "origin", "_ops", "_output_table", "_weights", "kets", "bra_rows", "scales",
                       "points", "point_scales", "cutoff"}
 INDEX_TYPES = {"DiscreteIndex", "QuadratureIndex"}
 N = 16

@@ -120,3 +120,13 @@ def test_defect_is_the_build_defect_on_every_nonempty_block(nodes, n_cut):
     for block in (None, 1, n_cut // 3, n_cut):
         assert completeness_defect(fam, block) == fam.completeness_defect
     assert completeness_defect(fam, 0) == 0.0
+
+
+@pytest.mark.parametrize("nodes,n_cut", [(64, 64), (41, 12)])
+def test_a_record_reports_the_defect_of_the_family_that_wrote_it(nodes, n_cut):
+    built = build_continuous(ChannelSpec("B1", noise_a=0.5), nodes, n_cut)
+    loaded = KrausFamily.from_json_dict(built.to_json_dict())
+    for block in (None, 0, 1, n_cut // 3, n_cut):
+        assert loaded.defect(block) == built.defect(block), block
+    reread = KrausFamily.from_json_dict(json.loads(json.dumps(built.to_json_dict())))
+    assert reread.defect(None) == built.completeness_defect
