@@ -54,7 +54,7 @@ MAX_CUMULANT_ORDER = 14  # the highest order the tests check against a closed fo
 
 def thermal_estimate(rho: DensityMatrix) -> float:
     """Thermal covariance parameter from the mean photon number, a0 = 2<n>+1."""
-    n_mean = float(np.sum(np.arange(rho.dim) * np.diag(rho.mat).real))
+    n_mean = float(np.sum(np.arange(rho.dim) * rho.diagonal))
     return 2.0 * n_mean + 1.0
 
 

@@ -14,12 +14,13 @@ States carry an explicit ``tail_mass`` recording the probability that the
 untruncated state assigns beyond the cutoff, so truncation error is never
 silent.  A state also records its ``bandwidth``, scanned once on
 construction.  A diagonal state (thermal, Fock, phase-averaged, and their
-images under the single-band channels) is checked and compared on its
-diagonal: its eigenvalues are its sorted diagonal, :func:`trace_distance` of
-two of them sorts the difference of their diagonals, and ``kraus.apply``
-steps one under a banded family as a vector of level populations and builds
-the image through the private ``DensityMatrix._diagonal``, which takes that
-vector and runs every check on it alone.
+images under the single-band channels) keeps only its vector of level
+populations, built and checked by the private ``DensityMatrix._diagonal``; its
+matrix is built on the first read of ``mat``.  ``DensityMatrix.diagonal``
+reads the populations of any state, and the readers of a diagonal state's
+populations never build the matrix: :func:`trace_distance` of two of them
+sorts the difference of their populations, ``analysis.thermal_estimate``
+weighs them, and ``kraus.apply`` steps them under a banded family.
 
 Gaussian Fock amplitudes come from two table kernels, each serving every
 caller with one vectorized step per recurrence index over all points:
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import eval_hermite, gammainc, gammaln, roots_hermite
@@ -80,25 +82,20 @@ class TruncatedOperator:
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.mat, dtype=np.complex128)
-        _check_square(mat, mat)
+        _check_square(mat.shape, mat)
         if mat.flags.writeable or mat.base is not None:
             mat = mat.copy() if mat is self.mat or mat.base is not None else mat
             mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
-    @classmethod
-    def _diagonal(cls, values: np.ndarray) -> "TruncatedOperator":
-        """The operator ``diag(values)``, its entries checked on ``values`` alone."""
-        mat = np.diag(np.asarray(values, dtype=np.complex128))
-        _check_square(mat, values)
-        mat.flags.writeable = False
-        op = object.__new__(cls)
-        object.__setattr__(op, "mat", mat)
-        return op
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The entries ``<n|op|n>``."""
+        return np.diagonal(self.mat)
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,15 +111,47 @@ class TruncatedOperator:
         return TruncatedOperator(mat.reshape(dim, dim))
 
 
-def _check_square(mat: np.ndarray, entries: np.ndarray) -> None:
-    """Raise ``InvalidParameter`` unless ``mat`` is square with at least 2 levels and ``entries``
+class _DiagonalOperator(TruncatedOperator):
+    """The operator ``diag(values)``, kept as its own read-only copy of ``values`` (real, or complex
+    when given so) and checked on it alone.  ``mat``, ``np.diag`` of the values as complex numbers,
+    is built on first read and cached, read-only like every recorded matrix."""
+
+    def __init__(self, values: np.ndarray):
+        values = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
+        _check_square((values.size, values.size), values)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        mat = np.diag(self.values.astype(np.complex128))
+        mat.flags.writeable = False
+        return mat
+
+    @property
+    def dim(self) -> int:
+        return self.values.size
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return self.values
+
+
+def _check_square(shape: tuple, entries: np.ndarray) -> None:
+    """Raise ``InvalidParameter`` unless ``shape`` is square with at least 2 levels and ``entries``
     (the matrix, or the only entries that can be nonzero) are finite."""
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidParameter(f"operator must be square, got shape {mat.shape}")
-    if mat.shape[0] < 2:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidParameter(f"operator must be square, got shape {shape}")
+    if shape[0] < 2:
         raise InvalidParameter("cutoff dimension must be at least 2")
     if not np.all(np.isfinite(entries)):
         raise InvalidParameter("operator entries must be finite")
+
+
+def _diagonal_trace(values: np.ndarray) -> float:
+    """``np.trace`` of ``diag(values)``: the pairwise sum of the values as complex numbers, which
+    rounds otherwise than the real pairwise sum of the same numbers."""
+    return float(np.sum(values.astype(np.complex128)).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +163,12 @@ class DensityMatrix:
     ``tail_mass``.  The construction scans the matrix once for its
     :func:`bandwidth` and records it as ``bandwidth``, which the checks,
     ``kraus.apply`` and :func:`trace_distance` read; the matrix is
-    read-only (:class:`TruncatedOperator`).  The eigenvalues of a state that is
-    diagonal in the Fock basis (thermal, Fock, phase-averaged, and their
-    images under the single-band channels) are its sorted diagonal, with no
-    LAPACK call, and its Hermiticity is read off the diagonal.  A banded
-    family's image of a diagonal state is built by :meth:`_diagonal` from its
-    diagonal vector, which every check reads alone.
+    read-only (:class:`TruncatedOperator`).  A state that is diagonal in the
+    Fock basis is checked on its :attr:`diagonal`: it is Hermitian iff that
+    is real, and has it for eigenvalues and its sum for trace, with no LAPACK
+    call.  The thermal, Fock and phase-averaged states and a banded family's
+    image of a diagonal state are built by :meth:`_diagonal` from their
+    populations alone, and build no matrix until ``mat`` is read.
     """
 
     op: TruncatedOperator
@@ -149,17 +178,18 @@ class DensityMatrix:
     def __post_init__(self):
         if self.tail_mass < 0:
             raise InvalidParameter("tail_mass must be nonnegative")
-        mat = self.op.mat
         if not hasattr(self, "bandwidth"):  # recorded beforehand by the diagonal path
-            object.__setattr__(self, "bandwidth", bandwidth(mat))
-        # a diagonal matrix is Hermitian iff its diagonal is real: the zeros around it pass
-        part = np.diagonal(mat) if self.bandwidth == 0 else mat
+            object.__setattr__(self, "bandwidth", bandwidth(self.op.mat))
+        # a diagonal matrix is Hermitian iff its diagonal is real, and has that diagonal for
+        # eigenvalues and its sum for trace: the zeros around it pass every check
+        diagonal = self.bandwidth == 0
+        part = self.op.diagonal if diagonal else self.op.mat
         if np.max(np.abs(part - part.conj().T)) > HERMITICITY_TOL:
             raise InvalidParameter("density matrix is not Hermitian to tolerance")
-        evals = _eigvals(mat, self.bandwidth)
-        if evals.min() < -EIGENVALUE_TOL:
-            raise InvalidParameter(f"density matrix has eigenvalue {evals.min():.3e} < -{EIGENVALUE_TOL}")
-        tr = float(np.trace(mat).real)
+        lowest = np.min(part.real) if diagonal else np.linalg.eigvalsh(part).min()
+        if lowest < -EIGENVALUE_TOL:
+            raise InvalidParameter(f"density matrix has eigenvalue {lowest:.3e} < -{EIGENVALUE_TOL}")
+        tr = _diagonal_trace(part) if diagonal else float(np.trace(part).real)
         if not (1.0 - self.tail_mass - TRACE_TOL <= tr <= 1.0 + TRACE_TOL):
             raise InvalidParameter(
                 f"trace {tr:.12g} outside [{1.0 - self.tail_mass - TRACE_TOL:.12g}, {1.0 + TRACE_TOL:.12g}]"
@@ -167,16 +197,14 @@ class DensityMatrix:
 
     @classmethod
     def _diagonal(cls, values: np.ndarray, tail_mass: float) -> "DensityMatrix":
-        """The state ``diag(values)``, checked on its diagonal alone.
+        """The state ``diag(values)``, which keeps a copy of ``values`` and is checked on it alone.
 
-        Zeros are finite, and a matrix that is zero off its diagonal is Hermitian iff its diagonal
-        is real, has its diagonal for eigenvalues and its diagonal's sum for trace.  So each check
-        of the constructor (square with 2 levels, finite entries, ``tail_mass`` sign, Hermiticity,
-        eigenvalue floor, trace window), run on the diagonal with the same tolerance and message,
-        gives the verdict it gives on the whole matrix, which is never scanned.
+        Each check of the constructor (square with 2 levels, finite entries, ``tail_mass`` sign,
+        Hermiticity, eigenvalue floor, trace window) runs on the vector with the same tolerance and
+        message, so it gives the verdict it gives on the whole matrix, which is never built here.
         """
         rho = object.__new__(cls)
-        object.__setattr__(rho, "op", TruncatedOperator._diagonal(values))
+        object.__setattr__(rho, "op", _DiagonalOperator(values))
         object.__setattr__(rho, "tail_mass", tail_mass)
         object.__setattr__(rho, "bandwidth", 0)
         rho.__post_init__()
@@ -189,6 +217,12 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.op.dim
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The level populations ``<n|rho|n>``, read-only: the vector a diagonal state keeps, or
+        the real part of the matrix's diagonal."""
+        return self.op.diagonal.real
 
     def to_json_dict(self) -> dict:
         out = self.op.to_json_dict()
@@ -227,12 +261,7 @@ def hermitian_eigvals(mat: np.ndarray) -> np.ndarray:
     lies outside about ``[1e-146, 1e146]``: there it rescales the matrix and
     rounds, and the sorted diagonal is the exact answer.
     """
-    return _eigvals(mat, bandwidth(mat))
-
-
-def _eigvals(mat: np.ndarray, band: int) -> np.ndarray:
-    """:func:`hermitian_eigvals` of a matrix whose :func:`bandwidth` is ``band``."""
-    if band == 0:
+    if bandwidth(mat) == 0:
         return np.sort(np.diagonal(mat).real)
     return np.linalg.eigvalsh(mat)
 
@@ -246,9 +275,9 @@ def fock_state(n: int, n_cut: int) -> DensityMatrix:
     """Number state ``|n><n|``."""
     if not 0 <= n < n_cut:
         raise InvalidParameter(f"need 0 <= n < n_cut, got n={n}, n_cut={n_cut}")
-    mat = np.zeros((n_cut, n_cut), dtype=np.complex128)
-    mat[n, n] = 1.0
-    return DensityMatrix(TruncatedOperator(mat), 0.0)
+    populations = np.zeros(n_cut)
+    populations[n] = 1.0
+    return DensityMatrix._diagonal(populations, 0.0)
 
 
 def coherent_amplitudes(alpha: complex | np.ndarray, n_cut: int) -> np.ndarray:
@@ -302,7 +331,7 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     tail = x**n_cut
     _check_tail(tail, tail_tol, f"thermal({a0})")
     diag = (1.0 - x) * x ** np.arange(n_cut)
-    return DensityMatrix(TruncatedOperator(np.diag(diag.astype(np.complex128))), tail)
+    return DensityMatrix._diagonal(diag, tail)
 
 
 def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
@@ -314,7 +343,7 @@ def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
     _check_tail(tail, DEFAULT_TAIL_TOL, f"phase_averaged({lam})")
     n = np.arange(n_cut)
     logp = -lam + n * np.log(lam) - gammaln(n + 1) if lam > 0 else np.where(n == 0, 0.0, -np.inf)
-    return DensityMatrix(TruncatedOperator(np.diag(np.exp(logp).astype(np.complex128))), tail)
+    return DensityMatrix._diagonal(np.exp(logp), tail)
 
 
 def random_mixed_state(seed: int, rank: int, n_cut: int) -> DensityMatrix:
@@ -644,13 +673,13 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """``(1/2) ||rho - sigma||_1`` from the eigenvalues of ``rho - sigma`` (:func:`hermitian_eigvals`).
 
     When both states are diagonal (their recorded ``bandwidth`` is 0) the eigenvalues are the
-    sorted ``diag(rho) - diag(sigma)``, which is the diagonal of the difference, and the
-    ``N x N`` difference is never formed.
+    sorted difference of their populations (:attr:`DensityMatrix.diagonal`), and neither matrix
+    is read.
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dims differ: {rho.dim} vs {sigma.dim}")
     if rho.bandwidth == sigma.bandwidth == 0:
-        evals = np.sort((np.diagonal(rho.mat) - np.diagonal(sigma.mat)).real)
+        evals = np.sort(rho.diagonal - sigma.diagonal)
     else:
         evals = hermitian_eigvals(rho.mat - sigma.mat)
     return float(0.5 * np.sum(np.abs(evals)))

@@ -73,6 +73,7 @@ from .fock import (
     DensityMatrix,
     TruncatedOperator,
     _check_displacement_cutoff,
+    _diagonal_trace,
     _displaced_basis,
     _displacement_chunks,
     _fock_or_any,
@@ -879,9 +880,12 @@ def _band_gram_diagonals(coeffs: np.ndarray, band: str) -> np.ndarray:
 
 
 def _offset_step(pair: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """``sum_s pair[s, t] parts[..., s]``, by increasing source ``s``: ``np.add.reduce`` over a
-    leading axis adds whole slices in turn, the order of one dense block update per ``l``."""
-    return np.add.reduce(pair * parts[..., None], axis=-2)
+    """``sum_s pair[s, t] parts[..., s]``, by increasing source ``s``, the order of one dense block
+    update per ``l``: ``np.einsum`` without ``optimize`` (so no BLAS) runs ``t`` innermost and adds
+    the rows of ``pair`` in turn, with no ``pair``-sized temporary.  Its loops multiply and add
+    unfused where numpy's baseline SIMD has no FMA (x86-64), as ``pair * parts[..., None]``
+    reduced over ``s`` does, bit for bit."""
+    return np.einsum("st,...s->...t", pair, parts)
 
 
 def _diagonal_parts(square: np.ndarray, k: int, swap: bool = False) -> np.ndarray:
@@ -916,19 +920,19 @@ def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
 
     A diagonal state under a family that ``keeps_diagonal`` (the banded
     ones) is stepped as its level populations: :meth:`BandedFamily.populations`
-    of its real diagonal, traced and rescaled as a vector, and
-    :meth:`DensityMatrix._diagonal` checks the vector and builds the state.
-    The symmetrization leaves a real vector as it is, the trace is summed in
-    the complex order of ``np.trace`` and the rescale is the product by
-    ``1 / tr`` that numpy's complex division by a real performs, so every bit
-    is that of the dense path.  Every other input takes the dense path over
-    the whole matrix.
+    of ``rho.diagonal``, traced and rescaled as a vector, and
+    :meth:`DensityMatrix._diagonal` checks the vector and keeps it as the
+    state; no matrix is built.  The symmetrization leaves a real vector as it
+    is, the trace is summed in the complex order of ``np.trace`` and the
+    rescale is the product by ``1 / tr`` that numpy's complex division by a
+    real performs, so every bit is that of the dense path.  Every other input
+    takes the dense path over the whole matrix.
     """
     diagonal = rho.bandwidth == 0 and family.keeps_diagonal
     if diagonal:
         _check_dim(family, rho.dim)
-        out = family.populations(np.diagonal(rho.mat).real)
-        tr = float(np.sum(out.astype(np.complex128)).real)
+        out = family.populations(rho.diagonal)
+        tr = _diagonal_trace(out)
     else:
         out = apply_matrix(family, rho.mat)
         out[...] = 0.5 * (out + out.conj().T)

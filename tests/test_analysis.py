@@ -31,6 +31,8 @@ from boskraus.cli import main
 from boskraus.errors import CutoffTooSmall, InvalidParameter, UnsupportedFamily
 from boskraus.fock import (
     DEFAULT_TAIL_TOL,
+    DensityMatrix,
+    TruncatedOperator,
     coherent_state,
     displacement_op,
     fock_state,
@@ -154,6 +156,19 @@ FOCK1_CUMULANTS = {
 }
 
 
+def squeezed_superposition(r: float, phase: float, weight: float, n_cut: int, levels: int = 32) -> DensityMatrix:
+    """The squeezed vacuum ``S(r e^(i phase))|0>`` on its first ``levels`` levels plus ``weight |1>``,
+    normalized: a non-Gaussian pure state."""
+    k = np.arange(levels // 2)
+    log_amp = 0.5 * np.array([math.lgamma(2 * j + 1) for j in k]) - k * math.log(2.0) \
+        - np.array([math.lgamma(j + 1) for j in k])
+    amp = np.zeros(n_cut, dtype=complex)
+    amp[0:levels:2] = np.exp(log_amp) * (-np.exp(1j * phase) * np.tanh(r)) ** k / np.sqrt(np.cosh(r))
+    amp[1] += weight
+    amp /= np.linalg.norm(amp)
+    return DensityMatrix(TruncatedOperator(np.outer(amp, amp.conj())), 0.0)
+
+
 class TestCumulants:
     def test_fock_one_against_analytic_series(self):
         g = cumulants(fock_state(1, 32), 4)
@@ -259,6 +274,32 @@ class TestCumulants:
             for m2 in range(max(3 - m1, 0), 5 - m1):
                 sign = (-1) ** m1 if family == "D" else 1
                 assert abs(go[m1, m2] - sign * kappa ** (m1 + m2) * gi[m1, m2]) <= 1e-8, (m1, m2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(["C1", "C2"]),
+           kind=st.sampled_from(["fock", "random", "squeezed"]), seed=st.integers(0, 2**32 - 1))
+    def test_gain_law_scales_orders_three_to_six(self, data, family, kind, seed):
+        # C1 and C2 have X = kappa I, and their noise Y reaches only order 2, so every cumulant of
+        # order 3 to 6 is multiplied by kappa^(m1 + m2); the cutoffs keep the output's tail mass
+        # under 1e-12, and roundoff is measured against the output's variance to the order's power
+        kappa = data.draw({"C1": st.floats(0.1, 0.95), "C2": st.floats(1.05, 1.4)}[family])
+        n_cut = 48 if family == "C1" else 160
+        if kind == "fock":
+            rho = fock_state(data.draw(st.integers(1, 6)), n_cut)
+        elif kind == "random":
+            block = data.draw(st.integers(2, 10))
+            rho = padded_random_state(seed, block, n_cut, rank=data.draw(st.integers(1, block)))
+        else:
+            rho = squeezed_superposition(data.draw(st.floats(0.1, 0.8)), data.draw(st.floats(0.0, 2 * np.pi)),
+                                         data.draw(st.floats(0.2, 2.0)), n_cut)
+        out = apply(family_for(ChannelSpec(family, kappa), n_cut), rho)
+        assert out.tail_mass < 1e-12
+        gi, go = cumulants(rho, 6), cumulants(out, 6)
+        var = max(go[2, 0], go[0, 2])
+        for m1 in range(7):
+            for m2 in range(max(3 - m1, 0), 7 - m1):
+                order = m1 + m2
+                assert abs(go[m1, m2] - kappa**order * gi[m1, m2]) <= 1e-11 * var ** (order / 2), (m1, m2)
 
     def test_conjugator_fixed_point_is_gaussian(self):
         # five D(0.8) steps scale every fourth-order cumulant by 0.8^(4 * 5)

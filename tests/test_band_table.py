@@ -378,6 +378,45 @@ def test_dual_is_the_adjoint_map(data, family, n_cut, seed):
     assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(a) * np.linalg.norm(b)
 
 
+def reference_offset_step(pair, parts):
+    """The offset step as it was before it became one einsum: the whole product
+    ``pair * parts[..., None]``, reduced over the source axis by ``np.add.reduce``,
+    which adds whole slices in turn."""
+    return np.add.reduce(pair * parts[..., None], axis=-2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(_KAPPAS)), n_cut=st.integers(2, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_offset_step_is_the_reduce_form_bit_for_bit(data, family, n_cut, seed):
+    # every offset of act: its pair of output-table weights against the strided complex view of
+    # each diagonal pair of a full-band matrix; and the population step on a real vector
+    spec = ChannelSpec(family, data.draw(_KAPPAS[family]))
+    fam = build_discrete(spec, data.draw(st.integers(0, 2 * n_cut)), n_cut, defect_limit=1e300)
+    table, flip = fam.output_table, fam.band == "anti"
+    rng = np.random.default_rng(seed)
+    p = rng.random(n_cut) * (rng.random(n_cut) < 0.8)
+    assert kraus._offset_step(table * table, p).tobytes() == reference_offset_step(table * table, p).tobytes()
+    assert fam.populations(p).tobytes() == reference_offset_step(table * table, p).tobytes()
+    mat = rng.normal(size=(n_cut, n_cut)) + 1j * rng.normal(size=(n_cut, n_cut))
+    for k in range(n_cut):
+        size = n_cut - k
+        pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
+        parts = kraus._diagonal_parts(mat, k)
+        assert not parts.flags.c_contiguous or size == 1
+        assert kraus._offset_step(pair, parts).tobytes() == reference_offset_step(pair, parts).tobytes(), k
+
+
+@pytest.mark.parametrize("spec", [ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.1)],
+                         ids=["D(0.8)", "C1(0.7)", "C2(1.1)"])
+def test_act_on_a_full_band_state_is_the_block_update(spec):
+    n_cut = 160
+    fam = build_discrete(spec, suggest_ell_max(spec, n_cut), n_cut)
+    rho = random_mixed_state(7, 5, n_cut)
+    assert bandwidth(rho.mat) == n_cut - 1
+    assert fam.act(rho.mat).tobytes() == reference_band_apply(fam.coeffs, fam.band, rho.mat).tobytes()
+
+
 _TP_KAPPAS = {"D": st.floats(0.3, 1.0), "C1": st.floats(0.1, 0.95), "C2": st.floats(1.05, 1.3)}
 
 

@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaln
 
 from boskraus import fock, kraus
 from boskraus.analysis import iterate, thermal_estimate
 from boskraus.channels import ChannelSpec
-from boskraus.errors import BoskrausError, InvalidParameter
+from boskraus.errors import BoskrausError, CutoffTooSmall, InvalidParameter
 from boskraus.fock import (
     DensityMatrix,
     TruncatedOperator,
     coherent_amplitudes,
     coherent_state,
     fock_state,
+    phase_averaged_state,
     q_function,
     random_mixed_state,
     thermal_state,
@@ -142,6 +144,110 @@ def test_iterate_holds_only_the_state_it_is_on():
 
 
 @pytest.mark.parametrize("make", [
+    lambda n: thermal_state(4.0, n),
+    lambda n: fock_state(5, n),
+    lambda n: phase_averaged_state(3.0, n),
+    lambda n: apply(build_discrete(ChannelSpec("C2", 1.1), 3 * n, n), thermal_state(2.0, n)),
+], ids=["thermal", "fock", "phase-averaged", "banded-image"])
+def test_a_diagonal_state_builds_its_matrix_once_from_its_populations(make):
+    rho = make(24)
+    assert rho.bandwidth == 0 and rho.dim == 24
+    populations = rho.diagonal
+    with pytest.raises(ValueError):
+        populations[0] = 0.5
+    mat = rho.mat
+    assert rho.mat is mat and TruncatedOperator(mat).mat is mat
+    assert not mat.flags.writeable
+    assert mat.tobytes() == np.diag(populations.astype(np.complex128)).tobytes()
+    assert rho.diagonal.tobytes() == np.diagonal(mat).real.tobytes()
+
+
+def dense_thermal_state(a0, n_cut, tail_tol):
+    """``thermal_state`` as it was built before states kept their populations: around the matrix."""
+    if a0 < 1.0:
+        raise InvalidParameter(f"thermal parameter must satisfy a0 >= 1, got {a0}")
+    x = (a0 - 1.0) / (a0 + 1.0)
+    tail = x**n_cut
+    if tail > tail_tol:
+        raise CutoffTooSmall(f"thermal({a0}): tail mass {tail:.3e} exceeds {tail_tol:.3e}; raise the cutoff")
+    diag = (1.0 - x) * x ** np.arange(n_cut)
+    return DensityMatrix(TruncatedOperator(np.diag(diag.astype(np.complex128))), tail)
+
+
+def dense_fock_state(n, n_cut):
+    if not 0 <= n < n_cut:
+        raise InvalidParameter(f"need 0 <= n < n_cut, got n={n}, n_cut={n_cut}")
+    mat = np.zeros((n_cut, n_cut), dtype=np.complex128)
+    mat[n, n] = 1.0
+    return DensityMatrix(TruncatedOperator(mat), 0.0)
+
+
+def dense_phase_averaged_state(lam, n_cut):
+    if lam < 0:
+        raise InvalidParameter("Poisson parameter must be nonnegative")
+    tail = float(gammainc(n_cut, lam))
+    if tail > fock.DEFAULT_TAIL_TOL:
+        raise CutoffTooSmall(f"phase_averaged({lam}): tail mass {tail:.3e} exceeds "
+                             f"{fock.DEFAULT_TAIL_TOL:.3e}; raise the cutoff")
+    n = np.arange(n_cut)
+    logp = -lam + n * np.log(lam) - gammaln(n + 1) if lam > 0 else np.where(n == 0, 0.0, -np.inf)
+    return DensityMatrix(TruncatedOperator(np.diag(np.exp(logp).astype(np.complex128))), tail)
+
+
+_PARAMETERS = st.one_of(st.floats(-1.0, 40.0), st.sampled_from([0.0, 1.0, np.nan, np.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["thermal", "fock", "phase-averaged"]), value=_PARAMETERS,
+       level=st.integers(-2, 140), n_cut=st.integers(0, 130), tail_tol=st.sampled_from([1e-2, 1.0]))
+def test_diagonal_constructors_give_the_dense_verdict_and_bits(kind, value, level, n_cut, tail_tol):
+    calls = {
+        "thermal": (lambda: thermal_state(value, n_cut, tail_tol), lambda: dense_thermal_state(value, n_cut, tail_tol)),
+        "fock": (lambda: fock_state(level, n_cut), lambda: dense_fock_state(level, n_cut)),
+        "phase-averaged": (lambda: phase_averaged_state(value, n_cut),
+                           lambda: dense_phase_averaged_state(value, n_cut)),
+    }[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # log(0), nan and inf parameters
+        got, want = (outcome(call) for call in calls)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.mat.tobytes() == want.mat.tobytes()
+    assert np.float64(got.tail_mass).tobytes() == np.float64(want.tail_mass).tobytes()
+    assert got.bandwidth == want.bandwidth == 0
+
+
+def test_thermal_state_builds_no_matrix():
+    # one dense 512 x 512 complex matrix is 4.2 MB
+    tracemalloc.start()
+    try:
+        rho = thermal_state(4.0, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert rho.dim == 512
+
+
+def test_iterate_on_populations_builds_no_matrix():
+    # one dense 512 x 512 complex matrix is 4.2 MB
+    n_cut = 512
+    spec = ChannelSpec("D", 0.8)
+    family = build_discrete(spec, suggest_ell_max(spec, n_cut), n_cut)
+    rho = thermal_state(4.0, n_cut)
+    apply(family, rho)  # builds the family's tables
+    tracemalloc.start()
+    try:
+        traj = iterate(family, rho, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert len(traj.step_distances) == 40 and traj.final.bandwidth == 0
+
+
+@pytest.mark.parametrize("make", [
     lambda n: build_continuous(ChannelSpec("A2"), 64, n),
     lambda n: build_continuous(ChannelSpec("B1", noise_a=0.5), 48, n),
 ])
@@ -171,8 +277,10 @@ def test_iterate_scans_each_input_once(monkeypatch):
     monkeypatch.setattr(kraus, "bandwidth", counting)
     spec = ChannelSpec("D", 0.8)
     family = build_discrete(spec, suggest_ell_max(spec, 48), 48)
-    traj = iterate(family, thermal_state(3.0, 48), 40)
-    assert len(calls) == 1  # the thermal state; each step reads its input's recorded bandwidth
+    thermal = thermal_state(3.0, 48)
+    assert not calls  # built from its populations
+    traj = iterate(family, DensityMatrix(TruncatedOperator(thermal.mat), thermal.tail_mass), 40)
+    assert len(calls) == 1  # its dense copy; each step reads its input's recorded bandwidth
     assert traj.final.bandwidth == 0
 
 
