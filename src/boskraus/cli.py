@@ -3,12 +3,13 @@
 Channel arguments parse as ``FAMILY[:kappa[:a]]`` (``FAMILY[:a]`` for a
 family without a gain).  ``compose OUTER INNER`` follows the
 composition-table convention: the right argument acts first.
+``experiment NAME -h`` lists the options that experiment takes.
 Artifacts land in ``--output-dir`` or ``$BK_OUTPUT_DIR`` (default: cwd),
 written atomically, with numeric fields at 12 significant digits.
 
-Exit codes: 2 completeness defect too large (or no Kraus list for the
-family), 3 unsupported composition pair, 4 invariant violation inside an
-experiment, 1 other errors.
+Exit codes: 2 usage error (an option the command does not take, say),
+completeness defect too large or no Kraus list for the family; 3 unsupported
+composition pair; 4 invariant violation inside an experiment; 1 other errors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import analysis, kraus, phasespace
-from .channels import ChannelSpec, parse_channel
+from .channels import _KAPPA_FAMILIES, ChannelSpec, parse_channel
 from .errors import BoskrausError, DefectTooLarge, InvalidParameter, UnsupportedFamily, UnsupportedPair
 from .fock import DEFAULT_TAIL_TOL, state_new
 
@@ -71,12 +72,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_kraus(args) -> int:
-    if args.family_spec is None:
-        spec = ChannelSpec(args.family, args.kappa, 0.0 if args.noise is None else args.noise)
-    elif args.family is None and args.kappa is None and args.noise is None:
-        spec = parse_channel(args.family_spec)
-    else:
-        raise InvalidParameter("give the channel either as a positional spec or by --family/--kappa/--noise")
+    spec = parse_channel(args.channel)
     build, size = kraus.builder(spec)
     other = "nodes" if size == "ell_max" else "ell_max"
     if getattr(args, other) is not None:
@@ -97,10 +93,9 @@ def cmd_kraus(args) -> int:
 def cmd_compose(args) -> int:
     outer = parse_channel(args.outer)
     inner = parse_channel(args.inner)
-    lam = 1.0 if args.lam is None else args.lam
     try:
-        if lam != 1.0 or args.theta != 0.0:
-            composite = phasespace.table2_compose(outer, inner, lam, args.theta)
+        if args.lam != 1.0 or args.theta != 0.0:
+            composite = phasespace.table2_compose(outer, inner, args.lam, args.theta)
         else:
             composite = phasespace.table1_compose(outer, inner)
     except UnsupportedPair as exc:
@@ -124,7 +119,8 @@ def cmd_compose(args) -> int:
 def _experiment_fixedpoint(args, out_dir: str) -> int:
     if not args.a0:
         raise InvalidParameter("--a0 needs at least one value")
-    spec = ChannelSpec(args.family, args.kappa)
+    kappa = 0.8 if args.kappa is None and args.family in _KAPPA_FAMILIES else args.kappa
+    spec = ChannelSpec(args.family, kappa)
     ell = kraus.suggest_ell_max(spec, args.ncut)
     family = kraus.build_discrete(spec, ell, args.ncut)
     rows = ["a0_input,step,a0_estimate,trace_distance"]
@@ -216,18 +212,6 @@ def _experiment_verify_all(args, out_dir: str) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
-    out_dir = _output_dir(args)
-    runner = {
-        "fixedpoint": _experiment_fixedpoint,
-        "zeno": _experiment_zeno,
-        "extremal": _experiment_extremal,
-        "scaling": _experiment_scaling,
-        "verify-all": _experiment_verify_all,
-    }[args.name]
-    return runner(args, out_dir)
-
-
 def _csv_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
@@ -236,17 +220,48 @@ def _csv_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
 
+def _cutoff(text: str) -> int:
+    if int(text) < 8:
+        raise argparse.ArgumentTypeError("the cutoff must be at least 8")
+    return int(text)
+
+
+_NCUT = {"type": _cutoff, "default": 48}
+_SEED = {"type": int, "default": 0}
+_CHANNELS = {"type": lambda s: s.split(","), "default": ["D:0.5", "C1:0.7", "C2:1.3"]}
+# name -> (runner, {dest: add_argument keywords} of each option the runner reads but --output-dir)
+_EXPERIMENTS = {
+    "fixedpoint": (_experiment_fixedpoint, dict(
+        family={"default": "D"}, kappa={"type": float, "help": "gain (default 0.8 for D, C1 and C2)"},
+        a0={"type": _csv_floats, "default": [1.0, 3.0, 7.0, 10.0]}, steps={"type": int, "default": 40}, ncut=_NCUT)),
+    "zeno": (_experiment_zeno, dict(
+        mode={"default": "attenuator", "choices": ["attenuator", "amplifier"]},
+        interrupts={"type": _csv_ints, "default": [2, 3, 5, 10]}, total={"type": float})),
+    "extremal": (_experiment_extremal, dict(channels=_CHANNELS, block={"type": int, "default": 6}, ncut=_NCUT)),
+    "scaling": (_experiment_scaling, dict(channels=_CHANNELS, grid={"type": int, "default": 25}, ncut=_NCUT,
+                                          seed=_SEED)),
+    "verify-all": (_experiment_verify_all, dict(ncut=_NCUT, seed=_SEED)),
+}
+
+
+def cmd_experiment(args) -> int:
+    runner, options = _EXPERIMENTS[args.name]
+    parser = argparse.ArgumentParser(prog=f"boskraus experiment {args.name}")
+    for dest, keywords in options.items():
+        parser.add_argument(f"--{dest}", **keywords)
+    parser.add_argument("--output-dir", default=None)
+    opts = parser.parse_args(args.options)
+    return runner(opts, _output_dir(opts))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="boskraus", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_kraus = sub.add_parser("kraus", help="build and serialize a Kraus family")
-    p_kraus.add_argument("family_spec", nargs="?", help="channel as FAMILY[:kappa[:a]]")
-    p_kraus.add_argument("--family", help="family tag (alternative to positional spec)")
-    p_kraus.add_argument("--kappa", type=float, default=None)
-    p_kraus.add_argument("--noise", type=float, default=None)
-    p_kraus.add_argument("--ncut", type=int, default=32)
+    p_kraus.add_argument("channel", help="FAMILY[:kappa[:a]]")
+    p_kraus.add_argument("--ncut", type=_cutoff, default=32)
     p_kraus.add_argument("--ell-max", type=int, default=None)
     p_kraus.add_argument("--nodes", type=int, default=None, help="quadrature nodes of A2 and B1 (default 64)")
     p_kraus.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -255,37 +270,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp = sub.add_parser("compose", help="compose two channels (right argument acts first)")
     p_comp.add_argument("outer")
     p_comp.add_argument("inner")
-    p_comp.add_argument("--lambda", dest="lam", type=float, default=None)
+    p_comp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_comp.add_argument("--theta", type=float, default=0.0)
     p_comp.add_argument("--verify", action="store_true")
     p_comp.add_argument("--out", default=None)
     p_comp.set_defaults(func=cmd_compose)
 
     p_exp = sub.add_parser("experiment", help="run a canned experiment, writing CSV/JSON artifacts")
-    p_exp.add_argument("name", choices=["fixedpoint", "zeno", "extremal", "scaling", "verify-all"])
-    p_exp.add_argument("--family", default="D")
-    p_exp.add_argument("--kappa", type=float, default=0.8)
-    p_exp.add_argument("--a0", type=_csv_floats, default=[1.0, 3.0, 7.0, 10.0])
-    p_exp.add_argument("--steps", type=int, default=40)
-    p_exp.add_argument("--mode", default="attenuator", choices=["attenuator", "amplifier"])
-    p_exp.add_argument("--interrupts", "--N", dest="interrupts", type=_csv_ints, default=[2, 3, 5, 10])
-    p_exp.add_argument("--total", type=float, default=None)
-    p_exp.add_argument("--channels", type=lambda s: s.split(","),
-                       default=["D:0.5", "C1:0.7", "C2:1.3"])
-    p_exp.add_argument("--block", type=int, default=6)
-    p_exp.add_argument("--grid", type=int, default=25)
-    p_exp.add_argument("--ncut", type=int, default=48)
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--output-dir", default=None)
+    p_exp.add_argument("name", choices=_EXPERIMENTS)
+    p_exp.add_argument("options", nargs=argparse.REMAINDER, help="options of that experiment, listed by its -h")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "ncut", 8) < 8:
-        print("error: the cutoff must be at least 8", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except BoskrausError as exc:

@@ -106,9 +106,14 @@ class TruncatedOperator:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TruncatedOperator":
-        dim = int(data["dim"])
-        mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        return TruncatedOperator(mat.reshape(dim, dim))
+        """The operator of a :meth:`to_json_dict` record; malformed input raises ``InvalidParameter``."""
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2:
+            raise InvalidParameter(f"dim must be an integer of at least 2, got {dim!r}")
+        re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
+        if not re.shape == im.shape == (dim * dim,):
+            raise InvalidParameter(f"re and im must each list dim^2 = {dim * dim} entries, got {re.size} and {im.size}")
+        return TruncatedOperator((re + 1j * im).reshape(dim, dim))
 
 
 class _DiagonalOperator(TruncatedOperator):
@@ -158,9 +163,9 @@ def _diagonal_trace(values: np.ndarray) -> float:
 class DensityMatrix:
     """A truncated density operator with its recorded out-of-cutoff mass.
 
-    Invariants checked on construction: Hermiticity to 1e-12 entrywise,
-    eigenvalues above -1e-10, and trace within the window allowed by
-    ``tail_mass``.  The construction scans the matrix once for its
+    Invariants checked on construction: ``tail_mass`` in [0, 1], Hermiticity
+    to 1e-12 entrywise, eigenvalues above -1e-10, and trace within the window
+    allowed by ``tail_mass``.  The construction scans the matrix once for its
     :func:`bandwidth` and records it as ``bandwidth``, which the checks,
     ``kraus.apply`` and :func:`trace_distance` read; the matrix is
     read-only (:class:`TruncatedOperator`).  A state that is diagonal in the
@@ -176,8 +181,8 @@ class DensityMatrix:
     bandwidth: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tail_mass < 0:
-            raise InvalidParameter("tail_mass must be nonnegative")
+        if not 0.0 <= self.tail_mass <= 1.0:
+            raise InvalidParameter(f"tail_mass must be nonnegative and at most 1, got {self.tail_mass}")
         if not hasattr(self, "bandwidth"):  # recorded beforehand by the diagonal path
             object.__setattr__(self, "bandwidth", bandwidth(self.op.mat))
         # a diagonal matrix is Hermitian iff its diagonal is real, and has that diagonal for
@@ -199,7 +204,7 @@ class DensityMatrix:
     def _diagonal(cls, values: np.ndarray, tail_mass: float) -> "DensityMatrix":
         """The state ``diag(values)``, which keeps a copy of ``values`` and is checked on it alone.
 
-        Each check of the constructor (square with 2 levels, finite entries, ``tail_mass`` sign,
+        Each check of the constructor (square with 2 levels, finite entries, ``tail_mass`` in [0, 1],
         Hermiticity, eigenvalue floor, trace window) runs on the vector with the same tolerance and
         message, so it gives the verdict it gives on the whole matrix, which is never built here.
         """
@@ -250,20 +255,6 @@ def bandwidth(mat: np.ndarray) -> int:
     last = len(nonzero) - 1 - nonzero[:, ::-1].argmax(axis=1)
     rows = np.arange(len(nonzero))
     return int(np.max(np.where(nonzero.any(axis=1), np.maximum(rows - first, last - rows), 0), initial=0))
-
-
-def hermitian_eigvals(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, as ``np.linalg.eigvalsh`` returns them.
-
-    A diagonal matrix (bandwidth 0) gives its sorted real diagonal without a
-    LAPACK call.  LAPACK's reduction leaves such a matrix as it is, so it
-    returns the same values (signs of zero aside), unless the largest entry
-    lies outside about ``[1e-146, 1e146]``: there it rescales the matrix and
-    rounds, and the sorted diagonal is the exact answer.
-    """
-    if bandwidth(mat) == 0:
-        return np.sort(np.diagonal(mat).real)
-    return np.linalg.eigvalsh(mat)
 
 
 def _check_tail(tail: float, tail_tol: float, what: str) -> None:
@@ -670,7 +661,7 @@ def coherent_disc_grid(radius: float, n_radial: int, n_angular: int) -> tuple[np
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """``(1/2) ||rho - sigma||_1`` from the eigenvalues of ``rho - sigma`` (:func:`hermitian_eigvals`).
+    """``(1/2) ||rho - sigma||_1`` from the eigenvalues of ``rho - sigma``.
 
     When both states are diagonal (their recorded ``bandwidth`` is 0) the eigenvalues are the
     sorted difference of their populations (:attr:`DensityMatrix.diagonal`), and neither matrix
@@ -681,7 +672,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.bandwidth == sigma.bandwidth == 0:
         evals = np.sort(rho.diagonal - sigma.diagonal)
     else:
-        evals = hermitian_eigvals(rho.mat - sigma.mat)
+        evals = np.linalg.eigvalsh(rho.mat - sigma.mat)
     return float(0.5 * np.sum(np.abs(evals)))
 
 

@@ -1,11 +1,16 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import ast
+import inspect
 import json
 import os
+import re
+import textwrap
 
 import numpy as np
 import pytest
 
+from boskraus import cli
 from boskraus.channels import ChannelSpec, parse_channel
 from boskraus.cli import main
 from boskraus.errors import InvalidParameter
@@ -15,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def argparse_exit(capsys, *argv):
+    """Exit code, stdout and stderr of an invocation that argparse ends: a usage error or ``-h``."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
 
 
 class TestKrausCommand:
@@ -33,14 +46,14 @@ class TestKrausCommand:
         assert op0["rows"] == op0["cols"]
 
     def test_unit_conjugator_prefactor(self, capsys):
-        code, out, err = run(capsys, "kraus", "--family", "D", "--kappa", "1", "--ncut", "32")
+        code, out, err = run(capsys, "kraus", "D:1", "--ncut", "32")
         assert code == 0
         payload = json.loads(out.split("\n", 1)[1])
         op0 = payload["operators"][0]
         assert op0["re"][0] == pytest.approx(2**-0.5, abs=1e-12)
 
     def test_noisy_family_exits_2(self, capsys):
-        code, out, err = run(capsys, "kraus", "--family", "B2")
+        code, out, err = run(capsys, "kraus", "B2")
         assert code == 2
         assert "compose/synthesize" in err
 
@@ -52,10 +65,10 @@ class TestKrausCommand:
                                        ["--kappa", "0.3"], ["--noise", "0"]],
                              ids=["family-and-kappa", "same-family", "kappa", "zero-noise"])
     def test_spec_with_family_options_is_one_error_line(self, capsys, tmp_path, extra):
-        # the positional spec would otherwise win and the options be dropped unread
-        code, out, err = run(capsys, "kraus", "C1:0.7", *extra, "--out", str(tmp_path / "fam.json"))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # the channel is only the positional spec: the former option spellings are unrecognized
+        code, out, err = argparse_exit(capsys, "kraus", "C1:0.7", *extra, "--out", str(tmp_path / "fam.json"))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n") and err.count("error:") == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["A2", "--ell-max", "5"], ["B1:0.5", "--ell-max", "5"],
@@ -203,11 +216,66 @@ class TestExperiments:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_fixedpoint_a1_takes_the_default_starts_to_the_vacuum(self, capsys, tmp_path):
+        code, out, err = run(capsys, "experiment", "fixedpoint", "--family", "A1", "--ncut", "48",
+                             "--output-dir", str(tmp_path))
+        assert (code, out, err) == (0, "fixed_point target 1 worst_final_gap 0\n", "")
+        rows = (tmp_path / "fixedpoint.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in rows if row.split(",")[1] == "40"] == ["1"] * 4
+
+    def test_fixedpoint_identity_has_no_target(self, capsys, tmp_path):
+        code, out, err = run(capsys, "experiment", "fixedpoint", "--family", "I", "--output-dir", str(tmp_path))
+        assert (code, out) == (0, "")
+        assert (tmp_path / "fixedpoint.csv").exists()
+
+    def test_fixedpoint_explicit_kappa_on_a1_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "experiment", "fixedpoint", "--family", "A1", "--kappa", "0.8",
+                             "--output-dir", str(tmp_path))
+        assert (code, out, err) == (1, "", "error: family A1 takes no kappa\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_var_output_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BK_OUTPUT_DIR", str(tmp_path))
         code, out, err = run(capsys, "experiment", "zeno", "--interrupts", "2")
         assert code == 0
         assert (tmp_path / "zeno.csv").exists()
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "zeno", "--ncut", "4"], ["experiment", "verify-all", "--family", "Q"],
+        ["experiment", "extremal", "--a0", ","], ["experiment", "scaling", "--steps", "3"],
+        ["experiment", "zeno", "--N", "3"], ["experiment", "--ncut", "64", "fixedpoint"],
+        ["kraus", "--family", "D", "--kappa", "0.8"], ["kraus", "D:0.8", "--ncut", "4"],
+        ["experiment", "fixedpoint", "--ncut", "7"]],
+        ids=["zeno-ncut", "verify-all-family", "extremal-a0", "scaling-steps", "zeno-N", "option-before-name",
+             "kraus-family-kappa", "kraus-cutoff-floor", "fixedpoint-cutoff-floor"])
+    def test_option_the_command_does_not_take_is_a_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BK_OUTPUT_DIR", raising=False)
+        code, out, err = argparse_exit(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and err.count("error:") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+    def test_help_lists_only_the_experiment_options(self, capsys, name):
+        code, out, err = argparse_exit(capsys, "experiment", name, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: boskraus experiment {name} ")
+        listed = set(re.findall(r"^  (-[-\w]+)", out, flags=re.MULTILINE))
+        assert listed == {f"--{dest}" for dest in cli._EXPERIMENTS[name][1]} | {"-h", "--output-dir"}
+
+    @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+    def test_each_declared_option_is_read_by_the_runner(self, name):
+        def reads(function) -> set[str]:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+            return {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"}
+
+        runner, options = cli._EXPERIMENTS[name]
+        assert reads(cli._output_dir) == {"output_dir"}
+        assert set(options) | {"output_dir"} == reads(runner) | reads(cli._output_dir)
 
 
 def test_deterministic_output(capsys, tmp_path):

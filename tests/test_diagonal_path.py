@@ -356,6 +356,10 @@ def _diagonal_matrix(values) -> np.ndarray:
     ([0.5, 0.5, 1e-9], 0.0, "trace 1.000000001 outside"),
     ([0.5, 0.5, 0.0], -1e-3, "tail_mass must be nonnegative"),
     ([1.0], 0.0, "cutoff dimension must be at least 2"),
+    ([0.5, 0.5, 0.0], 7.0, "tail_mass must be nonnegative and at most 1"),
+    ([0.25, 0.25, 0.0], np.inf, "tail_mass must be nonnegative and at most 1"),
+    ([0.5, 0.5, 0.0], np.nan, "tail_mass must be nonnegative and at most 1"),
+    ([0.0, 0.0, 0.0], 1.0, None),
 ])
 def test_diagonal_checks_give_the_constructor_verdict(values, tail, message):
     want = outcome(lambda: DensityMatrix(TruncatedOperator(_diagonal_matrix(values)), tail))

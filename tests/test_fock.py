@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import genlaguerre, roots_hermite
@@ -477,11 +477,6 @@ class TestTraceDistance:
             trace_distance(fock_state(0, 16), fock_state(0, 24))
 
 
-# LAPACK's eigvalsh leaves a Hermitian matrix unscaled while its largest entry
-# lies in [sqrt(safmin / eps), 1 / sqrt(safmin / eps)] ~ [1.0e-146, 1.0e146]
-UNSCALED = (1.1e-146, 9.9e145)
-
-
 @settings(max_examples=200, deadline=None)
 @given(n_cut=st.integers(1, 64), width_frac=st.floats(0.0, 1.0), density=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
@@ -496,41 +491,17 @@ def test_bandwidth_is_the_widest_nonzero_offset(n_cut, width_frac, density, seed
 
 
 class TestDiagonalEigenvalues:
-    @settings(max_examples=120, deadline=None)
-    @given(n_cut=st.integers(2, 512), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-140.0, 140.0),
-           bulk=st.booleans(), special=st.lists(st.floats(-UNSCALED[1], UNSCALED[1]), max_size=8))
-    def test_sorted_diagonal_is_eigvalsh(self, n_cut, seed, log_scale, bulk, special):
-        # a random diagonal (or zeros) with hypothesis-chosen values, zeros of
-        # either sign and subnormals among them, at random places
-        rng = np.random.default_rng(seed)
-        diag = rng.normal(size=n_cut) * 10.0**log_scale if bulk else np.zeros(n_cut)
-        diag[rng.permutation(n_cut)[:len(special)]] = special[:n_cut]
-        top = np.max(np.abs(diag))
-        assume(top == 0.0 or top >= UNSCALED[0])
-        mat = np.diag(diag.astype(np.complex128))
-        got, want = fock.hermitian_eigvals(mat), np.linalg.eigvalsh(mat)
-        # bit for bit, up to the sign of a zero eigenvalue
-        assert np.abs(got).tobytes() == np.abs(want).tobytes()
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e150, 1e300])
-    def test_outside_the_unscaled_range_the_diagonal_is_exact(self, scale):
-        # eigvalsh rescales such a matrix and rounds; the sorted diagonal is
-        # the exact answer and eigvalsh stays within a few ulps of it
-        diag = np.array([0.3, -0.7, 0.11, 0.0, 0.5]) * scale
-        got = fock.hermitian_eigvals(np.diag(diag.astype(np.complex128)))
-        assert np.array_equal(got, np.sort(diag))
-        np.testing.assert_allclose(np.linalg.eigvalsh(np.diag(diag.astype(np.complex128))), got, rtol=1e-15)
-
     def test_off_diagonal_entry_takes_lapack(self, monkeypatch):
         mat = thermal_state(2.0, 16).mat.copy()
         mat[3, 4] = mat[4, 3] = 1e-3
         assert fock.bandwidth(mat) == 1
-        assert np.array_equal(fock.hermitian_eigvals(mat), np.linalg.eigvalsh(mat))
         calls = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or np.zeros(len(m)))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
         DensityMatrix(TruncatedOperator(np.diag(np.diag(mat))), thermal_state(2.0, 16).tail_mass)
         assert calls == []
+        DensityMatrix(TruncatedOperator(mat), thermal_state(2.0, 16).tail_mass)
+        assert len(calls) == 1
 
     def test_negative_diagonal_entry_still_raises(self):
         diag = np.full(16, 1.0 / 15)
@@ -563,3 +534,13 @@ def test_json_roundtrip():
     back = DensityMatrix.from_json_dict(rho.to_json_dict())
     assert np.array_equal(back.mat, rho.mat)
     assert back.tail_mass == rho.tail_mass
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"dim": 4.9}, "dim must be an integer"), ({"dim": "4"}, "dim must be an integer"),
+    ({"im": [0.0] * 15}, "re and im must each list"), ({"re": [0.0] * 15, "im": [0.0] * 15}, "re and im must each list"),
+], ids=["fractional-dim", "string-dim", "re-and-im-differ-in-length", "not-dim-squared-entries"])
+def test_json_reader_rejects_a_malformed_record(edit, message):
+    record = {**fock_state(1, 4).to_json_dict(), **edit}
+    with pytest.raises(InvalidParameter, match=message):
+        DensityMatrix.from_json_dict(record)
