@@ -25,8 +25,10 @@ from .errors import (
 )
 from .fock import (
     DensityMatrix,
+    _check_populations,
     _displacement_chunks,
     _ket_sum,
+    _population_distance,
     _quadrature_moments,
     coherent_amplitudes,
     coherent_disc_grid,
@@ -38,6 +40,7 @@ from .fock import (
 from .kraus import (
     DiscreteIndex,
     KrausFamily,
+    _population_step,
     apply,
     build_continuous,
     build_discrete,
@@ -50,12 +53,17 @@ GRAM_THRESHOLD = 1e-8  # numerical rank cut, relative to the largest singular va
 DIAGONALITY_TOL = 1e-12  # off-diagonal and spread limit, relative to the largest |W^dag W| entry
 CLASSICALITY_TOL = 1e-6
 MAX_CUMULANT_ORDER = 14  # the highest order the tests check against a closed form (|1>)
+_BLOCK_BYTES = 1 << 16  # the level-population rows ``iterate`` steps into before it checks them
 
 
 def thermal_estimate(rho: DensityMatrix) -> float:
     """Thermal covariance parameter from the mean photon number, a0 = 2<n>+1."""
-    n_mean = float(np.sum(np.arange(rho.dim) * rho.diagonal))
-    return 2.0 * n_mean + 1.0
+    return float(_population_a0(rho.diagonal))
+
+
+def _population_a0(populations: np.ndarray) -> np.ndarray:
+    """``2 <n> + 1`` of each row of level populations (the levels last)."""
+    return 2.0 * np.sum(np.arange(populations.shape[-1]) * populations, axis=-1) + 1.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,8 @@ class Trajectory:
     """What repeated channel application leaves: the last state ``final``, the thermal estimate of
     every state visited (the start first), the trace distance of each step, and ``lost_mass``,
     ``1 - prod_i (1 - tail_mass_i)`` over the steps' outputs, the share of the start the cutoff has
-    dropped along the way.  No other state is kept."""
+    dropped along the way.  No other state is kept, and of a diagonal trajectory no state but
+    ``final`` is built."""
 
     final: DensityMatrix
     a0_estimates: list[float]
@@ -72,10 +81,21 @@ class Trajectory:
 
 
 def iterate(family: KrausFamily, rho0: DensityMatrix, steps: int) -> Trajectory:
-    """Apply the channel ``steps`` times, recording per-step diagnostics and holding no more than
-    the state it is on and the next."""
+    """Apply the channel ``steps`` times, recording per-step diagnostics.
+
+    A diagonal start under a family that ``keeps_diagonal`` never builds a state per step: each step
+    is the diagonal branch of ``apply`` (:func:`kraus._population_step`) written into a row of a fixed
+    block of level-population rows, ``_BLOCK_BYTES`` in all, so memory does not grow with ``steps``.
+    Each filled block gets, over all its rows at once, the checks of a state
+    (:func:`fock._check_populations`), the step distances of ``trace_distance`` and the estimates of
+    :func:`thermal_estimate`; only ``final`` is built.  The bits, and the error of the first failing
+    step, are those of a loop of ``apply``, which every other start takes, holding the state it is on
+    and the next.
+    """
     if steps < 1:
         raise InvalidParameter("steps must be at least 1")
+    if rho0.bandwidth == 0 and family.keeps_diagonal:
+        return _iterate_populations(family, rho0, steps)
     a0s = [thermal_estimate(rho0)]
     dists: list[float] = []
     kept = 1.0
@@ -87,6 +107,30 @@ def iterate(family: KrausFamily, rho0: DensityMatrix, steps: int) -> Trajectory:
         a0s.append(thermal_estimate(rho))
         kept *= 1.0 - rho.tail_mass
     return Trajectory(rho, a0s, dists, 1.0 - kept)
+
+
+def _iterate_populations(family: KrausFamily, rho0: DensityMatrix, steps: int) -> Trajectory:
+    """:func:`iterate` of a diagonal start under a family that ``keeps_diagonal``, a block of rows at a time."""
+    rows = min(steps, max(1, _BLOCK_BYTES // (8 * rho0.dim)))
+    block = np.empty((rows + 1, rho0.dim))  # row 0 holds the state before the block's first step
+    leaks = np.empty(rows)
+    block[0] = rho0.diagonal
+    a0s, dists, kept = [thermal_estimate(rho0)], [], 1.0
+    for start in range(0, steps, rows):
+        n = min(rows, steps - start)
+        try:
+            for j in range(n):
+                leaks[j] = _population_step(family, block[j], block[j + 1])[1]
+        except InvalidParameter:
+            _check_populations(block[1:j + 1], leaks[:j])  # the verdict of an earlier step comes first
+            raise
+        _check_populations(block[1:n + 1], leaks[:n])
+        dists += _population_distance(block[1:n + 1], block[:n]).tolist()
+        a0s += _population_a0(block[1:n + 1]).tolist()
+        for leak in leaks[:n].tolist():
+            kept *= 1.0 - leak
+        block[0] = block[n]
+    return Trajectory(DensityMatrix._diagonal(block[0], float(leaks[n - 1])), a0s, dists, 1.0 - kept)
 
 
 def thermal_step(spec: ChannelSpec, a0: float) -> float:

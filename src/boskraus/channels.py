@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvalidParameter, UnsupportedFamily
-from .fock import TruncatedOperator
+from .fock import TruncatedOperator, _real_number
 
 FAMILIES = ("D", "C1", "C2", "A1", "A2", "B1", "B2", "I")
 
@@ -51,7 +51,7 @@ class ChannelSpec:
         if self.family in _KAPPA_FAMILIES:
             if self.kappa is None:
                 raise InvalidParameter(f"family {self.family} requires kappa")
-            k = float(self.kappa)
+            k = _real_number(self.kappa, "kappa")
             if self.family == "D" and not 0.0 < k < math.inf:
                 raise InvalidParameter(f"D requires finite kappa > 0, got {k}")
             if self.family == "C1" and not 0.0 <= k <= 1.0:
@@ -62,7 +62,7 @@ class ChannelSpec:
         else:
             if self.kappa is not None:
                 raise InvalidParameter(f"family {self.family} takes no kappa")
-        a = float(self.noise_a)
+        a = _real_number(self.noise_a, "noise_a")
         if not 0.0 <= a < math.inf:
             raise InvalidParameter(f"noise_a must be finite and nonnegative, got {a}")
         object.__setattr__(self, "noise_a", a)

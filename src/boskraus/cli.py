@@ -117,8 +117,6 @@ def cmd_compose(args) -> int:
 
 
 def _experiment_fixedpoint(args, out_dir: str) -> int:
-    if not args.a0:
-        raise InvalidParameter("--a0 needs at least one value")
     kappa = 0.8 if args.kappa is None and args.family in _KAPPA_FAMILIES else args.kappa
     spec = ChannelSpec(args.family, kappa)
     ell = kraus.suggest_ell_max(spec, args.ncut)
@@ -147,7 +145,7 @@ def _experiment_fixedpoint(args, out_dir: str) -> int:
 
 
 def _experiment_zeno(args, out_dir: str) -> int:
-    if not args.interrupts or min(args.interrupts) < 1:
+    if min(args.interrupts) < 1:
         raise InvalidParameter("--interrupts needs at least one positive segment count")
     rows = ["mode,n_interrupts,step,kappa"]
     for n in args.interrupts:
@@ -212,12 +210,19 @@ def _experiment_verify_all(args, out_dir: str) -> int:
     return 0
 
 
+def _csv_fields(text: str) -> list[str]:
+    fields = text.split(",")
+    if "" in fields:
+        raise argparse.ArgumentTypeError(f"empty field in {text!r}")
+    return fields
+
+
 def _csv_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+    return [float(v) for v in _csv_fields(text)]
 
 
 def _csv_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+    return [int(v) for v in _csv_fields(text)]
 
 
 def _cutoff(text: str) -> int:

@@ -919,31 +919,38 @@ def apply(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
     recorded.
 
     A diagonal state under a family that ``keeps_diagonal`` (the banded
-    ones) is stepped as its level populations: :meth:`BandedFamily.populations`
-    of ``rho.diagonal``, traced and rescaled as a vector, and
-    :meth:`DensityMatrix._diagonal` checks the vector and keeps it as the
-    state; no matrix is built.  The symmetrization leaves a real vector as it
-    is, the trace is summed in the complex order of ``np.trace`` and the
-    rescale is the product by ``1 / tr`` that numpy's complex division by a
-    real performs, so every bit is that of the dense path.  Every other input
-    takes the dense path over the whole matrix.
+    ones) is stepped as its level populations by :func:`_population_step`,
+    and :meth:`DensityMatrix._diagonal` checks the vector and keeps it as the
+    state; no matrix is built, and every bit is that of the dense path.
+    Every other input takes the dense path over the whole matrix.
     """
-    diagonal = rho.bandwidth == 0 and family.keeps_diagonal
-    if diagonal:
-        _check_dim(family, rho.dim)
-        out = family.populations(rho.diagonal)
-        tr = _diagonal_trace(out)
-    else:
-        out = apply_matrix(family, rho.mat)
-        out[...] = 0.5 * (out + out.conj().T)
-        tr = float(np.trace(out).real)
-    if tr <= 1e-12:
-        raise InvalidParameter("channel output has vanishing trace inside the cutoff")
-    leak = max(0.0, 1.0 - tr)
-    if diagonal:
-        return DensityMatrix._diagonal(out * (1.0 / tr), leak)
+    if rho.bandwidth == 0 and family.keeps_diagonal:
+        return DensityMatrix._diagonal(*_population_step(family, rho.diagonal))
+    out = apply_matrix(family, rho.mat)
+    out[...] = 0.5 * (out + out.conj().T)
+    tr = float(np.trace(out).real)
+    leak = _leak(tr)
     out[...] = out / tr
     return DensityMatrix(TruncatedOperator(out), leak)
+
+
+def _population_step(family: KrausFamily, p: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """``apply`` on ``diag(p)`` as level populations: :meth:`BandedFamily.populations` of ``p``, rescaled
+    to unit trace (into ``out`` when given), and the leak.  The symmetrization leaves a real vector as it
+    is, the trace is summed in the complex order of ``np.trace`` and the rescale is the product by
+    ``1 / tr`` that numpy's complex division by a real performs, so every bit is that of the dense path."""
+    _check_dim(family, p.shape[-1])
+    new = family.populations(p)
+    tr = float(_diagonal_trace(new))
+    leak = _leak(tr)
+    return np.multiply(new, 1.0 / tr, out=out), leak
+
+
+def _leak(tr: float) -> float:
+    """The mass a step's output trace ``tr`` lost past the cutoff; a vanishing trace raises ``InvalidParameter``."""
+    if tr <= 1e-12:
+        raise InvalidParameter("channel output has vanishing trace inside the cutoff")
+    return max(0.0, 1.0 - tr)
 
 
 def dual(family: KrausFamily) -> KrausFamily:

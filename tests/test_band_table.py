@@ -15,11 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boskraus import analysis, kraus
-from boskraus.analysis import gram_rank
+from boskraus.analysis import gram_rank, thermal_estimate
 from boskraus.channels import ChannelSpec
 from boskraus.cli import main
 from boskraus.errors import AllocationTooLarge
-from boskraus.fock import DensityMatrix, TruncatedOperator, bandwidth, random_mixed_state, thermal_state
+from boskraus.fock import (
+    DensityMatrix,
+    TruncatedOperator,
+    bandwidth,
+    random_mixed_state,
+    thermal_state,
+    trace_distance,
+)
 from boskraus.kraus import (
     MAX_DENSE_BYTES,
     BandedFamily,
@@ -452,15 +459,23 @@ def test_fixedpoint_csv_unchanged_by_the_offset_loop(tmp_path, monkeypatch, caps
     new_out = capsys.readouterr()
     steps = []
 
-    def reference_step(family, rho):
-        """One dense block update per ``l``, then the dense symmetrize, trace and rescale."""
-        steps.append(rho.dim)
-        out = reference_band_apply(family.coeffs, family.band, rho.mat)
-        out = 0.5 * (out + out.conj().T)
-        tr = float(np.trace(out).real)
-        return DensityMatrix(TruncatedOperator(out / tr), max(0.0, 1.0 - tr))
+    def reference_iterate(family, rho, count):
+        """Each step one dense block update per ``l``, then the dense symmetrize, trace and rescale,
+        and ``trace_distance`` and ``thermal_estimate`` of the states."""
+        a0s, dists, kept = [thermal_estimate(rho)], [], 1.0
+        for _ in range(count):
+            steps.append(rho.dim)
+            out = reference_band_apply(family.coeffs, family.band, rho.mat)
+            out = 0.5 * (out + out.conj().T)
+            tr = float(np.trace(out).real)
+            nxt = DensityMatrix(TruncatedOperator(out / tr), max(0.0, 1.0 - tr))
+            dists.append(trace_distance(nxt, rho))
+            rho = nxt
+            a0s.append(thermal_estimate(rho))
+            kept *= 1.0 - rho.tail_mass
+        return analysis.Trajectory(rho, a0s, dists, 1.0 - kept)
 
-    monkeypatch.setattr(analysis, "apply", reference_step)
+    monkeypatch.setattr(analysis, "iterate", reference_iterate)
     codes.append(main(argv + [str(tmp_path / "ref")]))
     assert steps == [256] * 5
     assert codes == [4, 4]

@@ -202,14 +202,14 @@ class TestExperiments:
         data = json.loads((tmp_path / "verify_all.json").read_text())
         assert all(rec["passed"] for rec in data["invariants"].values())
 
-    @pytest.mark.parametrize("argv", [["fixedpoint", "--a0", ","], ["extremal", "--block", "-1"],
+    @pytest.mark.parametrize("argv", [["extremal", "--block", "-1"],
                                       ["scaling", "--grid", "0"], ["scaling", "--grid", "-1"],
                                       ["zeno", "--interrupts", "-2"], ["zeno", "--interrupts", "0"],
-                                      ["zeno", "--interrupts", "2,-1"], ["zeno", "--interrupts", ","],
+                                      ["zeno", "--interrupts", "2,-1"],
                                       ["zeno", "--total", "nan"], ["zeno", "--mode", "amplifier", "--total", "inf"]],
-                             ids=["empty-a0", "negative-block", "empty-grid", "negative-grid",
+                             ids=["negative-block", "empty-grid", "negative-grid",
                                   "zeno-negative-interrupts", "zeno-zero-interrupts", "zeno-one-negative-interrupt",
-                                  "zeno-empty-interrupts", "zeno-nan-total", "zeno-inf-total"])
+                                  "zeno-nan-total", "zeno-inf-total"])
     def test_degenerate_argument_is_one_error_line(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, "experiment", *argv, "--output-dir", str(tmp_path))
         assert (code, out) == (1, "")
@@ -256,6 +256,18 @@ class TestOptionsPerCommand:
         code, out, err = argparse_exit(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: ") and err.count("error:") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["fixedpoint", "--a0", "1,,3"], ["fixedpoint", "--a0", "1,"], ["fixedpoint", "--a0", ","],
+        ["fixedpoint", "--a0", ""], ["zeno", "--interrupts", "2,,5"], ["zeno", "--interrupts", ","]],
+        ids=["a0-inner-empty-field", "a0-trailing-empty-field", "a0-only-empty-fields", "a0-empty",
+             "interrupts-inner-empty-field", "interrupts-only-empty-fields"])
+    def test_empty_list_field_is_a_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = argparse_exit(capsys, "experiment", *argv, "--output-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and err.count("error:") == 1
+        assert err.endswith(f"error: argument {argv[1]}: empty field in {argv[2]!r}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))

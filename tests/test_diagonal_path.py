@@ -10,11 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaln
 
-from boskraus import fock, kraus
+from boskraus import analysis, fock, kraus
 from boskraus.analysis import iterate, thermal_estimate
 from boskraus.channels import ChannelSpec
 from boskraus.errors import BoskrausError, CutoffTooSmall, InvalidParameter
@@ -141,6 +141,79 @@ def test_iterate_holds_only_the_state_it_is_on():
         tracemalloc.stop()
     assert peak < 3 * n_cut**2 * 16  # the state it is on, the next, and a real weights temporary
     assert len(traj.a0_estimates) == 41 and traj.final.dim == n_cut
+
+
+def test_iterate_memory_does_not_grow_with_steps():
+    n_cut = 512
+    spec = ChannelSpec("D", 0.8)
+    family = build_discrete(spec, suggest_ell_max(spec, n_cut), n_cut)
+    rho = thermal_state(4.0, n_cut)
+    apply(family, rho)  # builds the family's tables
+    tracemalloc.start()
+    try:
+        traj = iterate(family, rho, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert len(traj.step_distances) == 400 and len(traj.a0_estimates) == 401
+
+
+def _free_table_family(band, coeffs):
+    """A banded family with a free table: steps that lose mass past the cutoff, or all of it."""
+    return kraus.BandedFamily(ChannelSpec("C2", 1.1), np.asarray(coeffs, dtype=float), band, 0.0)
+
+
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = outcome(call)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_cut=st.integers(2, 12), band=st.sampled_from(["upper", "lower", "anti"]), rows=st.integers(1, 5),
+       steps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_iterate_in_blocks_is_the_dense_loop(n_cut, band, rows, steps, seed):
+    # random tables lose mass, drop all of it or amplify it, and starts sit at the eigenvalue floor, so
+    # the steps fail each check at any row of any block
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.0, 1.5, (rng.integers(1, 2 * n_cut + 1), n_cut)) * (rng.random((1, n_cut)) < 0.8)
+    start = rng.random(n_cut) * (rng.random(n_cut) < 0.7)
+    start[rng.integers(n_cut)] = -rng.uniform(0.0, 1e-10)
+    assume(start.sum() > 0.1)
+    rho = outcome(lambda: DensityMatrix(TruncatedOperator(np.diag(start / start.sum()).astype(complex)), 0.0))
+    assume(isinstance(rho, DensityMatrix))
+    family = _free_table_family(band, coeffs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_BLOCK_BYTES", 8 * n_cut * rows)
+        got, got_warnings = _recorded(lambda: iterate(family, rho, steps))
+    want, want_warnings = _recorded(lambda: dense_trajectory(family, rho, steps))
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    final, a0s, dists, lost = want
+    assert np.array(got.a0_estimates).tobytes() == np.array(a0s).tobytes()
+    assert np.array(got.step_distances).tobytes() == np.array(dists).tobytes()
+    assert got.final.mat.tobytes() == final.mat.tobytes()
+    assert np.float64(got.final.tail_mass).tobytes() == np.float64(final.tail_mass).tobytes()
+    assert np.float64(got.lost_mass).tobytes() == np.float64(lost).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_a_later_vanishing_trace_leaves_an_earlier_verdict(rows, monkeypatch):
+    # the first step halves the trace and doubles the entry at the floor; the eighth drops all the mass
+    coeffs = np.zeros((2, 8))
+    coeffs[1] = [np.sqrt(0.5), 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    family = _free_table_family("lower", coeffs)
+    rho = DensityMatrix._diagonal(np.array([1.0 + 9e-11, -9e-11, 0, 0, 0, 0, 0, 0]), 0.0)
+    monkeypatch.setattr(analysis, "_BLOCK_BYTES", 8 * 8 * rows)
+    with pytest.raises(InvalidParameter, match=r"^density matrix has eigenvalue -1\.800e-10 < -1e-10$"):
+        iterate(family, rho, 12)
+    with pytest.raises(InvalidParameter, match="^channel output has vanishing trace inside the cutoff$"):
+        iterate(family, fock_state(0, 8), 12)
+    assert outcome(lambda: iterate(family, rho, 12)) == outcome(lambda: dense_trajectory(family, rho, 12))
 
 
 @pytest.mark.parametrize("make", [

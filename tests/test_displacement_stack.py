@@ -214,6 +214,21 @@ class TestStackAgainstOnePoint:
         assert len(stack) == step
         assert peak <= 1.25 * fock.DISPLACEMENT_CHUNK_BYTES
 
+    @pytest.mark.parametrize("xi", [0.7, -1.3, 0.5 + 0.4j], ids=["real", "negative", "complex"])
+    def test_one_point_peak_memory(self, xi):
+        # the matrix is made in the buffer it is returned in: no second copy, no table beside it
+        displacement_op(xi, 16)
+        tracemalloc.start()
+        try:
+            op = displacement_op(xi, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * op.mat.nbytes
+        assert not op.mat.flags.writeable and op.mat.base is None
+        want = reference_table_displacement_op(xi, 512).mat  # by value: signs of underflowed zeros differ
+        assert np.array_equal(op.mat, want) if isinstance(xi, float) else close_to(op.mat, want)
+
 
 class TestExactCumulants:
     @pytest.mark.parametrize("rho", [thermal_state(2.0, 48), fock_state(1, 32), coherent_state(0.6 - 0.3j, 40)],

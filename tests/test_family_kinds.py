@@ -7,6 +7,7 @@ kind is checked by adding an entry.
 import ast
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -212,3 +213,20 @@ def test_json_origin_must_be_known():
 
 def test_json_valid_record_loads():
     assert KrausFamily.from_json_dict(copy.deepcopy(VALID)).to_json_dict() == VALID
+
+
+@pytest.mark.parametrize("key,value", [("kappa", "0.7"), ("kappa", True), ("kappa", "abc"), ("kappa", [0.7]),
+                                       ("a", "0"), ("a", False)],
+                         ids=["string-kappa", "bool-kappa", "word-kappa", "list-kappa", "string-noise", "bool-noise"])
+def test_json_spec_numbers_must_be_real_numbers(key, value):
+    name = "kappa" if key == "kappa" else "noise_a"
+    with pytest.raises(InvalidParameter, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        KrausFamily.from_json_dict(malformed(lambda d: d["spec"].update({key: value})))
+
+
+@pytest.mark.parametrize("kappa", [0.7, np.float64(0.7), np.float32(0.5), 1, np.int64(1)],
+                         ids=["float", "numpy-float64", "numpy-float32", "int", "numpy-int"])
+def test_spec_takes_any_real_number(kappa):
+    spec = ChannelSpec("C1", kappa, np.float64(0.25))
+    assert type(spec.kappa) is float and spec.kappa == float(kappa)
+    assert type(spec.noise_a) is float and spec.noise_a == 0.25

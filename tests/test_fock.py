@@ -539,7 +539,10 @@ def test_json_roundtrip():
 @pytest.mark.parametrize("edit, message", [
     ({"dim": 4.9}, "dim must be an integer"), ({"dim": "4"}, "dim must be an integer"),
     ({"im": [0.0] * 15}, "re and im must each list"), ({"re": [0.0] * 15, "im": [0.0] * 15}, "re and im must each list"),
-], ids=["fractional-dim", "string-dim", "re-and-im-differ-in-length", "not-dim-squared-entries"])
+    ({"tail_mass": "0.0"}, "tail_mass must be a real number, got '0.0'"),
+    ({"tail_mass": False}, "tail_mass must be a real number, got False"),
+], ids=["fractional-dim", "string-dim", "re-and-im-differ-in-length", "not-dim-squared-entries", "string-tail-mass",
+        "bool-tail-mass"])
 def test_json_reader_rejects_a_malformed_record(edit, message):
     record = {**fock_state(1, 4).to_json_dict(), **edit}
     with pytest.raises(InvalidParameter, match=message):
