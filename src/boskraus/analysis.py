@@ -1,10 +1,10 @@
 """Dynamical and structural channel analyses.
 
-Covers iterated channel action and thermal fixed points, phase-space
-cumulants and their transformation laws, interrupted (Zeno-like)
-attenuation/amplification, the Gram-matrix extremality test on
-``{W_m^dag W_n}``, product Kraus families for composites, and the
-classicality diagnostics of each family.
+Covers iterated channel action, the thermal step and fixed point read off
+a channel's (X, Y) row, phase-space cumulants and their transformation
+laws, interrupted (Zeno-like) attenuation/amplification, the Gram-matrix
+extremality test on ``{W_m^dag W_n}``, product Kraus families for
+composites, and the classicality diagnostics of each family.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .fock import (
 from .kraus import (
     DiscreteIndex,
     KrausFamily,
+    _is_count,
     _population_step,
     apply,
     build_continuous,
@@ -47,7 +48,7 @@ from .kraus import (
     completeness_defect,
     suggest_ell_max,
 )
-from .phasespace import table1_compose
+from .phasespace import canonical_xy, table1_compose
 
 GRAM_THRESHOLD = 1e-8  # numerical rank cut, relative to the largest singular value
 DIAGONALITY_TOL = 1e-12  # off-diagonal and spread limit, relative to the largest |W^dag W| entry
@@ -92,8 +93,8 @@ def iterate(family: KrausFamily, rho0: DensityMatrix, steps: int) -> Trajectory:
     step, are those of a loop of ``apply``, which every other start takes, holding the state it is on
     and the next.
     """
-    if steps < 1:
-        raise InvalidParameter("steps must be at least 1")
+    if not (_is_count(steps) and steps >= 1):
+        raise InvalidParameter(f"steps must be an integer of at least 1, got {steps!r}")
     if rho0.bandwidth == 0 and family.keeps_diagonal:
         return _iterate_populations(family, rho0, steps)
     a0s = [thermal_estimate(rho0)]
@@ -133,45 +134,36 @@ def _iterate_populations(family: KrausFamily, rho0: DensityMatrix, steps: int) -
     return Trajectory(DensityMatrix._diagonal(block[0], float(leaks[n - 1])), a0s, dists, 1.0 - kept)
 
 
-def thermal_step(spec: ChannelSpec, a0: float) -> float:
-    """One-step affine map of the thermal parameter.
+def _thermal_law(spec: ChannelSpec) -> tuple[float, float]:
+    """``(g, y)`` of ``a0 -> g a0 + y``, the image of a thermal covariance ``a0 I`` under the row of
+    :func:`phasespace.canonical_xy`: ``g = X[0,0]^2``, ``y = Y[0,0]``.  ``UnsupportedFamily`` where it is
+    not thermal: ``X`` is not diagonal of one magnitude, or ``Y`` not a multiple of I (A2, noisy B1)."""
+    xy = canonical_xy(spec)
+    (x, x01), (x10, x11) = xy.x.tolist()
+    (y, y01), (y10, y11) = xy.y.tolist()
+    if x01 or x10 or y01 or y10 or abs(x11) != abs(x) or y11 != y:
+        raise UnsupportedFamily(f"{spec} does not keep thermal states thermal")
+    return x**2, y
 
-    D: a0 -> kappa^2 a0 + 1 + kappa^2;  C1: kappa^2 a0 + 1 - kappa^2;
-    C2: kappa^2 a0 + kappa^2 - 1.
-    """
+
+def thermal_step(spec: ChannelSpec, a0: float) -> float:
+    """One step ``a0 -> g a0 + y`` of the thermal parameter (:func:`_thermal_law`), noise included;
+    ``InvalidParameter`` unless ``1 <= a0 < inf``."""
     if not 1.0 <= a0 < math.inf:
         raise InvalidParameter(f"thermal parameter must be finite and >= 1, got {a0}")
-    if spec.family == "D":
-        return spec.kappa**2 * a0 + 1.0 + spec.kappa**2
-    if spec.family == "C1":
-        return spec.kappa**2 * a0 + 1.0 - spec.kappa**2
-    if spec.family == "C2":
-        return spec.kappa**2 * a0 + spec.kappa**2 - 1.0
-    raise UnsupportedFamily(f"no thermal recursion for family {spec.family}")
+    g, y = _thermal_law(spec)
+    return g * a0 + y
 
 
 def fixed_point(spec: ChannelSpec) -> float | None:
-    """Attracting thermal parameter, or None when no state is invariant.
-
-    D(kappa < 1) is attracted to a0 = (1 + kappa^2)/(1 - kappa^2); the
-    attenuator family (A1 included) to the vacuum.  The amplifier, the
-    singular A2 and D(kappa >= 1) leave no state fixed.  The identity
-    fixes everything, hence has no unique attractor and returns None.
-    """
-    if not spec.quantum_limited:
-        raise UnsupportedFamily("fixed-point catalogue covers quantum-limited channels")
-    fam = spec.family
-    if fam == "D":
-        if spec.kappa < 1.0:
-            return (1.0 + spec.kappa**2) / (1.0 - spec.kappa**2)
+    """Attracting thermal parameter ``y / (1 - g)`` of :func:`thermal_step`, noise included, or None
+    where no thermal state attracts: ``g >= 1`` (amplifiers, D(kappa >= 1), the identity, classical
+    noise) or a row that does not keep thermal states thermal."""
+    try:
+        g, y = _thermal_law(spec)
+    except UnsupportedFamily:
         return None
-    if fam == "C1":
-        return 1.0 if spec.kappa < 1.0 else None
-    if fam == "A1":
-        return 1.0
-    if fam in ("C2", "A2", "I"):
-        return None
-    raise UnsupportedFamily(f"no fixed-point rule for family {fam}")
+    return y / (1.0 - g) if g < 1.0 else None
 
 
 def cumulants(rho: DensityMatrix, max_order: int) -> np.ndarray:
@@ -208,10 +200,10 @@ def zeno_kappa(mode: str, n_interrupts: int, steps: int, total: float | None = N
 
     Attenuator: kappa = cos(total / N)^steps with total defaulting to
     pi/2 (total attenuation when uninterrupted).  Amplifier:
-    kappa = cosh(total / N)^steps.
+    kappa = cosh(total / N)^steps.  ``n_interrupts >= 1`` and ``steps >= 0`` must be integers.
     """
-    if n_interrupts < 1:
-        raise InvalidParameter("need at least one evolution segment")
+    if not (_is_count(n_interrupts) and _is_count(steps) and n_interrupts >= 1 and steps >= 0):
+        raise InvalidParameter(f"need integer counts, n_interrupts >= 1, steps >= 0; got {n_interrupts!r}, {steps!r}")
     if total is not None and not np.isfinite(total):
         raise InvalidParameter(f"the total evolution parameter must be finite, got {total}")
     if mode == "attenuator":
@@ -338,7 +330,7 @@ def classicality_check(spec: ChannelSpec, probes: list[DensityMatrix],
             reports.append(ClassicalityReport(spec, "husimi-scaling", dev, dev < CLASSICALITY_TOL))
     elif fam == "D":
         k = spec.kappa
-        radius = 1.2 * (np.sqrt(1.0 + k**2) * (np.max(np.abs(grid)) + 4.0))
+        radius = 1.2 * (np.sqrt(spec.quantum_limited_noise()) * (np.max(np.abs(grid)) + 4.0))
         alphas, weights = coherent_disc_grid(radius, 48, 48)
         kets = coherent_amplitudes(alphas, n_cut)
         for probe in probes:

@@ -145,23 +145,21 @@ class GaussianMoments:
 
 
 def canonical_xy(spec: ChannelSpec) -> XYPair:
-    """Canonical (X, Y) for a channel spec (see module docstring table)."""
-    fam, a = spec.family, spec.noise_a
-    if fam == "D":
-        return XYPair(-spec.kappa * SIGMA3, (1.0 + spec.kappa**2 + a) * np.eye(2))
-    if fam in ("C1", "C2"):
-        return XYPair(spec.kappa * np.eye(2), (spec.quantum_limited_noise() + a) * np.eye(2))
-    if fam == "A1":
-        return XYPair(np.zeros((2, 2)), (1.0 + a) * np.eye(2))
-    if fam == "A2":
-        return XYPair(0.5 * (np.eye(2) + SIGMA3), (1.0 + a) * np.eye(2))
-    if fam == "B2":
-        return XYPair(np.eye(2), a * np.eye(2))
+    """Canonical (X, Y) for a channel spec (module docstring table), y0 from ``quantum_limited_noise``."""
+    fam, k = spec.family, spec.kappa
     if fam == "B1":
-        return XYPair(np.eye(2), 0.5 * a * (np.eye(2) + SIGMA3))
-    if fam == "I":
-        return XYPair(np.eye(2), np.zeros((2, 2)))
-    raise UnsupportedFamily(f"unknown family {fam}")
+        return XYPair(np.eye(2), 0.5 * spec.noise_a * (np.eye(2) + SIGMA3))
+    if fam == "D":
+        x = -k * SIGMA3
+    elif fam in ("C1", "C2"):
+        x = k * np.eye(2)
+    elif fam == "A1":
+        x = np.zeros((2, 2))
+    elif fam == "A2":
+        x = 0.5 * (np.eye(2) + SIGMA3)
+    else:  # B2, I
+        x = np.eye(2)
+    return XYPair(x, (spec.quantum_limited_noise() + spec.noise_a) * np.eye(2))
 
 
 def classify(xy: XYPair) -> ChannelSpec:
@@ -182,21 +180,22 @@ def classify(xy: XYPair) -> ChannelSpec:
     sing = np.linalg.svd(x, compute_uv=False)
     sqrt_det_y = float(np.sqrt(det_y))
 
-    def _noise(family: str, y0: float) -> float:
+    def _noisy(family: str, kappa: float | None = None) -> ChannelSpec:
+        y0 = ChannelSpec(family, kappa).quantum_limited_noise()
         a = sqrt_det_y - y0
         if a < -1e-6:
             raise Unclassifiable(
                 f"nearest form {family}: noise invariant {sqrt_det_y:.6g} sits below "
                 f"its quantum limit {y0:.6g} (residual {a:.3e})")
-        return max(a, 0.0)
+        return ChannelSpec(family, kappa, max(a, 0.0))
 
     if sing[0] <= CLASSIFY_TOL:  # X = 0
-        return ChannelSpec("A1", noise_a=_noise("A1", 1.0)).normalized(CLASSIFY_TOL)
+        return _noisy("A1").normalized(CLASSIFY_TOL)
     if abs(det_x) <= CLASSIFY_TOL * sing[0] ** 2:  # rank one
-        return ChannelSpec("A2", noise_a=_noise("A2", 1.0)).normalized(CLASSIFY_TOL)
+        return _noisy("A2").normalized(CLASSIFY_TOL)
     kappa = float(np.sqrt(abs(det_x)))
     if det_x < 0.0:
-        return ChannelSpec("D", kappa, _noise("D", 1.0 + kappa**2))
+        return _noisy("D", kappa)
     if abs(kappa - 1.0) <= CLASSIFY_TOL:
         # B family: distinguish by the rank of Y
         y_evals = np.linalg.eigvalsh(y)
@@ -204,10 +203,8 @@ def classify(xy: XYPair) -> ChannelSpec:
             return ChannelSpec("I")
         if det_y <= CLASSIFY_TOL * y_evals.max() ** 2:
             return ChannelSpec("B1", noise_a=float(np.trace(y)))
-        return ChannelSpec("B2", noise_a=sqrt_det_y)
-    if kappa < 1.0:
-        return ChannelSpec("C1", kappa, _noise("C1", 1.0 - kappa**2)).normalized(CLASSIFY_TOL)
-    return ChannelSpec("C2", kappa, _noise("C2", kappa**2 - 1.0)).normalized(CLASSIFY_TOL)
+        return _noisy("B2")
+    return _noisy("C1" if kappa < 1.0 else "C2", kappa).normalized(CLASSIFY_TOL)
 
 
 def compose_xy(first: XYPair, second: XYPair) -> XYPair:
@@ -335,33 +332,23 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     s2, s1 = _table_pair(spec2, spec1)
     f1, f2 = s1.family, s2.family
     y1 = s1.quantum_limited_noise()
-    spread = (lam - 1.0 / lam) ** 2
-
     if f2 == "A2":
         p11 = lam * np.cos(theta) ** 2 + np.sin(theta) ** 2 / lam
-        noise = float(np.sqrt(1.0 + y1 * p11) - 1.0)
-        if f1 == "C1" and s1.kappa <= CLASSIFY_TOL:
-            return ChannelSpec("A1", noise_a=noise)
-        return ChannelSpec("A2", noise_a=noise)
-
-    k2 = s2.kappa
-    y2 = s2.quantum_limited_noise()
-    c, d = k2**2 * y1, y2
-    sqrt_det_y = float(np.sqrt((c + d) ** 2 + c * d * spread))
-    if f1 == "A2":
-        if f2 == "C1" and k2 <= CLASSIFY_TOL:
-            return ChannelSpec("A1", noise_a=sqrt_det_y - 1.0)
-        return ChannelSpec("A2", noise_a=sqrt_det_y - 1.0)
-    k = s1.kappa * k2
-    if f2 == "D" or f1 == "D":
-        if f2 == "D" and f1 == "D":
-            y0 = abs(1.0 - k**2)
-            fam = "C1" if k <= 1.0 else "C2"
-            return ChannelSpec(fam, k, max(sqrt_det_y - y0, 0.0)).normalized(CLASSIFY_TOL)
-        return _conjugator_or_erasure(k, max(sqrt_det_y - (1.0 + k**2), 0.0))
-    y0 = abs(1.0 - k**2)
-    fam = "C1" if k <= 1.0 else "C2"
-    return ChannelSpec(fam, k, max(sqrt_det_y - y0, 0.0)).normalized(CLASSIFY_TOL)
+        sqrt_det_y = float(np.sqrt(1.0 + y1 * p11))
+    else:
+        c, d = s2.kappa**2 * y1, s2.quantum_limited_noise()
+        sqrt_det_y = float(np.sqrt((c + d) ** 2 + c * d * (lam - 1.0 / lam) ** 2))
+    if "A2" in (f1, f2):  # the projector survives unless the other factor is the erasure
+        other = s1 if f2 == "A2" else s2
+        bare = ChannelSpec("A1" if other.family == "C1" and other.kappa <= CLASSIFY_TOL else "A2")
+    else:
+        k = s1.kappa * s2.kappa
+        if (f1 == "D") != (f2 == "D"):  # one conjugator: the composite conjugates, or erases at vanishing gain
+            bare = _conjugator_or_erasure(k, 0.0)
+        else:
+            bare = ChannelSpec("C1" if k <= 1.0 else "C2", k)
+    noise = max(sqrt_det_y - bare.quantum_limited_noise(), 0.0)
+    return ChannelSpec(bare.family, bare.kappa, noise).normalized(CLASSIFY_TOL)
 
 
 def synthesize_noisy(target: ChannelSpec) -> tuple[ChannelSpec, ChannelSpec]:

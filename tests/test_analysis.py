@@ -54,7 +54,16 @@ from boskraus.kraus import (
     dual,
     suggest_ell_max,
 )
-from boskraus.phasespace import table1_compose
+from boskraus.phasespace import GaussianMoments, canonical_xy, covariance_map, table1_compose
+
+
+@st.composite
+def thermal_specs(draw):
+    """A spec of D, C1, C2, A1, B2 or I, quantum-limited or noisy."""
+    family = draw(st.sampled_from(["D", "C1", "C2", "A1", "B2", "I"]))
+    gains = {"D": st.floats(0.05, 3.0), "C1": st.floats(0.0, 1.0), "C2": st.floats(1.0, 3.0)}
+    kappa = draw(gains[family]) if family in gains else None
+    return ChannelSpec(family, kappa, draw(st.just(0.0) | st.floats(0.0, 5.0)))
 
 
 class TestThermalRecursion:
@@ -88,6 +97,40 @@ class TestThermalRecursion:
         for spec in (ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)):
             with pytest.raises(InvalidParameter, match="finite"):
                 thermal_step(spec, a0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=thermal_specs(), a0=st.floats(1.0, 1e3))
+    def test_step_is_the_covariance_map_of_a_thermal_state(self, spec, a0):
+        cov = covariance_map(canonical_xy(spec), GaussianMoments(np.zeros(2), a0 * np.eye(2))).cov
+        assert cov[0, 1] == 0.0 and cov[1, 1] == cov[0, 0]
+        assert thermal_step(spec, a0) == pytest.approx(cov[0, 0], rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=thermal_specs())
+    def test_fixed_point_is_fixed_by_the_step(self, spec):
+        target = fixed_point(spec)
+        if target is not None:
+            assert thermal_step(spec, target) == pytest.approx(target, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kappa=st.floats(0.0, 0.999), noise=st.floats(0.0, 5.0))
+    def test_noisy_attenuator_fixed_point(self, kappa, noise):
+        assert fixed_point(ChannelSpec("C1", kappa, noise)) == pytest.approx(1.0 + noise / (1.0 - kappa**2), rel=1e-12)
+
+    def test_noisy_step_keeps_the_noise(self):
+        # the step of a noisy attenuator is kappa^2 a0 + 1 - kappa^2 + a, not that of C1(0.7) alone
+        assert thermal_step(ChannelSpec("C1", 0.7, 0.3), 2.0) == pytest.approx(1.79, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", np.linspace(0.01, 0.99, 99).tolist())
+    def test_conjugator_fixed_point_bits(self, kappa):
+        # the bits the fixedpoint experiment prints
+        assert fixed_point(ChannelSpec("D", kappa)) == (1.0 + kappa**2) / (1.0 - kappa**2)
+
+    def test_rows_that_leave_thermal_states_have_none(self):
+        for spec in (ChannelSpec("A2"), ChannelSpec("A2", noise_a=0.4), ChannelSpec("B1", noise_a=0.5)):
+            assert fixed_point(spec) is None
+            with pytest.raises(UnsupportedFamily):
+                thermal_step(spec, 2.0)
 
 
 class TestIterate:
@@ -141,6 +184,13 @@ class TestIterate:
         for _ in range(12):
             exact = thermal_step(spec, exact)
         assert exact == pytest.approx(1084.6, abs=0.1) and traj.a0_estimates[-1] < 50.0
+
+    @pytest.mark.parametrize("steps", [True, 2.0, 0, -1])
+    @pytest.mark.parametrize("start", ["diagonal", "coherent"])
+    def test_steps_must_be_a_positive_integer(self, steps, start):
+        rho = thermal_state(2.0, 16) if start == "diagonal" else coherent_state(0.5, 16)
+        with pytest.raises(InvalidParameter, match="steps"):
+            iterate(family_for(ChannelSpec("D", 0.8), 16), rho, steps)
 
     def test_lost_mass_of_a_converging_run_stays_small(self):
         traj = iterate(family_for(ChannelSpec("D", 0.8), 96), thermal_state(10.0, 96), 40)
@@ -325,6 +375,11 @@ class TestZeno:
     def test_non_finite_total_raises(self, mode, total):
         with pytest.raises(InvalidParameter, match="finite"):
             zeno_kappa(mode, 2, 1, total)
+
+    @pytest.mark.parametrize("n_interrupts,steps", [(2, -1), (2.5, 1), (True, 1), (2, 1.0), (2, False), (0, 0)])
+    def test_counts_must_be_integers(self, n_interrupts, steps):
+        with pytest.raises(InvalidParameter, match="integer counts"):
+            zeno_kappa("attenuator", n_interrupts, steps)
 
     def test_interruption_slows_both(self):
         atten = [zeno_kappa("attenuator", n, n) for n in (1, 2, 5, 10)]
@@ -513,6 +568,16 @@ class TestGramReference:
                 outcomes.append(CutoffTooSmall)
         assert outcomes[0] == outcomes[1]
         assert fam._ops is None
+
+    @pytest.mark.parametrize("spec", [ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)])
+    @pytest.mark.parametrize("n_cut", [32, 64, 128])
+    def test_band_product_gram_against_the_dense_path(self, spec, n_cut):
+        # the Gram matrix keeps the dense bits; the border sums in another order
+        fam = build_discrete(spec, suggest_ell_max(spec, n_cut), n_cut)
+        gram, border = fam.product_gram(7)
+        want_gram, want_border = KrausFamily.product_gram(fam, 7)
+        assert gram.tobytes() == want_gram.tobytes()
+        assert abs(border - want_border) <= 4 * np.spacing(want_border)
 
     def test_band_gram_builds_no_product_stack(self):
         spec = ChannelSpec("D", 0.5)

@@ -40,7 +40,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def reference_table_displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
     """The one-point Laguerre-table ``displacement_op`` that the stack kernel
     replaced, verbatim: a slice of the stack at a real point reproduces it bit
-    for bit, at a complex point to ``DISPLACEMENT_RTOL``."""
+    for bit where no entry underflows (an underflowed zero may differ in sign,
+    equal by value), at a complex point to ``DISPLACEMENT_RTOL``."""
     if n_cut > 1020:
         raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
     x = abs(xi) ** 2

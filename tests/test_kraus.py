@@ -29,6 +29,7 @@ from boskraus.fock import (
     trace_distance,
 )
 from boskraus.kraus import (
+    SUGGEST_ELL_CAP,
     KrausFamily,
     apply,
     apply_matrix,
@@ -123,6 +124,35 @@ class TestDiscreteBuilders:
         assert str(exc.value) == "ell_max must be nonnegative, got -1"
 
 
+def reference_suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float) -> int:
+    """The index cut of D and C2 as two negative-binomial loops, one per family, as
+    ``suggest_ell_max`` ran them before they became one."""
+    n = n_protect - 1
+    if spec.family == "D":
+        ratio = 1.0 / (1.0 + spec.kappa**-2)
+        term = math.exp(-(n + 1) * math.log1p(spec.kappa**2))
+        ell, remaining = n, 1.0 - term
+        while remaining > tol and ell < SUGGEST_ELL_CAP:
+            ell += 1
+            term *= ratio * ell / (ell - n)
+            remaining -= term
+    else:
+        if spec.kappa == 1.0:
+            return 0
+        ratio = 1.0 - spec.kappa**-2
+        term = spec.kappa ** (-2.0 * (n + 1))
+        ell, remaining = 0, 1.0 - term
+        while remaining > tol and ell < SUGGEST_ELL_CAP:
+            ell += 1
+            term *= ratio * (n + ell) / ell
+            remaining -= term
+    if remaining > tol:
+        raise DefectTooLarge(
+            f"{spec} at n_protect={n_protect}: completeness tail {remaining:.3e} > {tol:.1e} "
+            f"at the index cap ell_max={SUGGEST_ELL_CAP}")
+    return ell
+
+
 class TestCompleteness:
     def test_identity_family(self):
         fam = build_discrete(ChannelSpec("I"), 0, 16)
@@ -151,6 +181,21 @@ class TestCompleteness:
         spec = ChannelSpec(family, {"D": 0.8, "C1": 0.7, "C2": 1.3}.get(family))
         with pytest.raises(InvalidParameter, match="n_protect"):
             suggest_ell_max(spec, n_protect)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["D", "C2"]), gain=st.floats(0.0, 1.0), n_protect=st.integers(1, 600),
+           log_tol=st.floats(-16.0, -3.0))
+    def test_suggest_ell_max_is_the_two_loops(self, family, gain, n_protect, log_tol):
+        # D takes kappa in (0.05, 3.05), C2 in [1, 4]
+        spec = ChannelSpec(family, 0.05 + 3.0 * gain if family == "D" else 1.0 + 3.0 * gain)
+        tol = 10.0**log_tol
+        outcomes = []
+        for reader in (suggest_ell_max, reference_suggest_ell_max):
+            try:
+                outcomes.append(reader(spec, n_protect, tol))
+            except DefectTooLarge as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_suggest_ell_max_raises_when_tail_not_converged(self):
         # D(1e3) keeps almost all weight beyond any cut below the 100000 cap

@@ -70,6 +70,14 @@ class TestCanonicalForms:
         np.testing.assert_array_equal(xy.x, np.eye(2))
         np.testing.assert_array_equal(xy.y, 0.7 * np.eye(2))
 
+    def test_noisy_identity_row_is_classical_noise(self):
+        # I(a) reads as B2(a), which is what the pair synthesize_noisy gives for it composes to
+        spec = ChannelSpec("I", noise_a=0.3)
+        inner, outer = synthesize_noisy(spec)
+        for xy in (canonical_xy(spec), compose_xy(canonical_xy(inner), canonical_xy(outer))):
+            got = classify(xy)
+            assert got.family == "B2" and got.noise_a == pytest.approx(0.3, abs=1e-12)
+
     def test_single_quadrature_noise_row(self):
         xy = canonical_xy(ChannelSpec("B1", noise_a=1.2))
         np.testing.assert_allclose(xy.y, np.diag([1.2, 0.0]))
