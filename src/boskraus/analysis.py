@@ -10,7 +10,6 @@ composites, and the classicality diagnostics of each family.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +24,10 @@ from .errors import (
 )
 from .fock import (
     DensityMatrix,
+    _check_counts,
     _check_populations,
     _displacement_chunks,
+    _is_count,
     _ket_sum,
     _population_distance,
     _quadrature_moments,
@@ -40,7 +41,6 @@ from .fock import (
 from .kraus import (
     DiscreteIndex,
     KrausFamily,
-    _is_count,
     _population_step,
     apply,
     build_continuous,
@@ -179,7 +179,7 @@ def cumulants(rho: DensityMatrix, max_order: int) -> np.ndarray:
     roundoff at every order tested: ``|1>`` matches its closed form to 3e-15 relative through order 20.
     ``max_order`` must be an integer in ``0..MAX_CUMULANT_ORDER`` (``InvalidParameter``, before any work).
     """
-    if isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral) or max_order < 0:
+    if not _is_count(max_order) or max_order < 0:
         raise InvalidParameter(f"cumulant order must be a nonnegative integer, got {max_order!r}")
     if max_order > MAX_CUMULANT_ORDER:
         raise InvalidParameter(f"cumulants supported up to total order {MAX_CUMULANT_ORDER}")
@@ -242,9 +242,7 @@ def gram_rank(family: KrausFamily, k: int) -> GramReport:
     families are exempt: truncated position states gain norm with the cutoff
     without affecting linear independence.
     """
-    if k < 0:
-        raise InvalidParameter(f"the block index k must be nonnegative, got {k}")
-    count = k + 1
+    count = _block_count(k)
     gram, border = family.product_gram(count)
     sv = np.linalg.svd(gram, compute_uv=False)
     if family.dim > 16 and border > 1e-8 * max(sv[0], 1e-300):
@@ -253,6 +251,14 @@ def gram_rank(family: KrausFamily, k: int) -> GramReport:
         raise CutoffTooSmall("Gram entries still change when the top of the cutoff is dropped")
     rank = int(np.sum(sv > GRAM_THRESHOLD * sv[0]))
     return GramReport(count * count, sv, rank, GRAM_THRESHOLD)
+
+
+def _block_count(k) -> int:
+    """``k + 1`` operators for the block index ``k``; ``InvalidParameter`` unless ``k`` is a nonnegative integer."""
+    _check_counts(k=k)
+    if k < 0:
+        raise InvalidParameter(f"the block index k must be nonnegative, got {k}")
+    return k + 1
 
 
 def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamily:
@@ -267,7 +273,7 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
         raise DimMismatch(f"dims differ: {outer.dim} vs {inner.dim}")
     if not (outer.discrete and inner.discrete):
         raise UnsupportedFamily("product families need two discrete-index factors")
-    count = k + 1
+    count = _block_count(k)
     if count > len(outer) or count > len(inner):
         raise InvalidParameter("not enough operators for the requested block")
     ops = outer.operators(count)[:, None] @ inner.operators(count)[None]
@@ -362,6 +368,6 @@ def simultaneous_diagonality(family: KrausFamily) -> tuple[bool, str]:
     identity, ``position`` when each product is the (rank-one) projector
     onto a position wavefunction, and ``none`` otherwise.  The family
     decides (:meth:`KrausFamily.diagonal_basis`); a B1 family re-evaluates
-    its displacements with this module's stack kernel.
+    its displacements with the stack kernel :func:`fock._displacement_chunks`.
     """
     return family.diagonal_basis(_displacement_chunks, DIAGONALITY_TOL)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .errors import InvalidParameter, UnsupportedFamily
 from .fock import TruncatedOperator, _real_number
@@ -162,6 +162,9 @@ def closed_form_action(spec: ChannelSpec, m: int, n: int, n_cut: int) -> Truncat
 
         |m><n| -> k^(-2-m-n) sum_l sqrt(C(m+l,l) C(n+l,l)) (1-k^-2)^l
                   |m+l><n+l|
+
+    The powers are ``xlogy`` in log space (``0 log 0 = 0``), so A1 = C1(0), C1(1)
+    and C2(1) take the same sums.
     """
     if not (0 <= m < n_cut and 0 <= n < n_cut):
         raise InvalidParameter("Fock labels must sit inside the cutoff")
@@ -189,28 +192,18 @@ def closed_form_action(spec: ChannelSpec, m: int, n: int, n_cut: int) -> Truncat
         return TruncatedOperator(out)
     if fam in ("C1", "A1"):
         kk = 0.0 if fam == "A1" else k
-        if kk == 0.0:
-            if m == n:
-                out[0, 0] = 1.0
-            return TruncatedOperator(out)
-        if kk == 1.0:
-            out[m, n] = 1.0
-            return TruncatedOperator(out)
         for ell in range(min(m, n) + 1):
             out[m - ell, n - ell] = math.exp(
                 _log_binom_sqrt(m, ell) + _log_binom_sqrt(n, ell)
-                + ell * math.log(1.0 - kk**2) + (m + n - 2 * ell) * math.log(kk)
+                + xlogy(ell, 1.0 - kk**2) + xlogy(m + n - 2 * ell, kk)
             )
         return TruncatedOperator(out)
     if fam == "C2":
-        if k == 1.0:
-            out[m, n] = 1.0
-            return TruncatedOperator(out)
         for ell in range(n_cut - max(m, n)):
             out[m + ell, n + ell] = math.exp(
                 -(2.0 + m + n) * math.log(k)
                 + _log_binom_sqrt(m + ell, ell) + _log_binom_sqrt(n + ell, ell)
-                + ell * math.log(1.0 - k**-2)
+                + xlogy(ell, 1.0 - k**-2)
             )
         return TruncatedOperator(out)
     raise UnsupportedFamily(f"no closed-form Fock action for family {fam}")

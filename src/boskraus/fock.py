@@ -111,7 +111,7 @@ class TruncatedOperator:
     def from_json_dict(data: dict) -> "TruncatedOperator":
         """The operator of a :meth:`to_json_dict` record; malformed input raises ``InvalidParameter``."""
         dim = data["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2:
+        if not _is_count(dim) or dim < 2:
             raise InvalidParameter(f"dim must be an integer of at least 2, got {dim!r}")
         re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
         if not re.shape == im.shape == (dim * dim,):
@@ -150,6 +150,17 @@ def _real_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameter(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_counts(**counts) -> None:
+    """``InvalidParameter`` naming the first of ``counts`` that is not an integer (:func:`_is_count`)."""
+    for name, value in counts.items():
+        if not _is_count(value):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 
 def _check_square(shape: tuple, entries: np.ndarray) -> None:
@@ -297,6 +308,7 @@ def _check_tail(tail: float, tail_tol: float, what: str) -> None:
 
 def fock_state(n: int, n_cut: int) -> DensityMatrix:
     """Number state ``|n><n|``."""
+    _check_counts(n=n, n_cut=n_cut)
     if not 0 <= n < n_cut:
         raise InvalidParameter(f"need 0 <= n < n_cut, got n={n}, n_cut={n_cut}")
     populations = np.zeros(n_cut)
@@ -337,6 +349,7 @@ def _poisson_tail(lam: float, n_cut: int) -> float:
 
 def coherent_state(alpha: complex, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityMatrix:
     """Coherent state ``|alpha><alpha|`` with exact Poissonian tail mass."""
+    _check_counts(n_cut=n_cut)
     tail = _poisson_tail(abs(alpha) ** 2, n_cut)
     _check_tail(tail, tail_tol, f"coherent({alpha})")
     v = coherent_amplitudes(alpha, n_cut)
@@ -349,6 +362,7 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     Diagonal ``(1 - x) x^n`` with ``x = (a0 - 1) / (a0 + 1)``; the mass
     beyond the cutoff is exactly ``x^n_cut``.
     """
+    _check_counts(n_cut=n_cut)
     if a0 < 1.0:
         raise InvalidParameter(f"thermal parameter must satisfy a0 >= 1, got {a0}")
     x = (a0 - 1.0) / (a0 + 1.0)
@@ -361,6 +375,7 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
 def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
     """Phase-averaged coherent state: Poissonian diagonal ``e^-lam lam^n / n!``,
     with a tail mass of at most ``DEFAULT_TAIL_TOL``."""
+    _check_counts(n_cut=n_cut)
     if lam < 0:
         raise InvalidParameter("Poisson parameter must be nonnegative")
     tail = _poisson_tail(lam, n_cut)
@@ -372,6 +387,7 @@ def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
 
 def random_mixed_state(seed: int, rank: int, n_cut: int) -> DensityMatrix:
     """Random rank-``rank`` mixed state supported inside the cutoff."""
+    _check_counts(rank=rank, n_cut=n_cut)
     if not 1 <= rank <= n_cut:
         raise InvalidParameter(f"need 1 <= rank <= n_cut, got rank={rank}")
     rng = np.random.default_rng(seed)
@@ -406,7 +422,7 @@ def _abs_squared(z) -> float:
 def _check_displacement_cutoff(n_cut) -> None:
     """A displacement cutoff is an integer of at least 2 (``InvalidParameter``); above 1020 the
     Laguerre table of :func:`displacement_op` overflows (``OrderTooLarge``)."""
-    if isinstance(n_cut, bool) or not isinstance(n_cut, numbers.Integral) or n_cut < 2:
+    if not _is_count(n_cut) or n_cut < 2:
         raise InvalidParameter(f"displacement cutoff must be an integer of at least 2, got {n_cut!r}")
     if n_cut > 1020:
         raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
@@ -472,9 +488,8 @@ def _real_displacement_stack(xi: np.ndarray, x: np.ndarray, n_cut: int, out: np.
     np.cumprod(pref, axis=1, out=pref)
     # L_k^(delta)(x) for k + delta < N, by the stable upward recurrence in k; the table entries past
     # k + delta = N - 1 are never read
-    before, lag = np.ones((points, n_cut - 1)), 1.0 + levels[:-1] - x[:, None]
-    pref[:, 1, :-1] *= lag
-    for k in range(1, n_cut - 1):
+    before, lag = np.zeros((points, n_cut - 1)), np.ones((points, n_cut - 1))  # L_(-1) = 0, L_0 = 1
+    for k in range(n_cut - 1):
         w = n_cut - 1 - k
         d = levels[:w]
         before, lag = lag, ((2 * k + 1 + d - x[:, None]) * lag[:, :w] - (k + d) * before[:, :w]) / (k + 1)
@@ -639,11 +654,9 @@ def hermite_psi_table(n_max: int, x) -> np.ndarray:
         raise OrderTooLarge("oscillator wavefunction order limited to 2000")
     xs = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + xs.shape)
-    out[0] = _PI_QUARTER * np.exp(-0.5 * xs**2)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * xs * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * xs * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
+    out[0], before = _PI_QUARTER * np.exp(-0.5 * xs**2), 0.0  # psi_0 and the zero seed psi_(-1)
+    for n in range(n_max):
+        out[n + 1], before = np.sqrt(2.0 / (n + 1)) * xs * out[n] - np.sqrt(n / (n + 1)) * before, out[n]
     return out
 
 

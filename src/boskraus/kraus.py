@@ -48,17 +48,17 @@ its operators come from that kernel at the nodes asked for.
 JSON-loaded families), whose rows are its operators, and reads it under rules
 its constructor picks from how the stack was built.
 
-All coefficient evaluation is done in log space (gammaln), never through
-factorial ratios.
+All coefficient evaluation is done in log space (gammaln, and ``xlogy``, whose
+``0 log 0 = 0`` makes A1 = C1(0), C1(1) and C2(1) points of the same formulas).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 from .channels import ChannelSpec, _log_binom_sqrt, closed_form_action  # noqa: F401 (re-exported)
 from .errors import (
@@ -79,6 +79,7 @@ from .fock import (
     _fock_or_any,
     _frobenius,
     _gauss_hermite,
+    _is_count,
     _ket_sum,
     _node_count,
     _times_exp_square,
@@ -389,7 +390,7 @@ class BandedFamily(KrausFamily):
         pair of :attr:`output_table` weights per source ``s`` and output ``t``: C1 and C2 keep
         the offset (``T[s, t] * T[s + k, t + k]`` takes ``M[s, s + k]`` to ``(t, t + k)``), D
         flips it (``T[s + k, t] * T[s, t + k]`` takes it to ``(t + k, t)``); at ``k = 0`` the
-        pair is the cached ``T * T`` that :meth:`populations` reads.  Each output entry sums the
+        pair is ``T * T``, the weights :meth:`populations` reads.  Each output entry sums the
         terms of one dense block update per ``l`` in its order, by increasing source
         (:func:`_offset_step`); the zero terms of pairs no operator joins change no bit, and the
         real and imaginary parts round like the complex product of a real coefficient.
@@ -399,26 +400,17 @@ class BandedFamily(KrausFamily):
         out = np.zeros((dim, dim), dtype=np.complex128)
         for k in range(bandwidth(mat) + 1):
             size = dim - k
-            if k == 0:
-                pair = self._square_weights
-            else:
-                pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
+            pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
             _diagonal_parts(out, k, swap=flip)[...] += _offset_step(pair, _diagonal_parts(mat, k))
         return out
 
-    @property
-    def _square_weights(self) -> np.ndarray:
-        """``W = T * T`` (:attr:`output_table`), the weight with which level ``s`` feeds level ``t``:
-        built on first read and cached."""
-        if self._weights is None:
-            table = self.output_table
-            self._weights = table * table
-        return self._weights
-
     def populations(self, p: np.ndarray) -> np.ndarray:
         """``p'_t = sum_s W[s, t] p_s``: the diagonal of :meth:`act` of ``diag(p)`` for real level
-        populations ``p``, the offset-0 step of :meth:`act` on the vector alone."""
-        return _offset_step(self._square_weights, p)
+        populations ``p``, the offset-0 step of :meth:`act` on the vector alone.  ``W = T * T``
+        (:attr:`output_table`), the weight with which level ``s`` feeds level ``t``, is cached."""
+        if self._weights is None:
+            self._weights = self.output_table * self.output_table
+        return _offset_step(self._weights, p)
 
     def defect(self, block: int | None) -> float:
         return _table_defect(self.coeffs, self.band, block)
@@ -518,7 +510,7 @@ class RankOneFamily(KrausFamily):
         w = self.bra_rows.conj() * (np.abs(self.scales) * np.linalg.norm(self.kets, axis=1))[:, None]
         mags = np.sort(np.abs(w), axis=1)
         scale = max(float(np.max(mags[:, -1])) ** 2, 1e-300)
-        if self.dim == 1 or np.max(mags[:, -1] * mags[:, -2]) < tol * scale:
+        if np.max(mags[:, -1] * mags[:, -2]) < tol * scale:
             return _fock_or_any(np.abs(w) ** 2, tol * scale)
         v = hermite_psi_table(self.dim - 1, np.real(self.index.nodes)).T
         along = v * (np.sum(v * w, axis=1) / np.maximum(np.sum(v * v, axis=1), 1e-300))[:, None]
@@ -597,21 +589,18 @@ def _require(ok: bool, message: str) -> None:
         raise InvalidParameter(message)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _band_table(spec: ChannelSpec, ell_max: int, n_cut: int) -> tuple[np.ndarray, str]:
-    """Coefficient table ``(ell_max + 1, n_cut)`` and band orientation of a
-    quantum-limited single-band family; the identity has one row."""
+    """Coefficient table ``(ell_max + 1, n_cut)`` and band orientation of a quantum-limited single-band
+    family; the identity has one row.  C1 (A1 at kappa = 0) and C2 take one expression over their whole
+    gain range: ``xlogy`` gives ``0 log 0 = 0``, and the ``exp`` of its ``-inf`` gives 0."""
     fam = spec.family
     if fam == "I":
         return np.ones((1, n_cut)), "upper"
     kappa = 0.0 if fam == "A1" else spec.kappa
     ell = np.arange(ell_max + 1)[:, None]
     m = np.arange(n_cut)[None, :]
-    coeffs = np.zeros((ell_max + 1, n_cut))
     if fam == "D":
+        coeffs = np.zeros((ell_max + 1, n_cut))
         ell, n = np.broadcast_arrays(ell, m)
         in_band = n <= ell
         ell, n = ell[in_band], n[in_band]
@@ -621,22 +610,10 @@ def _band_table(spec: ChannelSpec, ell_max: int, n_cut: int) -> tuple[np.ndarray
             - 0.5 * (ell - n) * math.log1p(kappa**-2)
         )
         return coeffs, "anti"
-    orientation = "lower" if fam == "C2" else "upper"
-    if kappa == 1.0:  # identity channel
-        coeffs[0] = 1.0
-    elif kappa == 0.0:  # A1 end: B_l = |0><l|
-        coeffs[:, 0] = 1.0
-    elif fam == "C2":
-        coeffs[:] = np.exp(
-            -math.log(kappa)
-            + _log_binom_sqrt(m + ell, ell)
-            + 0.5 * ell * math.log(1.0 - kappa**-2)
-            - m * math.log(kappa)
-        )
-    else:
-        coeffs[:] = np.exp(_log_binom_sqrt(m + ell, ell) + 0.5 * ell * math.log(1.0 - kappa**2)
-                           + m * math.log(kappa))
-    return coeffs, orientation
+    if fam == "C2":
+        return np.exp(-math.log(kappa) + _log_binom_sqrt(m + ell, ell) + xlogy(0.5 * ell, 1.0 - kappa**-2)
+                      - m * math.log(kappa)), "lower"
+    return np.exp(_log_binom_sqrt(m + ell, ell) + xlogy(0.5 * ell, 1.0 - kappa**2) + xlogy(m, kappa)), "upper"
 
 
 def _check_stack_bytes(n_ops: int, dim: int) -> None:
@@ -749,11 +726,13 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
     The per-level weights of ``sum_l (W_l^dag W_l)[n, n]`` decay
     geometrically in l; the worst protected level is ``n_protect - 1``.
     Raises ``DefectTooLarge`` when the tail is still above ``tol`` at
-    ``SUGGEST_ELL_CAP``; ``InvalidParameter`` unless ``n_protect`` is an integer of at least 1.
+    ``SUGGEST_ELL_CAP``; ``InvalidParameter`` unless ``n_protect`` is an integer of at least 1
+    and ``tol`` is positive.
     """
     _require(_is_count(n_protect) and n_protect > 0, f"n_protect must be an integer of at least 1, got {n_protect!r}")
+    _require(tol > 0, f"tol must be positive, got {tol!r}")
     fam = spec.family
-    if fam in ("I", "A1") or (fam == "C1"):
+    if fam in ("I", "A1", "C1"):
         return n_protect - 1 if fam != "I" else 0
     n = n_protect - 1
     # level n's weight at ell = first + j is negative binomial in j: C(n + j, j) term_0 ratio^j
@@ -761,8 +740,6 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
         ratio = 1.0 / (1.0 + spec.kappa**-2)
         term, first = math.exp(-(n + 1) * math.log1p(spec.kappa**2)), n  # (1+k^2)^(-1-n)
     elif fam == "C2":
-        if spec.kappa == 1.0:
-            return 0
         ratio = 1.0 - spec.kappa**-2
         term, first = spec.kappa ** (-2.0 * (n + 1)), 0
     else:
@@ -788,7 +765,8 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
     square operators are the truncation to ``n_cut`` levels.  The recorded
     defect is the index-sum deficit on the protected domain block,
     measured before the range cutoff is imposed.  ``InvalidParameter``
-    unless ``ell_max >= 0`` and ``n_cut >= 2`` are integers.
+    unless ``ell_max >= 0`` and ``n_cut >= 2`` are integers and
+    ``defect_limit >= 0``.
     """
     if not spec.quantum_limited:
         raise UnsupportedFamily(f"{spec}: noisy; use compose/synthesize")
@@ -799,6 +777,7 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
              f"ell_max and n_cut must be integers, n_cut at least 2, got {ell_max!r}, {n_cut!r}")
     if ell_max < 0:
         raise InvalidParameter(f"ell_max must be nonnegative, got {ell_max}")
+    _require(defect_limit >= 0, f"defect_limit must be nonnegative, got {defect_limit!r}")
     coeffs, band = _band_table(spec, ell_max, n_cut)
     defect = _table_defect(coeffs, band)
     if defect > defect_limit:
@@ -967,10 +946,11 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
     resolution ``rho' = pi^-1 integral T' rho T'^dag d^2 alpha``.  With
     ``probe_check``, a grid that misses the channel output on a thermal probe
     raises ``GridTooCoarse``, and then one whose completeness defect passes
-    ``DEFECT_HARD_LIMIT`` raises ``DefectTooLarge``.
+    ``DEFECT_HARD_LIMIT`` raises ``DefectTooLarge``; ``InvalidParameter`` unless ``n_cut >= 2`` is an integer.
     """
     if kappa <= 0:
         raise InvalidParameter("kappa must be positive")
+    _require(_is_count(n_cut) and n_cut >= 2, f"n_cut must be an integer of at least 2, got {n_cut!r}")
     alphas = np.asarray(alphas, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     if alphas.shape != weights.shape:

@@ -720,6 +720,17 @@ class TestProductFamilies:
         with pytest.raises(ValueError, match="composition table"):
             product_family(inner, inner, 3)
 
+    @pytest.mark.parametrize("k", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_product_block_index_must_be_a_nonnegative_integer(self, k):
+        c1 = build_discrete(ChannelSpec("C1", 0.7), 4, 16, defect_limit=2.0)
+        with pytest.raises(InvalidParameter, match="k must be"):
+            product_family(c1, c1, k)
+
+    @pytest.mark.parametrize("k", [1.5, True], ids=["float", "bool"])
+    def test_gram_block_index_must_be_an_integer(self, k):
+        with pytest.raises(InvalidParameter, match="k must be an integer"):
+            gram_rank(build_discrete(ChannelSpec("C1", 0.7), 4, 16, defect_limit=2.0), k)
+
     def test_amplified_attenuator_independent(self):
         c2 = build_discrete(ChannelSpec("C2", 1.4), 8, 64, defect_limit=2.0)
         c1 = build_discrete(ChannelSpec("C1", 0.7), 8, 64, defect_limit=2.0)

@@ -447,7 +447,7 @@ def test_output_table_is_built_once_on_first_apply():
     assert table.shape == (32, 32)  # one square for the D band, whatever ell_max is
     assert np.array_equal(weights, table * table)
     apply(fam, thermal_state(3.0, 32))
-    apply_matrix(fam, random_mixed_state(1, 3, 32).mat)  # the offset-0 step of act reads the same weights
+    apply_matrix(fam, random_mixed_state(1, 3, 32).mat)  # act leaves the cached tables as they are
     assert fam._output_table is table and fam._weights is weights
     assert fam._ops is None
 

@@ -158,6 +158,14 @@ class TestStackAgainstOnePoint:
         for d, xi in zip(stack_of(np.array(complexes), n_cut), complexes):
             assert close_to(d, reference_table_displacement_op(xi, n_cut).mat)
 
+    @pytest.mark.parametrize("n_cut", [2, 3])
+    def test_first_laguerre_step_is_the_general_step(self, n_cut):
+        # the kernel starts the recurrence from L_(-1) = 0; the reference writes L_1 = 1 + delta - x
+        for x in (0.25, -0.7, 1.3, -2.9, 3.0, 10.0):
+            want = reference_table_displacement_op(x, n_cut).mat.tobytes()
+            assert displacement_op(x, n_cut).mat.tobytes() == want
+            assert stack_of(np.array([x]), n_cut)[0].astype(complex).tobytes() == want
+
     @pytest.mark.parametrize("xi", [0, 0.0, -0.0, 3, 1.5, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), 2j])
     def test_one_point_signed_zeros(self, xi):
         # D(0) is compared by value: the signs of its zeros are not kept

@@ -156,6 +156,18 @@ class TestStates:
         with pytest.raises(InvalidParameter):
             thermal_state(0.5, 32)
 
+    @pytest.mark.parametrize("make", [
+        lambda: thermal_state(2.0, 5.5),  # would be 6 levels with the tail x^5.5 of none
+        lambda: phase_averaged_state(1.0, 6.5),
+        lambda: coherent_state(0.5, 8.5),
+        lambda: random_mixed_state(0, 2.0, 6),
+        lambda: fock_state(1.5, 8),
+        lambda: fock_state(True, 8),
+    ], ids=["thermal-cutoff", "phase-averaged-cutoff", "coherent-cutoff", "mixed-rank", "fock-level", "fock-bool"])
+    def test_counts_must_be_integers(self, make):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            make()
+
     def test_dispatcher(self):
         assert np.array_equal(state_new("fock", 8, n=2).mat, fock_state(2, 8).mat)
         with pytest.raises(InvalidParameter):

@@ -197,6 +197,17 @@ class TestCompleteness:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3])
+    def test_suggest_ell_max_needs_a_positive_tolerance(self, tol):
+        # nan ignored the tolerance; a tolerance <= 0 ran the loop to the cap
+        with pytest.raises(InvalidParameter, match="tol must be positive"):
+            suggest_ell_max(ChannelSpec("D", 0.8), 16, tol)
+
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0])
+    def test_defect_limit_must_be_nonnegative(self, limit):
+        with pytest.raises(InvalidParameter, match="defect_limit"):
+            build_discrete(ChannelSpec("D", 0.8), 3, 32, defect_limit=limit)
+
     def test_suggest_ell_max_raises_when_tail_not_converged(self):
         # D(1e3) keeps almost all weight beyond any cut below the 100000 cap
         with pytest.raises(DefectTooLarge, match="completeness tail"):
