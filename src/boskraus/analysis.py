@@ -26,7 +26,6 @@ from .fock import (
     DensityMatrix,
     _check_counts,
     _check_populations,
-    _displacement_chunks,
     _is_count,
     _ket_sum,
     _population_distance,
@@ -370,4 +369,4 @@ def simultaneous_diagonality(family: KrausFamily) -> tuple[bool, str]:
     decides (:meth:`KrausFamily.diagonal_basis`); a B1 family re-evaluates
     its displacements with the stack kernel :func:`fock._displacement_chunks`.
     """
-    return family.diagonal_basis(_displacement_chunks, DIAGONALITY_TOL)
+    return family.diagonal_basis(DIAGONALITY_TOL)

@@ -94,16 +94,19 @@ def cmd_compose(args) -> int:
     outer = parse_channel(args.outer)
     inner = parse_channel(args.inner)
     try:
-        if args.lam != 1.0 or args.theta != 0.0:
-            composite = phasespace.table2_compose(outer, inner, args.lam, args.theta)
-        else:
-            composite = phasespace.table1_compose(outer, inner)
+        composite = phasespace.table2_compose(outer, inner, args.lam, args.theta)
     except UnsupportedPair as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     payload = {"composite": composite.to_json_dict()}
     if args.verify:
-        xy = phasespace.compose_xy(phasespace.canonical_xy(inner), phasespace.canonical_xy(outer))
+        # the mismatch between the pair: squeeze(lam), or for an A2 outer squeeze(sqrt(lam)) R(theta)^T
+        g = phasespace.squeeze(args.lam).s
+        if outer.family == "A2":
+            g = phasespace.squeeze(np.sqrt(args.lam)).s @ phasespace.rotation(args.theta).s.T
+        mismatch = phasespace.XYPair(g, np.zeros((2, 2)))
+        xy = phasespace.compose_xy(phasespace.compose_xy(phasespace.canonical_xy(inner), mismatch),
+                                   phasespace.canonical_xy(outer))
         direct = phasespace.classify(xy)
         payload["verify"] = {
             "classified": direct.to_json_dict(),

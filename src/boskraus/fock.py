@@ -163,6 +163,13 @@ def _check_counts(**counts) -> None:
             raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 
+def _check_cutoff(n_cut) -> None:
+    """``InvalidParameter`` unless the cutoff ``n_cut`` is an integer of at least 0."""
+    _check_counts(n_cut=n_cut)
+    if n_cut < 0:
+        raise InvalidParameter(f"n_cut must be nonnegative, got {n_cut}")
+
+
 def _check_square(shape: tuple, entries: np.ndarray) -> None:
     """Raise ``InvalidParameter`` unless ``shape`` is square with at least 2 levels and ``entries``
     (the matrix, or the only entries that can be nonzero) are finite."""
@@ -349,7 +356,7 @@ def _poisson_tail(lam: float, n_cut: int) -> float:
 
 def coherent_state(alpha: complex, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityMatrix:
     """Coherent state ``|alpha><alpha|`` with exact Poissonian tail mass."""
-    _check_counts(n_cut=n_cut)
+    _check_cutoff(n_cut)
     tail = _poisson_tail(abs(alpha) ** 2, n_cut)
     _check_tail(tail, tail_tol, f"coherent({alpha})")
     v = coherent_amplitudes(alpha, n_cut)
@@ -362,7 +369,7 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     Diagonal ``(1 - x) x^n`` with ``x = (a0 - 1) / (a0 + 1)``; the mass
     beyond the cutoff is exactly ``x^n_cut``.
     """
-    _check_counts(n_cut=n_cut)
+    _check_cutoff(n_cut)
     if a0 < 1.0:
         raise InvalidParameter(f"thermal parameter must satisfy a0 >= 1, got {a0}")
     x = (a0 - 1.0) / (a0 + 1.0)
@@ -375,7 +382,7 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
 def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
     """Phase-averaged coherent state: Poissonian diagonal ``e^-lam lam^n / n!``,
     with a tail mass of at most ``DEFAULT_TAIL_TOL``."""
-    _check_counts(n_cut=n_cut)
+    _check_cutoff(n_cut)
     if lam < 0:
         raise InvalidParameter("Poisson parameter must be nonnegative")
     tail = _poisson_tail(lam, n_cut)
@@ -541,18 +548,18 @@ def _frobenius(ops: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
 
 
-def _displaced_basis(points: np.ndarray, scales: np.ndarray, dim: int, chunks, tol: float,
+def _displaced_basis(points: np.ndarray, scales: np.ndarray, dim: int, tol: float,
                      relative: bool = False) -> tuple[bool, str]:
-    """The verdict of :meth:`kraus.KrausFamily.diagonal_basis` for operators ``D(points[p])`` re-evaluated by
-    ``chunks`` with ``n_ext > dim`` rows, one chunk at a time: their first ``dim`` columns, scaled to the
-    Frobenius norm ``scales[p]`` (times that of the square ``D(points[p])`` when ``relative``), give the
-    products.  A displacement's product is near a multiple of the identity on ``dim >= 2`` levels, never a
-    rank-one position projector, so the tag is ``fock`` or ``any`` when every product is diagonal, and
-    ``none`` otherwise."""
+    """The verdict of :meth:`kraus.KrausFamily.diagonal_basis` for operators ``D(points[p])`` re-evaluated
+    by :func:`_displacement_chunks` with ``n_ext > dim`` rows, one chunk at a time: their first ``dim``
+    columns, scaled to the Frobenius norm ``scales[p]`` (times that of the square ``D(points[p])`` when
+    ``relative``), give the products.  A displacement's product is near a multiple of the identity on
+    ``dim >= 2`` levels, never a rank-one position projector, so the tag is ``fock`` or ``any`` when every
+    product is diagonal, and ``none`` otherwise."""
     n_ext = int(np.ceil(1.2 * (float(np.max(np.abs(points))) + np.sqrt(dim)) ** 2)) + 8
     top, off, diags = 1e-300, 0.0, []
     level = np.arange(dim)
-    for part, stack in chunks(points, n_ext):
+    for part, stack in _displacement_chunks(points, n_ext):
         cols = stack[:, :, :dim]
         target = scales[part] * (_frobenius(stack[:, :dim, :dim]) if relative else 1.0)
         cols = cols * (target / np.maximum(_frobenius(cols), 1e-300))[:, None, None]
@@ -643,13 +650,14 @@ def hermite_psi(n: int, x):
     The Gaussian weight here is exp(-x^2/2); the squared weight that
     sometimes appears in print is not normalizable against H_n.
     """
-    if n < 0:
-        raise InvalidParameter("order must be nonnegative")
     return hermite_psi_table(n, x)[n]
 
 
 def hermite_psi_table(n_max: int, x) -> np.ndarray:
     """All ``psi_n(x)`` for ``n = 0..n_max``; shape ``(n_max+1,) + shape(x)``."""
+    _check_counts(order=n_max)
+    if n_max < 0:
+        raise InvalidParameter("order must be nonnegative")
     if n_max > 2000:
         raise OrderTooLarge("oscillator wavefunction order limited to 2000")
     xs = np.asarray(x, dtype=float)

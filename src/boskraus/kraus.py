@@ -224,13 +224,13 @@ class KrausFamily:
         top = np.concatenate([prods[:, -8:].reshape(len(prods), -1), prods[:, :-8, -8:].reshape(len(prods), -1)], axis=1)
         return gram, float(np.max(np.abs(top.conj() @ top.T)))
 
-    def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
+    def diagonal_basis(self, tol: float) -> tuple[bool, str]:
         """The verdict of ``analysis.simultaneous_diagonality``, each test to ``tol`` of the largest
         ``|W_l^dag W_l|`` entry.  A B1 stack is re-evaluated with extra rows by the displacement
-        kernel ``chunks``, so that the unitary factor's product closes (:func:`_displaced_basis`)."""
+        kernel, so that the unitary factor's product closes (:func:`_displaced_basis`)."""
         ops = self.ops
         if self._taller:
-            return _displaced_basis(np.real(self.index.nodes) / np.sqrt(2.0), _frobenius(ops), self.dim, chunks, tol)
+            return _displaced_basis(np.real(self.index.nodes) / np.sqrt(2.0), _frobenius(ops), self.dim, tol)
         prods = np.swapaxes(ops.conj(), 1, 2) @ ops
         mags = np.abs(prods)
         scale = max(float(np.max(mags)), 1e-300)
@@ -451,7 +451,7 @@ class BandedFamily(KrausFamily):
             border = max(border, float(np.max(np.abs(top.conj() @ top.T), initial=0.0)))
         return gram, border
 
-    def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
+    def diagonal_basis(self, tol: float) -> tuple[bool, str]:
         """Every ``W_l^dag W_l`` is diagonal; its diagonal is read off the squared table."""
         diags = _band_gram_diagonals(self.coeffs, self.band)
         return _fock_or_any(diags, tol * max(float(np.max(diags)), 1e-300))
@@ -500,7 +500,7 @@ class RankOneFamily(KrausFamily):
         rows = self.bra_rows
         return _ket_sum(self.kets, np.einsum("pi,pi->p", rows @ mat, rows.conj()) * self.scales**2)
 
-    def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
+    def diagonal_basis(self, tol: float) -> tuple[bool, str]:
         """``W_p^dag W_p = |w_p><w_p|`` with ``w_p = |s_p| |k_p| conj(r_p)``: its largest entry is the
         largest ``|w_p|^2``, its largest off-diagonal one the product of the two largest ``|w_p|`` entries
         and its diagonal ``|w_p|^2``.  It is a multiple of the projector onto the position wavefunction
@@ -578,10 +578,10 @@ class DisplacementFamily(KrausFamily):
         out = out[:len(parts)] + out[len(parts):] * sign * sign[:, None]
         return out[0] + 1j * out[1] if len(out) > 1 else out[0].astype(np.complex128)
 
-    def diagonal_basis(self, chunks, tol: float) -> tuple[bool, str]:
+    def diagonal_basis(self, tol: float) -> tuple[bool, str]:
         """:func:`_displaced_basis` over the nonnegative nodes: the product of a mirror operator is
         ``S`` times that of its twin times ``S``, with the same diagonal and entry magnitudes."""
-        return _displaced_basis(self.points, self.point_scales, self.dim, chunks, tol, relative=True)
+        return _displaced_basis(self.points, self.point_scales, self.dim, tol, relative=True)
 
 
 def _require(ok: bool, message: str) -> None:

@@ -323,32 +323,26 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     ``lam`` is the singular value of the intervening symplectic for the
     nonsingular rows; for the rows whose second factor is A2 it is the
     eigenvalue of its Gram square, whose rotated (1,1) element
-    ``lam cos^2(theta) + lam^-1 sin^2(theta)`` is what the singular
-    projector picks out.  ``lam = 1`` reduces every row to the canonical
-    table.
+    ``p11 = lam cos^2(theta) + lam^-1 sin^2(theta)`` is what the singular
+    projector picks out.  The family, gain and ``lam = 1`` noise are
+    :func:`table1_compose`'s; the mismatch adds its change of ``sqrt(det Y)``,
+    which is 0 at ``lam = 1``: there every ``theta`` gives Table 1 exactly.
     """
     if not (0.0 < lam < np.inf and np.isfinite(theta)):
         raise InvalidParameter(f"lambda must be positive and finite and theta finite, got {lam}, {theta}")
+    base = table1_compose(spec2, spec1)
     s2, s1 = _table_pair(spec2, spec1)
-    f1, f2 = s1.family, s2.family
     y1 = s1.quantum_limited_noise()
-    if f2 == "A2":
-        p11 = lam * np.cos(theta) ** 2 + np.sin(theta) ** 2 / lam
-        sqrt_det_y = float(np.sqrt(1.0 + y1 * p11))
+    if s2.family == "A2":  # s = p11 - 1, in a form that is exactly 0 at lam = 1
+        s = (lam - 1.0) * np.cos(theta) ** 2 + (1.0 / lam - 1.0) * np.sin(theta) ** 2
+        excess = np.sqrt(1.0 + y1 + y1 * s) - np.sqrt(1.0 + y1)  # negative when p11 < 1
     else:
         c, d = s2.kappa**2 * y1, s2.quantum_limited_noise()
-        sqrt_det_y = float(np.sqrt((c + d) ** 2 + c * d * (lam - 1.0 / lam) ** 2))
-    if "A2" in (f1, f2):  # the projector survives unless the other factor is the erasure
-        other = s1 if f2 == "A2" else s2
-        bare = ChannelSpec("A1" if other.family == "C1" and other.kappa <= CLASSIFY_TOL else "A2")
-    else:
-        k = s1.kappa * s2.kappa
-        if (f1 == "D") != (f2 == "D"):  # one conjugator: the composite conjugates, or erases at vanishing gain
-            bare = _conjugator_or_erasure(k, 0.0)
-        else:
-            bare = ChannelSpec("C1" if k <= 1.0 else "C2", k)
-    noise = max(sqrt_det_y - bare.quantum_limited_noise(), 0.0)
-    return ChannelSpec(bare.family, bare.kappa, noise).normalized(CLASSIFY_TOL)
+        excess = np.sqrt((c + d) ** 2 + c * d * (lam - 1.0 / lam) ** 2) - (c + d)
+    if excess == 0.0:
+        return base
+    fam = "B2" if base.family == "I" else base.family
+    return ChannelSpec(fam, base.kappa, max(base.noise_a + excess, 0.0)).normalized(CLASSIFY_TOL)
 
 
 def synthesize_noisy(target: ChannelSpec) -> tuple[ChannelSpec, ChannelSpec]:
@@ -357,19 +351,18 @@ def synthesize_noisy(target: ChannelSpec) -> tuple[ChannelSpec, ChannelSpec]:
     The attenuator route realizes C1(kappa; a), A1(a) and B2(a) as
     ``C2(k2) after C1(kappa / k2)`` with ``k2 = sqrt(1 + a/2)``; the
     amplifier route uses ``k2 = sqrt(kappa^2 + a/2)``; the noisy
-    conjugator defaults to ``C2(sqrt(1 + a/2)) after D``.  Single
-    quadrature noise (B1) admits no such pair.
+    conjugator defaults to ``C2(sqrt(1 + a/2)) after D``.  A quantum-limited
+    target passes through as ``(target, I)``.  Single quadrature noise (B1)
+    admits no such pair, and a noisy A2 none made of table rows.
     """
-    if target.family == "B1" and target.noise_a > 0:
-        raise UnsupportedFamily("single-quadrature noise is not a composite of quantum-limited pairs")
-    if target.family in ("A2",):
-        raise UnsupportedFamily("noisy A2 needs a continuous-index factor; not provided here")
-    if target.family not in ("C1", "C2", "D", "A1", "B2", "B1", "I"):
-        raise UnsupportedFamily(f"unknown family {target.family}")
     a = target.noise_a
     if a == 0.0:
         return target, ChannelSpec("I")
-    if target.family in ("C1", "A1", "B2", "B1", "I"):
+    if target.family == "B1":
+        raise UnsupportedFamily("single-quadrature noise is not a composite of quantum-limited pairs")
+    if target.family == "A2":
+        raise UnsupportedFamily("noisy A2 needs a continuous-index factor; not provided here")
+    if target.family in ("C1", "A1", "B2", "I"):
         kappa = target.kappa if target.family == "C1" else (0.0 if target.family == "A1" else 1.0)
         k2 = float(np.sqrt(1.0 + 0.5 * a))
         return ChannelSpec("C1", kappa / k2), ChannelSpec("C2", k2)

@@ -132,6 +132,18 @@ class TestComposeCommand:
         assert payload["verify"]["family_match"] is True
         assert payload["verify"]["kappa_delta"] < 1e-9
 
+    @pytest.mark.parametrize("lam,theta", [("2", "0"), ("0.5", "0"), ("1.5", "0.4"), ("3", "0.785")])
+    def test_verify_applies_the_mismatch(self, capsys, lam, theta):
+        # --verify classifies the pair with the same intervening symplectic the composite carries
+        from test_phasespace import A2_SECOND_CASES, TABLE2_CASES
+
+        for s2, s1 in TABLE2_CASES + A2_SECOND_CASES:
+            args = [s.family if s.kappa is None else f"{s.family}:{s.kappa!r}" for s in (s2, s1)]
+            code, out, err = run(capsys, "compose", *args, "--lambda", lam, "--theta", theta, "--verify")
+            check = json.loads(out.split("\n", 1)[1])["verify"]
+            assert code == 0 and check["family_match"] is True, args
+            assert check["kappa_delta"] <= 1e-9 and check["a_delta"] <= 1e-9, (args, check)
+
     def test_lambda_one_is_canonical(self, capsys):
         code, out, err = run(capsys, "compose", "C1:0.8", "C1:0.9", "--lambda", "1")
         assert out.splitlines()[0] == "C1(0.72; 0)"

@@ -262,7 +262,7 @@ class TestReadersAgainstOnePoint:
     def test_simultaneous_diagonality_tag(self, a, nodes, n_cut, monkeypatch):
         fam = build_continuous(ChannelSpec("B1", noise_a=a), nodes, n_cut)
         got = simultaneous_diagonality(fam)
-        monkeypatch.setattr(analysis, "_displacement_chunks", lambda xi, n_cut: (
+        monkeypatch.setattr(fock, "_displacement_chunks", lambda xi, n_cut: (
             (slice(i, i + 1), reference_table_displacement_op(x, n_cut).mat[None])
             for i, x in enumerate(xi)))
         assert got == simultaneous_diagonality(fam) == (True, "any")

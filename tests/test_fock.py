@@ -168,6 +168,16 @@ class TestStates:
         with pytest.raises(InvalidParameter, match="must be an integer"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: thermal_state(1.0, -3),  # 0.0 ** -3 divides by zero
+        lambda: thermal_state(2.0, -3),  # the tail x^-3 reads as a mass of 27
+        lambda: coherent_state(0.5, -3),
+        lambda: phase_averaged_state(1.0, -3),
+    ], ids=["thermal-vacuum", "thermal", "coherent", "phase-averaged"])
+    def test_cutoff_must_be_nonnegative(self, make):
+        with pytest.raises(InvalidParameter, match="^n_cut must be nonnegative, got -3$"):
+            make()
+
     def test_dispatcher(self):
         assert np.array_equal(state_new("fock", 8, n=2).mat, fock_state(2, 8).mat)
         with pytest.raises(InvalidParameter):
@@ -466,6 +476,16 @@ class TestHermite:
     def test_order_guard(self):
         with pytest.raises(OrderTooLarge):
             hermite_psi(2001, 0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: fock.hermite_psi_table(-1, 0.3),
+        lambda: fock.hermite_psi_table(2.5, 0.3),
+        lambda: hermite_psi(1.5, 0.3),
+        lambda: hermite_psi(True, 0.3),  # a boolean index would pick the rows psi_0 and psi_1
+    ], ids=["table-negative", "table-fractional", "psi-fractional", "psi-bool"])
+    def test_order_must_be_a_nonnegative_integer(self, make):
+        with pytest.raises(InvalidParameter, match="^order must be"):
+            make()
 
 
 class TestTraceDistance:

@@ -361,6 +361,15 @@ class TestClosedFormAction:
         with pytest.raises(UnsupportedFamily):
             closed_form_action(ChannelSpec("A2"), 0, 0, 16)
 
+    @pytest.mark.parametrize("spec,m,n,n_cut", [
+        (ChannelSpec("C1", 0.5), 1.5, 1, 4),
+        (ChannelSpec("C1", 0.5), True, 1, 4),  # would run as m = 1
+        (ChannelSpec("D", 0.5), 1, 1, 4.5),
+    ], ids=["fractional-label", "bool-label", "fractional-cutoff"])
+    def test_labels_and_cutoff_must_be_integers(self, spec, m, n, n_cut):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            closed_form_action(spec, m, n, n_cut)
+
 
 class TestDuality:
     @pytest.mark.parametrize("k", [0.5, 0.8, 1.25, 2.0])

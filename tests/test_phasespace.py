@@ -18,12 +18,14 @@ from boskraus.errors import (
 from boskraus.fock import coherent_state, fock_state, thermal_state, trace_distance
 from boskraus.kraus import apply
 from boskraus.phasespace import (
+    CLASSIFY_TOL,
     OMEGA,
     SIGMA3,
     GaussianMoments,
     Symplectic2,
     XYPair,
     _min_eigenvalue,
+    _table_pair,
     canonical_xy,
     classify,
     compose_xy,
@@ -300,6 +302,31 @@ A2_SECOND_CASES = [
 ]
 
 
+def reference_table2(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: float) -> ChannelSpec:
+    """``table2_compose`` as it decided the family and gain itself, apart from ``table1_compose``,
+    and took the noise as the invariant ``sqrt(det Y)`` minus the composite's quantum limit."""
+    s2, s1 = _table_pair(spec2, spec1)
+    f1, f2 = s1.family, s2.family
+    y1 = s1.quantum_limited_noise()
+    if f2 == "A2":
+        p11 = lam * np.cos(theta) ** 2 + np.sin(theta) ** 2 / lam
+        sqrt_det_y = float(np.sqrt(1.0 + y1 * p11))
+    else:
+        c, d = s2.kappa**2 * y1, s2.quantum_limited_noise()
+        sqrt_det_y = float(np.sqrt((c + d) ** 2 + c * d * (lam - 1.0 / lam) ** 2))
+    if "A2" in (f1, f2):  # the projector survives unless the other factor is the erasure
+        other = s1 if f2 == "A2" else s2
+        bare = ChannelSpec("A1" if other.family == "C1" and other.kappa <= CLASSIFY_TOL else "A2")
+    else:
+        k = s1.kappa * s2.kappa
+        if (f1 == "D") != (f2 == "D"):  # one conjugator: the composite conjugates, or erases at vanishing gain
+            bare = ChannelSpec("A1") if k <= CLASSIFY_TOL else ChannelSpec("D", k)
+        else:
+            bare = ChannelSpec("C1" if k <= 1.0 else "C2", k)
+    noise = max(sqrt_det_y - bare.quantum_limited_noise(), 0.0)
+    return ChannelSpec(bare.family, bare.kappa, noise).normalized(CLASSIFY_TOL)
+
+
 class TestTable2:
     def test_last_row_example(self):
         got = table2_compose(ChannelSpec("A2"), ChannelSpec("A2"), 2.0, 0.0)
@@ -349,6 +376,23 @@ class TestTable2:
         assert t2.family == t1.family
         assert t2.kappa == t1.kappa
         assert t2.noise_a == pytest.approx(t1.noise_a, rel=1e-11, abs=1e-11)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair=st.tuples(TABLE_SPECS, TABLE_SPECS),
+           theta=st.floats(allow_nan=False, allow_infinity=False))
+    def test_unit_lambda_is_canonical_table_exactly(self, pair, theta):
+        # the mismatch noise vanishes exactly at lambda = 1, whatever theta
+        s2, s1 = pair
+        assert table2_compose(s2, s1, 1.0, theta) == table1_compose(s2, s1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair=st.tuples(TABLE_SPECS, TABLE_SPECS), lam=st.floats(0.1, 10.0).filter(lambda x: x != 1.0),
+           theta=st.floats(0.0, np.pi))
+    def test_mismatch_keeps_the_family_and_gain_of_the_reference(self, pair, lam, theta):
+        s2, s1 = pair
+        got, want = table2_compose(s2, s1, lam, theta), reference_table2(s2, s1, lam, theta)
+        assert (got.family, got.kappa) == (want.family, want.kappa)
+        assert abs(got.noise_a - want.noise_a) <= 1e-12
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_zero_gain_boundaries(self, lam):
@@ -408,6 +452,16 @@ class TestSynthesize:
         if target.kappa is not None:
             assert got.kappa == pytest.approx(target.kappa, abs=1e-12)
         assert got.noise_a == pytest.approx(target.noise_a, abs=1e-12)
+
+    def test_projector_passes_through_and_composes_back(self):
+        # like every other quantum-limited target
+        inner, outer = synthesize_noisy(ChannelSpec("A2"))
+        assert (inner, outer) == (ChannelSpec("A2"), ChannelSpec("I"))
+        assert table1_compose(outer, inner) == ChannelSpec("A2")
+
+    def test_noisy_projector_refused(self):
+        with pytest.raises(UnsupportedFamily, match="continuous-index"):
+            synthesize_noisy(ChannelSpec("A2", noise_a=0.5))
 
     def test_single_quadrature_refused(self):
         with pytest.raises(UnsupportedFamily):

@@ -39,6 +39,12 @@ INVOCATIONS = [
     ["experiment", "zeno"],
     *(["kraus", channel] for channel in ("C1:0.7", "D:0.8", "C2:1.3", "A1", "I", "C1:1.0", "C2:1.0", "C1:0.0",
                                          "A2", "B1:0.5", "B1")),
+    ["compose", "C2:1.5", "C1:0.4", "--verify"],
+    ["compose", "A2", "D:0.9", "--verify"],
+    ["compose", "C1:0.7", "A2"],
+    ["compose", "I", "D:0.8"],
+    ["compose", "C1:0.8", "C1:0.6", "--lambda", "2", "--verify"],
+    ["compose", "A2", "A2", "--lambda", "2", "--theta", "0.4", "--verify"],
 ]
 
 
