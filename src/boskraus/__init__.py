@@ -72,7 +72,6 @@ from .scheme import (
     kraus_from_scheme,
     matrix_element,
     mix_matrix,
-    position_kraus,
 )
 
 __version__ = "0.1.0"

@@ -40,11 +40,11 @@ from .fock import (
 from .kraus import (
     DiscreteIndex,
     KrausFamily,
+    _check_stack_bytes,
     _population_step,
     apply,
     build_continuous,
     build_discrete,
-    completeness_defect,
     suggest_ell_max,
 )
 from .phasespace import canonical_xy, table1_compose
@@ -266,7 +266,8 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
     Applying it agrees with applying ``inner`` then ``outer``; its spec is
     the composition-table entry for the pair.  Only the first ``k + 1``
     operators of each factor are built; a banded factor keeps its stack
-    unbuilt.
+    unbuilt.  A product stack above ``MAX_DENSE_BYTES`` raises
+    ``AllocationTooLarge`` before anything is built.
     """
     if outer.dim != inner.dim:
         raise DimMismatch(f"dims differ: {outer.dim} vs {inner.dim}")
@@ -275,6 +276,7 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
     count = _block_count(k)
     if count > len(outer) or count > len(inner):
         raise InvalidParameter("not enough operators for the requested block")
+    _check_stack_bytes(count * count, outer.dim)  # the products
     ops = outer.operators(count)[:, None] @ inner.operators(count)[None]
     ops = ops.reshape(count * count, outer.dim, outer.dim)
     spec = None
@@ -283,7 +285,7 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
             spec = table1_compose(outer.spec, inner.spec)
         except UnsupportedPair:
             spec = None
-    return KrausFamily(spec, ops, DiscreteIndex(count * count - 1), completeness_defect(ops), origin="product")
+    return KrausFamily(spec, ops, DiscreteIndex(count * count - 1), origin="product")
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,6 @@ class NotPositiveDefinite(BoskrausError):
     """A Gaussian integration quadratic form is not positive definite."""
 
 
-class UnsupportedShape(BoskrausError):
-    """A position-mixing matrix has a shape outside the supported cases."""
-
-
 class NotCompletelyPositive(BoskrausError):
     """An (X, Y) pair violates the complete-positivity inequality."""
 

@@ -22,7 +22,8 @@ quadrature weight absorbed into each operator so that ``sum_i W_i^dag W_i``
 approximates the completeness integral.
 
 A family is stored in one of four kinds, fixed by its class when it is built;
-readers call its methods (see :class:`KrausFamily`) and never test the storage.
+readers call its methods (see :class:`KrausFamily`) and never test the storage,
+and each kind answers its own completeness defect.
 Each kind makes operators in one place, ``_operators_at(labels)``, and
 :class:`KrausFamily` alone derives from it ``ops`` (the whole stack, cached) and
 ``operators(count)`` (the first ``count``, built alone), both after checking the
@@ -33,20 +34,24 @@ chunk of labels at a time.  No reader but ``ops`` builds the whole stack.
 which :func:`_placement` alone turns into positions: ``"anti"`` (D) puts
 ``c[l, n]`` at ``(l - n, n)``, ``"upper"`` (C1, A1, I) ``c[l, m]`` at
 ``(m, m + l)``, ``"lower"`` (C2) at ``(m + l, m)``; its readers read the table,
-and its operators are table rows scattered into the square.
+and its operators are table rows scattered into the square.  Every
+``W_l^dag W_l`` is diagonal, so its defect is read off the squared table.
+Zero-noise ``B1`` is the identity's one-row table on the one node ``q = 0``.
 :class:`RankOneFamily` holds the entanglement-breaking families whose operators
 are rank one, ``W_p = s_p |k_p><conj(r_p)|`` (``A2``: the coherent ket of
 ``q_p / sqrt(2)`` and the position bra at ``q_p``; :func:`rank_one_d`), as the
 kets, the bra rows and the scales: it acts by two GEMMs of ``P x N`` factors,
-and its operators are outer products of factor rows.
+its operators are outer products of factor rows, and its defect is that of the
+resolution of the identity its builder forms.
 :class:`DisplacementFamily` holds ``B1(a > 0)``, whose nodes are mirror images
 ``+-x`` and whose operators are real displacements with ``D(-x) = D(x)^T``, as
 the nonnegative arguments and their scales: it acts by streaming the real
-displacement kernel of ``fock`` over those nodes, two real GEMMs per chunk, and
-its operators come from that kernel at the nodes asked for.
-:class:`KrausFamily` holds a dense stack (zero-noise ``B1``, scheme, product and
-JSON-loaded families), whose rows are its operators, and reads it under rules
-its constructor picks from how the stack was built.
+displacement kernel of ``fock`` over those nodes, two real GEMMs per chunk, its
+operators come from that kernel at the nodes asked for, and its defect is the
+Gaussian quadrature's on every nonempty block.
+:class:`KrausFamily` holds a dense stack (scheme output, products and their
+duals), whose rows are its operators.  It measures its own defect, unless its
+producer passes the defect it measured on rows the stack no longer holds.
 
 All coefficient evaluation is done in log space (gammaln, and ``xlogy``, whose
 ``0 log 0 = 0`` makes A1 = C1(0), C1(1) and C2(1) points of the same formulas).
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import xlogy
@@ -77,7 +83,6 @@ from .fock import (
     _displaced_basis,
     _displacement_chunks,
     _fock_or_any,
-    _frobenius,
     _gauss_hermite,
     _is_count,
     _ket_sum,
@@ -119,50 +124,40 @@ class QuadratureIndex:
     weights: np.ndarray
 
 
-ORIGINS = ("closed-form", "product", "rank-one", "scheme")
 BANDED_FAMILIES = ("D", "C1", "C2", "A1", "I")
 
 
 class KrausFamily:
     """An ordered Kraus family held as a dense stack ``ops`` of shape ``(n_ops, dim, dim)``, plus
     channel metadata.  Readers call :meth:`act`, :meth:`defect`, :meth:`operators`,
-    :meth:`product_gram`, :meth:`diagonal_basis`, :meth:`dual` and :meth:`to_json_dict`, which
-    read the stack under the rules the constructor picks from ``(spec, index, origin)``.
-    ``build_discrete`` gives a :class:`BandedFamily`, whose readers read its table instead;
-    ``build_continuous`` (A2) and :func:`rank_one_d` give a :class:`RankOneFamily`, whose readers
-    read its kets, bra rows and scales, and ``build_continuous`` (B1) a :class:`DisplacementFamily`,
-    whose readers stream its displacements.  A kind makes operators only in :meth:`_operators_at`;
-    ``ops``, :meth:`operators`, ``len`` and the JSON writer are defined here alone.
-    ``keeps_diagonal`` says whether the family takes ``|s><s|`` to a mix of ``|t><t|``, so that
-    ``apply`` steps a diagonal state as the level populations :meth:`BandedFamily.populations` maps."""
+    :meth:`product_gram`, :meth:`diagonal_basis`, :meth:`dual` and :meth:`to_json_dict`, and each
+    storage kind answers them from what it holds.  ``build_discrete`` gives a :class:`BandedFamily`,
+    whose readers read its table; ``build_continuous`` (A2) and :func:`rank_one_d` give a
+    :class:`RankOneFamily`, whose readers read its kets, bra rows and scales, and ``build_continuous``
+    (B1) a :class:`DisplacementFamily`, whose readers stream its displacements.  A kind makes operators
+    only in :meth:`_operators_at`; ``ops``, :meth:`operators`, ``len`` and the JSON writer are defined
+    here alone.  The dense stack measures its own defect, unless its producer passes the defect it
+    measured on rows the stack no longer holds (``kraus_from_scheme``).  ``keeps_diagonal`` says whether
+    the family takes ``|s><s|`` to a mix of ``|t><t|``, so that ``apply`` steps a diagonal state as the
+    level populations :meth:`BandedFamily.populations` maps."""
 
     keeps_diagonal = False
 
     def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
-                 index: DiscreteIndex | QuadratureIndex, completeness_defect: float,
+                 index: DiscreteIndex | QuadratureIndex, completeness_defect: float | None = None,
                  origin: str = "closed-form"):
-        _require(origin in ORIGINS, f"unknown family origin {origin!r}; expected one of {ORIGINS}")
         self.spec = spec
         self.index = index
-        self.completeness_defect = completeness_defect
         self.origin = origin
         self._ops = ops
+        self._defect_at_build = completeness_defect
         self.discrete = isinstance(index, DiscreteIndex)
-        family = None if spec is None else spec.family
-        # a defect rule takes the family as an argument, so that no family refers to itself
-        if not self.discrete and family == "A2":
-            self._defect_rule = lambda fam, block: _position_resolution_defect(
-                index.nodes, index.weights, fam.dim, block)
-        elif not self.discrete and family == "B1":
-            self._defect_rule = _build_defect
-        elif origin == "rank-one" and family == "D":
-            self._defect_rule = _coherent_defect
-        elif origin == "scheme" and self.discrete:
-            self._defect_rule = _stored_defect
-        else:
-            self._defect_rule = lambda fam, block: raw_completeness_defect(fam.ops, block)
         self._own_products = origin == "product"  # the operators are already products W_m W_n
-        self._taller = not self.discrete and family == "B1" and spec.noise_a > 0
+
+    @cached_property
+    def completeness_defect(self) -> float:
+        """The defect on the default block, half the space: :meth:`defect` of None, measured once."""
+        return self.defect(None)
 
     @property
     def ops(self) -> np.ndarray:
@@ -189,8 +184,17 @@ class KrausFamily:
         return left @ right
 
     def defect(self, block: int | None) -> float:
-        """Completeness defect on the protected block ``j < block`` (half the space for None)."""
-        return self._defect_rule(self, block)
+        """Completeness defect on the protected block ``j < block`` (half the space for None), measured
+        on the stack.  A stack built with its defect lost the rows past the cutoff that defect was
+        measured with: it answers the default block, and an empty block has none."""
+        if self._defect_at_build is None:
+            return raw_completeness_defect(self.ops, block)
+        if block is None or block == self.dim // 2:
+            return self._defect_at_build
+        if block == 0:
+            return 0.0
+        raise InvalidParameter(f"the rows past the cutoff this family's defect was measured with are gone; "
+                               f"only the block {self.dim // 2} is known")
 
     def operators(self, count: int) -> np.ndarray:
         """The first ``count`` operators, built alone (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge``
@@ -226,27 +230,15 @@ class KrausFamily:
 
     def diagonal_basis(self, tol: float) -> tuple[bool, str]:
         """The verdict of ``analysis.simultaneous_diagonality``, each test to ``tol`` of the largest
-        ``|W_l^dag W_l|`` entry.  A B1 stack is re-evaluated with extra rows by the displacement
-        kernel, so that the unitary factor's product closes (:func:`_displaced_basis`)."""
-        ops = self.ops
-        if self._taller:
-            return _displaced_basis(np.real(self.index.nodes) / np.sqrt(2.0), _frobenius(ops), self.dim, tol)
-        prods = np.swapaxes(ops.conj(), 1, 2) @ ops
+        ``|W_l^dag W_l|`` entry."""
+        prods = np.swapaxes(self.ops.conj(), 1, 2) @ self.ops
         mags = np.abs(prods)
         scale = max(float(np.max(mags)), 1e-300)
         level = np.arange(self.dim)
         mags[:, level, level] = 0.0
         if np.max(mags) < tol * scale:
             return _fock_or_any(np.diagonal(prods, axis1=1, axis2=2).real, tol * scale)
-        if self.discrete:
-            return False, "none"
-        # each product a multiple of the projector onto the position wavefunction at its node
-        table = hermite_psi_table(self.dim - 1, np.real(self.index.nodes))
-        for p, v in zip(prods, table.T.astype(complex)):
-            coeff = float(np.real(v.conj() @ p @ v)) / max(float((v.conj() @ v).real), 1e-300)**2
-            if np.max(np.abs(p - coeff * np.outer(v, v.conj()))) > 1e-8 * scale:
-                return False, "none"
-        return True, "position"
+        return False, "none"
 
     def dual(self) -> "KrausFamily":
         """The dual trace-preserving family: the adjoints ``kappa W_l^dag`` of this family's own
@@ -268,8 +260,7 @@ class KrausFamily:
 
     def _dual(self, new_spec: ChannelSpec) -> "KrausFamily":
         ops = self.spec.kappa * np.transpose(self.ops.conj(), (0, 2, 1))
-        # built by the rules of this stack, with the defect of the dual stack itself
-        return KrausFamily(new_spec, ops, self.index, raw_completeness_defect(ops), self.origin)
+        return KrausFamily(new_spec, ops, self.index, origin=self.origin)
 
     def _json_entries(self) -> tuple[int, int]:
         """A bound on the nonzero entries a JSON record lists, and the bytes of the stack held while it
@@ -277,9 +268,9 @@ class KrausFamily:
         return int(np.count_nonzero(self.ops)), self.ops.nbytes
 
     def to_json_dict(self) -> dict:
-        """The record :meth:`from_json_dict` reads, its operators built a bounded chunk at a time;
-        ``AllocationTooLarge`` before any list when the held stack and ``JSON_ENTRY_BYTES`` per listed
-        entry would pass ``MAX_DENSE_BYTES``."""
+        """The record of the spec, index, dim, defect, origin and the nonzero entries of each operator,
+        its operators built a bounded chunk at a time; ``AllocationTooLarge`` before any list when the
+        held stack and ``JSON_ENTRY_BYTES`` per listed entry would pass ``MAX_DENSE_BYTES``."""
         entries, held = self._json_entries()
         if held + entries * JSON_ENTRY_BYTES > MAX_DENSE_BYTES:
             raise AllocationTooLarge(f"the JSON record of {entries} entries needs about "
@@ -307,56 +298,16 @@ class KrausFamily:
             "operators": operators,
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "KrausFamily":
-        """The dense family of a :meth:`to_json_dict` record; malformed input raises ``InvalidParameter``."""
-        dim, records, idx = data["dim"], data["operators"], data["index_kind"]
-        _require(_is_count(dim) and dim >= 1, f"dim must be an integer of at least 1, got {dim!r}")
-        _check_stack_bytes(len(records), dim)
-        ops = np.zeros((len(records), dim, dim), dtype=np.complex128)
-        for k, rec in enumerate(records):
-            rows, cols, re, im = (np.asarray(rec[key], dtype=float) for key in ("rows", "cols", "re", "im"))
-            _require(rows.ndim == 1 and rows.shape == cols.shape == re.shape == im.shape,
-                     f"operator {k}: rows, cols, re and im differ in length")
-            _require(np.all(np.isin(rows, np.arange(dim)) & np.isin(cols, np.arange(dim))),
-                     f"operator {k}: rows and columns must be levels in 0..{dim - 1}")
-            _require(np.all(np.isfinite([re, im])), f"operator {k} has a non-finite entry")
-            ops[k][rows.astype(int), cols.astype(int)] = re + 1j * im
-        if idx["kind"] == "discrete":
-            ell_max = idx["ell_max"]
-            _require(_is_count(ell_max) and ell_max + 1 == len(ops),
-                     f"discrete index ell_max={ell_max!r} does not count {len(ops)} operators")
-            index = DiscreteIndex(int(ell_max))
-        else:
-            _require(idx["kind"] == "quadrature", f"unknown index kind {idx['kind']!r}")
-            nodes, weights = np.asarray(idx["nodes"], dtype=float), np.asarray(idx["weights"], dtype=float)
-            imag = np.asarray(idx.get("nodes_im", nodes * 0.0), dtype=float)
-            _require(nodes.shape == imag.shape == weights.shape == (len(ops),),
-                     f"{nodes.size} nodes, {weights.size} weights and {len(ops)} operators differ")
-            _require(np.all(np.isfinite([nodes, imag, weights])), "quadrature nodes and weights must be finite")
-            if "nodes_im" in idx:
-                nodes = nodes.astype(np.complex128)
-                nodes.imag = imag
-            index = QuadratureIndex(nodes, weights)
-        defect = float(data["completeness_defect"])
-        _require(math.isfinite(defect), f"completeness defect must be finite, got {defect}")
-        spec = None if data["spec"] is None else ChannelSpec.from_json_dict(data["spec"])
-        family = KrausFamily(spec, ops, index, defect, data.get("origin", "closed-form"))
-        if family.origin == "closed-form" and family.discrete and spec is not None \
-                and spec.family in BANDED_FAMILIES and spec.quantum_limited:
-            family._defect_rule = _stored_defect  # a banded family's record keeps no rows past the cutoff
-        return family
-
 
 class BandedFamily(KrausFamily):
     """A single-band family held as its table ``coeffs`` of shape ``(ell_max + 1, dim)`` and its
-    ``band`` orientation.  The ``output_table`` that :meth:`act` reads and its square, the weights
-    :meth:`populations` reads, are built on first read and cached."""
+    ``band`` orientation, one table row per label of ``index``.  The ``output_table`` that :meth:`act`
+    reads and its square, the weights :meth:`populations` reads, are built on first read and cached."""
 
     keeps_diagonal = True
 
-    def __init__(self, spec: ChannelSpec, coeffs: np.ndarray, band: str, completeness_defect: float):
-        super().__init__(spec, None, DiscreteIndex(coeffs.shape[0] - 1), completeness_defect)
+    def __init__(self, spec: ChannelSpec, coeffs: np.ndarray, band: str, index: DiscreteIndex | QuadratureIndex):
+        super().__init__(spec, None, index)
         self.coeffs = coeffs
         self.band = band
         self._output_table: np.ndarray | None = None
@@ -468,7 +419,7 @@ class BandedFamily(KrausFamily):
             coeffs[inside] = kappa * self.coeffs[ell[inside], rows[inside]]
         else:
             coeffs, band = kappa * self.coeffs, {"upper": "lower", "lower": "upper"}[self.band]
-        return BandedFamily(new_spec, coeffs, band, _table_defect(coeffs, band))
+        return BandedFamily(new_spec, coeffs, band, self.index)
 
     def _json_entries(self) -> tuple[int, int]:
         return int(np.count_nonzero(_square_placement(self.coeffs, self.band)[3])), 0
@@ -477,13 +428,15 @@ class BandedFamily(KrausFamily):
 class RankOneFamily(KrausFamily):
     """A family of rank-one operators ``W_p = s_p |k_p><conj(r_p)|`` held as the kets ``kets`` ``(P, N)``,
     the bra rows ``bra_rows`` ``(P, N)`` (``r_p`` is row ``p`` of the matrix of ``<conj(r_p)|``) and the
-    scales ``scales`` ``(P,)``: A2 and :func:`rank_one_d`.  The defect rules are those of the dense
-    stack."""
+    scales ``scales`` ``(P,)``: A2 and :func:`rank_one_d`.  Each ket is a unit vector before the cutoff,
+    so ``sum_p W_p^dag W_p`` is the resolution of the identity ``sum_p s_p^2 |conj(r_p)><conj(r_p)|``,
+    which its builder forms and passes as ``resolution`` ``(N, N)``: A2's in position states,
+    :func:`rank_one_d`'s in coherent states."""
 
     def __init__(self, spec: ChannelSpec, kets: np.ndarray, bra_rows: np.ndarray, scales: np.ndarray,
-                 index: QuadratureIndex, completeness_defect: float, origin: str = "closed-form"):
-        super().__init__(spec, None, index, completeness_defect, origin)
-        self.kets, self.bra_rows, self.scales = kets, bra_rows, scales
+                 index: QuadratureIndex, resolution: np.ndarray, origin: str = "closed-form"):
+        super().__init__(spec, None, index, origin=origin)
+        self.kets, self.bra_rows, self.scales, self.resolution = kets, bra_rows, scales, resolution
 
     def _operators_at(self, labels: np.ndarray) -> np.ndarray:
         """Each ``k_p r_p^T``, then times ``s_p``: the expressions of the dense stack this storage replaced."""
@@ -494,6 +447,9 @@ class RankOneFamily(KrausFamily):
     @property
     def dim(self) -> int:
         return self.kets.shape[1]
+
+    def defect(self, block: int | None) -> float:
+        return _identity_defect(self.resolution, block)
 
     def act(self, mat: np.ndarray) -> np.ndarray:
         """``sum_p q_p |k_p><k_p|`` with ``q_p = s_p^2 r_p M conj(r_p)``: two GEMMs and no stack."""
@@ -550,6 +506,11 @@ class DisplacementFamily(KrausFamily):
     @property
     def dim(self) -> int:
         return self.cutoff
+
+    def defect(self, block: int | None) -> float:
+        """The build defect on every nonempty block: the displacement factor is unitary, so only the
+        Gaussian quadrature itself falls short of the completeness integral."""
+        return 0.0 if block == 0 else self._defect_at_build
 
     def _json_entries(self) -> tuple[int, int]:
         """A displacement fills its square."""
@@ -688,38 +649,6 @@ def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = 
     return family.defect(block)
 
 
-def _coherent_defect(family: KrausFamily, block: int | None) -> float:
-    kappa, index = family.spec.kappa, family.index
-    vecs = coherent_amplitudes(np.conj(index.nodes) * (1.0 / np.sqrt(1.0 + kappa**2)), family.dim) \
-        * np.sqrt(index.weights / (np.pi * (1.0 + kappa**2)))[:, None]
-    return _identity_defect(vecs.T @ vecs.conj(), block)
-
-
-def _build_defect(family: KrausFamily, block: int | None) -> float:
-    """The defect of a B1 family, built or read from its record: the build defect on every nonempty
-    block.  The displacement factor is unitary, so only the Gaussian quadrature itself falls short
-    of the completeness integral."""
-    return 0.0 if block == 0 else family.completeness_defect
-
-
-def _stored_defect(family: KrausFamily, block: int | None) -> float:
-    """The defect stored at build time, for a stack that has lost the rows past the cutoff it was
-    measured with (a scheme family, a banded family's dense record): it answers the default block
-    it was measured on, and an empty block has none."""
-    if block is None or block == family.dim // 2:
-        return family.completeness_defect
-    if block == 0:
-        return 0.0
-    raise InvalidParameter(f"the rows past the cutoff this family's defect was measured with are gone; "
-                           f"only the block {family.dim // 2} is known")
-
-
-def _position_resolution_defect(nodes: np.ndarray, weights: np.ndarray, dim: int,
-                                block: int | None = None) -> float:
-    psi = hermite_psi_table(dim - 1, nodes)
-    return _identity_defect(np.einsum("i,ni,mi->nm", weights, psi, psi), block)
-
-
 def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> int:
     """Smallest index cut keeping the completeness tail below ``tol``.
 
@@ -779,12 +708,13 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
         raise InvalidParameter(f"ell_max must be nonnegative, got {ell_max}")
     _require(defect_limit >= 0, f"defect_limit must be nonnegative, got {defect_limit!r}")
     coeffs, band = _band_table(spec, ell_max, n_cut)
-    defect = _table_defect(coeffs, band)
+    family = BandedFamily(spec, coeffs, band, DiscreteIndex(len(coeffs) - 1))
+    defect = family.completeness_defect
     if defect > defect_limit:
         raise DefectTooLarge(
             f"{spec} at ell_max={ell_max}, n_cut={n_cut}: defect {defect:.3e} > {defect_limit:.1e}"
         )
-    return BandedFamily(spec, coeffs, band, defect)
+    return family
 
 
 def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFamily:
@@ -810,14 +740,13 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
         if not spec.quantum_limited:
             raise UnsupportedFamily("noisy A2: compose the quantum-limited family with added noise")
         x, w = hermite_quadrature(node_count)
-        defect = _position_resolution_defect(x, w, n_cut)
-        family = RankOneFamily(spec, coherent_amplitudes(x / np.sqrt(2.0), n_cut),
-                               hermite_psi_table(n_cut - 1, x).T, np.sqrt(w), QuadratureIndex(x, w), defect)
+        psi = hermite_psi_table(n_cut - 1, x)
+        family = RankOneFamily(spec, coherent_amplitudes(x / np.sqrt(2.0), n_cut), psi.T, np.sqrt(w),
+                               QuadratureIndex(x, w), np.einsum("i,ni,mi->nm", w, psi, psi))
     elif fam == "B1":
         a = spec.noise_a
-        if a == 0.0:
-            ops = np.eye(n_cut, dtype=np.complex128)[None, :, :]
-            return KrausFamily(spec, ops, QuadratureIndex(np.zeros(1), np.ones(1)), 0.0)
+        if a == 0.0:  # the identity's one-row table on the one node q = 0
+            return BandedFamily(spec, np.ones((1, n_cut)), "upper", QuadratureIndex(np.zeros(1), np.ones(1)))
         # substitute q = sqrt(a) t: (pi a)^(-1/2) integral dq e^(-q^2/a) D(q/sqrt2) rho D^dag
         t, w = _gauss_hermite(node_count)
         q = np.sqrt(a) * t
@@ -825,12 +754,11 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
         _displacement_chunks(points, n_cut)  # checks every node; computes nothing
         half = slice(len(t) // 2, None)  # the nonnegative nodes: the rule is symmetric to the bit
         index = QuadratureIndex(q, _times_exp_square(w * np.sqrt(a), t))
-        # the displacement factor is exactly unitary, so only the Gaussian
-        # quadrature itself can fall short of the completeness integral
-        defect = float(abs(np.sum(w) / np.sqrt(np.pi) - 1.0))
-        family = DisplacementFamily(spec, points[half], np.sqrt(w[half] / np.sqrt(np.pi)), n_cut, index, defect)
+        family = DisplacementFamily(spec, points[half], np.sqrt(w[half] / np.sqrt(np.pi)), n_cut, index,
+                                    float(abs(np.sum(w) / np.sqrt(np.pi) - 1.0)))
     else:
         raise UnsupportedFamily(f"family {fam} is not a continuous-index family")
+    defect = family.completeness_defect
     if not np.isfinite(defect) or defect > DEFECT_HARD_LIMIT:
         raise DefectTooLarge(f"{spec}: defect {defect:.3e} > {DEFECT_HARD_LIMIT:.1e}; raise node_count or n_cut")
     return family
@@ -960,9 +888,9 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
     bra_scale = 1.0 / np.sqrt(1.0 + kappa**2)  # also the prefactor (1+kappa^2)^(-1/2)
     kets = coherent_amplitudes(alphas * ket_scale, n_cut)
     bras = coherent_amplitudes(np.conj(alphas) * bra_scale, n_cut)
+    vecs = bras * np.sqrt(weights / (np.pi * (1.0 + kappa**2)))[:, None]
     family = RankOneFamily(ChannelSpec("D", kappa), kets, bras.conj(), bra_scale * np.sqrt(weights / np.pi),
-                           QuadratureIndex(alphas, weights), 0.0, origin="rank-one")
-    family.completeness_defect = completeness_defect(family)
+                           QuadratureIndex(alphas, weights), vecs.T @ vecs.conj(), origin="rank-one")
     if probe_check:
         probe = thermal_state(2.0, n_cut, tail_tol=1.0)
         reference = apply(build_discrete(ChannelSpec("D", kappa), suggest_ell_max(ChannelSpec("D", kappa), n_cut), n_cut), probe)

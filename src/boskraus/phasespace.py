@@ -337,8 +337,11 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
         s = (lam - 1.0) * np.cos(theta) ** 2 + (1.0 / lam - 1.0) * np.sin(theta) ** 2
         excess = np.sqrt(1.0 + y1 + y1 * s) - np.sqrt(1.0 + y1)  # negative when p11 < 1
     else:
-        c, d = s2.kappa**2 * y1, s2.quantum_limited_noise()
-        excess = np.sqrt((c + d) ** 2 + c * d * (lam - 1.0 / lam) ** 2) - (c + d)
+        c, d, t = s2.kappa**2 * y1, s2.quantum_limited_noise(), lam - 1.0 / lam
+        try:
+            excess = np.sqrt((c + d) ** 2 + c * d * t**2) - (c + d)
+        except OverflowError:  # t^2 leaves the float range (|log lam| above about 354): the root by hypot
+            excess = math.hypot(c + d, math.sqrt(c * d) * t) - (c + d)
     if excess == 0.0:
         return base
     fam = "B2" if base.family == "I" else base.family

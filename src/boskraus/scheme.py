@@ -39,19 +39,8 @@ from .errors import (
     NotPositiveDefinite,
     OrderTooLarge,
     UnsupportedFamily,
-    UnsupportedShape,
 )
-from .fock import hermite_psi_table
-from .kraus import (
-    DiscreteIndex,
-    KrausFamily,
-    QuadratureIndex,
-    _check_stack_bytes,
-    _gauss_hermite,
-    _position_resolution_defect,
-    hermite_quadrature,
-    raw_completeness_defect,
-)
+from .kraus import DiscreteIndex, KrausFamily, _gauss_hermite, raw_completeness_defect
 
 MAX_ORDER = 120
 
@@ -216,7 +205,8 @@ def kraus_from_scheme(mix: MixMatrix, ell_max: int, n_cut: int) -> KrausFamily:
 
     The defect is measured before the output-row cutoff (extra rows are
     generated and discarded) so it reflects the index sum, not range
-    truncation.
+    truncation; the family is built with it, as its square stack no
+    longer holds those rows.
     """
     n_rows = min(n_cut + ell_max, MAX_ORDER + 1)
     _check_orders(n_cut - 1, ell_max, n_rows - 1)
@@ -229,46 +219,3 @@ def kraus_from_scheme(mix: MixMatrix, ell_max: int, n_cut: int) -> KrausFamily:
     defect = raw_completeness_defect(full)
     ops = np.ascontiguousarray(full[:, :n_cut, :])
     return KrausFamily(None, ops, DiscreteIndex(ell_max), defect, origin="scheme")
-
-
-def _shape_matches(m: np.ndarray, ref: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - ref)) < 1e-12)
-
-
-def _overlap_table(n_cut: int, qs: np.ndarray, shifted_order: int | None = None) -> np.ndarray:
-    """``g[i, m, n] = integral psi_m(x) psi_n(x - q_i) dx`` by exact quadrature.
-
-    Centering at ``q/2`` makes the integrand a polynomial times
-    ``exp(-t^2)``, so Gauss-Hermite with enough nodes is exact.
-    """
-    t, w = hermite_quadrature(n_cut + 2)
-    n_hi = n_cut - 1 if shifted_order is None else shifted_order
-    left = hermite_psi_table(n_cut - 1, t[:, None] + 0.5 * qs)
-    right = hermite_psi_table(n_hi, t[:, None] - 0.5 * qs)
-    return np.einsum("k,mki,nki->imn", w, left, right, optimize=True)
-
-
-def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> KrausFamily:
-    """Continuous-index Kraus operators for the two singular-position mixers.
-
-    For the A2 shape the ancilla position integral collapses to
-    ``V_q[m, n] = g(m, 0, q) psi_n(q)``; for the unit shear it gives
-    ``V_q[m, n] = psi_0(q) g(m, n, q)`` with ``g`` the shifted-wavefunction
-    overlap evaluated by quadrature (no closed displacement form is used).
-    """
-    m = mix.m
-    _check_stack_bytes(node_count, n_cut)
-    x, w = hermite_quadrature(node_count)
-    if _shape_matches(m, A2_MIX):
-        psi = hermite_psi_table(n_cut - 1, x)
-        g = _overlap_table(n_cut, x, shifted_order=0)
-        ops = np.sqrt(w)[:, None, None] * (g * psi.T[:, None, :])
-        spec, defect = ChannelSpec("A2"), _position_resolution_defect(x, w, n_cut)
-    elif _shape_matches(m, B1_MIX):
-        psi0 = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
-        ops = (np.sqrt(w) * psi0)[:, None, None] * _overlap_table(n_cut, x)
-        # the displacement factor is unitary: only the quadrature of the Gaussian weight falls short
-        spec, defect = ChannelSpec("B1", noise_a=1.0), float(abs(np.sum(w / np.sqrt(np.pi) * np.exp(-x**2)) - 1.0))
-    else:
-        raise UnsupportedShape("only the A2 mixer and the unit shear are supported")
-    return KrausFamily(spec, ops.astype(np.complex128), QuadratureIndex(x, w), defect, origin="scheme")

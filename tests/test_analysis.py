@@ -51,6 +51,7 @@ from boskraus.kraus import (
     build_continuous,
     build_discrete,
     coherent_disc_grid,
+    completeness_defect,
     dual,
     suggest_ell_max,
 )
@@ -490,7 +491,7 @@ def reference_simultaneous_diagonality(family, tol=1e-12):
         return True, "fock"
     if isinstance(family.index, QuadratureIndex):
         nodes = family.index.nodes
-        table = hermite_psi_table(family.dim - 1, np.asarray(nodes, dtype=float))
+        table = hermite_psi_table(family.dim - 1, np.real(nodes))
         for i in range(len(family)):
             p = prods[i]
             v = table[:, i].astype(complex)
@@ -604,7 +605,7 @@ class TestGramReference:
         assert first._ops is None and second._ops is None
         want = reference_product_stack(first, second, count)
         assert prod.ops.tobytes() == want.tobytes()
-        assert prod.completeness_defect == analysis.completeness_defect(want)
+        assert prod.completeness_defect == completeness_defect(want)
 
 
 class TestExtremality:
@@ -670,8 +671,6 @@ class TestExtremality:
     def test_unit_conjugator_doubly_stochastic_yet_extremal(self):
         spec = ChannelSpec("D", 1.0)
         fam = build_discrete(spec, suggest_ell_max(spec, 80, 1e-13), 64)
-        from boskraus.kraus import completeness_defect
-
         assert completeness_defect(dual(fam)) < 1e-6  # unital within truncation
         rep = gram_rank(fam, 6)
         assert rep.numerical_rank == 49  # hence not a mixture of unitaries

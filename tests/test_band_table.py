@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import position_kraus
+
 from boskraus import analysis, kraus
 from boskraus.analysis import gram_rank, thermal_estimate
 from boskraus.channels import ChannelSpec
@@ -42,7 +44,7 @@ from boskraus.kraus import (
     raw_completeness_defect,
     suggest_ell_max,
 )
-from boskraus.scheme import mix_matrix, position_kraus
+from boskraus.scheme import mix_matrix
 
 
 def _d_op(kappa, ell, n_rows, n_cols):
@@ -167,7 +169,7 @@ def test_dual_reads_the_input_coefficients(spec):
     # a family whose table is not the closed form of any spec: its dual must
     # still be kappa W^dag of exactly these operators
     fam = build_discrete(spec, 20, 24, defect_limit=2.0)
-    doubled = BandedFamily(spec, 2.0 * fam.coeffs, fam.band, 0.0)
+    doubled = BandedFamily(spec, 2.0 * fam.coeffs, fam.band, fam.index)
     want = spec.kappa * np.transpose(doubled.ops.conj(), (0, 2, 1))
     assert np.array_equal(dual(doubled).ops, want)
 
@@ -291,6 +293,21 @@ def test_quadrature_stack_over_the_limit_raises_before_allocating(build, factore
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def test_product_stack_over_the_limit_raises_before_allocating(monkeypatch):
+    # C1(0.7) at N=64: each factor's 16 operators are 1 MB, their 256 products 16.8 MB
+    c1 = build_discrete(ChannelSpec("C1", 0.7), 63, 64)
+    monkeypatch.setattr(kraus, "MAX_DENSE_BYTES", 1 << 20)
+    assert 16 * 64**2 * 16 <= kraus.MAX_DENSE_BYTES < 256 * 64**2 * 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationTooLarge, match="256 operators"):
+            analysis.product_family(c1, c1, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_quadrature_stack_over_the_limit_exits_1(capsys):

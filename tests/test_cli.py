@@ -162,6 +162,14 @@ class TestComposeCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: lambda must be positive") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("pair", [("C1:0.5", "C1:0.5"), ("C1:0.5", "A2"), ("A2", "C1:0.5")])
+    @pytest.mark.parametrize("lam", ["1e200", "1e-200"])
+    def test_far_mismatch_prints_a_finite_spec(self, capsys, pair, lam):
+        code, out, err = run(capsys, "compose", *pair, "--lambda", lam)
+        payload = json.loads(out.split("\n", 1)[1])
+        assert (code, err) == (0, "")
+        assert 0.0 <= payload["composite"]["a"] < np.inf
+
     def test_unsupported_pair_exits_3(self, capsys):
         code, out, err = run(capsys, "compose", "B1", "C1:0.5")
         assert code == 3

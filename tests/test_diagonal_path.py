@@ -14,6 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaln
 
+from references import read_record
+
 from boskraus import analysis, fock, kraus
 from boskraus.analysis import iterate, thermal_estimate
 from boskraus.channels import ChannelSpec
@@ -161,7 +163,8 @@ def test_iterate_memory_does_not_grow_with_steps():
 
 def _free_table_family(band, coeffs):
     """A banded family with a free table: steps that lose mass past the cutoff, or all of it."""
-    return kraus.BandedFamily(ChannelSpec("C2", 1.1), np.asarray(coeffs, dtype=float), band, 0.0)
+    coeffs = np.asarray(coeffs, dtype=float)
+    return kraus.BandedFamily(ChannelSpec("C2", 1.1), coeffs, band, kraus.DiscreteIndex(len(coeffs) - 1))
 
 
 def _recorded(call):
@@ -488,7 +491,7 @@ def test_q_function_keeps_its_negativity_check():
 @pytest.mark.parametrize("spec", [ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)])
 def test_loaded_banded_family_reports_its_stored_defect(spec):
     built = build_discrete(spec, suggest_ell_max(spec, 32), 32)
-    loaded = KrausFamily.from_json_dict(json.loads(json.dumps(built.to_json_dict())))
+    loaded = read_record(json.loads(json.dumps(built.to_json_dict())))
     assert completeness_defect(loaded) == loaded.completeness_defect == built.completeness_defect
     assert completeness_defect(loaded, 16) == built.completeness_defect
     assert completeness_defect(loaded, 0) == 0.0
@@ -504,7 +507,7 @@ def test_scheme_family_answers_its_build_block():
 
 def test_dual_of_a_loaded_family_measures_its_own_stack():
     built = build_discrete(ChannelSpec("C2", 1.3), 40, 16)
-    loaded = KrausFamily.from_json_dict(json.loads(json.dumps(built.to_json_dict())))
+    loaded = read_record(json.loads(json.dumps(built.to_json_dict())))
     dual = loaded.dual()
     assert dual.completeness_defect == kraus.raw_completeness_defect(dual.ops)
     for block in (3, 5, 12):  # blocks other than 0 and dim // 2 too

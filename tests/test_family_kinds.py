@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from references import position_kraus, read_record
+
 from boskraus.analysis import product_family, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
 from boskraus.errors import BoskrausError, InvalidParameter
@@ -26,12 +28,13 @@ from boskraus.kraus import (
     completeness_defect,
     rank_one_d,
 )
-from boskraus.scheme import kraus_from_scheme, mix_matrix, position_kraus
+from boskraus.scheme import kraus_from_scheme, mix_matrix
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "boskraus"
 STORAGE_ATTRIBUTES = {"coeffs", "band", "origin", "_ops", "_output_table", "_weights", "kets", "bra_rows", "scales",
-                      "points", "point_scales", "cutoff"}
+                      "resolution", "points", "point_scales", "cutoff", "_defect_at_build"}
 INDEX_TYPES = {"DiscreteIndex", "QuadratureIndex"}
+TAGS = {"origin", "family", "discrete"} | INDEX_TYPES  # what a defect rule must not be picked from
 N = 16
 
 KINDS = {
@@ -76,6 +79,46 @@ def test_only_kraus_looks_at_the_storage():
     assert {name: found for name, found in reads.items() if found} == {}
 
 
+def storage_kinds(source: str) -> list[ast.ClassDef]:
+    """``KrausFamily`` and the classes of ``source`` that derive from it."""
+    return [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            and (node.name == "KrausFamily" or any(getattr(base, "id", None) == "KrausFamily" for base in node.bases))]
+
+
+def rule_picks(source: str) -> list[str]:
+    """Each branch in a storage kind's ``__init__``, and each read of ``origin``, ``.family`` or an index
+    type in its ``defect``: the places a defect rule could be picked from tags."""
+    found = []
+    for kind in storage_kinds(source):
+        for method in (f for f in kind.body if isinstance(f, ast.FunctionDef)):
+            for node in ast.walk(method):
+                if method.name == "__init__" and isinstance(node, (ast.If, ast.IfExp)):
+                    found.append(f"{kind.name}.__init__ line {node.lineno}: branch")
+                if method.name == "defect" and (getattr(node, "attr", None) in TAGS or getattr(node, "id", None) in TAGS):
+                    found.append(f"{kind.name}.defect line {node.lineno}: {getattr(node, 'attr', None) or node.id}")
+    return found
+
+
+def test_scan_finds_rule_picks():
+    source = ("class KrausFamily:\n"
+              "    def __init__(self, origin):\n        self.rule = 1 if origin else 2\n"
+              "    def defect(self, block):\n        return self.spec.family\n"
+              "class Kind(KrausFamily):\n"
+              "    def __init__(self):\n        if True:\n            pass\n"
+              "    def defect(self, block):\n        return isinstance(self.index, QuadratureIndex) or self.origin\n"
+              "class Other:\n    def __init__(self):\n        if True:\n            pass\n")
+    assert sorted(rule_picks(source)) == ["Kind.__init__ line 8: branch", "Kind.defect line 11: QuadratureIndex",
+                                          "Kind.defect line 11: origin", "KrausFamily.__init__ line 3: branch",
+                                          "KrausFamily.defect line 5: family"]
+
+
+def test_every_kind_owns_its_defect_rule():
+    # no storage kind's constructor branches, and no defect is read off the origin, family or index type
+    source = (PACKAGE / "kraus.py").read_text()
+    assert len(storage_kinds(source)) == 4
+    assert rule_picks(source) == []
+
+
 def dense_action(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """``sum_l W_l M W_l^dag`` as two GEMMs over the flattened stack."""
     n_ops, n, _ = ops.shape
@@ -98,15 +141,14 @@ def outcome(call):
 
 
 def test_only_the_base_class_derives_the_stack_and_every_kind_makes_operators():
-    classes = [node for node in ast.parse((PACKAGE / "kraus.py").read_text()).body if isinstance(node, ast.ClassDef)]
-    kinds = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)} for node in classes
-             if node.name == "KrausFamily" or any(getattr(base, "id", None) == "KrausFamily" for base in node.bases)}
+    kinds = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+             for node in storage_kinds((PACKAGE / "kraus.py").read_text())}
     assert len(kinds) == 4
     assert {name for name, methods in kinds.items() if methods & {"ops", "operators", "__len__"}} == {"KrausFamily"}
     assert all("_operators_at" in methods for methods in kinds.values())
 
 
-@pytest.mark.parametrize("kind", ["D", "C1", "C2", "A1", "I", "A2", "B1", "rank-one"])
+@pytest.mark.parametrize("kind", ["D", "C1", "C2", "A1", "I", "A2", "B1", "B1-zero-noise", "rank-one"])
 def test_no_reader_but_ops_builds_the_stack(kind):
     family = KINDS[kind]()
     mat = random_mixed_state(5, 4, N).mat
@@ -132,7 +174,7 @@ def test_every_kind_answers_the_readers_as_its_stack_defines(kind):
 def test_json_roundtrip_of_every_kind(kind):
     family = KINDS[kind]()
     data = family.to_json_dict()
-    back = KrausFamily.from_json_dict(json.loads(json.dumps(data)))
+    back = read_record(json.loads(json.dumps(data)))
     assert back.to_json_dict() == data
     assert np.array_equal(back.ops, family.ops)
     assert (back.spec, back.origin, back.completeness_defect) == (family.spec, family.origin,
@@ -158,14 +200,14 @@ def malformed(edit) -> dict:
 ], ids=["zero", "negative", "fraction", "bool"])
 def test_json_dim_must_be_a_positive_integer(data):
     with pytest.raises(InvalidParameter, match="dim"):
-        KrausFamily.from_json_dict(data)
+        read_record(data)
 
 
 @pytest.mark.parametrize("key,level", [("rows", -1), ("rows", 4), ("cols", 4), ("cols", 1.5)],
                          ids=["negative-row", "row-past-dim", "col-past-dim", "fractional-col"])
 def test_json_levels_must_lie_inside_the_space(key, level):
     with pytest.raises(InvalidParameter, match="levels"):
-        KrausFamily.from_json_dict(malformed(lambda d: d["operators"][1][key].__setitem__(0, level)))
+        read_record(malformed(lambda d: d["operators"][1][key].__setitem__(0, level)))
 
 
 @pytest.mark.parametrize("key", ["rows", "cols", "re", "im"])
@@ -173,25 +215,25 @@ def test_json_entry_lists_must_match_in_length(key):
     # a one-element list would otherwise be broadcast over every entry
     data = malformed(lambda d: d["operators"][0].update({key: d["operators"][0][key][:1]}))
     with pytest.raises(InvalidParameter, match="differ in length"):
-        KrausFamily.from_json_dict(data)
+        read_record(data)
 
 
 @pytest.mark.parametrize("key,value", [("re", float("nan")), ("im", float("inf"))])
 def test_json_values_must_be_finite(key, value):
     with pytest.raises(InvalidParameter, match="non-finite"):
-        KrausFamily.from_json_dict(malformed(lambda d: d["operators"][0][key].__setitem__(0, value)))
+        read_record(malformed(lambda d: d["operators"][0][key].__setitem__(0, value)))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_json_defect_must_be_finite(value):
     with pytest.raises(InvalidParameter, match="defect"):
-        KrausFamily.from_json_dict(malformed(lambda d: d.update(completeness_defect=value)))
+        read_record(malformed(lambda d: d.update(completeness_defect=value)))
 
 
 @pytest.mark.parametrize("ell_max", [40, 2, 2.0])
 def test_json_discrete_index_counts_the_operators(ell_max):
     with pytest.raises(InvalidParameter, match="ell_max"):
-        KrausFamily.from_json_dict(malformed(lambda d: d["index_kind"].update(ell_max=ell_max)))
+        read_record(malformed(lambda d: d["index_kind"].update(ell_max=ell_max)))
 
 
 @pytest.mark.parametrize("edit", [
@@ -203,16 +245,16 @@ def test_json_quadrature_counts_agree(edit):
     data = copy.deepcopy(VALID_QUADRATURE)
     edit(data["index_kind"])
     with pytest.raises(InvalidParameter, match="differ"):
-        KrausFamily.from_json_dict(data)
+        read_record(data)
 
 
 def test_json_origin_must_be_known():
     with pytest.raises(InvalidParameter, match="origin"):
-        KrausFamily.from_json_dict(malformed(lambda d: d.update(origin="handmade")))
+        read_record(malformed(lambda d: d.update(origin="handmade")))
 
 
 def test_json_valid_record_loads():
-    assert KrausFamily.from_json_dict(copy.deepcopy(VALID)).to_json_dict() == VALID
+    assert read_record(copy.deepcopy(VALID)).to_json_dict() == VALID
 
 
 @pytest.mark.parametrize("key,value", [("kappa", "0.7"), ("kappa", True), ("kappa", "abc"), ("kappa", [0.7]),
@@ -221,7 +263,7 @@ def test_json_valid_record_loads():
 def test_json_spec_numbers_must_be_real_numbers(key, value):
     name = "kappa" if key == "kappa" else "noise_a"
     with pytest.raises(InvalidParameter, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
-        KrausFamily.from_json_dict(malformed(lambda d: d["spec"].update({key: value})))
+        read_record(malformed(lambda d: d["spec"].update({key: value})))
 
 
 @pytest.mark.parametrize("kappa", [0.7, np.float64(0.7), np.float32(0.5), 1, np.int64(1)],

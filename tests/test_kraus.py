@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from conftest import family_for, padded_random_state
+from references import read_record
 
 from boskraus.channels import ChannelSpec
 from boskraus.errors import (
@@ -237,7 +238,7 @@ class TestCompleteness:
             "rank-one": lambda: rank_one_d(0.8, *coherent_disc_grid(6.0, 12, 16), 16, probe_check=False),
             "scheme": lambda: kraus_from_scheme(mix_matrix(ChannelSpec("D", 0.8)), 10, 16),
             "product": lambda: product_family(c1, c1, 3),
-            "json": lambda: KrausFamily.from_json_dict(json.loads(json.dumps(c1.to_json_dict()))),
+            "json": lambda: read_record(json.loads(json.dumps(c1.to_json_dict()))),
             "stack": lambda: c1.ops,
         }[kind]()
         with pytest.raises(InvalidParameter, match="nonnegative"):
@@ -517,7 +518,7 @@ class TestContinuousFamilies:
     def test_non_finite_defect_rejected(self, monkeypatch):
         import boskraus.kraus as kraus_module
 
-        monkeypatch.setattr(kraus_module, "_position_resolution_defect", lambda *args: float("nan"))
+        monkeypatch.setattr(kraus_module, "_identity_defect", lambda *args: float("nan"))
         with pytest.raises(DefectTooLarge):
             build_continuous(ChannelSpec("A2"), 64, 16)
 
@@ -660,7 +661,7 @@ class TestDiagonalStates:
 def test_json_roundtrip_of_complex_nodes():
     fam = rank_one_d(0.8, *coherent_disc_grid(6.0, 8, 8), 16, probe_check=False)
     assert np.iscomplexobj(fam.index.nodes)
-    back = KrausFamily.from_json_dict(json.loads(json.dumps(fam.to_json_dict())))
+    back = read_record(json.loads(json.dumps(fam.to_json_dict())))
     assert back.index.nodes.dtype == np.complex128
     assert np.array_equal(back.index.nodes, fam.index.nodes)
     assert np.array_equal(back.index.weights, fam.index.weights)
@@ -670,15 +671,15 @@ def test_json_roundtrip_of_complex_nodes():
 def test_json_of_real_nodes_has_no_imaginary_list():
     data = build_continuous(ChannelSpec("A2"), 48, 16).to_json_dict()
     assert list(data["index_kind"]) == ["kind", "nodes", "weights"]
-    assert KrausFamily.from_json_dict(data).index.nodes.dtype == np.float64
+    assert read_record(data).index.nodes.dtype == np.float64
 
 
 def test_json_roundtrip():
     fam = build_discrete(ChannelSpec("C2", 1.3), 8, 16, defect_limit=2.0)
-    back = KrausFamily.from_json_dict(fam.to_json_dict())
+    back = read_record(fam.to_json_dict())
     assert np.max(np.abs(back.ops - fam.ops)) == 0.0
     assert back.spec == fam.spec
     assert back.completeness_defect == fam.completeness_defect
     cont = build_continuous(ChannelSpec("A2"), 48, 16)
-    back = KrausFamily.from_json_dict(cont.to_json_dict())
+    back = read_record(cont.to_json_dict())
     assert np.max(np.abs(back.ops - cont.ops)) < 1e-16

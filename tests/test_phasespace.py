@@ -394,6 +394,21 @@ class TestTable2:
         assert (got.family, got.kappa) == (want.family, want.kappa)
         assert abs(got.noise_a - want.noise_a) <= 1e-12
 
+    @pytest.mark.parametrize("outer,inner", [
+        (ChannelSpec("C1", 0.5), ChannelSpec("C1", 0.5)), (ChannelSpec("D", 0.5), ChannelSpec("C2", 1.5)),
+        (ChannelSpec("C1", 0.5), ChannelSpec("A2")), (ChannelSpec("A2"), ChannelSpec("C1", 0.5)),
+    ], ids=["C1-C1", "D-C2", "C1-A2", "A2-C1"])
+    @pytest.mark.parametrize("lam", [1e200, 1e-200])
+    def test_far_mismatch_gives_a_finite_spec(self, outer, inner, lam):
+        # (lam - 1/lam)^2 overflows past |log lam| ~ 354, the noise does not: it grows as
+        # |lam - 1/lam| (as its square root when the singular projector acts last)
+        got = table2_compose(outer, inner, lam, 0.3)
+        near = table2_compose(outer, inner, np.sqrt(lam), 0.3)
+        base = table1_compose(outer, inner)
+        assert (got.family, got.kappa) == (base.family, base.kappa)
+        assert np.isfinite(got.noise_a) and got.noise_a > 0.0
+        assert got.noise_a == pytest.approx(near.noise_a * (1e50 if outer.family == "A2" else 1e100), rel=1e-12)
+
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_zero_gain_boundaries(self, lam):
         # pairs involving the erasure slot C1(0) = A1 degenerate to the

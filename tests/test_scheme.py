@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from references import UnsupportedShape, position_kraus
+
 from boskraus.channels import ChannelSpec
-from boskraus.errors import InvalidParameter, OrderTooLarge, UnsupportedShape
+from boskraus.errors import InvalidParameter, OrderTooLarge
 from boskraus.fock import displacement_op, fock_state, thermal_state, trace_distance
 from boskraus.kraus import apply, build_continuous, build_discrete, completeness_defect, raw_completeness_defect
 from boskraus.scheme import (
@@ -16,7 +18,6 @@ from boskraus.scheme import (
     kraus_from_scheme,
     matrix_element,
     mix_matrix,
-    position_kraus,
 )
 
 
