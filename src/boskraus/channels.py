@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import InvalidParameter, UnsupportedFamily
 from .fock import TruncatedOperator, _check_counts, _real_number
+from .special import log_factorial, xlogy
 
 FAMILIES = ("D", "C1", "C2", "A1", "A2", "B1", "B2", "I")
 
@@ -141,8 +141,8 @@ def parse_channel(text: str) -> ChannelSpec:
 
 
 def _log_binom_sqrt(n, k):
-    """0.5 * log C(n, k), vectorized."""
-    return 0.5 * (gammaln(np.asarray(n) + 1) - gammaln(np.asarray(k) + 1) - gammaln(np.asarray(n) - np.asarray(k) + 1))
+    """0.5 * log C(n, k) at whole ``0 <= k <= n``, vectorized."""
+    return 0.5 * (log_factorial(n) - log_factorial(k) - log_factorial(np.subtract(n, k)))
 
 
 def closed_form_action(spec: ChannelSpec, m: int, n: int, n_cut: int) -> TruncatedOperator:
@@ -181,10 +181,10 @@ def closed_form_action(spec: ChannelSpec, m: int, n: int, n_cut: int) -> Truncat
         logc = (
             -(1.0 + lo + 0.5 * delta) * math.log1p(k**2)
             - 0.5 * delta * math.log1p(k**-2)
-            - 0.5 * (gammaln(lo + delta + 1) + gammaln(lo + 1))
-            + gammaln(j + lo + delta + 1)
+            - 0.5 * (log_factorial(lo + delta) + log_factorial(lo))
+            + log_factorial(j + lo + delta)
             - j * math.log1p(k**-2)
-            - 0.5 * (gammaln(j + 1) + gammaln(j + delta + 1))
+            - 0.5 * (log_factorial(j) + log_factorial(j + delta))
         )
         if m >= n:
             out[j, j + delta] = np.exp(logc)

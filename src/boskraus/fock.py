@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import eval_hermite, gammainc, gammaln, roots_hermite
 
 from .errors import (
     CutoffTooSmall,
@@ -61,6 +60,7 @@ from .errors import (
     InvalidParameter,
     OrderTooLarge,
 )
+from .special import eval_hermite, log_factorial, poisson_tail
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
@@ -349,15 +349,10 @@ def _ket_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (kets.T * weights) @ kets.conj()
 
 
-def _poisson_tail(lam: float, n_cut: int) -> float:
-    # P(Poisson(lam) >= n_cut), regularized lower incomplete gamma.
-    return float(gammainc(n_cut, lam))
-
-
 def coherent_state(alpha: complex, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityMatrix:
     """Coherent state ``|alpha><alpha|`` with exact Poissonian tail mass."""
     _check_cutoff(n_cut)
-    tail = _poisson_tail(abs(alpha) ** 2, n_cut)
+    tail = poisson_tail(abs(alpha) ** 2, n_cut)
     _check_tail(tail, tail_tol, f"coherent({alpha})")
     v = coherent_amplitudes(alpha, n_cut)
     return DensityMatrix(TruncatedOperator(np.outer(v, v.conj())), tail)
@@ -385,10 +380,10 @@ def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
     _check_cutoff(n_cut)
     if lam < 0:
         raise InvalidParameter("Poisson parameter must be nonnegative")
-    tail = _poisson_tail(lam, n_cut)
+    tail = poisson_tail(lam, n_cut)
     _check_tail(tail, DEFAULT_TAIL_TOL, f"phase_averaged({lam})")
     n = np.arange(n_cut)
-    logp = -lam + n * np.log(lam) - gammaln(n + 1) if lam > 0 else np.where(n == 0, 0.0, -np.inf)
+    logp = -lam + n * np.log(lam) - log_factorial(n) if lam > 0 else np.where(n == 0, 0.0, -np.inf)
     return DensityMatrix._diagonal(np.exp(logp), tail)
 
 
@@ -669,7 +664,7 @@ def hermite_psi_table(n_max: int, x) -> np.ndarray:
 
 
 def _node_count(node_count) -> int:
-    """``node_count`` as an int, which ``scipy.special.roots_hermite`` takes: a whole number >= 1."""
+    """``node_count`` as an int, the count of Gauss-Hermite nodes: a whole number >= 1."""
     if isinstance(node_count, bool) or not isinstance(node_count, numbers.Real) \
             or not float(node_count).is_integer() or node_count < 1:
         raise InvalidParameter(f"node count must be a whole number of at least 1, got {node_count!r}")
@@ -680,15 +675,18 @@ def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.special.roots_hermite(node_count)``: nodes and weights for ``integral e^(-x^2) f(x) dx``.
 
     Up to 150 nodes scipy solves the Golub-Welsch eigenproblem with
-    ``scipy.linalg.eigvals_banded``, whose first import costs about 65 ms.
-    This repeats its steps with ``np.linalg.eigvalsh`` on the same tridiagonal
-    matrix (the same bits for every count from 1 to 150): one Newton step on
-    the eigenvalues, the log-normalized weight formula, symmetrization and
-    normalization to ``sqrt(pi)``.  Above 150 scipy's asymptotic rule imports
-    no linalg and is called as it is.
+    ``scipy.linalg.eigvals_banded``.  This repeats its steps with
+    ``np.linalg.eigvalsh`` on the same tridiagonal matrix and
+    ``special.eval_hermite`` (the same bits for every count from 1 to 150): one
+    Newton step on the eigenvalues, the log-normalized weight formula,
+    symmetrization and normalization to ``sqrt(pi)``.  Above 150 scipy's
+    asymptotic rule needs Airy zeros: that branch alone imports
+    ``scipy.special``, and calls it as it is.
     """
     n = _node_count(node_count)
     if n > 150:
+        from scipy.special import roots_hermite
+
         return roots_hermite(n)
     b = np.sqrt(np.arange(1, n) / 2.0)
     x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))

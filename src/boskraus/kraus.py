@@ -53,8 +53,9 @@ Gaussian quadrature's on every nonempty block.
 duals), whose rows are its operators.  It measures its own defect, unless its
 producer passes the defect it measured on rows the stack no longer holds.
 
-All coefficient evaluation is done in log space (gammaln, and ``xlogy``, whose
-``0 log 0 = 0`` makes A1 = C1(0), C1(1) and C2(1) points of the same formulas).
+All coefficient evaluation is done in log space (``special.log_factorial``, and
+``special.xlogy``, whose ``0 log 0 = 0`` makes A1 = C1(0), C1(1) and C2(1) points
+of the same formulas).
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 from .channels import ChannelSpec, _log_binom_sqrt, closed_form_action  # noqa: F401 (re-exported)
 from .errors import (
@@ -96,6 +96,7 @@ from .fock import (
     thermal_state,
     trace_distance,
 )
+from .special import xlogy
 
 DEFECT_HARD_LIMIT = 1e-4
 SUGGEST_ELL_CAP = 100000

@@ -333,8 +333,9 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     base = table1_compose(spec2, spec1)
     s2, s1 = _table_pair(spec2, spec1)
     y1 = s1.quantum_limited_noise()
-    if s2.family == "A2":  # s = p11 - 1, in a form that is exactly 0 at lam = 1
-        s = (lam - 1.0) * np.cos(theta) ** 2 + (1.0 / lam - 1.0) * np.sin(theta) ** 2
+    if s2.family == "A2":  # s = p11 - 1, exactly 0 at lam = 1, with no inf * 0 at a subnormal lam and theta = 0
+        cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+        s = (lam - 1.0) * cos2 + sin2 / lam - sin2
         excess = np.sqrt(1.0 + y1 + y1 * s) - np.sqrt(1.0 + y1)  # negative when p11 < 1
     else:
         c, d, t = s2.kappa**2 * y1, s2.quantum_limited_noise(), lam - 1.0 / lam

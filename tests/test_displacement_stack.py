@@ -372,6 +372,27 @@ class TestGaussHermite:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_runs_load_no_scipy_special_nor_its_blas(self, tmp_path):
+        # scipy.special maps scipy's own OpenBLAS beside numpy's, whose idle pool spins through a short
+        # run; up to 150 quadrature nodes no command needs either
+        runs = [["experiment", "fixedpoint"], ["experiment", "verify-all", "--ncut", "48"], ["experiment", "extremal"],
+                ["experiment", "scaling"], ["kraus", "C1:0.7"], ["kraus", "B1:0.5"]]
+        code = (
+            "import os, sys\n"
+            "from boskraus import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else ''\n"
+            "loaded = [name for name in ('scipy.special', 'scipy.linalg') if name in sys.modules]\n"
+            "blas = sorted({line.split()[-1] for line in maps.splitlines() if 'scipy.libs' in line and 'openblas' in line})\n"
+            "print(loaded, blas, file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+               "BK_OUTPUT_DIR": str(tmp_path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.strip().splitlines()[-1] == "[] []"
+
 
 GAINS = {"D": st.floats(0.05, 5.0), "C1": st.floats(0.0, 1.0), "C2": st.floats(1.0, 5.0)}
 NOISE = st.floats(0.0, 10.0)

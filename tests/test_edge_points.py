@@ -1,6 +1,6 @@
 """The general formulas at the ends of the gain range and at the first step of each recurrence.
 
-``scipy.special.xlogy`` takes ``0 log 0`` to 0, so A1 (C1 at kappa = 0) and the identity ends
+``special.xlogy`` takes ``0 log 0`` to 0, so A1 (C1 at kappa = 0) and the identity ends
 C1(1) and C2(1) are ordinary points of the C1 and C2 formulas, and the Hermite and Laguerre
 recurrences start from a zero seed.  The references below are the hand-written branches and
 first steps those formulas replaced, verbatim; every comparison is bit for bit.

@@ -409,6 +409,14 @@ class TestTable2:
         assert np.isfinite(got.noise_a) and got.noise_a > 0.0
         assert got.noise_a == pytest.approx(near.noise_a * (1e50 if outer.family == "A2" else 1e100), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [1e-310, 5e-324])
+    def test_subnormal_mismatch_with_the_projector_last_is_the_zero_limit(self, lam):
+        # at theta = 0 the sine term vanishes whatever 1/lam is: no inf * 0, no warning,
+        # and p11 = lam -> 0 leaves the quantum-limited projector
+        got = table2_compose(ChannelSpec("A2"), ChannelSpec("C1", 0.5), lam, 0.0)
+        assert got == table2_compose(ChannelSpec("A2"), ChannelSpec("C1", 0.5), 1e-300, 0.0) == ChannelSpec("A2")
+
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_zero_gain_boundaries(self, lam):
         # pairs involving the erasure slot C1(0) = A1 degenerate to the
