@@ -26,24 +26,19 @@ from .channels import ChannelSpec, closed_form_action, parse_channel
 from .fock import (
     DensityMatrix,
     TruncatedOperator,
-    char_ordered,
     char_weyl,
     coherent_disc_grid,
     coherent_state,
     displacement_op,
     fock_state,
-    hermite_psi,
-    phase_averaged_state,
     q_function,
     random_mixed_state,
     state_new,
     thermal_state,
     trace_distance,
 )
+from .families import DiscreteIndex, KrausFamily, QuadratureIndex
 from .kraus import (
-    DiscreteIndex,
-    KrausFamily,
-    QuadratureIndex,
     apply,
     build_continuous,
     build_discrete,
@@ -70,7 +65,6 @@ from .scheme import (
     MixMatrix,
     generating_form,
     kraus_from_scheme,
-    matrix_element,
     mix_matrix,
 )
 

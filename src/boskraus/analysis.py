@@ -37,10 +37,8 @@ from .fock import (
     q_function,
     trace_distance,
 )
+from .families import DiscreteIndex, KrausFamily, _check_stack_bytes
 from .kraus import (
-    DiscreteIndex,
-    KrausFamily,
-    _check_stack_bytes,
     _population_step,
     apply,
     build_continuous,

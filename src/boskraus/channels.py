@@ -18,7 +18,7 @@ family     gain constraint          quantum-limited noise y0
 ``noise_a`` is the classical noise injected on top of the quantum limit;
 ``noise_a == 0`` marks a quantum-limited channel.  :func:`closed_form_action`
 gives the image of a number-state dyad ``|m><n|`` under a quantum-limited
-``D``, ``C1``, ``C2`` or ``A1``, summed from the band formulas of ``kraus``.
+``D``, ``C1``, ``C2`` or ``A1``, summed from the band formulas of ``families``.
 """
 
 from __future__ import annotations
@@ -108,10 +108,6 @@ class ChannelSpec:
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "kappa": self.kappa, "a": self.noise_a}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ChannelSpec":
-        return ChannelSpec(data["family"], data.get("kappa"), data.get("a", 0.0))
 
 
 def parse_channel(text: str) -> ChannelSpec:

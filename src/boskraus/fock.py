@@ -13,12 +13,12 @@ Everything in this package lives on the span of the number states
 States carry an explicit ``tail_mass`` recording the probability that the
 untruncated state assigns beyond the cutoff, so truncation error is never
 silent.  A state also records its ``bandwidth``, scanned once on
-construction.  A diagonal state (thermal, Fock, phase-averaged, and their
-images under the single-band channels) keeps only its vector of level
-populations, built and checked by the private ``DensityMatrix._diagonal``; its
-matrix is built on the first read of ``mat``.  ``DensityMatrix.diagonal``
-reads the populations of any state, and the readers of a diagonal state's
-populations never build the matrix: :func:`trace_distance` of two of them
+construction.  A diagonal state (thermal, Fock, and their images under
+the single-band channels) keeps only its vector of level populations, built
+and checked by the private ``DensityMatrix._diagonal``; its matrix is built
+on the first read of ``mat``.  ``DensityMatrix.diagonal`` reads the
+populations of any state, and the readers of a diagonal state's populations
+never build the matrix: :func:`trace_distance` of two of them
 sorts the difference of their populations, ``analysis.thermal_estimate``
 weighs them, and ``kraus.apply`` steps them under a banded family.  The
 checks of such a state (:func:`_check_populations`), its trace and the
@@ -60,7 +60,7 @@ from .errors import (
     InvalidParameter,
     OrderTooLarge,
 )
-from .special import eval_hermite, log_factorial, poisson_tail
+from .special import eval_hermite, poisson_tail
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
@@ -99,24 +99,6 @@ class TruncatedOperator:
     def diagonal(self) -> np.ndarray:
         """The entries ``<n|op|n>``."""
         return np.diagonal(self.mat)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": self.mat.real.ravel().tolist(),
-            "im": self.mat.imag.ravel().tolist(),
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "TruncatedOperator":
-        """The operator of a :meth:`to_json_dict` record; malformed input raises ``InvalidParameter``."""
-        dim = data["dim"]
-        if not _is_count(dim) or dim < 2:
-            raise InvalidParameter(f"dim must be an integer of at least 2, got {dim!r}")
-        re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
-        if not re.shape == im.shape == (dim * dim,):
-            raise InvalidParameter(f"re and im must each list dim^2 = {dim * dim} entries, got {re.size} and {im.size}")
-        return TruncatedOperator((re + 1j * im).reshape(dim, dim))
 
 
 class _DiagonalOperator(TruncatedOperator):
@@ -231,7 +213,7 @@ class DensityMatrix:
     read-only (:class:`TruncatedOperator`).  A state that is diagonal in the
     Fock basis is checked on its :attr:`diagonal`: it is Hermitian iff that
     is real, and has it for eigenvalues and its sum for trace, with no LAPACK
-    call.  The thermal, Fock and phase-averaged states and a banded family's
+    call.  The thermal and Fock states and a banded family's
     image of a diagonal state are built by :meth:`_diagonal` from their
     populations alone, and build no matrix until ``mat`` is read.
     """
@@ -278,16 +260,6 @@ class DensityMatrix:
         """The level populations ``<n|rho|n>``, read-only: the vector a diagonal state keeps, or
         the real part of the matrix's diagonal."""
         return self.op.diagonal.real
-
-    def to_json_dict(self) -> dict:
-        out = self.op.to_json_dict()
-        out["tail_mass"] = float(self.tail_mass)
-        return out
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "DensityMatrix":
-        tail_mass = _real_number(data.get("tail_mass", 0.0), "tail_mass")
-        return DensityMatrix(TruncatedOperator.from_json_dict(data), tail_mass)
 
 
 def bandwidth(mat: np.ndarray) -> int:
@@ -354,6 +326,8 @@ def coherent_state(alpha: complex, n_cut: int, tail_tol: float = DEFAULT_TAIL_TO
     _check_cutoff(n_cut)
     tail = poisson_tail(abs(alpha) ** 2, n_cut)
     _check_tail(tail, tail_tol, f"coherent({alpha})")
+    if n_cut < 2:  # the state check's verdict, before the amplitudes index level 0 (a nan tail passes above)
+        raise InvalidParameter("cutoff dimension must be at least 2")
     v = coherent_amplitudes(alpha, n_cut)
     return DensityMatrix(TruncatedOperator(np.outer(v, v.conj())), tail)
 
@@ -372,19 +346,6 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     _check_tail(tail, tail_tol, f"thermal({a0})")
     diag = (1.0 - x) * x ** np.arange(n_cut)
     return DensityMatrix._diagonal(diag, tail)
-
-
-def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
-    """Phase-averaged coherent state: Poissonian diagonal ``e^-lam lam^n / n!``,
-    with a tail mass of at most ``DEFAULT_TAIL_TOL``."""
-    _check_cutoff(n_cut)
-    if lam < 0:
-        raise InvalidParameter("Poisson parameter must be nonnegative")
-    tail = poisson_tail(lam, n_cut)
-    _check_tail(tail, DEFAULT_TAIL_TOL, f"phase_averaged({lam})")
-    n = np.arange(n_cut)
-    logp = -lam + n * np.log(lam) - log_factorial(n) if lam > 0 else np.where(n == 0, 0.0, -np.inf)
-    return DensityMatrix._diagonal(np.exp(logp), tail)
 
 
 def random_mixed_state(seed: int, rank: int, n_cut: int) -> DensityMatrix:
@@ -543,12 +504,11 @@ def _frobenius(ops: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(np.einsum("lij,lij->l", ops, ops.conj())))
 
 
-def _displaced_basis(points: np.ndarray, scales: np.ndarray, dim: int, tol: float,
-                     relative: bool = False) -> tuple[bool, str]:
-    """The verdict of :meth:`kraus.KrausFamily.diagonal_basis` for operators ``D(points[p])`` re-evaluated
-    by :func:`_displacement_chunks` with ``n_ext > dim`` rows, one chunk at a time: their first ``dim``
-    columns, scaled to the Frobenius norm ``scales[p]`` (times that of the square ``D(points[p])`` when
-    ``relative``), give the products.  A displacement's product is near a multiple of the identity on
+def _displaced_basis(points: np.ndarray, scales: np.ndarray, dim: int, tol: float) -> tuple[bool, str]:
+    """The verdict of :meth:`families.KrausFamily.diagonal_basis` for operators ``scales[p] D(points[p])``
+    re-evaluated by :func:`_displacement_chunks` with ``n_ext > dim`` rows, one chunk at a time: their first
+    ``dim`` columns, scaled to the Frobenius norm ``scales[p]`` times that of the square ``D(points[p])``,
+    give the products.  A displacement's product is near a multiple of the identity on
     ``dim >= 2`` levels, never a rank-one position projector, so the tag is ``fock`` or ``any`` when every
     product is diagonal, and ``none`` otherwise."""
     n_ext = int(np.ceil(1.2 * (float(np.max(np.abs(points))) + np.sqrt(dim)) ** 2)) + 8
@@ -556,7 +516,7 @@ def _displaced_basis(points: np.ndarray, scales: np.ndarray, dim: int, tol: floa
     level = np.arange(dim)
     for part, stack in _displacement_chunks(points, n_ext):
         cols = stack[:, :, :dim]
-        target = scales[part] * (_frobenius(stack[:, :dim, :dim]) if relative else 1.0)
+        target = scales[part] * _frobenius(stack[:, :dim, :dim])
         cols = cols * (target / np.maximum(_frobenius(cols), 1e-300))[:, None, None]
         mags = np.abs(np.swapaxes(cols.conj(), 1, 2) @ cols)
         top = max(top, float(np.max(mags)))
@@ -613,18 +573,6 @@ def char_weyl(rho: DensityMatrix, xi: complex) -> complex:
     return complex(np.sum(d * rho.mat.T))
 
 
-def char_ordered(rho: DensityMatrix, xi: complex, order: str) -> complex:
-    """Normal or antinormal ordered characteristic function.
-
-    ``chi_N = chi_W exp(+|xi|^2/2)`` and ``chi_A = chi_W exp(-|xi|^2/2)``.
-    """
-    if order == "normal":
-        return char_weyl(rho, xi) * np.exp(0.5 * abs(xi) ** 2)
-    if order == "antinormal":
-        return char_weyl(rho, xi) * np.exp(-0.5 * abs(xi) ** 2)
-    raise InvalidParameter(f"order must be 'normal' or 'antinormal', got {order!r}")
-
-
 def q_function(rho: DensityMatrix, alpha: complex | np.ndarray) -> float | np.ndarray:
     """Husimi function without the 1/pi, ``Q(alpha) = <alpha|rho|alpha>``: ``v^dag rho v`` for every
     point of ``alpha`` by two stacked matmuls, which make the vector-matrix and dot calls of the
@@ -637,19 +585,15 @@ def q_function(rho: DensityMatrix, alpha: complex | np.ndarray) -> float | np.nd
     return float(vals[0]) if kets.ndim == 1 else vals.reshape(kets.shape[:-1])
 
 
-def hermite_psi(n: int, x):
-    """L2-normalized oscillator wavefunction ``psi_n(x)``.
+def hermite_psi_table(n_max: int, x) -> np.ndarray:
+    """All L2-normalized oscillator wavefunctions ``psi_n(x)`` for ``n = 0..n_max``; shape
+    ``(n_max+1,) + shape(x)``.
 
     ``psi_0 = pi^(-1/4) exp(-x^2/2)`` and
     ``psi_(n+1) = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_(n-1)``.
     The Gaussian weight here is exp(-x^2/2); the squared weight that
     sometimes appears in print is not normalizable against H_n.
     """
-    return hermite_psi_table(n, x)[n]
-
-
-def hermite_psi_table(n_max: int, x) -> np.ndarray:
-    """All ``psi_n(x)`` for ``n = 0..n_max``; shape ``(n_max+1,) + shape(x)``."""
     _check_counts(order=n_max)
     if n_max < 0:
         raise InvalidParameter("order must be nonnegative")

@@ -90,14 +90,6 @@ class XYPair:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", 0.5 * (y + y.T))
 
-    def to_json_dict(self) -> dict:
-        return {"X": self.x.ravel().tolist(), "Y": self.y.ravel().tolist()}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "XYPair":
-        return XYPair(np.asarray(data["X"], dtype=float).reshape(2, 2),
-                      np.asarray(data["Y"], dtype=float).reshape(2, 2))
-
 
 @dataclass(frozen=True, eq=False)
 class Symplectic2:
@@ -335,8 +327,12 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     y1 = s1.quantum_limited_noise()
     if s2.family == "A2":  # s = p11 - 1, exactly 0 at lam = 1, with no inf * 0 at a subnormal lam and theta = 0
         cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-        s = (lam - 1.0) * cos2 + sin2 / lam - sin2
-        excess = np.sqrt(1.0 + y1 + y1 * s) - np.sqrt(1.0 + y1)  # negative when p11 < 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = (lam - 1.0) * cos2 + sin2 / lam - sin2
+            excess = np.sqrt(1.0 + y1 + y1 * s) - np.sqrt(1.0 + y1)  # negative when p11 < 1
+        if not np.isfinite(excess):  # sin^2/lam overflowed: 1 + y1 + y1 s = 1 + y1 lam cos^2 + y1 sin^2/lam
+            root = math.hypot(math.sqrt(1.0 + y1 * lam * cos2), math.sqrt(y1) * abs(math.sin(theta)) / math.sqrt(lam))
+            excess = root - math.sqrt(1.0 + y1)
     else:
         c, d, t = s2.kappa**2 * y1, s2.quantum_limited_noise(), lam - 1.0 / lam
         try:

@@ -40,7 +40,9 @@ from .errors import (
     OrderTooLarge,
     UnsupportedFamily,
 )
-from .kraus import DiscreteIndex, KrausFamily, _gauss_hermite, raw_completeness_defect
+from .families import DiscreteIndex, KrausFamily, raw_completeness_defect
+from .fock import _gauss_hermite
+from .kraus import _check_sizes
 
 MAX_ORDER = 120
 
@@ -191,23 +193,16 @@ def _taylor_box(q: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return t
 
 
-def matrix_element(form: GeneratingForm, m1: int, m2: int, n1: int, n2: int) -> float:
-    """Two-mode metaplectic matrix element ``<m1 m2|U|n1 n2>``."""
-    _check_orders(m1, m2, n1, n2)
-    if (n1 + 1) * (n2 + 1) * (m1 + 1) * (m2 + 1) > 20_000_000:
-        raise OrderTooLarge("joint orders need an infeasibly large coefficient box")
-    t = _taylor_box(form.q, (n1 + 1, n2 + 1, m1 + 1, m2 + 1))
-    return float(form.prefactor * t[n1, n2, m1, m2])
-
-
 def kraus_from_scheme(mix: MixMatrix, ell_max: int, n_cut: int) -> KrausFamily:
     """Kraus operators ``W_l[m1, n1] = C^(m1 l)_(n1 0)`` from the scheme alone.
 
     The defect is measured before the output-row cutoff (extra rows are
     generated and discarded) so it reflects the index sum, not range
     truncation; the family is built with it, as its square stack no
-    longer holds those rows.
+    longer holds those rows.  ``InvalidParameter`` unless ``ell_max >= 0``
+    and ``n_cut >= 2`` are integers, before any work.
     """
+    _check_sizes(ell_max, n_cut)
     n_rows = min(n_cut + ell_max, MAX_ORDER + 1)
     _check_orders(n_cut - 1, ell_max, n_rows - 1)
     form = generating_form(mix)

@@ -1,21 +1,26 @@
 """Reference code that only the tests use: a reader of the JSON record ``KrausFamily.to_json_dict``
-writes, and the scheme's continuous-index oracle for the A2 mixer and the unit shear.
+writes, the scheme's continuous-index oracle for the A2 mixer and the unit shear, and the states,
+characteristic functions and scheme matrix elements the tests compare the package with.
 
 ``read_record`` checks the writer: it reads a record back as the dense stack it lists, built with the
 defect the record stores (so it answers that defect on the default block, 0 on the empty block, and
 raises on any other).  ``position_kraus`` derives the A2 and B1 operators from the position integral
-of the two-mode scheme, with no closed displacement form.
+of the two-mode scheme, with no closed displacement form.  ``phase_averaged_state`` is a diagonal
+state built by ``DensityMatrix._diagonal``, ``char_ordered`` the ordered characteristic functions
+from ``char_weyl``, and ``matrix_element`` one two-mode element of the scheme's Taylor box.
 """
 
 import math
 
 import numpy as np
 
+from boskraus import fock
 from boskraus.channels import ChannelSpec
-from boskraus.errors import BoskrausError, InvalidParameter
-from boskraus.fock import _is_count, hermite_psi_table, hermite_quadrature
-from boskraus.kraus import DiscreteIndex, KrausFamily, QuadratureIndex, _check_stack_bytes, _identity_defect
-from boskraus.scheme import A2_MIX, B1_MIX, MixMatrix
+from boskraus.errors import BoskrausError, InvalidParameter, OrderTooLarge
+from boskraus.families import DiscreteIndex, KrausFamily, QuadratureIndex, _check_stack_bytes, _identity_defect
+from boskraus.fock import DensityMatrix, _is_count, char_weyl, hermite_psi_table, hermite_quadrature
+from boskraus.scheme import A2_MIX, B1_MIX, GeneratingForm, MixMatrix, _check_orders, _taylor_box
+from boskraus.special import log_factorial
 
 ORIGINS = ("closed-form", "product", "rank-one", "scheme")
 
@@ -63,7 +68,8 @@ def read_record(data: dict) -> KrausFamily:
     _require(math.isfinite(defect), f"completeness defect must be finite, got {defect}")
     origin = data.get("origin", "closed-form")
     _require(origin in ORIGINS, f"unknown family origin {origin!r}; expected one of {ORIGINS}")
-    spec = None if data["spec"] is None else ChannelSpec.from_json_dict(data["spec"])
+    spec = data["spec"]
+    spec = None if spec is None else ChannelSpec(spec["family"], spec.get("kappa"), spec.get("a", 0.0))
     return KrausFamily(spec, ops, index, defect, origin)
 
 
@@ -110,3 +116,38 @@ def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> KrausFamily:
     else:
         raise UnsupportedShape("only the A2 mixer and the unit shear are supported")
     return KrausFamily(spec, ops.astype(np.complex128), QuadratureIndex(x, w), defect, origin="scheme")
+
+
+def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
+    """Phase-averaged coherent state: Poissonian diagonal ``e^-lam lam^n / n!``, with a tail mass of at
+    most ``DEFAULT_TAIL_TOL``.  The tail is read as ``fock.poisson_tail``, so a test that patches it
+    there patches it here."""
+    fock._check_cutoff(n_cut)
+    if lam < 0:
+        raise InvalidParameter("Poisson parameter must be nonnegative")
+    tail = fock.poisson_tail(lam, n_cut)
+    fock._check_tail(tail, fock.DEFAULT_TAIL_TOL, f"phase_averaged({lam})")
+    n = np.arange(n_cut)
+    logp = -lam + n * np.log(lam) - log_factorial(n) if lam > 0 else np.where(n == 0, 0.0, -np.inf)
+    return DensityMatrix._diagonal(np.exp(logp), tail)
+
+
+def char_ordered(rho: DensityMatrix, xi: complex, order: str) -> complex:
+    """Normal or antinormal ordered characteristic function.
+
+    ``chi_N = chi_W exp(+|xi|^2/2)`` and ``chi_A = chi_W exp(-|xi|^2/2)``.
+    """
+    if order == "normal":
+        return char_weyl(rho, xi) * np.exp(0.5 * abs(xi) ** 2)
+    if order == "antinormal":
+        return char_weyl(rho, xi) * np.exp(-0.5 * abs(xi) ** 2)
+    raise InvalidParameter(f"order must be 'normal' or 'antinormal', got {order!r}")
+
+
+def matrix_element(form: GeneratingForm, m1: int, m2: int, n1: int, n2: int) -> float:
+    """Two-mode metaplectic matrix element ``<m1 m2|U|n1 n2>``."""
+    _check_orders(m1, m2, n1, n2)
+    if (n1 + 1) * (n2 + 1) * (m1 + 1) * (m2 + 1) > 20_000_000:
+        raise OrderTooLarge("joint orders need an infeasibly large coefficient box")
+    t = _taylor_box(form.q, (n1 + 1, n2 + 1, m1 + 1, m2 + 1))
+    return float(form.prefactor * t[n1, n2, m1, m2])

@@ -23,6 +23,7 @@ from boskraus.analysis import (
 from boskraus.channels import ChannelSpec
 from boskraus.fock import (
     coherent_amplitudes,
+    coherent_disc_grid,
     coherent_state,
     fock_state,
     q_function,
@@ -33,7 +34,6 @@ from boskraus.kraus import (
     apply,
     build_continuous,
     build_discrete,
-    coherent_disc_grid,
     dual,
     rank_one_d,
     suggest_ell_max,

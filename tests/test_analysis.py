@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import family_for, padded_random_state
+from references import phase_averaged_state
 from test_fock import reference_coherent_amplitudes, reference_q_function
 
 from boskraus import analysis
@@ -36,21 +37,17 @@ from boskraus.fock import (
     coherent_state,
     displacement_op,
     fock_state,
+    coherent_disc_grid,
     hermite_psi_table,
-    phase_averaged_state,
     random_mixed_state,
     thermal_state,
     trace_distance,
 )
+from boskraus.families import DiscreteIndex, KrausFamily, QuadratureIndex, _band_gram_diagonals
 from boskraus.kraus import (
-    DiscreteIndex,
-    KrausFamily,
-    QuadratureIndex,
-    _band_gram_diagonals,
     apply,
     build_continuous,
     build_discrete,
-    coherent_disc_grid,
     completeness_defect,
     dual,
     suggest_ell_max,

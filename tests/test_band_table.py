@@ -16,28 +16,26 @@ from hypothesis import strategies as st
 
 from references import position_kraus
 
-from boskraus import analysis, kraus
+from boskraus import analysis, families
 from boskraus.analysis import gram_rank, thermal_estimate
-from boskraus.channels import ChannelSpec
+from boskraus.channels import ChannelSpec, _log_binom_sqrt
 from boskraus.cli import main
 from boskraus.errors import AllocationTooLarge
 from boskraus.fock import (
     DensityMatrix,
     TruncatedOperator,
     bandwidth,
+    coherent_disc_grid,
     random_mixed_state,
     thermal_state,
     trace_distance,
 )
+from boskraus.families import MAX_DENSE_BYTES, BandedFamily
 from boskraus.kraus import (
-    MAX_DENSE_BYTES,
-    BandedFamily,
-    _log_binom_sqrt,
     apply,
     apply_matrix,
     build_continuous,
     build_discrete,
-    coherent_disc_grid,
     completeness_defect,
     dual,
     rank_one_d,
@@ -215,7 +213,7 @@ def test_dense_stack_over_the_limit_raises_before_allocating(tmp_path):
     assert peak < 64e6
     operators = json.loads(path.read_text())["operators"]
     assert len(operators) == 1022
-    assert write_peak - held < sum(len(op["rows"]) for op in operators) * kraus.JSON_ENTRY_BYTES
+    assert write_peak - held < sum(len(op["rows"]) for op in operators) * families.JSON_ENTRY_BYTES
 
 
 @pytest.mark.parametrize("build,k", [
@@ -253,7 +251,7 @@ def test_extremal_with_an_oversized_block_exits_1(tmp_path, capsys):
 def test_json_record_over_the_limit_raises_before_any_list(build, limit, monkeypatch, tmp_path, capsys):
     # the stack fits under the limit, but its record, at JSON_ENTRY_BYTES per entry, does not
     family = build()
-    monkeypatch.setattr(kraus, "MAX_DENSE_BYTES", limit)
+    monkeypatch.setattr(families, "MAX_DENSE_BYTES", limit)
     assert len(family) * family.dim**2 * 16 <= limit
     tracemalloc.start()
     try:
@@ -298,8 +296,8 @@ def test_quadrature_stack_over_the_limit_raises_before_allocating(build, factore
 def test_product_stack_over_the_limit_raises_before_allocating(monkeypatch):
     # C1(0.7) at N=64: each factor's 16 operators are 1 MB, their 256 products 16.8 MB
     c1 = build_discrete(ChannelSpec("C1", 0.7), 63, 64)
-    monkeypatch.setattr(kraus, "MAX_DENSE_BYTES", 1 << 20)
-    assert 16 * 64**2 * 16 <= kraus.MAX_DENSE_BYTES < 256 * 64**2 * 16
+    monkeypatch.setattr(families, "MAX_DENSE_BYTES", 1 << 20)
+    assert 16 * 64**2 * 16 <= families.MAX_DENSE_BYTES < 256 * 64**2 * 16
     tracemalloc.start()
     try:
         with pytest.raises(AllocationTooLarge, match="256 operators"):
@@ -420,15 +418,15 @@ def test_offset_step_is_the_reduce_form_bit_for_bit(data, family, n_cut, seed):
     table, flip = fam.output_table, fam.band == "anti"
     rng = np.random.default_rng(seed)
     p = rng.random(n_cut) * (rng.random(n_cut) < 0.8)
-    assert kraus._offset_step(table * table, p).tobytes() == reference_offset_step(table * table, p).tobytes()
+    assert families._offset_step(table * table, p).tobytes() == reference_offset_step(table * table, p).tobytes()
     assert fam.populations(p).tobytes() == reference_offset_step(table * table, p).tobytes()
     mat = rng.normal(size=(n_cut, n_cut)) + 1j * rng.normal(size=(n_cut, n_cut))
     for k in range(n_cut):
         size = n_cut - k
         pair = table[k:, :size] * table[:size, k:] if flip else table[:size, :size] * table[k:, k:]
-        parts = kraus._diagonal_parts(mat, k)
+        parts = families._diagonal_parts(mat, k)
         assert not parts.flags.c_contiguous or size == 1
-        assert kraus._offset_step(pair, parts).tobytes() == reference_offset_step(pair, parts).tobytes(), k
+        assert families._offset_step(pair, parts).tobytes() == reference_offset_step(pair, parts).tobytes(), k
 
 
 @pytest.mark.parametrize("spec", [ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.1)],
@@ -504,7 +502,7 @@ def test_fixedpoint_csv_unchanged_by_the_offset_loop(tmp_path, monkeypatch, caps
 
 def reference_to_json_dict(family):
     """The JSON writer before it read the table: every operator from the dense stack ``ops``."""
-    if isinstance(family.index, kraus.DiscreteIndex):
+    if isinstance(family.index, families.DiscreteIndex):
         index = {"kind": "discrete", "ell_max": family.index.ell_max}
     else:
         nodes = family.index.nodes

@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from references import read_record
+from references import phase_averaged_state, read_record
 
-from boskraus import analysis, fock, kraus
+from boskraus import analysis, families, fock
 from boskraus.analysis import iterate, thermal_estimate
 from boskraus.channels import ChannelSpec
 from boskraus.errors import BoskrausError, CutoffTooSmall, InvalidParameter
@@ -24,21 +24,20 @@ from boskraus.fock import (
     DensityMatrix,
     TruncatedOperator,
     coherent_amplitudes,
+    coherent_disc_grid,
     coherent_state,
     fock_state,
-    phase_averaged_state,
     q_function,
     random_mixed_state,
     thermal_state,
     trace_distance,
 )
+from boskraus.families import KrausFamily
 from boskraus.kraus import (
-    KrausFamily,
     apply,
     apply_matrix,
     build_continuous,
     build_discrete,
-    coherent_disc_grid,
     completeness_defect,
     rank_one_d,
     suggest_ell_max,
@@ -165,7 +164,7 @@ def test_iterate_memory_does_not_grow_with_steps():
 def _free_table_family(band, coeffs):
     """A banded family with a free table: steps that lose mass past the cutoff, or all of it."""
     coeffs = np.asarray(coeffs, dtype=float)
-    return kraus.BandedFamily(ChannelSpec("C2", 1.1), coeffs, band, kraus.DiscreteIndex(len(coeffs) - 1))
+    return families.BandedFamily(ChannelSpec("C2", 1.1), coeffs, band, families.DiscreteIndex(len(coeffs) - 1))
 
 
 def _recorded(call):
@@ -351,7 +350,7 @@ def test_iterate_scans_each_input_once(monkeypatch):
 
     scan = fock.bandwidth
     monkeypatch.setattr(fock, "bandwidth", counting)
-    monkeypatch.setattr(kraus, "bandwidth", counting)
+    monkeypatch.setattr(families, "bandwidth", counting)
     spec = ChannelSpec("D", 0.8)
     family = build_discrete(spec, suggest_ell_max(spec, 48), 48)
     thermal = thermal_state(3.0, 48)
@@ -510,9 +509,9 @@ def test_dual_of_a_loaded_family_measures_its_own_stack():
     built = build_discrete(ChannelSpec("C2", 1.3), 40, 16)
     loaded = read_record(json.loads(json.dumps(built.to_json_dict())))
     dual = loaded.dual()
-    assert dual.completeness_defect == kraus.raw_completeness_defect(dual.ops)
+    assert dual.completeness_defect == families.raw_completeness_defect(dual.ops)
     for block in (3, 5, 12):  # blocks other than 0 and dim // 2 too
-        assert completeness_defect(dual, block) == kraus.raw_completeness_defect(dual.ops, block)
+        assert completeness_defect(dual, block) == families.raw_completeness_defect(dual.ops, block)
 
 
 def test_complex_nodes_are_ordered_without_a_cast():

@@ -25,13 +25,15 @@ from boskraus.errors import InvalidParameter, OrderTooLarge
 from boskraus.fock import (
     TruncatedOperator,
     _displacement_chunks,
+    _gauss_hermite,
     char_weyl,
     coherent_state,
     displacement_op,
     fock_state,
+    hermite_quadrature,
     thermal_state,
 )
-from boskraus.kraus import _gauss_hermite, build_continuous, hermite_quadrature
+from boskraus.kraus import build_continuous
 from boskraus.phasespace import OMEGA, canonical_xy, classify, compose_xy, cp_defect, table1_compose
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -15,15 +15,16 @@ from hypothesis import strategies as st
 
 from boskraus.channels import ChannelSpec, _log_binom_sqrt, closed_form_action
 from boskraus.errors import InvalidParameter
-from boskraus.fock import _PI_QUARTER, hermite_psi_table
-from boskraus.kraus import _band_table, coherent_disc_grid, rank_one_d, suggest_ell_max
+from boskraus.families import _band_table
+from boskraus.fock import _PI_QUARTER, coherent_disc_grid, hermite_psi_table
+from boskraus.kraus import rank_one_d, suggest_ell_max
 
 ENDS = [ChannelSpec("A1"), ChannelSpec("C1", 0.0), ChannelSpec("C1", 1.0), ChannelSpec("C2", 1.0)]
 END_IDS = ["A1", "C1(0)", "C1(1)", "C2(1)"]
 
 
 def reference_band_table(spec, ell_max, n_cut):
-    """``kraus._band_table`` with its branches at kappa = 0 and 1."""
+    """``families._band_table`` with its branches at kappa = 0 and 1."""
     fam = spec.family
     if fam == "I":
         return np.ones((1, n_cut)), "upper"

@@ -1,4 +1,4 @@
-"""Every storage kind answers the same readers, and only ``kraus`` looks at the storage.
+"""Every storage kind answers the same readers, and only ``families`` looks at the storage.
 
 ``KINDS`` lists one family of every way the package builds one; a new storage
 kind is checked by adding an entry.
@@ -18,16 +18,9 @@ from references import position_kraus, read_record
 from boskraus.analysis import product_family, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
 from boskraus.errors import BoskrausError, InvalidParameter
-from boskraus.fock import random_mixed_state
-from boskraus.kraus import (
-    KrausFamily,
-    apply_matrix,
-    build_continuous,
-    build_discrete,
-    coherent_disc_grid,
-    completeness_defect,
-    rank_one_d,
-)
+from boskraus.families import KrausFamily
+from boskraus.fock import coherent_disc_grid, random_mixed_state
+from boskraus.kraus import apply_matrix, build_continuous, build_discrete, completeness_defect, rank_one_d
 from boskraus.scheme import kraus_from_scheme, mix_matrix
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "boskraus"
@@ -73,10 +66,16 @@ def test_scan_finds_storage_reads():
                                              "line 3: isinstance(..., QuadratureIndex)"]
 
 
-def test_only_kraus_looks_at_the_storage():
+def test_only_families_looks_at_the_storage():
     reads = {path.name: storage_reads(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "kraus.py"}
+             if path.name != "families.py"}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_families_imports_nothing_from_kraus():
+    imports = [node for node in ast.walk(ast.parse((PACKAGE / "families.py").read_text()))
+               if isinstance(node, ast.ImportFrom)]
+    assert all(node.module != "kraus" and "kraus" not in {alias.name for alias in node.names} for node in imports)
 
 
 def storage_kinds(source: str) -> list[ast.ClassDef]:
@@ -114,7 +113,7 @@ def test_scan_finds_rule_picks():
 
 def test_every_kind_owns_its_defect_rule():
     # no storage kind's constructor branches, and no defect is read off the origin, family or index type
-    source = (PACKAGE / "kraus.py").read_text()
+    source = (PACKAGE / "families.py").read_text()
     assert len(storage_kinds(source)) == 4
     assert rule_picks(source) == []
 
@@ -142,7 +141,7 @@ def outcome(call):
 
 def test_only_the_base_class_derives_the_stack_and_every_kind_makes_operators():
     kinds = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-             for node in storage_kinds((PACKAGE / "kraus.py").read_text())}
+             for node in storage_kinds((PACKAGE / "families.py").read_text())}
     assert len(kinds) == 4
     assert {name for name, methods in kinds.items() if methods & {"ops", "operators", "__len__"}} == {"KrausFamily"}
     assert all("_operators_at" in methods for methods in kinds.values())

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import genlaguerre, roots_hermite
 
+from references import char_ordered, phase_averaged_state
+
 from boskraus import fock, kraus
 from boskraus.channels import ChannelSpec
 from boskraus.errors import (
@@ -22,14 +24,12 @@ from boskraus.errors import (
 from boskraus.fock import (
     DensityMatrix,
     TruncatedOperator,
-    char_ordered,
     char_weyl,
     coherent_amplitudes,
     coherent_state,
     displacement_op,
     fock_state,
-    hermite_psi,
-    phase_averaged_state,
+    hermite_psi_table,
     q_function,
     random_mixed_state,
     state_new,
@@ -177,6 +177,12 @@ class TestStates:
     def test_cutoff_must_be_nonnegative(self, make):
         with pytest.raises(InvalidParameter, match="^n_cut must be nonnegative, got -3$"):
             make()
+
+    @pytest.mark.parametrize("alpha,n_cut", [(0.0, 0), (math.nan, 0), (0.0, 1)])
+    def test_coherent_state_below_two_levels_is_a_typed_error(self, alpha, n_cut):
+        # the tail P(N >= 0) of the vacuum is nan, which the tail check lets through
+        with pytest.raises(InvalidParameter, match="^cutoff dimension must be at least 2$"):
+            coherent_state(alpha, n_cut)
 
     def test_dispatcher(self):
         assert np.array_equal(state_new("fock", 8, n=2).mat, fock_state(2, 8).mat)
@@ -356,7 +362,7 @@ class TestCoherentTable:
 
     def test_rank_one_family_and_defect_equal_reference_build(self):
         kappa, n_cut = 0.8, 24
-        alphas, weights = kraus.coherent_disc_grid(7.0, 20, 24)
+        alphas, weights = fock.coherent_disc_grid(7.0, 20, 24)
         fam = kraus.rank_one_d(kappa, alphas, weights, n_cut, probe_check=False)
         pref = 1.0 / np.sqrt(1.0 + kappa**2)
         ket_scale = 1.0 / np.sqrt(1.0 + kappa**-2)
@@ -454,34 +460,34 @@ class TestQFunction:
 
 class TestHermite:
     def test_ground_state_value(self):
-        assert hermite_psi(0, 0.0) == pytest.approx(np.pi**-0.25)
+        assert hermite_psi_table(0, 0.0)[0] == pytest.approx(np.pi**-0.25)
 
     def test_odd_parity(self):
-        assert hermite_psi(1, 0.0) == 0.0
-        assert hermite_psi(3, 0.7) == pytest.approx(-hermite_psi(3, -0.7))
+        assert hermite_psi_table(1, 0.0)[1] == 0.0
+        assert hermite_psi_table(3, 0.7)[3] == pytest.approx(-hermite_psi_table(3, -0.7)[3])
 
     def test_normalized_by_quadrature(self):
         # oracle: Gauss-Hermite quadrature of psi_3^2
         x, w = roots_hermite(60)
-        vals = np.array([hermite_psi(3, xi) for xi in x])
+        vals = np.array([hermite_psi_table(3, xi)[3] for xi in x])
         integral = np.sum(w * np.exp(x**2) * vals**2)
         assert integral == pytest.approx(1.0, abs=1e-10)
 
     def test_recurrence_consistency(self):
         x = 0.83
-        lhs = hermite_psi(5, x)
-        rhs = np.sqrt(2 / 5) * x * hermite_psi(4, x) - np.sqrt(4 / 5) * hermite_psi(3, x)
+        lhs = hermite_psi_table(5, x)[5]
+        rhs = np.sqrt(2 / 5) * x * hermite_psi_table(4, x)[4] - np.sqrt(4 / 5) * hermite_psi_table(3, x)[3]
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_order_guard(self):
         with pytest.raises(OrderTooLarge):
-            hermite_psi(2001, 0.0)
+            hermite_psi_table(2001, 0.0)[2001]
 
     @pytest.mark.parametrize("make", [
-        lambda: fock.hermite_psi_table(-1, 0.3),
-        lambda: fock.hermite_psi_table(2.5, 0.3),
-        lambda: hermite_psi(1.5, 0.3),
-        lambda: hermite_psi(True, 0.3),  # a boolean index would pick the rows psi_0 and psi_1
+        lambda: hermite_psi_table(-1, 0.3),
+        lambda: hermite_psi_table(2.5, 0.3),
+        lambda: hermite_psi_table(1.5, 0.3)[1],
+        lambda: hermite_psi_table(True, 0.3)[1],  # a boolean index would pick the rows psi_0 and psi_1
     ], ids=["table-negative", "table-fractional", "psi-fractional", "psi-bool"])
     def test_order_must_be_a_nonnegative_integer(self, make):
         with pytest.raises(InvalidParameter, match="^order must be"):
@@ -559,23 +565,3 @@ class TestDiagonalEigenvalues:
         assert trace_distance(rho, sigma) == want
         assert trace_distance(fock_state(1, n_cut), rho) == \
             float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(fock_state(1, n_cut).mat - rho.mat))))
-
-
-def test_json_roundtrip():
-    rho = coherent_state(0.6 + 0.3j, 16)
-    back = DensityMatrix.from_json_dict(rho.to_json_dict())
-    assert np.array_equal(back.mat, rho.mat)
-    assert back.tail_mass == rho.tail_mass
-
-
-@pytest.mark.parametrize("edit, message", [
-    ({"dim": 4.9}, "dim must be an integer"), ({"dim": "4"}, "dim must be an integer"),
-    ({"im": [0.0] * 15}, "re and im must each list"), ({"re": [0.0] * 15, "im": [0.0] * 15}, "re and im must each list"),
-    ({"tail_mass": "0.0"}, "tail_mass must be a real number, got '0.0'"),
-    ({"tail_mass": False}, "tail_mass must be a real number, got False"),
-], ids=["fractional-dim", "string-dim", "re-and-im-differ-in-length", "not-dim-squared-entries", "string-tail-mass",
-        "bool-tail-mass"])
-def test_json_reader_rejects_a_malformed_record(edit, message):
-    record = {**fock_state(1, 4).to_json_dict(), **edit}
-    with pytest.raises(InvalidParameter, match=message):
-        DensityMatrix.from_json_dict(record)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from conftest import family_for, padded_random_state
-from references import read_record
+from references import char_ordered, read_record
 
-from boskraus.channels import ChannelSpec
+from boskraus.channels import ChannelSpec, closed_form_action
 from boskraus.errors import (
     DefectTooLarge,
     GridTooCoarse,
@@ -23,6 +23,7 @@ from boskraus.analysis import thermal_estimate, thermal_step
 from boskraus.fock import (
     bandwidth,
     coherent_amplitudes,
+    coherent_disc_grid,
     coherent_state,
     fock_state,
     hermite_psi_table,
@@ -36,8 +37,6 @@ from boskraus.kraus import (
     apply_matrix,
     build_continuous,
     build_discrete,
-    closed_form_action,
-    coherent_disc_grid,
     completeness_defect,
     dual,
     hermite_quadrature,
@@ -298,8 +297,6 @@ class TestOrderedFunctionAlgebra:
     def test_conjugator_normal_to_antinormal(self):
         # the conjugate-argument map between the output normal-ordered and
         # the input antinormal-ordered characteristic functions
-        from boskraus.fock import char_ordered, random_mixed_state
-
         k, n_cut = 0.8, 64
         fam = family_for(ChannelSpec("D", k), n_cut)
         rho = padded_random_state(4, 16, n_cut)
@@ -310,8 +307,6 @@ class TestOrderedFunctionAlgebra:
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_attenuator_scales_normal_ordered(self):
-        from boskraus.fock import char_ordered
-
         k, n_cut = 0.7, 64
         fam = build_discrete(ChannelSpec("C1", k), n_cut - 1, n_cut)
         rho = padded_random_state(8, 16, n_cut)
@@ -321,8 +316,6 @@ class TestOrderedFunctionAlgebra:
                 char_ordered(rho, k * xi, "normal"), abs=1e-9)
 
     def test_amplifier_scales_antinormal_ordered(self):
-        from boskraus.fock import char_ordered
-
         k, n_cut = 1.3, 64
         fam = family_for(ChannelSpec("C2", k), n_cut)
         rho = padded_random_state(9, 12, n_cut)
@@ -516,9 +509,9 @@ class TestContinuousFamilies:
         assert completeness_defect(fam) < 1e-12
 
     def test_non_finite_defect_rejected(self, monkeypatch):
-        import boskraus.kraus as kraus_module
+        from boskraus import families
 
-        monkeypatch.setattr(kraus_module, "_identity_defect", lambda *args: float("nan"))
+        monkeypatch.setattr(families, "_identity_defect", lambda *args: float("nan"))
         with pytest.raises(DefectTooLarge):
             build_continuous(ChannelSpec("A2"), 64, 16)
 

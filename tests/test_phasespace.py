@@ -1,5 +1,7 @@
 """The (X, Y) calculus: classification, composition tables, moments."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import family_for
 
-from boskraus.channels import ChannelSpec, parse_channel
+from boskraus.channels import ChannelSpec
 from boskraus.errors import (
     InvalidParameter,
     NotCompletelyPositive,
@@ -417,6 +419,16 @@ class TestTable2:
         got = table2_compose(ChannelSpec("A2"), ChannelSpec("C1", 0.5), lam, 0.0)
         assert got == table2_compose(ChannelSpec("A2"), ChannelSpec("C1", 0.5), 1e-300, 0.0) == ChannelSpec("A2")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [1e-310, 5e-324])
+    def test_subnormal_mismatch_with_a_rotation_adds_finite_noise(self, lam):
+        # sin^2(theta)/lam overflows at a subnormal lam, but the noise sqrt(1 + y1 p11) - sqrt(1 + y1),
+        # about sqrt(y1 sin^2(theta) / lam), is finite
+        got = table2_compose(ChannelSpec("A2"), ChannelSpec("C1", 0.5), lam, 0.3)
+        want = math.sqrt(0.75) * math.sin(0.3) / math.sqrt(lam)
+        assert got.family == "A2" and math.isfinite(got.noise_a)
+        assert got.noise_a == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_zero_gain_boundaries(self, lam):
         # pairs involving the erasure slot C1(0) = A1 degenerate to the
@@ -579,12 +591,3 @@ def test_symplectic_validation():
     with pytest.raises(InvalidParameter):
         Symplectic2(np.diag([2.0, 1.0]))
     assert rotation(0.3).s @ rotation(-0.3).s == pytest.approx(np.eye(2))
-
-
-def test_xy_json_roundtrip():
-    xy = canonical_xy(ChannelSpec("D", 1.5, 0.3))
-    back = XYPair.from_json_dict(xy.to_json_dict())
-    np.testing.assert_array_equal(back.x, xy.x)
-    np.testing.assert_array_equal(back.y, xy.y)
-    spec = parse_channel("D:0.8:1.5")
-    assert ChannelSpec.from_json_dict(spec.to_json_dict()) == spec

@@ -19,13 +19,12 @@ from test_family_kinds import KINDS, dense_action
 from boskraus.analysis import gram_rank, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
 from boskraus.errors import DefectTooLarge
-from boskraus.fock import coherent_amplitudes, hermite_psi_table, random_mixed_state, thermal_state
+from boskraus.fock import coherent_amplitudes, coherent_disc_grid, hermite_psi_table, random_mixed_state, thermal_state
 from boskraus.kraus import (
     KrausFamily,
     apply,
     apply_matrix,
     build_continuous,
-    coherent_disc_grid,
     hermite_quadrature,
     rank_one_d,
 )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from references import UnsupportedShape, position_kraus
+from references import UnsupportedShape, matrix_element, position_kraus
 
 from boskraus.channels import ChannelSpec
 from boskraus.errors import InvalidParameter, OrderTooLarge
@@ -16,7 +16,6 @@ from boskraus.scheme import (
     MixMatrix,
     generating_form,
     kraus_from_scheme,
-    matrix_element,
     mix_matrix,
 )
 
@@ -196,7 +195,7 @@ class TestSlabKernel:
         ref = build_discrete(spec, ell_max, n_cut, defect_limit=2.0)
         assert np.max(np.abs(sch.ops - ref.ops)) < 1e-12
 
-    @pytest.mark.parametrize("ell_max,n_cut", [(-1, 16), (3, 0), (-2, -1)])
+    @pytest.mark.parametrize("ell_max,n_cut", [(-1, 16), (3, 0), (-2, -1), (True, 16), (3, 1), (3.5, 16), (3, 16.0)])
     def test_invalid_sizes_rejected(self, ell_max, n_cut):
         with pytest.raises(InvalidParameter):
             kraus_from_scheme(mix_matrix(ChannelSpec("C1", 0.5)), ell_max, n_cut)
