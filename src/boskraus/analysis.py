@@ -37,7 +37,7 @@ from .fock import (
     q_function,
     trace_distance,
 )
-from .families import DiscreteIndex, KrausFamily, _check_stack_bytes
+from .families import DiscreteIndex, KrausFamily, ProductFamily, _check_stack_bytes
 from .kraus import (
     _population_step,
     apply,
@@ -228,10 +228,10 @@ def gram_rank(family: KrausFamily, k: int) -> GramReport:
 
     A channel is extremal iff these products are linearly independent, i.e. the
     Gram matrix of the first ``(k+1)^2`` products (:meth:`KrausFamily.product_gram`)
-    has full rank: singular values above ``GRAM_THRESHOLD`` of the largest.  A
-    :func:`product_family` holds two-factor products already, so its Gram matrix is
-    taken over its first ``(k+1)^2`` operators: a dependent product set cannot
-    certify extremality of the composite.
+    has full rank: singular values above ``GRAM_THRESHOLD`` of the largest.  The
+    :class:`families.ProductFamily` of :func:`product_family` holds two-factor products
+    already, so it takes the Gram matrix of its own first ``(k+1)^2`` operators: a
+    dependent product set cannot certify extremality of the composite.
 
     A cutoff probe guards against band truncation silently deflating the products:
     above 16 levels, the Gram part carried by the entries in the top 8 rows or
@@ -258,8 +258,8 @@ def _block_count(k) -> int:
     return k + 1
 
 
-def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamily:
-    """The ``(k+1)^2`` products (outer_m inner_n) as a Kraus family.
+def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> ProductFamily:
+    """The ``(k+1)^2`` products (outer_m inner_n) as a :class:`families.ProductFamily`.
 
     Applying it agrees with applying ``inner`` then ``outer``; its spec is
     the composition-table entry for the pair.  Only the first ``k + 1``
@@ -283,7 +283,7 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> KrausFamil
             spec = table1_compose(outer.spec, inner.spec)
         except UnsupportedPair:
             spec = None
-    return KrausFamily(spec, ops, DiscreteIndex(count * count - 1), origin="product")
+    return ProductFamily(spec, ops, DiscreteIndex(count * count - 1), "product")
 
 
 @dataclass(frozen=True)

@@ -101,13 +101,16 @@ def cmd_compose(args) -> int:
     payload = {"composite": composite.to_json_dict()}
     if args.verify:
         # the mismatch between the pair: squeeze(lam), or for an A2 outer squeeze(sqrt(lam)) R(theta)^T
-        g = phasespace.squeeze(args.lam).s
-        if outer.family == "A2":
-            g = phasespace.squeeze(np.sqrt(args.lam)).s @ phasespace.rotation(args.theta).s.T
-        mismatch = phasespace.XYPair(g, np.zeros((2, 2)))
-        xy = phasespace.compose_xy(phasespace.compose_xy(phasespace.canonical_xy(inner), mismatch),
-                                   phasespace.canonical_xy(outer))
-        direct = phasespace.classify(xy)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                g = (phasespace.squeeze(np.sqrt(args.lam)).s @ phasespace.rotation(args.theta).s.T
+                     if outer.family == "A2" else phasespace.squeeze(args.lam).s)
+                mismatch = phasespace.XYPair(g, np.zeros((2, 2)))
+                xy = phasespace.compose_xy(phasespace.compose_xy(phasespace.canonical_xy(inner), mismatch),
+                                           phasespace.canonical_xy(outer))
+                direct = phasespace.classify(xy)
+        except FloatingPointError as exc:
+            raise InvalidParameter(f"--verify cannot check lambda={args.lam!r}: (X, Y) leaves the float range") from exc
         payload["verify"] = {
             "classified": direct.to_json_dict(),
             "family_match": direct.family == composite.family,

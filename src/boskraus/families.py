@@ -1,6 +1,6 @@
 """How a Kraus family is stored, and what each storage answers.
 
-A family is stored in one of four kinds, fixed by its class when it is built;
+A family is stored in one of five kinds, fixed by its class when it is built;
 readers call its methods (see :class:`KrausFamily`) and never test the storage,
 and each kind answers its own completeness defect.  Only this module reads a
 kind's fields.  Each kind makes operators in one place,
@@ -8,7 +8,7 @@ kind's fields.  Each kind makes operators in one place,
 ``ops`` (the whole stack, cached) and ``operators(count)`` (the first
 ``count``, built alone), both after checking the size of what they build, and
 the operators the JSON writer lists, a bounded chunk of labels at a time.  No
-reader but ``ops`` builds the whole stack.
+reader but ``ops`` builds the whole stack; only the JSON writer reads ``origin``.
 
 :class:`BandedFamily` (``D``, ``C1``, ``C2``, ``A1``, ``I``) holds a real table
 ``c`` of shape ``(ell_max + 1, N)`` over the whole band and its orientation,
@@ -48,9 +48,10 @@ the nonnegative arguments and their scales: it acts by streaming the real
 displacement kernel of ``fock`` over those nodes, two real GEMMs per chunk, its
 operators come from that kernel at the nodes asked for, and its defect is the
 Gaussian quadrature's on every nonempty block.
-:class:`KrausFamily` holds a dense stack (scheme output, products and their
-duals), whose rows are its operators.  It measures its own defect, unless its
-producer passes the defect it measured on rows the stack no longer holds.
+:class:`KrausFamily` holds a dense stack as its producer made it (the scheme's
+Taylor slice with every row its defect needs, or a dual): ``ops`` are its top
+``dim`` rows, and its defect is measured on every row, on every block.  Of a
+:class:`ProductFamily`, products already, ``product_gram`` reads the first ones.
 """
 
 from __future__ import annotations
@@ -91,49 +92,43 @@ class QuadratureIndex:
 
 
 class KrausFamily:
-    """An ordered Kraus family held as a dense stack ``ops`` of shape ``(n_ops, dim, dim)``, plus
-    channel metadata.  Readers call :meth:`act`, :meth:`defect`, :meth:`operators`,
-    :meth:`product_gram`, :meth:`diagonal_basis`, :meth:`dual` and :meth:`to_json_dict`, and each
-    storage kind answers them from what it holds.  ``kraus.build_discrete`` gives a :class:`BandedFamily`,
-    whose readers read its table; ``kraus.build_continuous`` (A2) and ``kraus.rank_one_d`` give a
-    :class:`RankOneFamily`, whose readers read its kets, bra rows and scales, and ``kraus.build_continuous``
-    (B1) a :class:`DisplacementFamily`, whose readers stream its displacements.  A kind makes operators
-    only in :meth:`_operators_at`; ``ops``, :meth:`operators`, ``len`` and the JSON writer are defined
-    here alone.  The dense stack measures its own defect, unless its producer passes the defect it
-    measured on rows the stack no longer holds (``kraus_from_scheme``).  ``keeps_diagonal`` says whether
-    the family takes ``|s><s|`` to a mix of ``|t><t|``, so that ``apply`` steps a diagonal state as the
-    level populations :meth:`BandedFamily.populations` maps."""
+    """An ordered Kraus family held as a dense stack ``(n_ops, rows, dim)``, ``rows >= dim``, whose top ``dim``
+    rows are ``ops``, plus channel metadata.  Readers call :meth:`act`, :meth:`defect`, :meth:`operators`,
+    :meth:`product_gram`, :meth:`diagonal_basis`, :meth:`dual` and :meth:`to_json_dict`, and each storage kind
+    answers them from what it holds: a :class:`BandedFamily` (``kraus.build_discrete``) reads its table, a
+    :class:`RankOneFamily` (A2, ``kraus.rank_one_d``) its kets, bra rows and scales, a :class:`DisplacementFamily`
+    (B1) streams its displacements, and the dense stack measures its defect on every row it holds.  A kind
+    makes operators only in :meth:`_operators_at`; ``ops``, :meth:`operators`, ``len`` and the JSON writer are
+    defined here alone.  ``keeps_diagonal`` says whether the family takes ``|s><s|`` to a mix of ``|t><t|``,
+    so that ``apply`` steps a diagonal state as the level populations :meth:`BandedFamily.populations` maps."""
 
     keeps_diagonal = False
 
     def __init__(self, spec: ChannelSpec | None, ops: np.ndarray | None,
-                 index: DiscreteIndex | QuadratureIndex, completeness_defect: float | None = None,
-                 origin: str = "closed-form"):
+                 index: DiscreteIndex | QuadratureIndex, origin: str = "closed-form"):
         self.spec = spec
         self.index = index
         self.origin = origin
         self._ops = ops
-        self._defect_at_build = completeness_defect
         self.discrete = isinstance(index, DiscreteIndex)
-        self._own_products = origin == "product"  # the operators are already products W_m W_n
 
     @cached_property
     def completeness_defect(self) -> float:
         """The defect on the default block, half the space: :meth:`defect` of None, measured once."""
         return self.defect(None)
 
-    @property
+    @cached_property
     def ops(self) -> np.ndarray:
-        """The stack in label order, :meth:`_operators_at` of every label: built on first read (above
-        ``MAX_DENSE_BYTES``: ``AllocationTooLarge`` first) and cached."""
+        """The top ``dim`` rows of the stack in label order, cached; a kind that holds none builds it first,
+        :meth:`_operators_at` of every label (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge`` first)."""
         if self._ops is None:
             _check_stack_bytes(len(self), self.dim)
             self._ops = self._operators_at(np.arange(len(self)))
-        return self._ops
+        return self._ops[:, :self.dim]
 
     @property
     def dim(self) -> int:
-        return self._ops.shape[1]
+        return self._ops.shape[2]
 
     def __len__(self) -> int:
         return self.index.ell_max + 1 if self.discrete else len(self.index.nodes)
@@ -148,16 +143,8 @@ class KrausFamily:
 
     def defect(self, block: int | None) -> float:
         """Completeness defect on the protected block ``j < block`` (half the space for None), measured
-        on the stack.  A stack built with its defect lost the rows past the cutoff that defect was
-        measured with: it answers the default block, and an empty block has none."""
-        if self._defect_at_build is None:
-            return raw_completeness_defect(self.ops, block)
-        if block is None or block == self.dim // 2:
-            return self._defect_at_build
-        if block == 0:
-            return 0.0
-        raise InvalidParameter(f"the rows past the cutoff this family's defect was measured with are gone; "
-                               f"only the block {self.dim // 2} is known")
+        on every row of the stack, so that the range cutoff is not taken for an index-sum deficit."""
+        return raw_completeness_defect(self._ops, block)
 
     def operators(self, count: int) -> np.ndarray:
         """The first ``count`` operators, built alone (above ``MAX_DENSE_BYTES``: ``AllocationTooLarge``
@@ -168,28 +155,24 @@ class KrausFamily:
 
     def _operators_at(self, labels: np.ndarray) -> np.ndarray:
         """The operators at the labels ``labels``: the one place a storage kind makes operators."""
-        return self._ops[labels]
+        return self._ops[labels, :self.dim]
 
     def product_gram(self, count: int) -> tuple[np.ndarray, float]:
-        """Gram matrix ``"aij,bij->ab"`` of the products ``W_m^dag W_n`` (``m, n < count``, by
-        batched ``matmul``) and the largest entry of its part carried by the top 8 rows and
-        columns (0 for a continuous index)."""
-        need = count * count if self._own_products else count
-        if need > len(self):
-            raise InvalidParameter(f"family has only {len(self)} operators, need {need}")
-        if count**4 * 16 > MAX_DENSE_BYTES:
-            raise AllocationTooLarge(f"the Gram matrix of {count * count} products needs {count**4 * 16:.3e} bytes")
-        if self._own_products:
-            prods = self.ops[:need]
-        else:
-            _check_stack_bytes(count * count, self.dim)  # the products
-            ops = self.operators(count)
-            prods = (np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]).reshape(count * count, self.dim, self.dim)
+        """Gram matrix ``"aij,bij->ab"`` of the products ``W_m^dag W_n`` (``m, n < count``, :meth:`_products`)
+        and the largest entry of its part carried by the top 8 rows and columns (0 for a continuous index)."""
+        prods = self._products(count)
         gram = np.einsum("aij,bij->ab", prods.conj(), prods)
         if not self.discrete:
             return gram, 0.0
         top = np.concatenate([prods[:, -8:].reshape(len(prods), -1), prods[:, :-8, -8:].reshape(len(prods), -1)], axis=1)
         return gram, float(np.max(np.abs(top.conj() @ top.T)))
+
+    def _products(self, count: int) -> np.ndarray:
+        """The products ``W_m^dag W_n``, ``(m, n)`` row-major, by batched ``matmul`` after size checks."""
+        _check_gram(count, count, len(self))
+        _check_stack_bytes(count * count, self.dim)
+        ops = self.operators(count)
+        return (np.swapaxes(ops.conj(), 1, 2)[:, None] @ ops[None]).reshape(count * count, self.dim, self.dim)
 
     def diagonal_basis(self, tol: float) -> tuple[bool, str]:
         """The verdict of ``analysis.simultaneous_diagonality``, each test to ``tol`` of the largest
@@ -223,12 +206,12 @@ class KrausFamily:
 
     def _dual(self, new_spec: ChannelSpec) -> "KrausFamily":
         ops = self.spec.kappa * np.transpose(self.ops.conj(), (0, 2, 1))
-        return KrausFamily(new_spec, ops, self.index, origin=self.origin)
+        return type(self)(new_spec, ops, self.index, self.origin)
 
     def _json_entries(self) -> tuple[int, int]:
         """A bound on the nonzero entries a JSON record lists, and the bytes of the stack held while it
         is written."""
-        return int(np.count_nonzero(self.ops)), self.ops.nbytes
+        return int(np.count_nonzero(self.ops)), self._ops.nbytes
 
     def to_json_dict(self) -> dict:
         """The record of the spec, index, dim, defect, origin and the nonzero entries of each operator,
@@ -260,6 +243,14 @@ class KrausFamily:
             "origin": self.origin,
             "operators": operators,
         }
+
+
+class ProductFamily(KrausFamily):
+    """The products of ``analysis.product_family``: :meth:`product_gram` reads its own first ``count^2`` operators."""
+
+    def _products(self, count: int) -> np.ndarray:
+        _check_gram(count, count * count, len(self))
+        return self.ops[:count * count]
 
 
 class BandedFamily(KrausFamily):
@@ -452,9 +443,10 @@ class DisplacementFamily(KrausFamily):
     the displacement kernel a bounded chunk at a time."""
 
     def __init__(self, spec: ChannelSpec, points: np.ndarray, point_scales: np.ndarray, cutoff: int,
-                 index: QuadratureIndex, completeness_defect: float):
-        super().__init__(spec, None, index, completeness_defect)
+                 index: QuadratureIndex, quadrature_defect: float):
+        super().__init__(spec, None, index)
         self.points, self.point_scales, self.cutoff = points, point_scales, cutoff
+        self.quadrature_defect = quadrature_defect
 
     def _operators_at(self, nodes: np.ndarray) -> np.ndarray:
         """``s_p D(x_p)`` at the node indices ``nodes`` alone, one kernel chunk at a time.  Node ``i`` is
@@ -473,7 +465,7 @@ class DisplacementFamily(KrausFamily):
     def defect(self, block: int | None) -> float:
         """The build defect on every nonempty block: the displacement factor is unitary, so only the
         Gaussian quadrature itself falls short of the completeness integral."""
-        return 0.0 if block == 0 else self._defect_at_build
+        return 0.0 if block == 0 else self.quadrature_defect
 
     def _json_entries(self) -> tuple[int, int]:
         """A displacement fills its square."""
@@ -511,10 +503,14 @@ class DisplacementFamily(KrausFamily):
 def _band_table(spec: ChannelSpec, ell_max: int, n_cut: int) -> tuple[np.ndarray, str]:
     """Coefficient table ``(ell_max + 1, n_cut)`` and band orientation of a quantum-limited single-band
     family; the identity has one row.  C1 (A1 at kappa = 0) and C2 take one expression over their whole
-    gain range: ``xlogy`` gives ``0 log 0 = 0``, and the ``exp`` of its ``-inf`` gives 0."""
+    gain range: ``xlogy`` gives ``0 log 0 = 0``, and the ``exp`` of its ``-inf`` gives 0.  A build above
+    ``MAX_DENSE_BYTES`` raises ``AllocationTooLarge`` first."""
     fam = spec.family
     if fam == "I":
         return np.ones((1, n_cut)), "upper"
+    n_bytes = (ell_max + 1) * n_cut * 56  # peak bytes per entry of build and defect, D's the most (tracemalloc)
+    if n_bytes > MAX_DENSE_BYTES:
+        raise AllocationTooLarge(f"the table of {ell_max + 1} rows at N={n_cut} needs about {n_bytes:.3e} bytes")
     kappa = 0.0 if fam == "A1" else spec.kappa
     ell = np.arange(ell_max + 1)[:, None]
     m = np.arange(n_cut)[None, :]
@@ -540,6 +536,13 @@ def _check_stack_bytes(n_ops: int, dim: int) -> None:
     n_bytes = n_ops * dim * dim * 16
     if n_bytes > MAX_DENSE_BYTES:
         raise AllocationTooLarge(f"dense stack of {n_ops} operators at N={dim} needs {n_bytes:.3e} bytes")
+
+
+def _check_gram(count: int, need: int, have: int) -> None:
+    if need > have:
+        raise InvalidParameter(f"family has only {have} operators, need {need}")
+    if count**4 * 16 > MAX_DENSE_BYTES:
+        raise AllocationTooLarge(f"the Gram matrix of {count * count} products needs {count**4 * 16:.3e} bytes")
 
 
 def _placement(coeffs: np.ndarray, band: str, labels: np.ndarray | None = None) -> tuple[np.ndarray, ...]:

@@ -20,6 +20,7 @@ storage, and every reader calls a family's methods.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -84,10 +85,10 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
     """Smallest index cut keeping the completeness tail below ``tol``.
 
     The per-level weights of ``sum_l (W_l^dag W_l)[n, n]`` decay
-    geometrically in l; the worst protected level is ``n_protect - 1``.
-    Raises ``DefectTooLarge`` when the tail is still above ``tol`` at
-    ``SUGGEST_ELL_CAP``; ``InvalidParameter`` unless ``n_protect`` is an integer of at least 1
-    and ``tol`` is positive.
+    geometrically in l; the worst protected level is ``n_protect - 1``.  Its first
+    weights below the normal floats are stepped as logarithms.  Raises ``DefectTooLarge``
+    when the tail is still above ``tol`` at ``SUGGEST_ELL_CAP``; ``InvalidParameter``
+    unless ``n_protect`` is an integer of at least 1 and ``tol`` is positive.
     """
     _require(_is_count(n_protect) and n_protect > 0, f"n_protect must be an integer of at least 1, got {n_protect!r}")
     _require(tol > 0, f"tol must be positive, got {tol!r}")
@@ -98,14 +99,21 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
     # level n's weight at ell = first + j is negative binomial in j: C(n + j, j) term_0 ratio^j
     if fam == "D":
         ratio = 1.0 / (1.0 + spec.kappa**-2)
-        term, first = math.exp(-(n + 1) * math.log1p(spec.kappa**2)), n  # (1+k^2)^(-1-n)
+        log_term, first = -(n + 1) * math.log1p(spec.kappa**2), n  # (1+k^2)^(-1-n)
+        term = math.exp(log_term)
     elif fam == "C2":
         ratio = 1.0 - spec.kappa**-2
         term, first = spec.kappa ** (-2.0 * (n + 1)), 0
+        log_term = -2.0 * (n + 1) * math.log(spec.kappa)
     else:
         raise UnsupportedFamily(
             f"family {fam} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
-    j, remaining = 0, 1.0 - term
+    j = 0
+    while term < sys.float_info.min and first + j < SUGGEST_ELL_CAP:  # a subnormal product loses its digits
+        j += 1
+        log_term += math.log(ratio * (n + j) / j)
+        term = math.exp(log_term)
+    remaining = 1.0 - term  # the subnormal weights before it leave 1 as it is
     while remaining > tol and first + j < SUGGEST_ELL_CAP:
         j += 1
         term *= ratio * (n + j) / j

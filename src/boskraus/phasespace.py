@@ -112,8 +112,8 @@ def rotation(theta: float) -> Symplectic2:
 
 
 def squeeze(lam: float) -> Symplectic2:
-    if lam <= 0:
-        raise InvalidParameter("squeeze parameter must be positive")
+    if not (0 < lam < math.inf and 1.0 / float(lam) < math.inf):  # a numpy scalar would warn
+        raise InvalidParameter(f"squeeze parameter must be positive with a finite inverse, got {lam!r}")
     return Symplectic2(np.diag([lam, 1.0 / lam]))
 
 

@@ -21,7 +21,8 @@ single-mode channel (vacuum ancilla) are read off as
 
 Taylor coefficients are extracted by one linear recurrence on the scaled
 coefficients ``t[k] = sqrt(k!) [v^k] exp(v^T Q v / 2)``, with the
-square-root factorials folded in as it runs; it stays stable to order ~120.
+square-root factorials folded in as it runs; it stays stable to ``MAX_ORDER``,
+which bounds the ``n_cut + ell_max`` rows of the slice ``kraus_from_scheme`` keeps.
 The recurrence fills a whole slab of the first axis at once from the two
 slabs below it, and the first slab is the same problem on the remaining
 axes (the slab scheme of Miatto & Quesada, Quantum 4, 366 (2020)).
@@ -34,13 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .errors import (
-    InvalidParameter,
-    NotPositiveDefinite,
-    OrderTooLarge,
-    UnsupportedFamily,
-)
-from .families import DiscreteIndex, KrausFamily, raw_completeness_defect
+from .errors import InvalidParameter, NotPositiveDefinite, OrderTooLarge, UnsupportedFamily
+from .families import DiscreteIndex, KrausFamily
 from .fock import _gauss_hermite
 from .kraus import _check_sizes
 
@@ -155,14 +151,6 @@ def generating_form(mix: MixMatrix) -> GeneratingForm:
     return form
 
 
-def _check_orders(*orders: int) -> None:
-    for order in orders:
-        if order < 0:
-            raise InvalidParameter(f"orders must be nonnegative, got {order}")
-        if order > MAX_ORDER:
-            raise OrderTooLarge(f"order {order} exceeds the stable limit {MAX_ORDER}")
-
-
 def _taylor_box(q: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Scaled Taylor coefficients ``t[k] = sqrt(k!) [v^k] exp(v^T q v / 2)`` on a box.
 
@@ -196,21 +184,19 @@ def _taylor_box(q: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def kraus_from_scheme(mix: MixMatrix, ell_max: int, n_cut: int) -> KrausFamily:
     """Kraus operators ``W_l[m1, n1] = C^(m1 l)_(n1 0)`` from the scheme alone.
 
-    The defect is measured before the output-row cutoff (extra rows are
-    generated and discarded) so it reflects the index sum, not range
-    truncation; the family is built with it, as its square stack no
-    longer holds those rows.  ``InvalidParameter`` unless ``ell_max >= 0``
-    and ``n_cut >= 2`` are integers, before any work.
+    The family holds the whole complex slice, the ``n_cut + ell_max`` output
+    rows an input level below ``n_cut`` reaches; ``ops`` are the top ``n_cut``,
+    and the defect is measured on every row, so on every block it reads the
+    index sum, not the range cutoff.  Before any work: ``InvalidParameter`` unless
+    ``ell_max >= 0`` and ``n_cut >= 2`` are integers, ``OrderTooLarge`` past ``MAX_ORDER``.
     """
     _check_sizes(ell_max, n_cut)
-    n_rows = min(n_cut + ell_max, MAX_ORDER + 1)
-    _check_orders(n_cut - 1, ell_max, n_rows - 1)
+    if n_cut + ell_max - 1 > MAX_ORDER:
+        raise OrderTooLarge(f"the defect needs {n_cut + ell_max} output rows, past the stable order {MAX_ORDER}")
     form = generating_form(mix)
     # the ancilla-vacuum slice n2 = 0 closes under the recurrence; its axes
     # are (z1, eta1, eta2) = (n1, m1, m2) and operators are indexed [m2][m1][n1]
     slice_q = form.q[np.ix_([0, 2, 3], [0, 2, 3])]
-    t = _taylor_box(slice_q, (n_cut, n_rows, ell_max + 1))
+    t = _taylor_box(slice_q, (n_cut, n_cut + ell_max, ell_max + 1))
     full = form.prefactor * np.transpose(t, (2, 1, 0)).astype(np.complex128)
-    defect = raw_completeness_defect(full)
-    ops = np.ascontiguousarray(full[:, :n_cut, :])
-    return KrausFamily(None, ops, DiscreteIndex(ell_max), defect, origin="scheme")
+    return KrausFamily(None, full, DiscreteIndex(ell_max), "scheme")

@@ -2,9 +2,9 @@
 writes, the scheme's continuous-index oracle for the A2 mixer and the unit shear, and the states,
 characteristic functions and scheme matrix elements the tests compare the package with.
 
-``read_record`` checks the writer: it reads a record back as the dense stack it lists, built with the
-defect the record stores (so it answers that defect on the default block, 0 on the empty block, and
-raises on any other).  ``position_kraus`` derives the A2 and B1 operators from the position integral
+``read_record`` checks the writer: it reads a record back as the dense stack it lists, a
+``StoredDefectFamily`` with the defect the record stores (so it answers that defect on the default block,
+0 on the empty block, and raises on any other).  ``position_kraus`` derives the A2 and B1 operators from the position integral
 of the two-mode scheme, with no closed displacement form.  ``phase_averaged_state`` is a diagonal
 state built by ``DensityMatrix._diagonal``, ``char_ordered`` the ordered characteristic functions
 from ``char_weyl``, and ``matrix_element`` one two-mode element of the scheme's Taylor box.
@@ -19,7 +19,7 @@ from boskraus.channels import ChannelSpec
 from boskraus.errors import BoskrausError, InvalidParameter, OrderTooLarge
 from boskraus.families import DiscreteIndex, KrausFamily, QuadratureIndex, _check_stack_bytes, _identity_defect
 from boskraus.fock import DensityMatrix, _is_count, char_weyl, hermite_psi_table, hermite_quadrature
-from boskraus.scheme import A2_MIX, B1_MIX, GeneratingForm, MixMatrix, _check_orders, _taylor_box
+from boskraus.scheme import A2_MIX, B1_MIX, MAX_ORDER, GeneratingForm, MixMatrix, _taylor_box
 from boskraus.special import log_factorial
 
 ORIGINS = ("closed-form", "product", "rank-one", "scheme")
@@ -34,7 +34,27 @@ def _require(ok: bool, message: str) -> None:
         raise InvalidParameter(message)
 
 
-def read_record(data: dict) -> KrausFamily:
+class StoredDefectFamily(KrausFamily):
+    """A dense stack that answers the defect its producer measured on rows the stack no longer holds: a
+    JSON record's, or ``position_kraus``'s completeness integral.  Without one it measures its stack, as
+    its dual does."""
+
+    def __init__(self, spec, ops, index, origin="closed-form", completeness_defect=None):
+        super().__init__(spec, ops, index, origin)
+        self._defect_at_build = completeness_defect
+
+    def defect(self, block):
+        if self._defect_at_build is None:
+            return super().defect(block)
+        if block is None or block == self.dim // 2:
+            return self._defect_at_build
+        if block == 0:
+            return 0.0
+        raise InvalidParameter(f"the rows past the cutoff this family's defect was measured with are gone; "
+                               f"only the block {self.dim // 2} is known")
+
+
+def read_record(data: dict) -> StoredDefectFamily:
     """The dense family of a :meth:`KrausFamily.to_json_dict` record; malformed input raises ``InvalidParameter``."""
     dim, records, idx = data["dim"], data["operators"], data["index_kind"]
     _require(_is_count(dim) and dim >= 1, f"dim must be an integer of at least 1, got {dim!r}")
@@ -70,7 +90,7 @@ def read_record(data: dict) -> KrausFamily:
     _require(origin in ORIGINS, f"unknown family origin {origin!r}; expected one of {ORIGINS}")
     spec = data["spec"]
     spec = None if spec is None else ChannelSpec(spec["family"], spec.get("kappa"), spec.get("a", 0.0))
-    return KrausFamily(spec, ops, index, defect, origin)
+    return StoredDefectFamily(spec, ops, index, origin, defect)
 
 
 def _shape_matches(m: np.ndarray, ref: np.ndarray) -> bool:
@@ -90,7 +110,7 @@ def _overlap_table(n_cut: int, qs: np.ndarray, shifted_order: int | None = None)
     return np.einsum("k,mki,nki->imn", w, left, right, optimize=True)
 
 
-def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> KrausFamily:
+def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> StoredDefectFamily:
     """Continuous-index Kraus operators for the two singular-position mixers, as a dense stack.
 
     For the A2 shape the ancilla position integral collapses to
@@ -115,7 +135,7 @@ def position_kraus(mix: MixMatrix, node_count: int, n_cut: int) -> KrausFamily:
         spec, defect = ChannelSpec("B1", noise_a=1.0), float(abs(np.sum(w / np.sqrt(np.pi) * np.exp(-x**2)) - 1.0))
     else:
         raise UnsupportedShape("only the A2 mixer and the unit shear are supported")
-    return KrausFamily(spec, ops.astype(np.complex128), QuadratureIndex(x, w), defect, origin="scheme")
+    return StoredDefectFamily(spec, ops.astype(np.complex128), QuadratureIndex(x, w), "scheme", defect)
 
 
 def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
@@ -146,7 +166,11 @@ def char_ordered(rho: DensityMatrix, xi: complex, order: str) -> complex:
 
 def matrix_element(form: GeneratingForm, m1: int, m2: int, n1: int, n2: int) -> float:
     """Two-mode metaplectic matrix element ``<m1 m2|U|n1 n2>``."""
-    _check_orders(m1, m2, n1, n2)
+    for order in (m1, m2, n1, n2):
+        if order < 0:
+            raise InvalidParameter(f"orders must be nonnegative, got {order}")
+        if order > MAX_ORDER:
+            raise OrderTooLarge(f"order {order} exceeds the stable limit {MAX_ORDER}")
     if (n1 + 1) * (n2 + 1) * (m1 + 1) * (m2 + 1) > 20_000_000:
         raise OrderTooLarge("joint orders need an infeasibly large coefficient box")
     t = _taylor_box(form.q, (n1 + 1, n2 + 1, m1 + 1, m2 + 1))

@@ -43,7 +43,7 @@ from boskraus.fock import (
     thermal_state,
     trace_distance,
 )
-from boskraus.families import DiscreteIndex, KrausFamily, QuadratureIndex, _band_gram_diagonals
+from boskraus.families import DiscreteIndex, KrausFamily, ProductFamily, QuadratureIndex, _band_gram_diagonals
 from boskraus.kraus import (
     apply,
     build_continuous,
@@ -542,7 +542,7 @@ class TestGramReference:
     def test_cutoff_probe_reads_the_top_rows_and_columns(self, row, col):
         ops = np.zeros((1, 32, 32), dtype=complex)
         ops[0, 0, 0], ops[0, row, col] = 1.0, 1e-3
-        fam = KrausFamily(None, ops, DiscreteIndex(0), 0.0, origin="product")
+        fam = ProductFamily(None, ops, DiscreteIndex(0), "product")
         for reader in (gram_rank, reference_gram_rank):
             with pytest.raises(CutoffTooSmall):
                 reader(fam, 0)
@@ -705,7 +705,7 @@ class TestProductFamilies:
     def test_spec_none_only_for_pairs_without_a_table_entry(self, monkeypatch):
         # a noisy spec (as a JSON-loaded family may carry) has no table entry
         inner = build_discrete(ChannelSpec("C1", 0.7), 4, 16, defect_limit=2.0)
-        noisy = KrausFamily(ChannelSpec("C1", 0.7, 0.2), inner.ops, inner.index, 0.0)
+        noisy = KrausFamily(ChannelSpec("C1", 0.7, 0.2), inner.ops, inner.index)
         assert product_family(noisy, inner, 3).spec is None
         assert product_family(inner, inner, 3).spec == table1_compose(inner.spec, inner.spec)
 
@@ -848,7 +848,7 @@ class TestSimultaneousDiagonality:
         off_diagonal = ~np.eye(n_cut, dtype=bool)
         assert np.count_nonzero(dense[:, off_diagonal]) == 0
         assert np.array_equal(np.einsum("lii->li", dense), diags)
-        dense_family = KrausFamily(spec, ops, fam.index, fam.completeness_defect)
+        dense_family = KrausFamily(spec, ops, fam.index)
         assert simultaneous_diagonality(fam) == reference_simultaneous_diagonality(dense_family)
         assert fam._ops is None
 
@@ -872,7 +872,7 @@ class TestSimultaneousDiagonality:
             "A2": lambda: build_continuous(ChannelSpec("A2"), 64, n_cut),
             "B1": lambda: build_continuous(ChannelSpec("B1", noise_a=0.5), 48, n_cut),
             "B1-zero-noise": lambda: build_continuous(ChannelSpec("B1", noise_a=0.0), 48, n_cut),
-            "random": lambda: KrausFamily(None, random_ops, DiscreteIndex(2), 0.0),
+            "random": lambda: KrausFamily(None, random_ops, DiscreteIndex(2)),
         }[kind]()
         got = simultaneous_diagonality(fam)
         assert got == reference_simultaneous_diagonality(fam)

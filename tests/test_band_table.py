@@ -308,6 +308,30 @@ def test_product_stack_over_the_limit_raises_before_allocating(monkeypatch):
     assert peak < 1e6
 
 
+@pytest.mark.parametrize("spec", [ChannelSpec("D", 2.0), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)])
+def test_band_table_over_the_limit_raises_before_allocating(monkeypatch, spec):
+    # a 4 MiB limit: 4096 rows at N=64 would take about 14.7 MB to build, 1024 rows fit
+    monkeypatch.setattr(families, "MAX_DENSE_BYTES", 4 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationTooLarge, match="4096 rows at N=64"):
+            build_discrete(spec, 4095, 64, defect_limit=1e300)
+        _, refused = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        build_discrete(spec, 1023, 64, defect_limit=1e300)
+        _, built = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused < 1e5
+    assert built <= families.MAX_DENSE_BYTES
+
+
+def test_band_table_over_the_limit_exits_1(capsys):
+    # 10^7 rows at N=512 would ask for a 41 GB table
+    assert main(["kraus", "C1:0.7", "--ell-max", "10000000", "--ncut", "512"]) == 1
+    assert "rows at N=512" in capsys.readouterr().err
+
+
 def test_quadrature_stack_over_the_limit_exits_1(capsys):
     assert main(["kraus", "B1:0.5", "--nodes", "2000", "--ncut", "256"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -5,7 +5,10 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +172,20 @@ class TestComposeCommand:
         payload = json.loads(out.split("\n", 1)[1])
         assert (code, err) == (0, "")
         assert 0.0 <= payload["composite"]["a"] < np.inf
+
+    @pytest.mark.parametrize("argv", [("C1:0.5", "C1:0.5", "--lambda", "1e200"),
+                                      ("A2", "C1:0.5", "--lambda", "1e-310", "--theta", "0.3")],
+                             ids=["lambda=1e200", "lambda=1e-310,A2-outer"])
+    def test_verify_out_of_float_range_is_one_typed_error(self, argv):
+        # without --verify both print a finite composite; the (X, Y) check cannot reach them, and says so
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "boskraus.cli", "compose", *argv, "--verify"],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert repr(float(argv[3])) in done.stderr
 
     def test_unsupported_pair_exits_3(self, capsys):
         code, out, err = run(capsys, "compose", "B1", "C1:0.5")

@@ -500,9 +500,13 @@ def test_loaded_banded_family_reports_its_stored_defect(spec):
 
 
 def test_scheme_family_answers_its_build_block():
-    sch = kraus_from_scheme(mix_matrix(ChannelSpec("C2", 1.3)), 92, 48)
-    assert completeness_defect(sch, 24) == completeness_defect(sch) == sch.completeness_defect
+    # and every other block, measured on the rows past the cutoff it keeps
+    sch = kraus_from_scheme(mix_matrix(ChannelSpec("C2", 1.3)), 96, 24)
+    assert completeness_defect(sch, 12) == completeness_defect(sch) == sch.completeness_defect
     assert completeness_defect(sch, 0) == 0.0
+    ref = build_discrete(ChannelSpec("C2", 1.3), 96, 24)
+    for block in range(1, 25):
+        assert abs(completeness_defect(sch, block) - completeness_defect(ref, block)) < 1e-13, block
 
 
 def test_dual_of_a_loaded_family_measures_its_own_stack():

@@ -18,14 +18,14 @@ from references import position_kraus, read_record
 from boskraus.analysis import product_family, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
 from boskraus.errors import BoskrausError, InvalidParameter
-from boskraus.families import KrausFamily
+from boskraus.families import KrausFamily, ProductFamily
 from boskraus.fock import coherent_disc_grid, random_mixed_state
 from boskraus.kraus import apply_matrix, build_continuous, build_discrete, completeness_defect, rank_one_d
 from boskraus.scheme import kraus_from_scheme, mix_matrix
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "boskraus"
 STORAGE_ATTRIBUTES = {"coeffs", "band", "origin", "_ops", "_output_table", "_weights", "kets", "bra_rows", "scales",
-                      "resolution", "points", "point_scales", "cutoff", "_defect_at_build"}
+                      "resolution", "points", "point_scales", "cutoff", "quadrature_defect", "_defect_at_build"}
 INDEX_TYPES = {"DiscreteIndex", "QuadratureIndex"}
 TAGS = {"origin", "family", "discrete"} | INDEX_TYPES  # what a defect rule must not be picked from
 N = 16
@@ -114,8 +114,54 @@ def test_scan_finds_rule_picks():
 def test_every_kind_owns_its_defect_rule():
     # no storage kind's constructor branches, and no defect is read off the origin, family or index type
     source = (PACKAGE / "families.py").read_text()
-    assert len(storage_kinds(source)) == 4
+    assert len(storage_kinds(source)) == 5
     assert rule_picks(source) == []
+
+
+def origin_reads(source: str) -> list[str]:
+    """Each read of ``origin`` in a function of ``source`` but ``to_json_dict`` and ``_dual``, save an
+    ``__init__`` storing it as ``self.origin`` or handing it to ``super().__init__`` as it is."""
+    found = []
+    for function in (f for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef)):
+        if function.name in ("to_json_dict", "_dual"):
+            continue
+        handed = set()
+        for node in ast.walk(function) if function.name == "__init__" else ():
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["self.origin"]:
+                handed.add(id(node.value))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "super().__init__":
+                handed |= {id(arg) for arg in node.args} | {id(kw.value) for kw in node.keywords}
+        for node in ast.walk(function):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "origin" and isinstance(node.ctx, ast.Load) and id(node) not in handed:
+                found.append(f"{function.name} line {node.lineno}")
+    return found
+
+
+def test_scan_finds_origin_reads():
+    source = ("class K:\n"
+              "    def __init__(self, origin):\n        self.origin = origin\n"
+              "        self.own = origin == 'product'\n        super().__init__(origin=origin)\n"
+              "    def defect(self):\n        return self.origin\n"
+              "    def _dual(self):\n        return self.origin\n"
+              "    def to_json_dict(self):\n        return self.origin\n")
+    assert origin_reads(source) == ["__init__ line 4", "defect line 7"]
+
+
+def test_no_reader_but_the_json_writer_reads_the_origin():
+    # a dual hands it on; no constructor derives a flag from it
+    source = (PACKAGE / "families.py").read_text()
+    assert origin_reads(source) == []
+    assert "_defect_at_build" not in source and "_own_products" not in source
+
+
+def test_a_dual_keeps_its_kind_and_origin():
+    c1 = build_discrete(ChannelSpec("C1", 0.7), N - 1, N)
+    product = product_family(c1, c1, 3)
+    back = product.dual()
+    assert (type(back), back.origin) == (ProductFamily, "product")
+    gram, _ = back.product_gram(2)  # the Gram matrix of its own first four operators, products already
+    assert np.array_equal(gram, np.einsum("aij,bij->ab", back.ops[:4].conj(), back.ops[:4]))
 
 
 def dense_action(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -142,9 +188,10 @@ def outcome(call):
 def test_only_the_base_class_derives_the_stack_and_every_kind_makes_operators():
     kinds = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
              for node in storage_kinds((PACKAGE / "families.py").read_text())}
-    assert len(kinds) == 4
+    assert len(kinds) == 5
     assert {name for name, methods in kinds.items() if methods & {"ops", "operators", "__len__"}} == {"KrausFamily"}
-    assert all("_operators_at" in methods for methods in kinds.values())
+    # a kind with storage of its own makes its operators; one without (ProductFamily) keeps the dense stack's
+    assert all("_operators_at" in methods for methods in kinds.values() if "__init__" in methods)
 
 
 @pytest.mark.parametrize("kind", ["D", "C1", "C2", "A1", "I", "A2", "B1", "B1-zero-noise", "rank-one"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -126,12 +127,18 @@ class TestDiscreteBuilders:
 
 def reference_suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float) -> int:
     """The index cut of D and C2 as two negative-binomial loops, one per family, as
-    ``suggest_ell_max`` ran them before they became one."""
+    ``suggest_ell_max`` ran them before they became one; a first weight below the normal
+    floats is stepped as its logarithm until it is one."""
     n = n_protect - 1
     if spec.family == "D":
         ratio = 1.0 / (1.0 + spec.kappa**-2)
-        term = math.exp(-(n + 1) * math.log1p(spec.kappa**2))
-        ell, remaining = n, 1.0 - term
+        log_term = -(n + 1) * math.log1p(spec.kappa**2)
+        term, ell = math.exp(log_term), n
+        while term < sys.float_info.min and ell < SUGGEST_ELL_CAP:
+            ell += 1
+            log_term += math.log(ratio * ell / (ell - n))
+            term = math.exp(log_term)
+        remaining = 1.0 - term
         while remaining > tol and ell < SUGGEST_ELL_CAP:
             ell += 1
             term *= ratio * ell / (ell - n)
@@ -140,8 +147,13 @@ def reference_suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float) -> 
         if spec.kappa == 1.0:
             return 0
         ratio = 1.0 - spec.kappa**-2
-        term = spec.kappa ** (-2.0 * (n + 1))
-        ell, remaining = 0, 1.0 - term
+        log_term = -2.0 * (n + 1) * math.log(spec.kappa)
+        term, ell = spec.kappa ** (-2.0 * (n + 1)), 0
+        while term < sys.float_info.min and ell < SUGGEST_ELL_CAP:
+            ell += 1
+            log_term += math.log(ratio * (n + ell) / ell)
+            term = math.exp(log_term)
+        remaining = 1.0 - term
         while remaining > tol and ell < SUGGEST_ELL_CAP:
             ell += 1
             term *= ratio * (n + ell) / ell
@@ -197,6 +209,14 @@ class TestCompleteness:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("spec,n_protect", [(ChannelSpec("D", 1.8), 512), (ChannelSpec("D", 2.5), 512),
+                                                (ChannelSpec("D", 1.3), 768), (ChannelSpec("C2", 2.0), 640),
+                                                (ChannelSpec("C2", 2.0), 768), (ChannelSpec("C2", 2.5), 512)])
+    def test_underflowing_first_weight(self, spec, n_protect):
+        # the worst level's first weight is subnormal or 0, where a product recurrence never recovers
+        ell = suggest_ell_max(spec, n_protect, 1e-10)
+        assert build_discrete(spec, ell, n_protect).completeness_defect <= 1e-10
+
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3])
     def test_suggest_ell_max_needs_a_positive_tolerance(self, tol):
         # nan ignored the tolerance; a tolerance <= 0 ran the loop to the cap
@@ -242,8 +262,7 @@ class TestCompleteness:
         }[kind]()
         with pytest.raises(InvalidParameter, match="nonnegative"):
             completeness_defect(family, block=-1)
-        if kind != "scheme":  # a scheme family answers only for its build-time block
-            assert completeness_defect(family, block=0) == 0.0
+        assert completeness_defect(family, block=0) == 0.0
 
 
 class TestApply:

@@ -170,6 +170,13 @@ class TestClassify:
             assert got.family == spec.family
             assert got.noise_a == pytest.approx(spec.noise_a, abs=1e-9)
 
+    @pytest.mark.parametrize("lam", [1e-310, np.float64(1e-310), 5e-324, math.inf, 0.0, -1.0, math.nan])
+    @pytest.mark.filterwarnings("error")
+    def test_squeeze_needs_a_finite_inverse(self, lam):
+        # 1/lam = inf made det S = inf, which Symplectic2 reported as a bare determinant
+        with pytest.raises(InvalidParameter, match="squeeze parameter"):
+            squeeze(lam)
+
     def test_rejects_non_cp(self):
         bad = XYPair(np.eye(2), np.zeros((2, 2)))
         object.__setattr__(bad, "x", 3.0 * np.eye(2))  # bypass construction check

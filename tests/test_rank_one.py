@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import read_record
+from references import StoredDefectFamily, read_record
 from test_analysis import reference_simultaneous_diagonality
 from test_family_kinds import KINDS, dense_action
 
@@ -21,7 +21,7 @@ from boskraus.channels import ChannelSpec
 from boskraus.errors import DefectTooLarge
 from boskraus.fock import coherent_amplitudes, coherent_disc_grid, hermite_psi_table, random_mixed_state, thermal_state
 from boskraus.kraus import (
-    KrausFamily,
+    RankOneFamily,
     apply,
     apply_matrix,
     build_continuous,
@@ -52,7 +52,7 @@ def test_a2_stack_is_the_dense_reference(node_count, n_cut):
     family = build_continuous(ChannelSpec("A2"), node_count, n_cut)
     want = reference_a2_ops(node_count, n_cut)
     assert family.ops.tobytes() == want.tobytes()
-    dense = KrausFamily(family.spec, want, family.index, family.completeness_defect)
+    dense = StoredDefectFamily(family.spec, want, family.index, family.origin, family.completeness_defect)
     assert json.dumps(family.to_json_dict()) == json.dumps(dense.to_json_dict())
 
 
@@ -83,7 +83,7 @@ def test_diagonality_verdict_of_the_factors(kind, want):
     family = KINDS[kind]()
     loaded = read_record(json.loads(json.dumps(family.to_json_dict())))
     assert reference_simultaneous_diagonality(family) == reference_simultaneous_diagonality(loaded) == want
-    if type(family) is not KrausFamily:
+    if isinstance(family, RankOneFamily):
         assert simultaneous_diagonality(family) == want
 
 

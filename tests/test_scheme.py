@@ -152,7 +152,7 @@ def reference_matrix_element(form, m1, m2, n1, n2):
 def reference_scheme_kraus(mix, ell_max, n_cut):
     """``(ops, defect)`` of ``kraus_from_scheme`` built on the reference slice."""
     form = generating_form(mix)
-    n_rows = min(n_cut + ell_max, MAX_ORDER + 1)
+    n_rows = n_cut + ell_max
     t = reference_taylor_slice(form, n_cut - 1, ell_max, n_rows - 1)
     full = form.prefactor * np.transpose(t, (2, 1, 0)).astype(np.complex128)
     return np.ascontiguousarray(full[:, :n_cut, :]), raw_completeness_defect(full)
@@ -205,6 +205,12 @@ class TestSlabKernel:
             kraus_from_scheme(mix_matrix(ChannelSpec("C1", 0.5)), MAX_ORDER + 1, 16)
         with pytest.raises(OrderTooLarge):
             kraus_from_scheme(mix_matrix(ChannelSpec("C1", 0.5)), 4, MAX_ORDER + 2)
+
+    @pytest.mark.parametrize("ell_max,n_cut", [(100, 110), (MAX_ORDER - 15, 17)])
+    def test_rows_the_defect_needs_past_the_limit_rejected(self, ell_max, n_cut):
+        # no clamp: the defect needs the rows down to n_cut - 1 + ell_max
+        with pytest.raises(OrderTooLarge, match=f"needs {ell_max + n_cut} output rows"):
+            kraus_from_scheme(mix_matrix(ChannelSpec("C2", 1.3)), ell_max, n_cut)
 
     def test_negative_matrix_element_order_rejected(self):
         form = generating_form(mix_matrix(ChannelSpec("C1", 0.5)))
@@ -342,13 +348,21 @@ class TestSchemeKraus:
         assert sch.completeness_defect < 1e-10
 
     def test_public_defect_is_the_build_defect(self):
-        # the square ops lose the band weight of the discarded extra rows, so
-        # their own sum W^dag W is off by ~0.08: the build defect is the answer
-        sch = kraus_from_scheme(mix_matrix(ChannelSpec("C2", 1.3)), 92, 48)
+        # the square ops alone miss the band weight of the rows past the cutoff,
+        # which the family keeps: every block is measured with them
+        sch = kraus_from_scheme(mix_matrix(ChannelSpec("C2", 1.3)), 96, 24)
         assert sch.completeness_defect < 1e-13
         assert completeness_defect(sch) == sch.completeness_defect
-        with pytest.raises(InvalidParameter, match="gone"):
-            completeness_defect(sch, 8)
+        for block in range(25):
+            assert completeness_defect(sch, block) < 1e-13
+        assert raw_completeness_defect(sch.ops) > 0.01
+
+    @pytest.mark.parametrize("spec", [ChannelSpec("D", 0.8), ChannelSpec("C1", 0.7), ChannelSpec("C2", 1.3)])
+    def test_every_block_is_the_closed_form_defect(self, spec):
+        sch = kraus_from_scheme(mix_matrix(spec), 96, 24)
+        ref = build_discrete(spec, 96, 24)
+        for block in range(25):
+            assert abs(completeness_defect(sch, block) - completeness_defect(ref, block)) <= 1e-13, block
 
 
 class TestPositionKraus:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import read_record
+from references import StoredDefectFamily, read_record
 from test_analysis import reference_simultaneous_diagonality
 from test_displacement_stack import reference_table_displacement_op, stack_of
 
@@ -18,7 +18,7 @@ from boskraus.analysis import gram_rank, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
 from boskraus.errors import InvalidParameter
 from boskraus.fock import _gauss_hermite, random_mixed_state
-from boskraus.kraus import KrausFamily, apply, apply_matrix, build_continuous, completeness_defect
+from boskraus.kraus import apply, apply_matrix, build_continuous, completeness_defect
 
 ACT_RTOL = 1e-13  # of the largest output entry: the streamed sum groups its terms in another order
 
@@ -88,7 +88,7 @@ class TestStreamedAction:
     def test_json_record_gives_the_same_diagonality_verdict(self):
         fam = build_continuous(ChannelSpec("B1", noise_a=0.5), 41, 12)
         dense = read_record(json.loads(json.dumps(fam.to_json_dict())))
-        assert type(dense) is KrausFamily
+        assert type(dense) is StoredDefectFamily
         assert simultaneous_diagonality(fam) == reference_simultaneous_diagonality(dense) == (True, "any")
 
 
