@@ -15,18 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelSpec
-from .errors import (
-    CutoffTooSmall,
-    DimMismatch,
-    InvalidParameter,
-    UnsupportedFamily,
-    UnsupportedPair,
-)
+from .errors import CutoffTooSmall, DimMismatch, InvalidParameter, UnsupportedFamily, UnsupportedPair, _count
 from .fock import (
     DensityMatrix,
-    _check_counts,
     _check_populations,
-    _is_count,
     _ket_sum,
     _population_distance,
     _quadrature_moments,
@@ -90,8 +82,7 @@ def iterate(family: KrausFamily, rho0: DensityMatrix, steps: int) -> Trajectory:
     step, are those of a loop of ``apply``, which every other start takes, holding the state it is on
     and the next.
     """
-    if not (_is_count(steps) and steps >= 1):
-        raise InvalidParameter(f"steps must be an integer of at least 1, got {steps!r}")
+    _count(steps, "steps", 1)
     if rho0.bandwidth == 0 and family.keeps_diagonal:
         return _iterate_populations(family, rho0, steps)
     a0s = [thermal_estimate(rho0)]
@@ -176,9 +167,7 @@ def cumulants(rho: DensityMatrix, max_order: int) -> np.ndarray:
     roundoff at every order tested: ``|1>`` matches its closed form to 3e-15 relative through order 20.
     ``max_order`` must be an integer in ``0..MAX_CUMULANT_ORDER`` (``InvalidParameter``, before any work).
     """
-    if not _is_count(max_order) or max_order < 0:
-        raise InvalidParameter(f"cumulant order must be a nonnegative integer, got {max_order!r}")
-    if max_order > MAX_CUMULANT_ORDER:
+    if _count(max_order, "max_order") > MAX_CUMULANT_ORDER:
         raise InvalidParameter(f"cumulants supported up to total order {MAX_CUMULANT_ORDER}")
     mu = _quadrature_moments(rho, max_order)
     out = np.full_like(mu, np.nan)
@@ -199,8 +188,8 @@ def zeno_kappa(mode: str, n_interrupts: int, steps: int, total: float | None = N
     pi/2 (total attenuation when uninterrupted).  Amplifier:
     kappa = cosh(total / N)^steps.  ``n_interrupts >= 1`` and ``steps >= 0`` must be integers.
     """
-    if not (_is_count(n_interrupts) and _is_count(steps) and n_interrupts >= 1 and steps >= 0):
-        raise InvalidParameter(f"need integer counts, n_interrupts >= 1, steps >= 0; got {n_interrupts!r}, {steps!r}")
+    _count(n_interrupts, "n_interrupts", 1)
+    _count(steps, "steps")
     if total is not None and not np.isfinite(total):
         raise InvalidParameter(f"the total evolution parameter must be finite, got {total}")
     if mode == "attenuator":
@@ -239,7 +228,7 @@ def gram_rank(family: KrausFamily, k: int) -> GramReport:
     families are exempt: truncated position states gain norm with the cutoff
     without affecting linear independence.
     """
-    count = _block_count(k)
+    count = _count(k, "k") + 1
     gram, border = family.product_gram(count)
     sv = np.linalg.svd(gram, compute_uv=False)
     if family.dim > 16 and border > 1e-8 * max(sv[0], 1e-300):
@@ -248,14 +237,6 @@ def gram_rank(family: KrausFamily, k: int) -> GramReport:
         raise CutoffTooSmall("Gram entries still change when the top of the cutoff is dropped")
     rank = int(np.sum(sv > GRAM_THRESHOLD * sv[0]))
     return GramReport(count * count, sv, rank, GRAM_THRESHOLD)
-
-
-def _block_count(k) -> int:
-    """``k + 1`` operators for the block index ``k``; ``InvalidParameter`` unless ``k`` is a nonnegative integer."""
-    _check_counts(k=k)
-    if k < 0:
-        raise InvalidParameter(f"the block index k must be nonnegative, got {k}")
-    return k + 1
 
 
 def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> ProductFamily:
@@ -271,7 +252,7 @@ def product_family(outer: KrausFamily, inner: KrausFamily, k: int) -> ProductFam
         raise DimMismatch(f"dims differ: {outer.dim} vs {inner.dim}")
     if not (outer.discrete and inner.discrete):
         raise UnsupportedFamily("product families need two discrete-index factors")
-    count = _block_count(k)
+    count = _count(k, "k") + 1
     if count > len(outer) or count > len(inner):
         raise InvalidParameter("not enough operators for the requested block")
     _check_stack_bytes(count * count, outer.dim)  # the products

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, UnsupportedFamily
-from .fock import TruncatedOperator, _check_counts, _real_number
+from .errors import InvalidParameter, UnsupportedFamily, _count, _real_number
+from .fock import TruncatedOperator
 from .special import log_factorial, xlogy
 
 FAMILIES = ("D", "C1", "C2", "A1", "A2", "B1", "B2", "I")
@@ -162,9 +162,7 @@ def closed_form_action(spec: ChannelSpec, m: int, n: int, n_cut: int) -> Truncat
     The powers are ``xlogy`` in log space (``0 log 0 = 0``), so A1 = C1(0), C1(1)
     and C2(1) take the same sums.
     """
-    _check_counts(m=m, n=n, n_cut=n_cut)
-    if not (0 <= m < n_cut and 0 <= n < n_cut):
-        raise InvalidParameter("Fock labels must sit inside the cutoff")
+    _count(n_cut, "n_cut", max(_count(m, "m"), _count(n, "n")) + 1)
     if not spec.quantum_limited:
         raise UnsupportedFamily(f"{spec}: closed forms cover quantum-limited members only")
     out = np.zeros((n_cut, n_cut), dtype=np.complex128)

@@ -64,10 +64,10 @@ import numpy as np
 
 from .channels import ChannelSpec, _log_binom_sqrt
 from .errors import AllocationTooLarge, InvalidParameter, UnsupportedFamily
-from .fock import _displaced_basis, _displacement_chunks, _fock_or_any, _ket_sum, bandwidth, hermite_psi_table
+from .fock import (MAX_DENSE_BYTES, _displaced_basis, _displacement_chunks, _fock_or_any, _ket_sum, bandwidth,
+                   hermite_psi_table)
 from .special import xlogy
 
-MAX_DENSE_BYTES = 1 << 30
 JSON_ENTRY_BYTES = 512  # peak bytes per listed entry of a JSON record, its lists, _round12's copy and text (tracemalloc)
 _JSON_CHUNK_BYTES = 8 << 20  # bytes of the operators the JSON writer builds at once
 

@@ -48,24 +48,19 @@ gives the exact Weyl-symmetric quadrature moments behind
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CutoffTooSmall,
-    DimMismatch,
-    InvalidParameter,
-    OrderTooLarge,
-)
+from .errors import AllocationTooLarge, CutoffTooSmall, DimMismatch, InvalidParameter, OrderTooLarge, _count
 from .special import eval_hermite, poisson_tail
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-2
+MAX_DENSE_BYTES = 1 << 30  # the largest array a build may ask for
 DISPLACEMENT_CHUNK_BYTES = 8 << 20  # tables of one chunk of a displacement stack
 _ENTRY_BYTES = 24  # per point and matrix entry that a chunk is sized by; the kernels hold 16 (a table and a matrix)
 
@@ -125,31 +120,6 @@ class _DiagonalOperator(TruncatedOperator):
     @property
     def diagonal(self) -> np.ndarray:
         return self.values
-
-
-def _real_number(value, what: str) -> float:
-    """``value`` as a float if it is a real number (numpy's too) and not a ``bool``; else ``InvalidParameter``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameter(f"{what} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_counts(**counts) -> None:
-    """``InvalidParameter`` naming the first of ``counts`` that is not an integer (:func:`_is_count`)."""
-    for name, value in counts.items():
-        if not _is_count(value):
-            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-
-
-def _check_cutoff(n_cut) -> None:
-    """``InvalidParameter`` unless the cutoff ``n_cut`` is an integer of at least 0."""
-    _check_counts(n_cut=n_cut)
-    if n_cut < 0:
-        raise InvalidParameter(f"n_cut must be nonnegative, got {n_cut}")
 
 
 def _check_square(shape: tuple, entries: np.ndarray) -> None:
@@ -287,10 +257,7 @@ def _check_tail(tail: float, tail_tol: float, what: str) -> None:
 
 def fock_state(n: int, n_cut: int) -> DensityMatrix:
     """Number state ``|n><n|``."""
-    _check_counts(n=n, n_cut=n_cut)
-    if not 0 <= n < n_cut:
-        raise InvalidParameter(f"need 0 <= n < n_cut, got n={n}, n_cut={n_cut}")
-    populations = np.zeros(n_cut)
+    populations = np.zeros(_count(n_cut, "n_cut", _count(n, "n") + 1))
     populations[n] = 1.0
     return DensityMatrix._diagonal(populations, 0.0)
 
@@ -301,8 +268,15 @@ def coherent_amplitudes(alpha: complex | np.ndarray, n_cut: int) -> np.ndarray:
     One step of ``v_n = v_(n-1) alpha / sqrt(n)`` per ``n`` serves all points, in real arithmetic that
     repeats NumPy's scalar complex multiply and divide operation by operation (its array complex multiply
     rounds differently): every entry equals the scalar loop bit for bit, signs of zero included.
+    Every point must be finite (``InvalidParameter``), and a table whose readers (:func:`q_function`)
+    would pass ``MAX_DENSE_BYTES`` raises ``AllocationTooLarge``, both before anything is allocated.
     """
     a = np.asarray(alpha, dtype=np.complex128)
+    n_bytes = a.size * n_cut * 65  # q_function's peak bytes per point and level (tracemalloc)
+    if n_bytes > MAX_DENSE_BYTES:
+        raise AllocationTooLarge(f"the amplitudes of {a.size} points at N={n_cut} need about {n_bytes:.3e} bytes")
+    if not np.isfinite(a).all():
+        raise InvalidParameter(f"coherent amplitudes need finite points, got {a[~np.isfinite(a)][0]}")
     ar, ai = a.real[()], a.imag[()]  # NumPy scalars for a scalar alpha
     parts = np.empty((2, n_cut) + a.shape)
     parts[0, 0], parts[1, 0] = re, im = 1.0, 0.0
@@ -323,7 +297,7 @@ def _ket_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def coherent_state(alpha: complex, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityMatrix:
     """Coherent state ``|alpha><alpha|`` with exact Poissonian tail mass."""
-    _check_cutoff(n_cut)
+    _count(n_cut, "n_cut")
     tail = poisson_tail(abs(alpha) ** 2, n_cut)
     _check_tail(tail, tail_tol, f"coherent({alpha})")
     if n_cut < 2:  # the state check's verdict, before the amplitudes index level 0 (a nan tail passes above)
@@ -338,7 +312,7 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     Diagonal ``(1 - x) x^n`` with ``x = (a0 - 1) / (a0 + 1)``; the mass
     beyond the cutoff is exactly ``x^n_cut``.
     """
-    _check_cutoff(n_cut)
+    _count(n_cut, "n_cut")
     if a0 < 1.0:
         raise InvalidParameter(f"thermal parameter must satisfy a0 >= 1, got {a0}")
     x = (a0 - 1.0) / (a0 + 1.0)
@@ -350,9 +324,7 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
 
 def random_mixed_state(seed: int, rank: int, n_cut: int) -> DensityMatrix:
     """Random rank-``rank`` mixed state supported inside the cutoff."""
-    _check_counts(rank=rank, n_cut=n_cut)
-    if not 1 <= rank <= n_cut:
-        raise InvalidParameter(f"need 1 <= rank <= n_cut, got rank={rank}")
+    _count(n_cut, "n_cut", _count(rank, "rank", 1))
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n_cut, rank)) + 1j * rng.normal(size=(n_cut, rank))
     mat = g @ g.conj().T
@@ -385,9 +357,7 @@ def _abs_squared(z) -> float:
 def _check_displacement_cutoff(n_cut) -> None:
     """A displacement cutoff is an integer of at least 2 (``InvalidParameter``); above 1020 the
     Laguerre table of :func:`displacement_op` overflows (``OrderTooLarge``)."""
-    if not _is_count(n_cut) or n_cut < 2:
-        raise InvalidParameter(f"displacement cutoff must be an integer of at least 2, got {n_cut!r}")
-    if n_cut > 1020:
+    if _count(n_cut, "displacement cutoff", 2) > 1020:
         raise OrderTooLarge(f"displacement cutoff limited to 1020, got {n_cut}")
 
 
@@ -594,10 +564,7 @@ def hermite_psi_table(n_max: int, x) -> np.ndarray:
     The Gaussian weight here is exp(-x^2/2); the squared weight that
     sometimes appears in print is not normalizable against H_n.
     """
-    _check_counts(order=n_max)
-    if n_max < 0:
-        raise InvalidParameter("order must be nonnegative")
-    if n_max > 2000:
+    if _count(n_max, "order") > 2000:
         raise OrderTooLarge("oscillator wavefunction order limited to 2000")
     xs = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + xs.shape)
@@ -605,14 +572,6 @@ def hermite_psi_table(n_max: int, x) -> np.ndarray:
     for n in range(n_max):
         out[n + 1], before = np.sqrt(2.0 / (n + 1)) * xs * out[n] - np.sqrt(n / (n + 1)) * before, out[n]
     return out
-
-
-def _node_count(node_count) -> int:
-    """``node_count`` as an int, the count of Gauss-Hermite nodes: a whole number >= 1."""
-    if isinstance(node_count, bool) or not isinstance(node_count, numbers.Real) \
-            or not float(node_count).is_integer() or node_count < 1:
-        raise InvalidParameter(f"node count must be a whole number of at least 1, got {node_count!r}")
-    return int(node_count)
 
 
 def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -627,7 +586,7 @@ def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     asymptotic rule needs Airy zeros: that branch alone imports
     ``scipy.special``, and calls it as it is.
     """
-    n = _node_count(node_count)
+    n = _count(node_count, "node count", 1)
     if n > 150:
         from scipy.special import roots_hermite
 

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .channels import ChannelSpec
-from .errors import DefectTooLarge, DimMismatch, GridTooCoarse, InvalidParameter, UnsupportedFamily
+from .errors import DefectTooLarge, DimMismatch, GridTooCoarse, InvalidParameter, UnsupportedFamily, _count
 from .families import (
     BandedFamily,
     DiscreteIndex,
@@ -43,8 +43,6 @@ from .fock import (
     _diagonal_trace,
     _displacement_chunks,
     _gauss_hermite,
-    _is_count,
-    _node_count,
     _times_exp_square,
     coherent_amplitudes,
     hermite_psi_table,
@@ -59,23 +57,11 @@ RANK_ONE_PROBE_TOL = 1e-4  # trace distance a rank-one grid may miss the thermal
 BANDED_FAMILIES = ("D", "C1", "C2", "A1", "I")
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise InvalidParameter(message)
-
-
-def _check_sizes(ell_max, n_cut) -> None:
-    """``InvalidParameter`` unless ``ell_max >= 0`` and ``n_cut >= 2`` are integers (a ``bool`` is not one)."""
-    _require(_is_count(ell_max) and _is_count(n_cut) and n_cut > 1,
-             f"ell_max and n_cut must be integers, n_cut at least 2, got {ell_max!r}, {n_cut!r}")
-    _require(ell_max >= 0, f"ell_max must be nonnegative, got {ell_max}")
-
-
 def completeness_defect(family: "KrausFamily | np.ndarray", block: int | None = None) -> float:
     """Completeness defect of a family (:meth:`KrausFamily.defect`) or of a bare stack on its
-    protected lower block; a negative block raises ``InvalidParameter``."""
-    if block is not None and block < 0:
-        raise InvalidParameter(f"the protected block must be nonnegative, got {block}")
+    protected lower block; ``InvalidParameter`` unless ``block`` is None or a nonnegative integer."""
+    if block is not None:
+        _count(block, "block")
     if isinstance(family, np.ndarray):
         return raw_completeness_defect(family, block)
     return family.defect(block)
@@ -87,11 +73,14 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
     The per-level weights of ``sum_l (W_l^dag W_l)[n, n]`` decay
     geometrically in l; the worst protected level is ``n_protect - 1``.  Its first
     weights below the normal floats are stepped as logarithms.  Raises ``DefectTooLarge``
-    when the tail is still above ``tol`` at ``SUGGEST_ELL_CAP``; ``InvalidParameter``
-    unless ``n_protect`` is an integer of at least 1 and ``tol`` is positive.
+    when the tail is still above ``tol`` at ``SUGGEST_ELL_CAP``.  Before any work:
+    ``InvalidParameter`` unless ``n_protect`` is an integer of at least 1 and ``tol`` is positive,
+    and :func:`build_discrete`'s ``UnsupportedFamily`` for a spec it refuses.
     """
-    _require(_is_count(n_protect) and n_protect > 0, f"n_protect must be an integer of at least 1, got {n_protect!r}")
-    _require(tol > 0, f"tol must be positive, got {tol!r}")
+    _count(n_protect, "n_protect", 1)
+    if not tol > 0:
+        raise InvalidParameter(f"tol must be positive, got {tol!r}")
+    _check_banded(spec)
     fam = spec.family
     if fam in ("I", "A1", "C1"):
         return n_protect - 1 if fam != "I" else 0
@@ -101,13 +90,10 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
         ratio = 1.0 / (1.0 + spec.kappa**-2)
         log_term, first = -(n + 1) * math.log1p(spec.kappa**2), n  # (1+k^2)^(-1-n)
         term = math.exp(log_term)
-    elif fam == "C2":
+    else:  # C2
         ratio = 1.0 - spec.kappa**-2
         term, first = spec.kappa ** (-2.0 * (n + 1)), 0
         log_term = -2.0 * (n + 1) * math.log(spec.kappa)
-    else:
-        raise UnsupportedFamily(
-            f"family {fam} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
     j = 0
     while term < sys.float_info.min and first + j < SUGGEST_ELL_CAP:  # a subnormal product loses its digits
         j += 1
@@ -125,6 +111,15 @@ def suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float = 1e-12) -> in
     return first + j
 
 
+def _check_banded(spec: ChannelSpec) -> None:
+    """``UnsupportedFamily`` unless ``spec`` is a quantum-limited member of ``BANDED_FAMILIES``."""
+    if not spec.quantum_limited:
+        raise UnsupportedFamily(f"{spec}: noisy; use compose/synthesize")
+    if spec.family not in BANDED_FAMILIES:
+        raise UnsupportedFamily(
+            f"family {spec.family} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
+
+
 def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
                    defect_limit: float = DEFECT_HARD_LIMIT) -> KrausFamily:
     """Closed-form Kraus family for ``D``, ``C1``, ``C2``, ``A1`` or the identity.
@@ -136,17 +131,15 @@ def build_discrete(spec: ChannelSpec, ell_max: int, n_cut: int,
     unless ``ell_max >= 0`` and ``n_cut >= 2`` are integers and
     ``defect_limit >= 0``.
     """
-    if not spec.quantum_limited:
-        raise UnsupportedFamily(f"{spec}: noisy; use compose/synthesize")
-    if spec.family not in BANDED_FAMILIES:
-        raise UnsupportedFamily(
-            f"family {spec.family} has no quantum-limited discrete Kraus list; noisy: use compose/synthesize")
-    _check_sizes(ell_max, n_cut)
-    _require(defect_limit >= 0, f"defect_limit must be nonnegative, got {defect_limit!r}")
+    _check_banded(spec)
+    _count(ell_max, "ell_max")
+    _count(n_cut, "n_cut", 2)
+    if not defect_limit >= 0:
+        raise InvalidParameter(f"defect_limit must be nonnegative, got {defect_limit!r}")
     coeffs, band = _band_table(spec, ell_max, n_cut)
     family = BandedFamily(spec, coeffs, band, DiscreteIndex(len(coeffs) - 1))
     defect = family.completeness_defect
-    if defect > defect_limit:
+    if not defect <= defect_limit:
         raise DefectTooLarge(
             f"{spec} at ell_max={ell_max}, n_cut={n_cut}: defect {defect:.3e} > {defect_limit:.1e}"
         )
@@ -168,8 +161,7 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
     integer in ``2..1020`` (``InvalidParameter`` below, ``OrderTooLarge``
     above).
     """
-    if _node_count(node_count) < 32:
-        raise InvalidParameter(f"node_count must be at least 32, got {node_count}")
+    _count(node_count, "node_count", 32)
     _check_displacement_cutoff(n_cut)
     fam = spec.family
     if fam == "A2":
@@ -196,7 +188,7 @@ def build_continuous(spec: ChannelSpec, node_count: int, n_cut: int) -> KrausFam
     else:
         raise UnsupportedFamily(f"family {fam} is not a continuous-index family")
     defect = family.completeness_defect
-    if not np.isfinite(defect) or defect > DEFECT_HARD_LIMIT:
+    if not defect <= DEFECT_HARD_LIMIT:
         raise DefectTooLarge(f"{spec}: defect {defect:.3e} > {DEFECT_HARD_LIMIT:.1e}; raise node_count or n_cut")
     return family
 
@@ -279,11 +271,11 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
     resolution ``rho' = pi^-1 integral T' rho T'^dag d^2 alpha``.  With
     ``probe_check``, a grid that misses the channel output on a thermal probe
     raises ``GridTooCoarse``, and then one whose completeness defect passes
-    ``DEFECT_HARD_LIMIT`` raises ``DefectTooLarge``; ``InvalidParameter`` unless ``n_cut >= 2`` is an integer.
+    ``DEFECT_HARD_LIMIT`` raises ``DefectTooLarge``; ``InvalidParameter`` unless ``kappa`` is a gain
+    ``ChannelSpec("D", kappa)`` takes and ``n_cut >= 2`` is an integer.
     """
-    if kappa <= 0:
-        raise InvalidParameter("kappa must be positive")
-    _require(_is_count(n_cut) and n_cut >= 2, f"n_cut must be an integer of at least 2, got {n_cut!r}")
+    spec = ChannelSpec("D", kappa)
+    _count(n_cut, "n_cut", 2)
     alphas = np.asarray(alphas, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     if alphas.shape != weights.shape:
@@ -294,11 +286,11 @@ def rank_one_d(kappa: float, alphas: np.ndarray, weights: np.ndarray, n_cut: int
     kets = coherent_amplitudes(alphas * ket_scale, n_cut)
     bras = coherent_amplitudes(np.conj(alphas) * bra_scale, n_cut)
     vecs = bras * np.sqrt(weights / (np.pi * (1.0 + kappa**2)))[:, None]
-    family = RankOneFamily(ChannelSpec("D", kappa), kets, bras.conj(), bra_scale * np.sqrt(weights / np.pi),
+    family = RankOneFamily(spec, kets, bras.conj(), bra_scale * np.sqrt(weights / np.pi),
                            QuadratureIndex(alphas, weights), vecs.T @ vecs.conj(), origin="rank-one")
     if probe_check:
         probe = thermal_state(2.0, n_cut, tail_tol=1.0)
-        reference = apply(build_discrete(ChannelSpec("D", kappa), suggest_ell_max(ChannelSpec("D", kappa), n_cut), n_cut), probe)
+        reference = apply(build_discrete(spec, suggest_ell_max(spec, n_cut), n_cut), probe)
         got = apply(family, probe)
         dev = trace_distance(got, reference)
         if dev > RANK_ONE_PROBE_TOL:

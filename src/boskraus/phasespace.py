@@ -39,6 +39,7 @@ from .errors import (
     Unclassifiable,
     UnsupportedFamily,
     UnsupportedPair,
+    _real_array,
 )
 from .fock import DensityMatrix, _quadrature_moments
 
@@ -74,18 +75,13 @@ class XYPair:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.shape != (2, 2) or y.shape != (2, 2):
-            raise InvalidParameter("X and Y must be 2x2 real matrices")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InvalidParameter("X and Y must be finite")
-        if np.max(np.abs(y - y.T)) > 1e-10:
+        x, y = _real_array(self.x, "X"), _real_array(self.y, "Y")
+        if not np.max(np.abs(y - y.T)) <= 1e-10:
             raise InvalidParameter("Y must be symmetric")
-        if _min_eigenvalue(y, 0.0) < -1e-12:
+        if not _min_eigenvalue(y, 0.0) >= -1e-12:
             raise InvalidParameter("Y must be positive semidefinite")
         defect = cp_defect(x, y)
-        if defect < -CP_TOL:
+        if not defect >= -CP_TOL:
             raise NotCompletelyPositive(f"(X, Y) violates complete positivity by {defect:.3e}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", 0.5 * (y + y.T))
@@ -98,10 +94,8 @@ class Symplectic2:
     s: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if s.shape != (2, 2):
-            raise InvalidParameter("symplectic matrix must be 2x2")
-        if abs(np.linalg.det(s) - 1.0) > 1e-10:
+        s = _real_array(self.s, "symplectic matrix")
+        if not abs(np.linalg.det(s) - 1.0) <= 1e-10:
             raise InvalidParameter(f"det S = {np.linalg.det(s)!r} != 1")
         object.__setattr__(self, "s", s)
 
@@ -125,12 +119,11 @@ class GaussianMoments:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(2)
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (2, 2) or np.max(np.abs(cov - cov.T)) > 1e-8:
-            raise InvalidParameter("covariance must be a symmetric 2x2 matrix")
+        mean, cov = _real_array(self.mean, "mean", (2,)), _real_array(self.cov, "covariance")
+        if not np.max(np.abs(cov - cov.T)) <= 1e-8:
+            raise InvalidParameter("covariance must be symmetric")
         umin = _min_eigenvalue(cov, 1.0)
-        if not umin >= -1e-6:  # a NaN covariance fails too
+        if not umin >= -1e-6:
             raise InvalidParameter(f"covariance violates the uncertainty bound by {umin:.3e}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
@@ -318,7 +311,8 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
     ``p11 = lam cos^2(theta) + lam^-1 sin^2(theta)`` is what the singular
     projector picks out.  The family, gain and ``lam = 1`` noise are
     :func:`table1_compose`'s; the mismatch adds its change of ``sqrt(det Y)``,
-    which is 0 at ``lam = 1``: there every ``theta`` gives Table 1 exactly.
+    which is 0 at ``lam = 1``: there every ``theta`` gives Table 1 exactly.  A ``lam`` that puts that
+    noise past the float range raises ``InvalidParameter`` naming it.
     """
     if not (0.0 < lam < np.inf and np.isfinite(theta)):
         raise InvalidParameter(f"lambda must be positive and finite and theta finite, got {lam}, {theta}")
@@ -334,13 +328,16 @@ def table2_compose(spec2: ChannelSpec, spec1: ChannelSpec, lam: float, theta: fl
             root = math.hypot(math.sqrt(1.0 + y1 * lam * cos2), math.sqrt(y1) * abs(math.sin(theta)) / math.sqrt(lam))
             excess = root - math.sqrt(1.0 + y1)
     else:
-        c, d, t = s2.kappa**2 * y1, s2.quantum_limited_noise(), lam - 1.0 / lam
+        c, d = s2.kappa**2 * y1, s2.quantum_limited_noise()
+        t = lam - 1.0 / lam if c * d else 0.0  # no mismatch noise without both; 0 * inf would be nan
         try:
             excess = np.sqrt((c + d) ** 2 + c * d * t**2) - (c + d)
         except OverflowError:  # t^2 leaves the float range (|log lam| above about 354): the root by hypot
             excess = math.hypot(c + d, math.sqrt(c * d) * t) - (c + d)
     if excess == 0.0:
         return base
+    if not base.noise_a + excess < math.inf:
+        raise InvalidParameter(f"lambda={lam!r} puts the composite's noise past the float range")
     fam = "B2" if base.family == "I" else base.family
     return ChannelSpec(fam, base.kappa, max(base.noise_a + excess, 0.0)).normalized(CLASSIFY_TOL)
 

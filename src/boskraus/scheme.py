@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .errors import InvalidParameter, NotPositiveDefinite, OrderTooLarge, UnsupportedFamily
+from .errors import InvalidParameter, NotPositiveDefinite, OrderTooLarge, UnsupportedFamily, _count, _real_array
 from .families import DiscreteIndex, KrausFamily
 from .fock import _gauss_hermite
-from .kraus import _check_sizes
 
 MAX_ORDER = 120
 
@@ -53,10 +52,8 @@ class MixMatrix:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (2, 2):
-            raise InvalidParameter("mix matrix must be 2x2")
-        if abs(np.linalg.det(m)) <= 1e-12:
+        m = _real_array(self.m, "mix matrix")
+        if not abs(np.linalg.det(m)) > 1e-12:
             raise InvalidParameter("mix matrix must be invertible")
         object.__setattr__(self, "m", m)
 
@@ -115,7 +112,7 @@ def _quadrature_check(form: GeneratingForm, m: np.ndarray) -> None:
         )
         val = float(np.sum(ww * np.exp(expo)) / np.pi)
         ref = form.prefactor * np.exp(0.5 * v @ form.q @ v)
-        if abs(val - ref) > 1e-10 * max(1.0, abs(ref)):
+        if not abs(val - ref) <= 1e-10 * max(1.0, abs(ref)):
             raise NotPositiveDefinite(
                 f"generating form fails its quadrature self-check: {val!r} vs {ref!r}"
             )
@@ -137,7 +134,7 @@ def generating_form(mix: MixMatrix) -> GeneratingForm:
     m = mix.m
     a = np.eye(2) + m.T @ m
     evals = np.linalg.eigvalsh(a)
-    if evals.min() <= 1e-12:
+    if not evals.min() > 1e-12:
         raise NotPositiveDefinite("x-integration quadratic form is not positive definite")
     prefactor = 2.0 / np.sqrt(np.linalg.det(a))
     a_inv = np.linalg.inv(a)
@@ -190,7 +187,8 @@ def kraus_from_scheme(mix: MixMatrix, ell_max: int, n_cut: int) -> KrausFamily:
     index sum, not the range cutoff.  Before any work: ``InvalidParameter`` unless
     ``ell_max >= 0`` and ``n_cut >= 2`` are integers, ``OrderTooLarge`` past ``MAX_ORDER``.
     """
-    _check_sizes(ell_max, n_cut)
+    _count(ell_max, "ell_max")
+    _count(n_cut, "n_cut", 2)
     if n_cut + ell_max - 1 > MAX_ORDER:
         raise OrderTooLarge(f"the defect needs {n_cut + ell_max} output rows, past the stable order {MAX_ORDER}")
     form = generating_form(mix)

@@ -16,9 +16,9 @@ import numpy as np
 
 from boskraus import fock
 from boskraus.channels import ChannelSpec
-from boskraus.errors import BoskrausError, InvalidParameter, OrderTooLarge
+from boskraus.errors import BoskrausError, InvalidParameter, OrderTooLarge, _count
 from boskraus.families import DiscreteIndex, KrausFamily, QuadratureIndex, _check_stack_bytes, _identity_defect
-from boskraus.fock import DensityMatrix, _is_count, char_weyl, hermite_psi_table, hermite_quadrature
+from boskraus.fock import DensityMatrix, char_weyl, hermite_psi_table, hermite_quadrature
 from boskraus.scheme import A2_MIX, B1_MIX, MAX_ORDER, GeneratingForm, MixMatrix, _taylor_box
 from boskraus.special import log_factorial
 
@@ -57,7 +57,7 @@ class StoredDefectFamily(KrausFamily):
 def read_record(data: dict) -> StoredDefectFamily:
     """The dense family of a :meth:`KrausFamily.to_json_dict` record; malformed input raises ``InvalidParameter``."""
     dim, records, idx = data["dim"], data["operators"], data["index_kind"]
-    _require(_is_count(dim) and dim >= 1, f"dim must be an integer of at least 1, got {dim!r}")
+    _count(dim, "dim", 1)
     _check_stack_bytes(len(records), dim)
     ops = np.zeros((len(records), dim, dim), dtype=np.complex128)
     for k, rec in enumerate(records):
@@ -70,7 +70,7 @@ def read_record(data: dict) -> StoredDefectFamily:
         ops[k][rows.astype(int), cols.astype(int)] = re + 1j * im
     if idx["kind"] == "discrete":
         ell_max = idx["ell_max"]
-        _require(_is_count(ell_max) and ell_max + 1 == len(ops),
+        _require(_count(ell_max, "ell_max") + 1 == len(ops),
                  f"discrete index ell_max={ell_max!r} does not count {len(ops)} operators")
         index = DiscreteIndex(int(ell_max))
     else:
@@ -142,7 +142,7 @@ def phase_averaged_state(lam: float, n_cut: int) -> DensityMatrix:
     """Phase-averaged coherent state: Poissonian diagonal ``e^-lam lam^n / n!``, with a tail mass of at
     most ``DEFAULT_TAIL_TOL``.  The tail is read as ``fock.poisson_tail``, so a test that patches it
     there patches it here."""
-    fock._check_cutoff(n_cut)
+    _count(n_cut, "n_cut")
     if lam < 0:
         raise InvalidParameter("Poisson parameter must be nonnegative")
     tail = fock.poisson_tail(lam, n_cut)

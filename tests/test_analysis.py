@@ -131,6 +131,10 @@ class TestThermalRecursion:
                 thermal_step(spec, 2.0)
 
 
+ITERATE_FAMILIES = {fam: family_for(ChannelSpec(fam, kappa), 16)
+                    for fam, kappa in (("C1", 0.7), ("C2", 1.2), ("D", 0.8), ("A2", None))}
+
+
 class TestIterate:
     def test_conjugator_attracts_everything(self):
         spec = ChannelSpec("D", 0.8)
@@ -189,6 +193,31 @@ class TestIterate:
         rho = thermal_state(2.0, 16) if start == "diagonal" else coherent_state(0.5, 16)
         with pytest.raises(InvalidParameter, match="steps"):
             iterate(family_for(ChannelSpec("D", 0.8), 16), rho, steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from([("C1", "coherent"), ("C1", "random"), ("C2", "coherent"), ("C2", "random"),
+                                 ("D", "coherent"), ("D", "random"), ("A2", "thermal")]),
+           radius=st.floats(0.1, 1.0), phase=st.floats(0.0, 2 * math.pi), seed=st.integers(0, 2**16),
+           steps=st.integers(1, 5))
+    def test_general_loop_is_a_loop_of_apply(self, case, radius, phase, seed, steps):
+        # a start off the diagonal, or a family that does not keep it (A2), takes the loop over states
+        family = ITERATE_FAMILIES[case[0]]
+        rho = {"coherent": lambda: coherent_state(radius * np.exp(1j * phase), 16),
+               "random": lambda: random_mixed_state(seed, 3, 16),
+               "thermal": lambda: thermal_state(1.0 + 2.0 * radius, 16)}[case[1]]()
+        assert rho.bandwidth > 0 or not family.keeps_diagonal
+        traj = iterate(family, rho, steps)
+        a0s, dists, kept = [thermal_estimate(rho)], [], 1.0
+        for _ in range(steps):
+            nxt = apply(family, rho)
+            dists.append(trace_distance(nxt, rho))
+            rho = nxt
+            a0s.append(thermal_estimate(rho))
+            kept *= 1.0 - rho.tail_mass
+        assert np.array(traj.a0_estimates).tobytes() == np.array(a0s).tobytes()
+        assert np.array(traj.step_distances).tobytes() == np.array(dists).tobytes()
+        assert traj.final.mat.tobytes() == rho.mat.tobytes() and traj.final.tail_mass == rho.tail_mass
+        assert np.float64(traj.lost_mass).tobytes() == np.float64(1.0 - kept).tobytes()
 
     def test_lost_mass_of_a_converging_run_stays_small(self):
         traj = iterate(family_for(ChannelSpec("D", 0.8), 96), thermal_state(10.0, 96), 40)
@@ -376,7 +405,7 @@ class TestZeno:
 
     @pytest.mark.parametrize("n_interrupts,steps", [(2, -1), (2.5, 1), (True, 1), (2, 1.0), (2, False), (0, 0)])
     def test_counts_must_be_integers(self, n_interrupts, steps):
-        with pytest.raises(InvalidParameter, match="integer counts"):
+        with pytest.raises(InvalidParameter, match="must be an integer of at least"):
             zeno_kappa("attenuator", n_interrupts, steps)
 
     def test_interruption_slows_both(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from references import position_kraus
 
-from boskraus import analysis, families
+from boskraus import analysis, families, fock
 from boskraus.analysis import gram_rank, thermal_estimate
 from boskraus.channels import ChannelSpec, _log_binom_sqrt
 from boskraus.cli import main
@@ -26,6 +26,7 @@ from boskraus.fock import (
     TruncatedOperator,
     bandwidth,
     coherent_disc_grid,
+    q_function,
     random_mixed_state,
     thermal_state,
     trace_distance,
@@ -330,6 +331,33 @@ def test_band_table_over_the_limit_exits_1(capsys):
     # 10^7 rows at N=512 would ask for a 41 GB table
     assert main(["kraus", "C1:0.7", "--ell-max", "10000000", "--ncut", "512"]) == 1
     assert "rows at N=512" in capsys.readouterr().err
+
+
+def test_coherent_amplitudes_over_the_limit_raise_before_allocating(monkeypatch):
+    # a 4 MiB limit: q_function of 2,000 points at N=48 would peak at 6.2 MB, 1,000 points fit
+    points, rho = np.full(2000, 0.3 + 0.1j), thermal_state(2.0, 48)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 4 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationTooLarge, match="2000 points at N=48"):
+            q_function(rho, points)
+        _, refused = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        q_function(rho, points[:1000])
+        _, built = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused < 1e4
+    assert built <= fock.MAX_DENSE_BYTES
+
+
+def test_scaling_grid_over_the_limit_exits_1(monkeypatch, capsys, tmp_path):
+    # 16 MiB holds the D rebuild's 2,304 disc points at N=48, not a grid of 20,000 (62 MB in q_function)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 16 << 20)
+    argv = ["experiment", "scaling", "--ncut", "48", "--output-dir", str(tmp_path)]
+    assert main([*argv, "--grid", "2000"]) == 0
+    assert main([*argv, "--grid", "20000"]) == 1
+    assert "error: the amplitudes of 20000 points at N=48" in capsys.readouterr().err
 
 
 def test_quadrature_stack_over_the_limit_exits_1(capsys):

@@ -25,6 +25,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_subprocess(*argv):
+    """Exit code, stdout and stderr of ``python -m boskraus.cli`` in a fresh process, warnings included."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "boskraus.cli", *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
 def argparse_exit(capsys, *argv):
     """Exit code, stdout and stderr of an invocation that argparse ends: a usage error or ``-h``."""
     with pytest.raises(SystemExit) as exc:
@@ -59,6 +67,10 @@ class TestKrausCommand:
         code, out, err = run(capsys, "kraus", "B2")
         assert code == 2
         assert "compose/synthesize" in err
+
+    def test_noisy_banded_family_exits_2_with_the_builders_line(self, capsys):
+        # the index cut is refused as the build is, before a cut is suggested for the noiseless part
+        assert run(capsys, "kraus", "C1:0.7:0.3") == (2, "", "error: C1(0.7; 0.3): noisy; use compose/synthesize\n")
 
     def test_defect_too_large_exits_2(self, capsys):
         code, out, err = run(capsys, "kraus", "D:0.9", "--ncut", "32", "--ell-max", "3")
@@ -178,14 +190,29 @@ class TestComposeCommand:
                              ids=["lambda=1e200", "lambda=1e-310,A2-outer"])
     def test_verify_out_of_float_range_is_one_typed_error(self, argv):
         # without --verify both print a finite composite; the (X, Y) check cannot reach them, and says so
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-m", "boskraus.cli", "compose", *argv, "--verify"],
-                              capture_output=True, text=True, env=env)
-        assert (done.returncode, done.stdout) == (1, "")
-        assert "RuntimeWarning" not in done.stderr
-        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-        assert repr(float(argv[3])) in done.stderr
+        code, out, err = run_subprocess("compose", *argv, "--verify")
+        assert (code, out) == (1, "")
+        assert "RuntimeWarning" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(float(argv[3])) in err
+
+    @pytest.mark.parametrize("argv", [("C1:0.5", "C1:0.5", "--lambda", "1e-310"),
+                                      ("C1:0.5", "A1", "--lambda", "5e-324"),
+                                      ("A2", "D:0.5", "--lambda", "1.7e308", "--theta", "0.3")],
+                             ids=["lambda=1e-310", "lambda=5e-324,A1-inner", "lambda=1.7e308,A2-outer"])
+    def test_noise_out_of_float_range_names_lambda(self, argv):
+        # the composite's noise grows as lambda or 1/lambda and leaves the float range
+        code, out, err = run_subprocess("compose", *argv)
+        assert (code, out) == (1, "")
+        assert "RuntimeWarning" not in err
+        assert err.startswith("error: lambda=") and err.count("\n") == 1
+        assert f"lambda={float(argv[3])!r}" in err
+
+    @pytest.mark.parametrize("pair", [("C1:0.5", "I"), ("A1", "D:0.5"), ("C2:2", "C1:1")])
+    def test_a_pair_with_no_mismatch_noise_stays_itself_at_any_lambda(self, capsys, pair):
+        # no mismatch noise where a factor adds none; the subnormal lambda once made it 0 * inf = nan
+        for lam in ("1e-310", "5e-324"):
+            assert run(capsys, "compose", *pair, "--lambda", lam)[:2] == run(capsys, "compose", *pair)[:2]
 
     def test_unsupported_pair_exits_3(self, capsys):
         code, out, err = run(capsys, "compose", "B1", "C1:0.5")

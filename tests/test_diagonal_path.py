@@ -19,7 +19,7 @@ from references import phase_averaged_state, read_record
 from boskraus import analysis, families, fock
 from boskraus.analysis import iterate, thermal_estimate
 from boskraus.channels import ChannelSpec
-from boskraus.errors import BoskrausError, CutoffTooSmall, InvalidParameter
+from boskraus.errors import BoskrausError, CutoffTooSmall, InvalidParameter, _count
 from boskraus.fock import (
     DensityMatrix,
     TruncatedOperator,
@@ -251,8 +251,7 @@ def dense_thermal_state(a0, n_cut, tail_tol):
 
 
 def dense_fock_state(n, n_cut):
-    if not 0 <= n < n_cut:
-        raise InvalidParameter(f"need 0 <= n < n_cut, got n={n}, n_cut={n_cut}")
+    _count(n_cut, "n_cut", _count(n, "n") + 1)
     mat = np.zeros((n_cut, n_cut), dtype=np.complex128)
     mat[n, n] = 1.0
     return DensityMatrix(TruncatedOperator(mat), 0.0)

@@ -175,7 +175,7 @@ class TestStates:
         lambda: phase_averaged_state(1.0, -3),
     ], ids=["thermal-vacuum", "thermal", "coherent", "phase-averaged"])
     def test_cutoff_must_be_nonnegative(self, make):
-        with pytest.raises(InvalidParameter, match="^n_cut must be nonnegative, got -3$"):
+        with pytest.raises(InvalidParameter, match="^n_cut must be an integer of at least 0, got -3$"):
             make()
 
     @pytest.mark.parametrize("alpha,n_cut", [(0.0, 0), (math.nan, 0), (0.0, 1)])

@@ -116,13 +116,13 @@ class TestDiscreteBuilders:
     @pytest.mark.parametrize("family", ["D", "C1", "C2", "A1", "I"])
     def test_sizes_are_checked(self, family, ell_max, n_cut):
         spec = ChannelSpec(family, {"D": 0.8, "C1": 0.7, "C2": 1.3}.get(family))
-        with pytest.raises(InvalidParameter, match="integers"):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
             build_discrete(spec, ell_max, n_cut)
 
     def test_negative_ell_max_message(self):
         with pytest.raises(InvalidParameter) as exc:
             build_discrete(ChannelSpec("D", 0.8), -1, 16)
-        assert str(exc.value) == "ell_max must be nonnegative, got -1"
+        assert str(exc.value) == "ell_max must be an integer of at least 0, got -1"
 
 
 def reference_suggest_ell_max(spec: ChannelSpec, n_protect: int, tol: float) -> int:
@@ -217,6 +217,18 @@ class TestCompleteness:
         ell = suggest_ell_max(spec, n_protect, 1e-10)
         assert build_discrete(spec, ell, n_protect).completeness_defect <= 1e-10
 
+    @pytest.mark.parametrize("spec,n_protect", [
+        (ChannelSpec("D", 0.8, 0.5), 48), (ChannelSpec("C2", 1.3, 0.2), 48), (ChannelSpec("A1", noise_a=0.4), 48),
+        (ChannelSpec("C1", 0.5, 0.3), 16), (ChannelSpec("A2"), 16), (ChannelSpec("B2", noise_a=0.5), 16),
+    ], ids=["D", "C2", "A1", "C1", "A2", "B2"])
+    def test_suggest_ell_max_refuses_what_build_discrete_refuses(self, spec, n_protect):
+        # a noisy spec once got a cut for its quantum-limited part (147, 106, 47 and 15)
+        with pytest.raises(UnsupportedFamily) as built:
+            build_discrete(spec, 8, n_protect)
+        with pytest.raises(UnsupportedFamily) as suggested:
+            suggest_ell_max(spec, n_protect)
+        assert str(suggested.value) == str(built.value)
+
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3])
     def test_suggest_ell_max_needs_a_positive_tolerance(self, tol):
         # nan ignored the tolerance; a tolerance <= 0 ran the loop to the cap
@@ -260,7 +272,7 @@ class TestCompleteness:
             "json": lambda: read_record(json.loads(json.dumps(c1.to_json_dict()))),
             "stack": lambda: c1.ops,
         }[kind]()
-        with pytest.raises(InvalidParameter, match="nonnegative"):
+        with pytest.raises(InvalidParameter, match="must be an integer of at least 0"):
             completeness_defect(family, block=-1)
         assert completeness_defect(family, block=0) == 0.0
 
