@@ -40,7 +40,9 @@ check from the stream.  ``_ket_sum`` weighs a table of kets into
 ``sum_p w_p |k_p><k_p|`` by one GEMM: the action of a
 rank-one Kraus family and the D classicality rebuild.  The quadrature rules
 of the continuous-index families (Gauss-Hermite nodes, the polar disc grid)
-live here too, beside the oscillator wavefunctions.  :func:`_quadrature_moments`
+live here too, beside the oscillator wavefunctions, and need numpy alone:
+above 150 nodes the Gauss-Hermite rule reads the last two rows of the
+wavefunction recurrence at its nodes (:func:`_last_psi_rows`).  :func:`_quadrature_moments`
 gives the exact Weyl-symmetric quadrature moments behind
 ``analysis.cumulants`` and ``phasespace.moments_from_density``.
 """
@@ -53,7 +55,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllocationTooLarge, CutoffTooSmall, DimMismatch, InvalidParameter, OrderTooLarge, _count
+from .errors import (AllocationTooLarge, CutoffTooSmall, DimMismatch, InvalidParameter, OrderTooLarge, _count,
+                     _real_number)
 from .special import eval_hermite, poisson_tail
 
 HERMITICITY_TOL = 1e-12
@@ -250,6 +253,12 @@ def bandwidth(mat: np.ndarray) -> int:
     return int(np.max(np.where(nonzero.any(axis=1), np.maximum(rows - first, last - rows), 0), initial=0))
 
 
+def _check_tail_tol(tail_tol) -> None:
+    """A tail tolerance is a real number of at least 0 (``InvalidParameter``; NaN fails)."""
+    if not _real_number(tail_tol, "tail_tol") >= 0.0:
+        raise InvalidParameter(f"tail_tol must be a real number of at least 0, got {tail_tol!r}")
+
+
 def _check_tail(tail: float, tail_tol: float, what: str) -> None:
     if tail > tail_tol:
         raise CutoffTooSmall(f"{what}: tail mass {tail:.3e} exceeds {tail_tol:.3e}; raise the cutoff")
@@ -298,6 +307,7 @@ def _ket_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def coherent_state(alpha: complex, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityMatrix:
     """Coherent state ``|alpha><alpha|`` with exact Poissonian tail mass."""
     _count(n_cut, "n_cut")
+    _check_tail_tol(tail_tol)
     tail = poisson_tail(abs(alpha) ** 2, n_cut)
     _check_tail(tail, tail_tol, f"coherent({alpha})")
     if n_cut < 2:  # the state check's verdict, before the amplitudes index level 0 (a nan tail passes above)
@@ -313,6 +323,7 @@ def thermal_state(a0: float, n_cut: int, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     beyond the cutoff is exactly ``x^n_cut``.
     """
     _count(n_cut, "n_cut")
+    _check_tail_tol(tail_tol)
     if a0 < 1.0:
         raise InvalidParameter(f"thermal parameter must satisfy a0 >= 1, got {a0}")
     x = (a0 - 1.0) / (a0 + 1.0)
@@ -570,29 +581,59 @@ def hermite_psi_table(n_max: int, x) -> np.ndarray:
     out = np.empty((n_max + 1,) + xs.shape)
     out[0], before = _PI_QUARTER * np.exp(-0.5 * xs**2), 0.0  # psi_0 and the zero seed psi_(-1)
     for n in range(n_max):
-        out[n + 1], before = np.sqrt(2.0 / (n + 1)) * xs * out[n] - np.sqrt(n / (n + 1)) * before, out[n]
+        out[n + 1], before = _psi_step(n, xs, out[n], before), out[n]
     return out
 
 
-def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.special.roots_hermite(node_count)``: nodes and weights for ``integral e^(-x^2) f(x) dx``.
+def _psi_step(n: int, x, psi_n, psi_before):
+    """``psi_(n+1)`` from ``psi_n`` and ``psi_(n-1)``: the recurrence of :func:`hermite_psi_table`."""
+    return np.sqrt(2.0 / (n + 1)) * x * psi_n - np.sqrt(n / (n + 1)) * psi_before
 
-    Up to 150 nodes scipy solves the Golub-Welsch eigenproblem with
-    ``scipy.linalg.eigvals_banded``.  This repeats its steps with
-    ``np.linalg.eigvalsh`` on the same tridiagonal matrix and
-    ``special.eval_hermite`` (the same bits for every count from 1 to 150): one
-    Newton step on the eigenvalues, the log-normalized weight formula,
-    symmetrization and normalization to ``sqrt(pi)``.  Above 150 scipy's
-    asymptotic rule needs Airy zeros: that branch alone imports
-    ``scipy.special``, and calls it as it is.
+
+def _last_psi_rows(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, b, e)`` with ``psi_(n-1)(x) = c a 2^e`` and ``psi_n(x) = c b 2^e``, ``c = pi^(-1/4) exp(-x^2/2)``.
+
+    The recurrence of :func:`hermite_psi_table` runs from ``psi_0 / c = 1`` and keeps only its last two
+    rows, so no order cap applies.  Every 16 steps both rows are divided by the power of two that brings
+    the larger below 1, which is exact, and ``e`` counts it: a step grows a row by at most
+    ``sqrt(2) |x| + 1``, below ``2^8`` at every node of a rule :func:`_gauss_hermite` allows
+    (``|x| < 153``).  ``c``, which underflows past ``|x| ~ 38.6``, is never formed.
+    """
+    before, row, exponent = np.zeros_like(x), np.ones_like(x), np.zeros(x.shape, dtype=int)
+    for k in range(n):
+        before, row = row, _psi_step(k, x, row, before)
+        if k % 16 == 15:
+            shift = np.frexp(np.maximum(np.abs(before), np.abs(row)))[1]
+            before, row, exponent = np.ldexp(before, -shift), np.ldexp(row, -shift), exponent + shift
+    return before, row, exponent
+
+
+def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for ``integral e^(-x^2) f(x) dx``, from numpy alone.
+
+    The nodes start as ``np.linalg.eigvalsh`` of the Golub-Welsch (Jacobi) matrix, whose ``8 n^2``
+    bytes must stay within ``MAX_DENSE_BYTES`` (``AllocationTooLarge`` above 11585 nodes, before it is
+    allocated), take one Newton step and are symmetrized with the weights, so both are mirror images
+    to the bit.  Up to 150 nodes this repeats scipy's ``roots_hermite`` with ``special.eval_hermite``,
+    the same bits for every count: the log-normalized weight formula and normalization to
+    ``sqrt(pi)``.  Above 150 the Newton step takes ``psi_n' = sqrt(2 n) psi_(n-1)`` at a zero, and
+    the weight is the Christoffel-Darboux total weight ``1 / (n psi_(n-1)^2)`` times ``exp(-x^2)``,
+    both from :func:`_last_psi_rows`.  The weight is formed as ``sqrt(pi) / (n (psi_(n-1) / c)^2)``,
+    so it underflows only where its value does.
     """
     n = _count(node_count, "node count", 1)
+    if 8 * n * n > MAX_DENSE_BYTES:
+        raise AllocationTooLarge(f"a Gauss-Hermite rule of {n} nodes needs a {8 * n * n:.3e}-byte Jacobi matrix")
+    jacobi = np.zeros((n, n))
+    jacobi.flat[1::n + 1] = jacobi.flat[n::n + 1] = np.sqrt(np.arange(1, n) / 2.0)
+    x = np.linalg.eigvalsh(jacobi)
     if n > 150:
-        from scipy.special import roots_hermite
-
-        return roots_hermite(n)
-    b = np.sqrt(np.arange(1, n) / 2.0)
-    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+        before, row, _ = _last_psi_rows(n, x)
+        x -= row / (np.sqrt(2.0 * n) * before)
+        before, _, exponent = _last_psi_rows(n, x)
+        mantissa, shift = np.frexp(before)
+        w = np.ldexp(np.sqrt(np.pi) / (n * mantissa**2), -2 * (exponent + shift))
+        return (x - x[::-1]) / 2, (w + w[::-1]) / 2
     y = eval_hermite(n, x)
     dy = 2.0 * n * eval_hermite(n - 1, x)
     x -= y / dy
@@ -634,8 +675,12 @@ def coherent_disc_grid(radius: float, n_radial: int, n_angular: int) -> tuple[np
 
     Gauss-Legendre in the radius, uniform (trapezoidal, exact for
     trigonometric polynomials) in the angle.  Returns complex nodes and
-    positive weights.
+    positive weights.  Both counts must be integers of at least 1 and the
+    radius a finite positive real number (``InvalidParameter``).
     """
+    n_radial, n_angular = _count(n_radial, "n_radial", 1), _count(n_angular, "n_angular", 1)
+    if not 0.0 < _real_number(radius, "radius") < math.inf:
+        raise InvalidParameter(f"radius must be finite and positive, got {radius!r}")
     r, wr = np.polynomial.legendre.leggauss(n_radial)
     r = 0.5 * radius * (r + 1.0)
     wr = 0.5 * radius * wr * r  # includes the r dr Jacobian

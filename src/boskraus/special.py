@@ -7,7 +7,7 @@ These four functions give the values of ``scipy.special``'s ``gammaln``,
 passes, bit for bit (``poisson_tail`` within ``2e-12`` relative above
 ``lam = 0.6 n``): they repeat the cephes arithmetic step by step.  Importing
 ``scipy.special`` maps a second OpenBLAS library, whose worker thread spins
-through a short run although the package never calls it.
+through a short run, and the package imports no scipy module.
 
 Logarithms are ``math.log`` (the C library's), as in cephes: ``np.log`` rounds
 differently on some arguments.

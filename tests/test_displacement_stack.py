@@ -1,8 +1,9 @@
 """The displacement kernel against the one-point tables it replaced, the
 exact cumulants against the finite-difference stencil they replaced,
-Gauss-Hermite nodes without ``scipy.linalg``, and the argument checks in front
+Gauss-Hermite nodes without scipy, and the argument checks in front
 of them."""
 
+import ast
 import math
 import os
 import subprocess
@@ -21,15 +22,17 @@ from test_fock import close_to, reference_displacement_op
 from boskraus import analysis, fock, kraus
 from boskraus.analysis import cumulants, simultaneous_diagonality
 from boskraus.channels import ChannelSpec
-from boskraus.errors import InvalidParameter, OrderTooLarge
+from boskraus.errors import AllocationTooLarge, InvalidParameter, OrderTooLarge
 from boskraus.fock import (
     TruncatedOperator,
     _displacement_chunks,
     _gauss_hermite,
+    _times_exp_square,
     char_weyl,
     coherent_state,
     displacement_op,
     fock_state,
+    hermite_psi_table,
     hermite_quadrature,
     thermal_state,
 )
@@ -37,6 +40,7 @@ from boskraus.kraus import build_continuous
 from boskraus.phasespace import OMEGA, canonical_xy, classify, compose_xy, cp_defect, table1_compose
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+RULE_COUNTS = [151, 200, 400, 512, 1024, 2040]  # 2040: the nodes of verify-all at the largest cutoff, 1020
 
 
 def reference_table_displacement_op(xi: complex, n_cut: int) -> TruncatedOperator:
@@ -355,11 +359,32 @@ class TestGaussHermite:
             xr, wr = roots_hermite(n)
             assert x.tobytes() == xr.tobytes() and w.tobytes() == wr.tobytes(), n
 
-    @pytest.mark.parametrize("n", [151, 400])
+    @pytest.mark.parametrize("n", RULE_COUNTS)
     def test_asymptotic_rule_passes_through(self, n):
-        x, w = _gauss_hermite(n)
+        # above 150 nodes the rule is the package's own, within rounding of scipy's asymptotic one
+        x, totals = hermite_quadrature(n)
         xr, wr = roots_hermite(n)
-        assert x.tobytes() == xr.tobytes() and w.tobytes() == wr.tobytes()
+        assert np.all(np.abs(x - xr) <= 1e-13 * np.maximum(1.0, np.abs(xr)))
+        normal = wr >= np.finfo(float).tiny
+        reference = _times_exp_square(wr, xr)
+        assert np.all(np.abs(totals - reference)[normal] <= 5e-13 * reference[normal])
+
+    @pytest.mark.parametrize("n", RULE_COUNTS)
+    def test_rule_above_150_nodes(self, n):
+        x, w = _gauss_hermite(n)
+        assert np.isfinite(x).all() and np.isfinite(w).all()
+        assert (x == -x[::-1]).all() and w.tobytes() == w[::-1].tobytes()
+        assert n % 2 == 0 or x[n // 2].tobytes() == np.float64(0.0).tobytes()
+        assert w.sum() == pytest.approx(np.sqrt(np.pi), rel=1e-14)
+        # the total weights are 0 or lose digits past |x| ~ 26.6, where the Gauss-Hermite weight is not a
+        # normal float; the wavefunctions up to order 300 are below 1e-7 there, so those nodes add < 1e-14
+        order = min(n - 1, 300)
+        psi = hermite_psi_table(order, x)
+        assert np.max(np.abs((psi * _times_exp_square(w, x)) @ psi.T - np.eye(order + 1))) <= 1e-13
+
+    def test_rule_refuses_a_jacobi_matrix_past_the_allocation_limit(self):
+        with pytest.raises(AllocationTooLarge):  # 8 n^2 bytes pass 2^30 at 11586 nodes
+            _gauss_hermite(11586)
 
     def test_builds_import_no_scipy_linalg(self):
         code = (
@@ -376,9 +401,10 @@ class TestGaussHermite:
 
     def test_cli_runs_load_no_scipy_special_nor_its_blas(self, tmp_path):
         # scipy.special maps scipy's own OpenBLAS beside numpy's, whose idle pool spins through a short
-        # run; up to 150 quadrature nodes no command needs either
+        # run; no command needs either, past 150 quadrature nodes (verify-all at 128 takes 256) too
         runs = [["experiment", "fixedpoint"], ["experiment", "verify-all", "--ncut", "48"], ["experiment", "extremal"],
-                ["experiment", "scaling"], ["kraus", "C1:0.7"], ["kraus", "B1:0.5"]]
+                ["experiment", "scaling"], ["kraus", "C1:0.7"], ["kraus", "B1:0.5"],
+                ["experiment", "verify-all", "--ncut", "128"], ["kraus", "A2", "--nodes", "151", "--ncut", "16"]]
         code = (
             "import os, sys\n"
             "from boskraus import cli\n"
@@ -394,6 +420,31 @@ class TestGaussHermite:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
         assert out.returncode == 0, out.stderr
         assert out.stderr.strip().splitlines()[-1] == "[] []"
+
+    def test_scan_finds_scipy_imports(self):
+        source = ("import numpy, scipy\nimport scipy.special as sp\nfrom scipy.linalg import expm\n"
+                  "def f():\n    from scipy import special\n    import scipyish\n"
+                  "from . import scipy_free\nfrom .scipy import x\n")
+        assert scipy_imports(source) == [1, 2, 3, 5]
+
+    def test_no_module_imports_scipy(self):
+        found = {path.name: scipy_imports(path.read_text()) for path in sorted((SRC / "boskraus").glob("*.py"))}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def scipy_imports(source: str) -> list[int]:
+    """The line of each ``import`` in ``source`` that loads scipy or one of its modules; relative imports load none."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 GAINS = {"D": st.floats(0.05, 5.0), "C1": st.floats(0.0, 1.0), "C2": st.floats(1.0, 5.0)}

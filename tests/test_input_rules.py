@@ -4,8 +4,9 @@
 array of a fixed shape (``_real_array``, a 2x2 matrix by default).  No other module
 tests an argument for ``numbers.Integral`` or ``bool``, and each class that takes a
 2x2 matrix calls the array rule in its ``__post_init__``.  ``REFUSALS`` lists one call
-for each ``raise`` of the package that no other test reaches, and the NaN inputs that
-once passed every check, with the exception each raises.
+for each ``raise`` of the package that no other test reaches, and the inputs (NaN among
+them) that once passed every check or escaped as an untyped error, with the exception
+each raises.
 """
 
 import ast
@@ -31,6 +32,8 @@ from boskraus.fock import (
     TruncatedOperator,
     _check_populations,
     coherent_amplitudes,
+    coherent_disc_grid,
+    coherent_state,
     fock_state,
     hermite_quadrature,
     q_function,
@@ -90,6 +93,18 @@ REFUSALS = {
     "fock-level-past-the-cutoff": (lambda: fock_state(4, 4), InvalidParameter),
     "q-function-nan-point": (lambda: q_function(thermal_state(2.0, 8), np.nan), InvalidParameter),
     "amplitudes-infinite-point": (lambda: coherent_amplitudes(np.array([0.5, np.inf]), 8), InvalidParameter),
+    "disc-grid-fractional-count": (lambda: coherent_disc_grid(4.0, 2.5, 8), InvalidParameter),
+    "disc-grid-no-radial-node": (lambda: coherent_disc_grid(4.0, 0, 8), InvalidParameter),
+    "disc-grid-no-angular-node": (lambda: coherent_disc_grid(4.0, 4, 0), InvalidParameter),
+    "disc-grid-boolean-count": (lambda: coherent_disc_grid(4.0, True, 8), InvalidParameter),
+    "disc-grid-nan-radius": (lambda: coherent_disc_grid(np.nan, 4, 8), InvalidParameter),
+    "disc-grid-infinite-radius": (lambda: coherent_disc_grid(np.inf, 4, 8), InvalidParameter),
+    "disc-grid-negative-radius": (lambda: coherent_disc_grid(-4.0, 4, 8), InvalidParameter),
+    # a NaN tolerance once let any tail through, and a negative one blamed the cutoff
+    "coherent-nan-tail-tol": (lambda: coherent_state(5.0, 8, tail_tol=np.nan), InvalidParameter),
+    "coherent-negative-tail-tol": (lambda: coherent_state(0.5, 8, tail_tol=-1.0), InvalidParameter),
+    "thermal-nan-tail-tol": (lambda: thermal_state(50.0, 8, tail_tol=np.nan), InvalidParameter),
+    "thermal-negative-tail-tol": (lambda: thermal_state(2.0, 8, tail_tol=-1.0), InvalidParameter),
     # kraus
     "apply-matrix-dims-differ": (lambda: apply_matrix(c1(), np.eye(8)), DimMismatch),
     "rank-one-negative-kappa": (lambda: rank_one_d(-1.0, np.zeros(2), np.ones(2), 8), InvalidParameter),

@@ -5,7 +5,7 @@ fills; past 8192 tokens every fresh process that compiles the module (no
 cached bytecode) peaks about 0.5 MB higher.  The count is that of
 ``tokenize`` without comments and non-logical newlines, which the parser
 drops.  ``fock.py`` and ``families.py`` are the closest to the limit, with
-about 2,800 and 3,000 tokens to spare; ``kraus.py``, which builds families
+about 2,400 and 3,000 tokens to spare; ``kraus.py``, which builds families
 and reads none of their storage, has about 6,400.
 """
 

@@ -39,7 +39,7 @@ INVOCATIONS = [
     ["experiment", "zeno"],
     *(["kraus", channel] for channel in ("C1:0.7", "D:0.8", "C2:1.3", "A1", "I", "C1:1.0", "C2:1.0", "C1:0.0",
                                          "A2", "B1:0.5", "B1")),
-    # past 150 nodes the Gauss-Hermite rule is scipy's asymptotic one, the one path that imports scipy.special
+    # past 150 nodes the Gauss-Hermite rule leaves scipy's bits: its Newton step and weights read the psi recurrence
     *(["kraus", channel, "--nodes", "151", "--ncut", "16"] for channel in ("A2", "B1:0.5")),
     ["compose", "C2:1.5", "C1:0.4", "--verify"],
     ["compose", "A2", "D:0.9", "--verify"],
